@@ -1,8 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet lint doclint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
+.PHONY: check fmt build vet lint doclint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
 
-check: build vet lint test fuzz-smoke scale-smoke
+check: fmt build vet lint test fuzz-smoke scale-smoke
+
+# fmt fails on any file gofmt would rewrite, listing them. The globs
+# skip dot-directories, so the benchmark's build cache is not scanned.
+fmt:
+	@out=$$(gofmt -l *.go */); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -64,9 +69,13 @@ load-smoke:
 # testdata/fuzz/ run as plain tests in `make test` already; this step
 # buys a little fresh exploration on every check, so a parser panic or
 # a columns/core divergence surfaces in CI, not in production traffic.
+# The transport and remote targets fuzz the two binary codecs that parse
+# bytes from other processes: data frames and packed check frames.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTextioRoundTrip -fuzztime=10s ./internal/textio/
 	$(GO) test -run=NONE -fuzz=FuzzBatchColumnsEquivalence -fuzztime=10s ./internal/engine/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeData -fuzztime=10s ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzCheckFrame -fuzztime=10s ./internal/remote/
 
 # scale-smoke runs one n=10^5 sweep cell per backend through cmd/lcpsweep
 # — the full generate -> textio write -> parse -> prove -> check pipeline

@@ -49,6 +49,26 @@ func FromUint(v uint64, width int) String {
 	return w.String()
 }
 
+// FromPacked builds an n-bit String from MSB-first packed bytes — the
+// layout String keeps internally and the wire formats ship. Bits past n
+// in the last byte are ignored, and data is copied, never retained. It
+// panics if data holds fewer than ⌈n/8⌉ bytes.
+func FromPacked(data []byte, n int) String {
+	if n <= 0 {
+		return Empty
+	}
+	nbytes := (n + 7) / 8
+	if len(data) < nbytes {
+		panic(fmt.Sprintf("bitstr.FromPacked: %d bytes for %d bits", len(data), n))
+	}
+	out := make([]byte, nbytes)
+	copy(out, data[:nbytes])
+	if r := n & 7; r != 0 {
+		out[nbytes-1] &= 0xff << (8 - uint(r))
+	}
+	return String{data: out, n: n}
+}
+
 // Parse builds a String from a textual description such as "0110". Spaces
 // are ignored. It panics on any other rune; it is intended for tests.
 func Parse(s string) String {
@@ -107,6 +127,11 @@ func (s String) String() string {
 	}
 	return b.String()
 }
+
+// AppendPacked appends the bits of s to buf, MSB-first packed: ⌈Len/8⌉
+// bytes, the unused low bits of the last byte zero. FromPacked inverts
+// it.
+func (s String) AppendPacked(buf []byte) []byte { return append(buf, s.data...) }
 
 // Concat returns the concatenation s·t.
 func (s String) Concat(t String) String {

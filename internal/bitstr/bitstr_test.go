@@ -285,3 +285,28 @@ func BenchmarkWriterUint(b *testing.B) {
 		_ = w.String()
 	}
 }
+
+func TestPackedRoundTrip(t *testing.T) {
+	for _, bits := range []string{"", "1", "0", "10110101", "101101011", "1111111100000000101"} {
+		s := Parse(bits)
+		packed := s.AppendPacked(nil)
+		if want := (len(bits) + 7) / 8; len(packed) != want {
+			t.Fatalf("%q: packed to %d bytes, want %d", bits, len(packed), want)
+		}
+		if got := FromPacked(packed, s.Len()); !got.Equal(s) || got.String() != bits {
+			t.Fatalf("%q: round-tripped to %q", bits, got.String())
+		}
+	}
+	if got := FromPacked(nil, 0); got.Len() != 0 {
+		t.Fatalf("FromPacked(nil, 0) has %d bits", got.Len())
+	}
+}
+
+// TestFromPackedMasksPadding: garbage in the unused low bits of the
+// last byte must not leak into Equal or Key.
+func TestFromPackedMasksPadding(t *testing.T) {
+	got := FromPacked([]byte{0xff}, 3)
+	if want := Parse("111"); !got.Equal(want) || got.Key() != want.Key() {
+		t.Fatalf("FromPacked(0xff, 3) = %q (key %s), want 111", got.String(), got.Key())
+	}
+}

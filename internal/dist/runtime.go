@@ -425,7 +425,12 @@ func (net *network) run(ctx context.Context, in *core.Instance, p core.Proof, v 
 	stopSeed()
 	if net.bar != nil {
 		net.bar.reset()
-		if ctx != nil && ctx.Done() != nil {
+		if ctx != nil && ctx.Err() != nil {
+			// Already cancelled: poison before the flood starts, so the
+			// abort does not depend on the watcher below being scheduled
+			// before a short flood finishes.
+			net.bar.poison()
+		} else if ctx != nil && ctx.Done() != nil {
 			watchDone := make(chan struct{})
 			watcherExited := make(chan struct{})
 			go func() {

@@ -2,12 +2,13 @@ package dist
 
 // The transport-backed shard runner: the sharded scheduler's four-phase
 // round, executed against a transport.Transport instead of in-process
-// channel ports. This is what a worker process runs for its shard of a
-// partitioned instance — the same node automata, merge rules, and view
-// assembly as the channel scheduler (so verdicts are identical to
-// core.Check by the same argument), with the cross-shard edge behind
-// the Transport interface: InProc for the single-process fan-out the
-// equivalence tests pin, TCP for the multi-process coordinator.
+// channel ports. A Shard is what a worker process keeps for its slice
+// of a registered instance — wired once by NewShard, run once per check
+// — with the same node automata, merge rules, and view assembly as the
+// channel scheduler (so verdicts are identical to core.Check by the
+// same argument), and the cross-shard edge behind the Transport
+// interface: InProc for the single-process fan-out the equivalence
+// tests pin, TCP for the multi-process coordinator.
 //
 // The phase structure maps onto the interface as:
 //
@@ -25,6 +26,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"lcp/internal/core"
 	"lcp/internal/partition"
@@ -59,23 +61,42 @@ type remoteLink struct {
 	dst  int
 }
 
-// RunShard floods one shard's automata over the transport for the
-// verifier's radius and decides every owned node. The outputs map has
-// exactly one verdict per owned node; a transport failure, context
-// cancellation, or verifier panic surfaces as an error (the first one
-// wins) with no partial outputs.
+// Shard is one shard's automata, wired once from a ShardPlan and reused
+// by every check: the node automata with their round-0 base records,
+// the same-shard direct-merge links, and the cut-edge links routed by
+// the assignment. A check only seeds, floods, and decides — seeding
+// rewinds each automaton's knowledge maps and batch buffers in place,
+// the way the scheduler rewinds its pooled nodes, so a long-lived
+// shard (a worker's registered instance) stops paying for wiring and
+// map growth on every check.
 //
-// The caller owns the transport: RunShard never closes it, so stats
-// survive the run. The automata are plain heap nodes, not drawn from
-// the scheduler's pool — a transport run's batches cross shard (or
-// process) lifetimes the pool's reuse discipline does not cover.
-func RunShard(ctx context.Context, plan ShardPlan, tr transport.Transport, p core.Proof, v core.Verifier) (map[int]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// A Shard is not safe for concurrent runs; callers serialize them. It
+// keeps the previous check's flooded knowledge until the next check
+// rewinds it.
+type Shard struct {
+	in      *core.Instance
+	me      int
+	owned   []int
+	nodes   []*node // in Owned order
+	byID    map[int]*node
+	remotes []remoteLink // grouped by sender, so a node's batch to one peer stages back to back
+	peers   []int        // shards sharing a cut edge with this one, ascending
+}
+
+// NewShard wires shard me of the plan. It fails — before any check —
+// when an owned node is absent from the plan's instance, a neighbor of
+// an owned node has no assignment, or a neighbor assigned to me is not
+// owned. The automata are plain heap nodes, not drawn from the
+// scheduler's pool — a transport run's batches cross shard (or process)
+// lifetimes the pool's reuse discipline does not cover.
+func NewShard(plan ShardPlan, me int) (*Shard, error) {
+	s := &Shard{
+		in:    plan.In,
+		me:    me,
+		owned: plan.Owned,
+		nodes: make([]*node, 0, len(plan.Owned)),
+		byID:  make(map[int]*node, len(plan.Owned)),
 	}
-	me := tr.Shard()
-	byID := make(map[int]*node, len(plan.Owned))
-	nodes := make([]*node, 0, len(plan.Owned))
 	for _, id := range plan.Owned {
 		if !plan.In.G.Has(id) {
 			return nil, fmt.Errorf("dist: shard %d owns node %d, absent from its instance", me, id)
@@ -86,31 +107,62 @@ func RunShard(ctx context.Context, plan ShardPlan, tr transport.Transport, p cor
 			known: make(map[int]record),
 			dist:  make(map[int]int),
 		}
-		byID[id] = nd
-		nodes = append(nodes, nd)
+		s.byID[id] = nd
+		s.nodes = append(s.nodes, nd)
 	}
 	// Wire after every automaton exists: same-shard neighbours get
 	// direct-merge links, cut edges get remote links routed by the
 	// assignment.
-	var remotes []remoteLink
-	for _, nd := range nodes {
+	peerSet := map[int]bool{}
+	for _, nd := range s.nodes {
 		for _, w := range plan.In.G.UndirectedNeighbors(nd.id) {
 			owner, ok := plan.Assign[w]
 			if !ok {
 				return nil, fmt.Errorf("dist: shard %d: neighbor %d of node %d has no shard assignment", me, w, nd.id)
 			}
 			if owner == me {
-				nb := byID[w]
+				nb := s.byID[w]
 				if nb == nil {
 					return nil, fmt.Errorf("dist: shard %d: node %d assigned here but not owned", me, w)
 				}
 				nd.local = append(nd.local, nb)
 			} else {
-				remotes = append(remotes, remoteLink{from: nd, peer: owner, dst: w})
+				s.remotes = append(s.remotes, remoteLink{from: nd, peer: owner, dst: w})
+				peerSet[owner] = true
 			}
 		}
 	}
-	for _, nd := range nodes {
+	for p := range peerSet {
+		s.peers = append(s.peers, p)
+	}
+	sort.Ints(s.peers)
+	return s, nil
+}
+
+// Owned lists the nodes the shard decides, in the order Run reports
+// their verdicts.
+func (s *Shard) Owned() []int { return s.owned }
+
+// Peers lists the shards this one shares a cut edge with, ascending:
+// the peers a check's transport must connect.
+func (s *Shard) Peers() []int { return s.peers }
+
+// Run floods the shard's automata over the transport for the verifier's
+// radius and decides every owned node. The verdicts align with Owned; a
+// transport failure, context cancellation, or verifier panic surfaces
+// as an error (the first one wins) with no partial verdicts. A failed
+// run leaves the shard reusable: the next run reseeds every automaton.
+//
+// The caller owns the transport: Run never closes it, so stats survive
+// the run. The transport must speak for the shard's index.
+func (s *Shard) Run(ctx context.Context, tr transport.Transport, p core.Proof, v core.Verifier) ([]bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if tr.Shard() != s.me {
+		return nil, fmt.Errorf("dist: shard %d run over the transport of shard %d", s.me, tr.Shard())
+	}
+	for _, nd := range s.nodes {
 		nd.seed(p)
 	}
 	radius := v.Radius()
@@ -121,7 +173,7 @@ func RunShard(ctx context.Context, plan ShardPlan, tr transport.Transport, p cor
 	for r := 1; r <= rounds; r++ {
 		// Phase 1: freeze and stage cur on every cut edge, then
 		// exchange. cur buffers stay untouched through the delivery.
-		for _, rl := range remotes {
+		for _, rl := range s.remotes {
 			tr.Send(rl.peer, rl.dst, rl.from.cur)
 		}
 		dels, err := tr.Exchange(ctx, r)
@@ -129,40 +181,62 @@ func RunShard(ctx context.Context, plan ShardPlan, tr transport.Transport, p cor
 			return nil, err
 		}
 		// Phase 2: rewind the accumulation buffers.
-		for _, nd := range nodes {
+		for _, nd := range s.nodes {
 			nd.next = nd.next[:0]
 		}
 		// Phase 3: same-shard direct merges, then the transport's
 		// deliveries. Merges never touch a cur buffer, so ordering
 		// within the phase is irrelevant.
-		for _, nd := range nodes {
+		for _, nd := range s.nodes {
 			for _, nb := range nd.local {
 				nb.merge(nd.cur, r)
 			}
 		}
 		for _, d := range dels {
-			nd := byID[d.Dst]
+			nd := s.byID[d.Dst]
 			if nd == nil {
-				return nil, fmt.Errorf("dist: shard %d: delivery for node %d, which it does not own", me, d.Dst)
+				return nil, fmt.Errorf("dist: shard %d: delivery for node %d, which it does not own", s.me, d.Dst)
 			}
 			nd.merge(d.Recs, r)
 		}
 		// Phase 4: swap, then close the round — after Barrier, every
 		// shard has merged round r and buffer reuse is licensed.
-		for _, nd := range nodes {
+		for _, nd := range s.nodes {
 			nd.cur, nd.next = nd.next, nd.cur
 		}
 		if err := tr.Barrier(ctx, r); err != nil {
 			return nil, err
 		}
 	}
-	outputs := make(map[int]bool, len(nodes))
-	for _, nd := range nodes {
-		nv := decide(nd, plan.In, radius, v)
+	verdicts := make([]bool, len(s.nodes))
+	for i, nd := range s.nodes {
+		nv := decide(nd, s.in, radius, v)
 		if nv.err != nil {
 			return nil, nv.err
 		}
-		outputs[nv.id] = nv.ok
+		verdicts[i] = nv.ok
+	}
+	return verdicts, nil
+}
+
+// RunShard is the one-shot form of a shard: NewShard for the
+// transport's shard, one Run, and the verdicts keyed by node id. The
+// outputs map has exactly one verdict per owned node.
+func RunShard(ctx context.Context, plan ShardPlan, tr transport.Transport, p core.Proof, v core.Verifier) (map[int]bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s, err := NewShard(plan, tr.Shard())
+	if err != nil {
+		return nil, err
+	}
+	verdicts, err := s.Run(ctx, tr, p, v)
+	if err != nil {
+		return nil, err
+	}
+	outputs := make(map[int]bool, len(verdicts))
+	for i, ok := range verdicts {
+		outputs[s.owned[i]] = ok
 	}
 	return outputs, nil
 }

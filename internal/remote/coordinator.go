@@ -232,25 +232,23 @@ func (c *Coordinator) Check(ctx context.Context, p core.Proof) (*core.Result, tr
 	seq := c.seq
 	reqs := make([]*Request, len(c.conns))
 	for i := range c.conns {
-		// Restrict the proof to the worker's owned nodes, preserving
-		// entry presence exactly (an explicit ε entry stays an entry).
-		// Remote nodes' proofs reach the worker over the data plane,
-		// inside flooded records.
-		pm := make(map[int]string)
-		for _, id := range c.owned[i] {
-			if s, ok := p[id]; ok {
-				pm[id] = s.String()
-			}
-		}
-		reqs[i] = &Request{Op: OpCheck, Instance: c.instance, Seq: seq, Proof: pm}
+		// Restrict the proof to the worker's owned nodes, packed in the
+		// registered order with entry presence exact (an explicit ε
+		// entry stays an entry). Remote nodes' proofs reach the worker
+		// over the data plane, inside flooded records.
+		reqs[i] = &Request{Op: OpCheck, Instance: c.instance, Seq: seq, Proofs: appendProofs(nil, c.owned[i], p)}
 	}
 	res := &core.Result{Outputs: make(map[int]bool, c.n)}
 	var mergeMu sync.Mutex
 	if err := c.fanOut(ctx, reqs, &stats, func(i int, resp *Response) error {
+		verdicts, err := decodeVerdicts(resp.Verdicts, len(c.owned[i]))
+		if err != nil {
+			return err
+		}
 		mergeMu.Lock()
 		defer mergeMu.Unlock()
-		for id, ok := range resp.Outputs {
-			res.Outputs[id] = ok
+		for j, ok := range verdicts {
+			res.Outputs[c.owned[i][j]] = ok
 		}
 		return nil
 	}); err != nil {

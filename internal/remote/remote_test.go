@@ -93,8 +93,13 @@ func TestCoordinatorMatchesCoreOnCatalog(t *testing.T) {
 					coord.Close()
 					t.Fatalf("%s: register: %v", exp.ID, err)
 				}
-				proofs := []core.Proof{honest, core.FlipBit(honest, 0), honest.Truncated(1)}
-				labels := []string{"honest", "tampered", "truncated"}
+				// One registration serves every check: the worker-resident
+				// shard is reseeded per check, so alternating honest,
+				// tampered and truncated proofs pins that no knowledge
+				// leaks from one check into the next.
+				tampered, truncated := core.FlipBit(honest, 0), honest.Truncated(1)
+				proofs := []core.Proof{honest, tampered, truncated, honest, truncated, tampered, honest}
+				labels := []string{"honest", "tampered", "truncated", "honest-again", "truncated-again", "tampered-again", "honest-last"}
 				for pi, p := range proofs {
 					want := core.Check(in, p, v)
 					got, stats, err := coord.Check(ctx, p)

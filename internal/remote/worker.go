@@ -6,12 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"lcp/internal/bitstr"
 	"lcp/internal/core"
 	"lcp/internal/dist"
 	"lcp/internal/graph"
@@ -35,10 +33,10 @@ const (
 // Worker serves one shard of registered instances: it accepts control
 // connections from coordinators (register / check / close requests) and
 // data connections from peer workers (one per shard pair per check),
-// and runs the transport-backed shard runner for every check. One
-// worker process can hold shards of many instances at once; checks on
-// the same instance serialize, checks on different instances run
-// concurrently.
+// wires a dist.Shard per registered instance, and runs it for every
+// check. One worker process can hold shards of many instances at once;
+// checks on the same instance serialize, checks on different instances
+// run concurrently.
 type Worker struct {
 	ln      net.Listener
 	schemes map[string]core.Scheme
@@ -51,14 +49,14 @@ type Worker struct {
 	wg      sync.WaitGroup
 }
 
-// workerInstance is one registered shard: the halo instance, the nodes
-// this worker decides, and the routing the check phase needs.
+// workerInstance is one registered shard: the automata wired at
+// registration, and the routing the check phase needs.
 type workerInstance struct {
-	mu      sync.Mutex // serializes checks on this instance
-	plan    dist.ShardPlan
+	mu      sync.Mutex  // serializes checks on this instance
+	shard   *dist.Shard // guarded by mu: every check reseeds and floods it
+	proof   core.Proof  // guarded by mu: the check's decoded proofs, reused
 	scheme  core.Scheme
 	me      int
-	peers   []int // shards sharing a cut edge with this one, ascending
 	workers []string
 	timeout time.Duration
 }
@@ -318,7 +316,7 @@ func (w *Worker) dispatch(ctx context.Context, req *Request) *Response {
 	case OpRegister:
 		err = w.register(req)
 	case OpCheck:
-		resp.Outputs, resp.Stats, err = w.check(ctx, req)
+		resp.Verdicts, resp.Stats, err = w.check(ctx, req)
 	case OpClose:
 		w.mu.Lock()
 		delete(w.insts, req.Instance)
@@ -332,7 +330,8 @@ func (w *Worker) dispatch(ctx context.Context, req *Request) *Response {
 	return resp
 }
 
-// register parses and installs one instance shard.
+// register parses one instance shard, wires its automata, and installs
+// it.
 func (w *Worker) register(req *Request) error {
 	scheme, ok := w.schemes[req.Scheme]
 	if !ok {
@@ -357,38 +356,27 @@ func (w *Worker) register(req *Request) error {
 	if req.HasWeights && in.Weights == nil {
 		in.Weights = map[graph.Edge]int64{}
 	}
-	peerSet := map[int]bool{}
-	for _, id := range req.Owned {
-		if !in.G.Has(id) {
-			return fmt.Errorf("remote: owned node %d absent from shipped halo", id)
-		}
-		for _, nb := range in.G.UndirectedNeighbors(id) {
-			owner, ok := req.Assign[nb]
-			if !ok {
-				return fmt.Errorf("remote: neighbor %d of owned node %d has no shard assignment", nb, id)
-			}
-			if owner != req.Me {
-				peerSet[owner] = true
-			}
-		}
+	// Wire the shard now: a malformed registration (an owned node
+	// missing from the halo, an unassigned neighbor) fails here, and
+	// every check afterwards only seeds, floods, and decides.
+	shard, err := dist.NewShard(dist.ShardPlan{In: in, Owned: req.Owned, Assign: req.Assign}, req.Me)
+	if err != nil {
+		return fmt.Errorf("remote: register: %w", err)
 	}
-	peers := make([]int, 0, len(peerSet))
-	for p := range peerSet {
+	for _, p := range shard.Peers() {
 		if p < 0 || p >= len(req.Workers) {
 			return fmt.Errorf("remote: assignment names shard %d but only %d workers", p, len(req.Workers))
 		}
-		peers = append(peers, p)
 	}
-	sort.Ints(peers)
 	timeout := time.Duration(req.RoundTimeoutMS) * time.Millisecond
 	if timeout <= 0 {
 		timeout = transport.DefaultRoundTimeout
 	}
 	inst := &workerInstance{
-		plan:    dist.ShardPlan{In: in, Owned: req.Owned, Assign: req.Assign},
+		shard:   shard,
+		proof:   make(core.Proof, len(req.Owned)),
 		scheme:  scheme,
 		me:      req.Me,
-		peers:   peers,
 		workers: req.Workers,
 		timeout: timeout,
 	}
@@ -403,27 +391,28 @@ func (w *Worker) register(req *Request) error {
 
 // check runs one proof over a registered shard: establish the data
 // edges for this sequence (dial lower peers, claim connections accepted
-// from higher ones), run the shard, report verdicts and traffic.
-func (w *Worker) check(ctx context.Context, req *Request) (map[int]bool, transport.Stats, error) {
+// from higher ones), run the shard, report the verdict bitmap and
+// traffic.
+func (w *Worker) check(ctx context.Context, req *Request) ([]byte, transport.Stats, error) {
 	w.mu.Lock()
 	inst := w.insts[req.Instance]
 	w.mu.Unlock()
 	if inst == nil {
 		return nil, transport.Stats{}, fmt.Errorf("remote: instance %q not registered", req.Instance)
 	}
-	proof, err := parseProof(req.Proof)
-	if err != nil {
-		return nil, transport.Stats{}, err
-	}
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
-	conns := make(map[int]net.Conn, len(inst.peers))
+	if err := decodeProofs(req.Proofs, inst.shard.Owned(), inst.proof); err != nil {
+		return nil, transport.Stats{}, err
+	}
+	peers := inst.shard.Peers()
+	conns := make(map[int]net.Conn, len(peers))
 	releaseAll := func() {
 		for _, c := range conns {
 			w.release(c) // unwinding a failed or finished session
 		}
 	}
-	for _, p := range inst.peers {
+	for _, p := range peers {
 		var conn net.Conn
 		var err error
 		if p < inst.me {
@@ -444,32 +433,10 @@ func (w *Worker) check(ctx context.Context, req *Request) (map[int]bool, transpo
 	}
 	tr := transport.NewTCP(inst.me, req.Seq, conns, inst.timeout)
 	defer releaseAll() // session conns are per-check; stats were read before
-	outputs, err := dist.RunShard(ctx, inst.plan, tr, proof, inst.scheme.Verifier())
+	verdicts, err := inst.shard.Run(ctx, tr, inst.proof, inst.scheme.Verifier())
 	stats := tr.Stats()
 	if err != nil {
 		return nil, stats, err
 	}
-	return outputs, stats, nil
-}
-
-// parseProof decodes the request's textual proof map. Entry presence is
-// preserved exactly — an explicit empty string is the ε proof, a
-// missing entry is no proof — matching core.Proof's conventions.
-func parseProof(m map[int]string) (core.Proof, error) {
-	p := make(core.Proof, len(m))
-	for id, s := range m {
-		var bw bitstr.Writer
-		for _, r := range s {
-			switch r {
-			case '0':
-				bw.WriteBit(false)
-			case '1':
-				bw.WriteBit(true)
-			default:
-				return nil, fmt.Errorf("remote: proof for node %d: invalid bit %q", id, r)
-			}
-		}
-		p[id] = bw.String()
-	}
-	return p, nil
+	return appendVerdicts(nil, verdicts), stats, nil
 }

@@ -251,7 +251,10 @@ func (t *TCP) Close() error {
 }
 
 // ProtoVersion is the handshake protocol version in Hello frames.
-const ProtoVersion = 1
+// Version 2 packs check requests and responses (proof bits and verdict
+// bitmaps in the registered owned order) and groups data frames by
+// batch; a version-1 peer cannot parse either.
+const ProtoVersion = 2
 
 // Connection roles named in Hello frames.
 const (
@@ -309,7 +312,7 @@ func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 		return Hello{}, fmt.Errorf("transport: bad hello: %w", err)
 	}
 	if h.Proto != ProtoVersion {
-		return Hello{}, fmt.Errorf("transport: protocol version %d, want %d", h.Proto, ProtoVersion)
+		return Hello{}, fmt.Errorf("transport: peer speaks protocol version %d, this side speaks version %d", h.Proto, ProtoVersion)
 	}
 	return h, nil
 }

@@ -7,7 +7,9 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -150,5 +152,21 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("accept side: %v", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("hello never arrived")
+	}
+}
+
+// TestReadHelloRejectsOtherVersion: a hello of another protocol version
+// fails the handshake with an error naming both versions, so a
+// mixed-version fleet says which side to rebuild.
+func TestReadHelloRejectsOtherVersion(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go func() {
+		_ = WriteHello(a, Hello{Proto: 1, Role: RoleControl}, 5*time.Second) // the read side reports
+	}()
+	_, err := ReadHello(b, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ProtoVersion)) {
+		t.Fatalf("v1 hello: err = %v, want an error naming versions 1 and %d", err, ProtoVersion)
 	}
 }

@@ -14,8 +14,9 @@ package transport
 // debuggability:
 //
 //	data payload := uvarint seq | uvarint round | uvarint src
-//	              | uvarint #deliveries | delivery...
-//	delivery     := uvarint dst | uvarint #records | record...
+//	              | uvarint #groups | group...
+//	group        := uvarint #records | record...
+//	              | uvarint #dsts | uvarint dst...
 //	record       := uvarint id | u8 flags(hasProof|hasLabel)
 //	              | [bits proof] | [string label]
 //	              | uvarint #edges | edge...
@@ -23,6 +24,13 @@ package transport
 //	              | [string label] | [varint weight]
 //	bits         := uvarint bit-length | MSB-first packed bytes
 //	string       := uvarint byte-length | bytes
+//
+// A group is one staged batch followed by every destination node it is
+// addressed to: a node with several cut edges into the same peer shard
+// sends the same batch over each of them, and the frame carries it
+// once. Decoding hands every destination of a group the same Batch —
+// records are immutable, exactly as the in-process transport shares
+// them. A group always names at least one destination.
 //
 // Records are self-contained (the same property the in-process
 // scheduler relies on for multi-hop forwarding), so decoding never
@@ -98,20 +106,43 @@ type DataHeader struct {
 	Src int
 }
 
-// AppendData encodes a data payload: header plus deliveries.
+// AppendData encodes a data payload: header plus deliveries, grouped
+// by batch. Consecutive deliveries of one batch — the same backing
+// records, as a shard runner stages a node's batch for each of its cut
+// edges into a peer back to back — encode their records once.
 func AppendData(buf []byte, hdr DataHeader, dels []Delivery) []byte {
 	buf = binary.AppendUvarint(buf, hdr.Seq)
 	buf = binary.AppendUvarint(buf, uint64(hdr.Round))
 	buf = binary.AppendUvarint(buf, uint64(hdr.Src))
-	buf = binary.AppendUvarint(buf, uint64(len(dels)))
-	for _, d := range dels {
-		buf = binary.AppendUvarint(buf, uint64(d.Dst))
-		buf = binary.AppendUvarint(buf, uint64(len(d.Recs)))
-		for _, rec := range d.Recs {
-			buf = appendRecord(buf, rec)
+	groups := 0
+	for i := range dels {
+		if i == 0 || !sameBatch(dels[i-1].Recs, dels[i].Recs) {
+			groups++
 		}
 	}
+	buf = binary.AppendUvarint(buf, uint64(groups))
+	for i := 0; i < len(dels); {
+		j := i + 1
+		for j < len(dels) && sameBatch(dels[i].Recs, dels[j].Recs) {
+			j++
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(dels[i].Recs)))
+		for _, rec := range dels[i].Recs {
+			buf = appendRecord(buf, rec)
+		}
+		buf = binary.AppendUvarint(buf, uint64(j-i))
+		for _, d := range dels[i:j] {
+			buf = binary.AppendUvarint(buf, uint64(d.Dst))
+		}
+		i = j
+	}
 	return buf
+}
+
+// sameBatch reports whether two staged batches are one batch: the same
+// records in the same backing array. Empty batches are all alike.
+func sameBatch(a, b Batch) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func appendRecord(buf []byte, rec Record) []byte {
@@ -160,47 +191,41 @@ func appendString(buf []byte, s string) []byte {
 // appendBits encodes a bit string as its bit length followed by the
 // bits packed MSB-first, the same layout bitstr uses internally.
 func appendBits(buf []byte, s bitstr.String) []byte {
-	n := s.Len()
-	buf = binary.AppendUvarint(buf, uint64(n))
-	var cur byte
-	for i := 0; i < n; i++ {
-		if s.Bit(i) {
-			cur |= 1 << (7 - i%8)
-		}
-		if i%8 == 7 {
-			buf = append(buf, cur)
-			cur = 0
-		}
-	}
-	if n%8 != 0 {
-		buf = append(buf, cur)
-	}
-	return buf
+	buf = binary.AppendUvarint(buf, uint64(s.Len()))
+	return s.AppendPacked(buf)
 }
 
-// DecodeData decodes a data payload produced by AppendData.
+// DecodeData decodes a data payload produced by AppendData: one
+// Delivery per destination, every destination of a group sharing the
+// group's Batch. Every presize is capped by the payload bytes left, so
+// a corrupt count costs an error, not an allocation it announces.
 func DecodeData(payload []byte) (DataHeader, []Delivery, error) {
 	c := &cursor{buf: payload}
 	var hdr DataHeader
 	hdr.Seq = c.uvarint()
 	hdr.Round = c.count("round")
 	hdr.Src = c.count("src")
-	nd := c.count("delivery count")
+	ng := c.count("group count")
 	var dels []Delivery
-	if nd > 0 {
-		dels = make([]Delivery, 0, nd)
+	if n := c.capped(ng); n > 0 {
+		dels = make([]Delivery, 0, n)
 	}
-	for i := 0; i < nd && c.err == nil; i++ {
-		var d Delivery
-		d.Dst = c.count("dst")
+	for i := 0; i < ng && c.err == nil; i++ {
+		var recs Batch
 		nr := c.count("record count")
-		if nr > 0 {
-			d.Recs = make(Batch, 0, nr)
+		if n := c.capped(nr); n > 0 {
+			recs = make(Batch, 0, n)
 		}
 		for j := 0; j < nr && c.err == nil; j++ {
-			d.Recs = append(d.Recs, c.record())
+			recs = append(recs, c.record())
 		}
-		dels = append(dels, d)
+		nd := c.count("destination count")
+		if nd == 0 {
+			c.fail("destination count")
+		}
+		for j := 0; j < nd && c.err == nil; j++ {
+			dels = append(dels, Delivery{Dst: c.count("dst"), Recs: recs})
+		}
 	}
 	if c.err == nil && c.off != len(payload) {
 		c.err = fmt.Errorf("transport: %d trailing bytes in data frame", len(payload)-c.off)
@@ -249,6 +274,16 @@ func (c *cursor) count(what string) int {
 		return 0
 	}
 	return int(v)
+}
+
+// capped bounds a presize by the payload bytes left: every element of
+// every collection costs at least one byte, so a count beyond that is
+// corrupt and must not be allocated for before the decode fails.
+func (c *cursor) capped(n int) int {
+	if rem := len(c.buf) - c.off; n > rem {
+		return rem
+	}
+	return n
 }
 
 func (c *cursor) varint() int64 {
@@ -303,12 +338,9 @@ func (c *cursor) bits() bitstr.String {
 		c.fail("proof bits")
 		return bitstr.Empty
 	}
-	var w bitstr.Writer
-	for i := 0; i < n; i++ {
-		w.WriteBit(c.buf[c.off+i/8]&(1<<(7-i%8)) != 0)
-	}
+	s := bitstr.FromPacked(c.buf[c.off:c.off+nbytes], n)
 	c.off += nbytes
-	return w.String()
+	return s
 }
 
 func (c *cursor) record() Record {
@@ -324,8 +356,8 @@ func (c *cursor) record() Record {
 		rec.Label = c.string("node label")
 	}
 	ne := c.count("edge count")
-	if ne > 0 && c.err == nil {
-		rec.Edges = make([]EdgeRec, 0, ne)
+	if n := c.capped(ne); n > 0 && c.err == nil {
+		rec.Edges = make([]EdgeRec, 0, n)
 	}
 	for i := 0; i < ne && c.err == nil; i++ {
 		var er EdgeRec

@@ -8,6 +8,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,5 +113,80 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 	}
 	if _, err := WriteFrame(&bytes.Buffer{}, FrameData, make([]byte, MaxFrame)); err == nil {
 		t.Fatal("oversized write accepted")
+	}
+}
+
+// sharedDeliveries stages one batch for three destinations and another
+// for one, the way a shard runner stages a node with several cut edges
+// into the same peer.
+func sharedDeliveries() []Delivery {
+	hub := Batch{
+		{ID: 1, HasProof: true, Proof: bitstr.Parse("101"), Edges: []EdgeRec{
+			{E: graph.Edge{U: 1, V: 2}}, {E: graph.Edge{U: 1, V: 3}}, {E: graph.Edge{U: 1, V: 4}},
+		}},
+	}
+	leaf := Batch{{ID: 5, HasProof: true, Proof: bitstr.Parse("0")}}
+	return []Delivery{{Dst: 2, Recs: hub}, {Dst: 3, Recs: hub}, {Dst: 4, Recs: hub}, {Dst: 6, Recs: leaf}}
+}
+
+// TestDataSharedBatchEncodedOnce: a batch staged for several
+// destinations crosses the wire once, and every destination decodes to
+// the same records — one shared Batch, not a copy per destination.
+func TestDataSharedBatchEncodedOnce(t *testing.T) {
+	shared := sharedDeliveries()
+	payload := AppendData(nil, DataHeader{Seq: 1, Round: 1}, shared)
+	// The same traffic with every delivery carrying its own copy of
+	// the batch must encode the hub record three times.
+	var copied []Delivery
+	for _, d := range shared {
+		copied = append(copied, Delivery{Dst: d.Dst, Recs: append(Batch(nil), d.Recs...)})
+	}
+	unshared := AppendData(nil, DataHeader{Seq: 1, Round: 1}, copied)
+	hubBytes := len(appendRecord(nil, shared[0].Recs[0]))
+	if saved := len(unshared) - len(payload); saved < 2*hubBytes {
+		t.Fatalf("shared batch saved %d bytes, want at least %d (two copies of the hub record)", saved, 2*hubBytes)
+	}
+	_, dels, err := DecodeData(payload)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(dels, shared) {
+		t.Fatalf("shared deliveries round-trip:\n got %+v\nwant %+v", dels, shared)
+	}
+	if &dels[0].Recs[0] != &dels[2].Recs[0] {
+		t.Fatal("destinations of one group decoded to separate batches")
+	}
+}
+
+// TestDecodeDataCapsPresize: counts are bounded by MaxFrame, not by
+// the bytes that follow them, so a decoder that presizes from a count
+// alone allocates whatever a corrupt frame announces. The 7-byte
+// payload below announces 2^25 groups; decoding it must fail having
+// allocated next to nothing (it used to allocate 1 GiB). The same holds
+// for record and edge counts nested inside a group.
+func TestDecodeDataCapsPresize(t *testing.T) {
+	hdr := []byte{0, 1, 0} // seq 0, round 1, src 0
+	payloads := map[string][]byte{
+		"groups":  binary.AppendUvarint(append([]byte{}, hdr...), 1<<25),
+		"records": binary.AppendUvarint(append(append([]byte{}, hdr...), 1), 1<<25),
+		"edges":   binary.AppendUvarint(append(append([]byte{}, hdr...), 1, 1, 9, 0), 1<<25),
+	}
+	for name, payload := range payloads {
+		alloc, err := decodeAllocs(payload)
+		if err == nil {
+			t.Fatalf("%s: %d-byte payload announcing 2^25 elements decoded", name, len(payload))
+		}
+		if alloc > 1<<20 {
+			t.Fatalf("%s: decoding a %d-byte payload allocated %d bytes", name, len(payload), alloc)
+		}
+	}
+}
+
+// TestDecodeDataRejectsEmptyGroup: AppendData never writes a batch
+// group without destinations, so one on the wire is corrupt.
+func TestDecodeDataRejectsEmptyGroup(t *testing.T) {
+	payload := []byte{1, 1, 0, 1, 0, 0} // one group, no records, no destinations
+	if _, _, err := DecodeData(payload); err == nil {
+		t.Fatal("group without destinations decoded")
 	}
 }
