@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet lint doclint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
+.PHONY: check fmt build vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
 
 check: fmt build vet lint test fuzz-smoke scale-smoke
 
@@ -24,12 +24,6 @@ vet:
 lint:
 	$(GO) run ./cmd/lcplint $$($(GO) list -f '{{.Dir}}' ./...)
 
-# doclint is the old doc-comment-only pass, kept as a deprecated wrapper
-# over the doccomment analyzer; `make lint` (and through it `make check`)
-# covers it.
-doclint:
-	$(GO) run ./cmd/doclint $$($(GO) list -f '{{.Dir}}' ./...)
-
 test:
 	$(GO) test ./...
 
@@ -44,8 +38,8 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/dist/
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/partition/
 
-# bench-smoke runs every benchmark exactly once — including the sharded
-# scheduler benches (BenchmarkSchedulerSharded, the message-passing-
+# bench-smoke runs every benchmark exactly once — including the shard
+# layout benches (BenchmarkSchedulerSharded, the message-passing-
 # sharded ablation) and the partition-quality benches
 # (BenchmarkPartitioners, whose cut-edge metrics feed
 # BENCH_partition.json) — so CI catches benches that no longer compile
@@ -62,7 +56,7 @@ bench-smoke:
 # that.
 load-smoke:
 	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8
-	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8 -backend engine-dist -partitioner bfs
+	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8 -backend dist -partitioner bfs
 
 # fuzz-smoke runs every native fuzz target for a short budget (one
 # target per invocation — the go tool's rule). The seed corpora under
@@ -83,7 +77,7 @@ fuzz-smoke:
 # re-proved on every check, not only in the recorded BENCH_sweep.json.
 # Seconds per cell; the full grid (plus the n=10^6 tier) is `make sweep`.
 scale-smoke:
-	$(GO) run ./cmd/lcpsweep -n 100000 -families power-law -backends core,engine,dist,engine-dist
+	$(GO) run ./cmd/lcpsweep -n 100000 -families power-law -backends core,engine,dist
 
 # transport-smoke is the multi-process scale-out check: cmd/lcpfleet
 # spawns two real worker subprocesses (its own binary in -as-worker
@@ -119,4 +113,4 @@ obs-smoke:
 	$(GO) test -run 'TestServeTrace|TestServeMetrics|TestServeRequestLogging' ./internal/serve/
 	$(GO) test -run 'TestWriteProm|TestTrace' ./internal/obs/
 	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend dist
-	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend engine-dist -partitioner bfs
+	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend dist -partitioner bfs

@@ -303,9 +303,15 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 		}
 	})
 	b.Run("goroutine-per-node", func(b *testing.B) {
+		// One shard per node, wired per check: the one-shot LOCAL run.
 		for i := 0; i < b.N; i++ {
-			res, err := lcp.CheckDistributed(in, proof, v)
-			if err != nil || !res.Accepted() {
+			chk, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithBackend(lcp.BackendDist), lcp.WithShards(in.G.N()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := chk.Check(context.Background(), proof)
+			lcp.CloseChecker(chk)
+			if err != nil || !rep.Accepted() {
 				b.Fatalf("rejected: %v", err)
 			}
 		}
@@ -363,14 +369,20 @@ func BenchmarkEngineAmortized(b *testing.B) {
 	b.Run("engine-single-worker", func(b *testing.B) {
 		// Same cached views without parallelism: isolates amortization
 		// from the worker pool.
-		eng := lcp.NewEngineWith(in, lcp.EngineOptions{Workers: 1})
-		eng.CheckProof(proofs[0], v)
+		chk, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, err := chk.Check(ctx, proofs[0]); err != nil { // warm the radius cache
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, p := range proofs {
-				if eng.CheckProof(p, v) == nil {
-					b.Fatal("nil result")
+				if _, err := chk.Check(ctx, p); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}
@@ -531,8 +543,8 @@ func BenchmarkAblationConnectivityCompression(b *testing.B) {
 }
 
 // BenchmarkAblationViewConstruction compares the three verifier
-// execution strategies: sequential BFS views, per-node goroutines over
-// shared views, and the full message-passing runtime.
+// execution strategies: sequential BFS views, a worker pool over shared
+// views, and the full message-passing runtime (GOMAXPROCS shards).
 func BenchmarkAblationViewConstruction(b *testing.B) {
 	in := lcp.NewInstance(lcp.Cycle(255))
 	scheme := lcp.OddNScheme()
@@ -555,17 +567,9 @@ func BenchmarkAblationViewConstruction(b *testing.B) {
 			}
 		}
 	})
-	b.Run("message-passing", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := dist.Check(in, proof, v)
-			if err != nil || !res.Accepted() {
-				b.Fatal("rejected")
-			}
-		}
-	})
 	b.Run("message-passing-sharded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := dist.CheckWith(in, proof, v, dist.Options{Sharded: true})
+			res, err := dist.Check(in, proof, v)
 			if err != nil || !res.Accepted() {
 				b.Fatal("rejected")
 			}

@@ -1,6 +1,7 @@
 package lcp
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -25,7 +26,11 @@ func TestCatalogCompleteness(t *testing.T) {
 						t.Errorf("%s n=%d: proof %v bits > bound %v", exp.ID, n, got, want)
 					}
 				}
-				res, err := CheckDistributed(in, p, exp.Scheme.Verifier())
+				chk, err := NewChecker(in, WithScheme(exp.Scheme), WithBackend(BackendDist))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := chk.Check(context.Background(), p)
 				if err != nil {
 					t.Fatalf("%s n=%d: distributed: %v", exp.ID, n, err)
 				}

@@ -2,14 +2,14 @@ package lcp
 
 // The unified verification façade. The paper studies exactly one
 // object — a constant-radius local verifier run on every node — but the
-// library grew four ways to execute it: the sequential reference
+// library has several ways to execute it: the sequential reference
 // (core.Check), the message-passing LOCAL runtime (dist), the amortized
-// cached-view engine, and the engine's halo-sharded distributed path.
+// cached-view engine, and the multi-process worker fleet (dist-tcp).
 // Checker is the one front door: NewChecker compiles functional options
 // into the shared internal config.Config (the same object lcpserve
 // flags and serve's HTTP request options resolve into), every backend
 // answers with the same Report shape, and context cancellation behaves
-// uniformly across all four paths.
+// uniformly across all of them.
 
 import (
 	"context"
@@ -30,22 +30,21 @@ import (
 )
 
 // Backend names accepted by WithBackend. Each selects one execution
-// path; all four are property-tested verdict-identical.
+// path; all are property-tested verdict-identical.
 const (
 	// BackendCore: the sequential reference runner — one BFS view per
 	// node per proof, no caching, no concurrency.
 	BackendCore = string(config.BackendCore)
-	// BackendDist: the message-passing LOCAL runtime — node automata
-	// flood radius-r balls over ports; WithSharded/WithShards/
-	// WithFreeRunning tune its scheduler.
+	// BackendDist: the message-passing LOCAL runtime — node automata,
+	// grouped onto WithShards shards by WithPartitioner, flood their
+	// radius-r balls round by round.
 	BackendDist = string(config.BackendDist)
 	// BackendEngine: the amortized engine — radius-r view skeletons
 	// cached per instance, checks served by a WithWorkers-bounded pool.
 	// This is the default backend.
 	BackendEngine = string(config.BackendEngine)
-	// BackendEngineDist: the distributed engine — the instance is cut
-	// into WithRuntimes radius-r halos (by WithPartitioner), each owned
-	// by a reusable message-passing runtime.
+	// BackendEngineDist is an alias of BackendDist, kept so existing
+	// callers keep compiling; checkers built with it report "dist".
 	BackendEngineDist = string(config.BackendEngineDist)
 	// BackendDistTCP: the multi-process scale-out — the instance is
 	// partitioned across external lcpworker processes (WithWorkerAddrs),
@@ -59,12 +58,12 @@ const (
 // Checker is the unified verification interface over one instance and
 // one verifier: construct it once with NewChecker, then fire proofs at
 // it. Implementations are safe for concurrent use and amortize whatever
-// their backend can (cached views, prewired runtimes) across calls.
+// their backend can (cached views, prewired shards) across calls.
 //
 // Context cancellation is uniform but backend-granular: the core
 // backend aborts between nodes, the engine backend between proofs of a
-// batch, and the message-passing backends between communication rounds
-// (lockstep mode; free-running runtimes flood to completion). A
+// batch, and the message-passing backends between communication
+// rounds. A
 // verifier that panics is converted to an error on the message-passing
 // backends; on the shared-memory backends it propagates to the caller
 // of Check/CheckBatch and must be recovered around CheckStream's
@@ -99,10 +98,9 @@ type Report struct {
 	// Stages is the per-stage breakdown of Elapsed, in the order the
 	// stages first ran. Which stages appear depends on the backend
 	// ("core.check"; "dist.wire"/"dist.seed"/"dist.flood"/"dist.run";
-	// "engine.views"/"engine.verify"; "engine.partition"/"engine.wire"/
-	// "engine.run" plus the dist stages of every halo runtime). Stages
-	// recorded by concurrent workers sum their wall time, so a stage's
-	// Total can exceed Elapsed; Count says how many observations merged.
+	// "engine.views"/"engine.verify"). Stages recorded by concurrent
+	// workers sum their wall time, so a stage's Total can exceed
+	// Elapsed; Count says how many observations merged.
 	Stages []Stage
 }
 
@@ -183,7 +181,7 @@ func (cc *checkerConfig) fail(err error) {
 type CheckerOption func(*checkerConfig)
 
 // WithBackend selects the execution path: BackendCore, BackendDist,
-// BackendEngine (the default), or BackendEngineDist.
+// BackendEngine (the default), or BackendDistTCP.
 func WithBackend(name string) CheckerOption {
 	return func(cc *checkerConfig) {
 		b, err := config.ParseBackend(name)
@@ -226,43 +224,16 @@ func WithWorkers(n int) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.Workers = n }
 }
 
-// WithRuntimes sets how many message-passing runtimes the engine-dist
-// backend spans, each owning one partitioner group's radius-r halo
-// (0 = 1).
-func WithRuntimes(n int) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Runtimes = n }
-}
-
-// WithSharded toggles the message-passing scheduler's sharded layout:
-// node automata batched onto O(GOMAXPROCS) shard goroutines instead of
-// one goroutine per node — the throughput layout once the node count
-// dwarfs the core count.
-func WithSharded(on bool) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist.Sharded = on }
-}
-
-// WithShards sets the scheduler goroutine count per message-passing
-// runtime and implies WithSharded(true) for n > 0 (0 = GOMAXPROCS).
+// WithShards sets how many shard goroutines a dist-backend check runs
+// (0 = GOMAXPROCS). The count is capped at the node count, so the node
+// count itself gives one goroutine per node.
 func WithShards(n int) CheckerOption {
-	return func(cc *checkerConfig) {
-		cc.cfg.Dist.Shards = n
-		if n > 0 {
-			cc.cfg.Dist.Sharded = true
-		}
-	}
+	return func(cc *checkerConfig) { cc.cfg.Shards = n }
 }
 
-// WithFreeRunning disables the message-passing runtimes' global round
-// barrier in favour of α-synchronization by per-port message counting.
-// Note that free-running runs flood to completion — context
-// cancellation between rounds needs the barrier.
-func WithFreeRunning(on bool) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist.FreeRunning = on }
-}
-
-// WithPartitioner sets the node→shard assignment policy, applied at
-// both levels like lcpserve's -partitioner flag: the engine-dist halo
-// cut and the sharded scheduler layout inside each runtime.
+// WithPartitioner sets the node→shard assignment policy of the
+// distributed backends, like lcpserve's -partitioner flag: the dist
+// shard layout and the dist-tcp worker cut.
 func WithPartitioner(p Partitioner) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.Partitioner = p }
 }
@@ -285,19 +256,12 @@ func WithBatchColumns(on bool) CheckerOption {
 	}
 }
 
-// WithEngine backs the engine and engine-dist backends with an existing
-// Engine instead of wiring a private one, so several checkers (one per
-// scheme, say) share one set of cached views and runtimes. The engine
-// must serve the same instance the checker is built for.
+// WithEngine backs the engine backend with an existing Engine instead
+// of wiring a private one, so several checkers (one per scheme, say)
+// share one set of cached views. The engine must serve the same
+// instance the checker is built for.
 func WithEngine(e *Engine) CheckerOption {
 	return func(cc *checkerConfig) { cc.engine = e }
-}
-
-// withDistOptions injects a full legacy dist.Options, preserving every
-// scheduler knob (fan-out, port buffers, decide-only sets) for the
-// deprecated CheckDistributedWith wrapper.
-func withDistOptions(opt DistOptions) CheckerOption {
-	return func(cc *checkerConfig) { cc.cfg.Dist = opt }
 }
 
 // checker is the façade implementation: one backend, one instance, one
@@ -308,7 +272,7 @@ type checker struct {
 	v          core.Verifier
 	cfg        config.Config
 	schemeName string         // dist-tcp backend: resolved on the workers
-	eng        *engine.Engine // engine backends
+	eng        *engine.Engine // engine backend
 
 	mu    sync.Mutex
 	net   *dist.Network       // dist backend, wired lazily on first check
@@ -321,8 +285,8 @@ var checkerSeq atomic.Uint64
 
 // NewChecker compiles the options into a Checker for the instance. The
 // verifier is required (WithScheme or WithVerifier); everything else
-// defaults: engine backend, GOMAXPROCS workers, one runtime, contiguous
-// partitioner, goroutine-per-node lockstep scheduler.
+// defaults: engine backend, GOMAXPROCS workers, GOMAXPROCS dist shards,
+// contiguous partitioner.
 func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 	if in == nil || in.G == nil {
 		return nil, fmt.Errorf("lcp: nil instance")
@@ -338,18 +302,18 @@ func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 		return nil, fmt.Errorf("lcp: checker needs a verifier: pass WithScheme or WithVerifier")
 	}
 	c := &checker{in: in, v: cc.verifier, cfg: cc.cfg, schemeName: cc.schemeName}
+	if cc.engine != nil && c.backend() != config.BackendEngine {
+		return nil, fmt.Errorf("lcp: WithEngine requires the engine backend, not %q", c.backend())
+	}
 	switch c.backend() {
 	case config.BackendDistTCP:
-		if cc.engine != nil {
-			return nil, fmt.Errorf("lcp: WithEngine requires the engine or engine-dist backend, not %q", c.backend())
-		}
 		if len(c.cfg.WorkerAddrs) == 0 {
 			return nil, fmt.Errorf("lcp: %v", c.cfg.Validate())
 		}
 		if c.schemeName == "" {
 			return nil, fmt.Errorf("lcp: backend %q needs WithScheme (workers resolve the scheme by name; a bare WithVerifier cannot travel)", c.backend())
 		}
-	case config.BackendEngine, config.BackendEngineDist:
+	case config.BackendEngine:
 		if cc.engine != nil {
 			if cc.engine.Instance() != in {
 				return nil, fmt.Errorf("lcp: WithEngine: the engine serves a different instance")
@@ -357,10 +321,6 @@ func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 			c.eng = cc.engine
 		} else {
 			c.eng = engine.New(in, c.cfg.EngineOptions())
-		}
-	default:
-		if cc.engine != nil {
-			return nil, fmt.Errorf("lcp: WithEngine requires the engine or engine-dist backend, not %q", c.backend())
 		}
 	}
 	return c, nil
@@ -406,9 +366,8 @@ func (c *checker) coordinator(ctx context.Context) (*remote.Coordinator, error) 
 	return coord, nil
 }
 
-// close releases the dist backend's wirings back to the runtime's node
-// pool and tells a dist-tcp worker fleet to forget the instance. Used
-// by the one-shot legacy wrappers and CloseChecker; long-lived
+// close drops the dist backend's wirings and tells a dist-tcp worker
+// fleet to forget the instance. Used by CloseChecker; long-lived
 // in-process checkers can simply be garbage collected.
 func (c *checker) close() {
 	c.mu.Lock()
@@ -465,8 +424,6 @@ func (c *checker) Check(ctx context.Context, p Proof) (*Report, error) {
 		}
 	case config.BackendEngine:
 		res, err = c.eng.CheckProofCtx(ctx, p, c.v)
-	case config.BackendEngineDist:
-		res, err = c.eng.CheckDistributedCtx(ctx, p, c.v)
 	case config.BackendDistTCP:
 		var coord *remote.Coordinator
 		coord, err = c.coordinator(ctx)
@@ -525,9 +482,9 @@ func (c *checker) recordStages(tl *obs.Timeline) {
 
 func (c *checker) CheckBatch(ctx context.Context, proofs []Proof) ([]*Report, error) {
 	switch c.backend() {
-	case config.BackendDist, config.BackendEngineDist:
-		// The round protocol leaves cores idle per proof; the runtimes
-		// hand every concurrent caller its own wiring, so a batch
+	case config.BackendDist:
+		// The round protocol leaves cores idle per proof; the network
+		// hands every concurrent caller its own wiring, so a batch
 		// saturates the machine on a bounded pool instead of flooding
 		// one proof at a time.
 		return c.checkBatchConcurrent(ctx, proofs)

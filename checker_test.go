@@ -63,10 +63,12 @@ func backendMatrix() []backendCase {
 		{"core", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendCore)}},
 		{"dist", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist)}},
 		{"dist-sharded", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3)}},
-		{"dist-sharded-free", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3), lcp.WithFreeRunning(true),
+		{"dist-bfs", []lcp.CheckerOption{
+			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3),
 			lcp.WithPartitioner(lcp.BFSChunksPartitioner()),
 		}},
+		// One shard per node: the shard count is capped at n.
+		{"dist-per-node", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(1 << 20)}},
 		{"engine", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3)}},
 		// Forcing the column-wise batch strategy routes CheckBatch
 		// through ProofColumns + ball-restriction dedup whatever the
@@ -81,9 +83,10 @@ func backendMatrix() []backendCase {
 		{"engine-batch-loop", []lcp.CheckerOption{
 			lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3), lcp.WithBatchColumns(false),
 		}},
+		// The engine-dist name is an alias of dist.
 		{"engine-dist", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendEngineDist), lcp.WithRuntimes(3),
-			lcp.WithPartitioner(lcp.BFSChunksPartitioner()),
+			lcp.WithBackend(lcp.BackendEngineDist), lcp.WithShards(3),
+			lcp.WithPartitioner(lcp.GreedyBalancedPartitioner()),
 		}},
 		// The multi-process path: real lcpworker fleet on loopback TCP,
 		// the checker acting as fan-out coordinator. Same matrix, same
@@ -188,7 +191,8 @@ func TestCheckerBackendEquivalenceMatrix(t *testing.T) {
 }
 
 // TestCheckerReportBackendLabel pins the Report.Backend label to the
-// selected backend name on every path.
+// selected backend name on every path; the engine-dist alias reports
+// the backend it resolves to.
 func TestCheckerReportBackendLabel(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(8))
 	scheme := lcp.BipartiteScheme()
@@ -196,7 +200,12 @@ func TestCheckerReportBackendLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{lcp.BackendCore, lcp.BackendDist, lcp.BackendEngine, lcp.BackendEngineDist} {
+	for name, label := range map[string]string{
+		lcp.BackendCore:       lcp.BackendCore,
+		lcp.BackendDist:       lcp.BackendDist,
+		lcp.BackendEngine:     lcp.BackendEngine,
+		lcp.BackendEngineDist: lcp.BackendDist,
+	} {
 		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(name))
 		if err != nil {
 			t.Fatal(err)
@@ -205,8 +214,8 @@ func TestCheckerReportBackendLabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Backend != name {
-			t.Fatalf("Report.Backend = %q, want %q", rep.Backend, name)
+		if rep.Backend != label {
+			t.Fatalf("%s: Report.Backend = %q, want %q", name, rep.Backend, label)
 		}
 		if rep.Elapsed < 0 {
 			t.Fatalf("negative elapsed %v", rep.Elapsed)
@@ -245,14 +254,19 @@ func TestCheckerDefaultsAndErrors(t *testing.T) {
 		lcp.WithEngine(lcp.NewEngine(in))); err == nil {
 		t.Fatal("WithEngine accepted on the core backend")
 	}
+	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendEngineDist),
+		lcp.WithEngine(lcp.NewEngine(in))); err == nil {
+		t.Fatal("WithEngine accepted on the engine-dist alias of dist")
+	}
 	other := lcp.NewInstance(lcp.Cycle(4))
 	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithEngine(lcp.NewEngine(other))); err == nil {
 		t.Fatal("WithEngine accepted with a mismatched instance")
 	}
 }
 
-// TestCheckerSharedEngine: two checkers over one engine answer
-// identically (and exercise the serve wiring pattern).
+// TestCheckerSharedEngine: two checkers over one engine — with
+// different batch strategies — answer identically (and exercise the
+// serve wiring pattern).
 func TestCheckerSharedEngine(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(16))
 	scheme := lcp.BipartiteScheme()
@@ -265,13 +279,13 @@ func TestCheckerSharedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedDist, err := lcp.NewChecker(in, lcp.WithScheme(scheme),
-		lcp.WithBackend(lcp.BackendEngineDist), lcp.WithEngine(eng))
+	sharedLoop, err := lcp.NewChecker(in, lcp.WithScheme(scheme),
+		lcp.WithBatchColumns(false), lcp.WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := core.Check(in, p, scheme.Verifier())
-	for name, chk := range map[string]lcp.Checker{"engine": shared, "engine-dist": sharedDist} {
+	for name, chk := range map[string]lcp.Checker{"engine": shared, "engine-batch-loop": sharedLoop} {
 		rep, err := chk.Check(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -370,8 +384,8 @@ func TestCheckerBatchColumnsCancelMidway(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersDelegate: the deprecated free functions still
-// answer exactly like the façade.
+// TestLegacyWrappersDelegate: the deprecated free function still
+// answers exactly like the façade.
 func TestLegacyWrappersDelegate(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(10))
 	scheme := lcp.BipartiteScheme()
@@ -384,20 +398,6 @@ func TestLegacyWrappersDelegate(t *testing.T) {
 		want := core.Check(in, proof, scheme.Verifier())
 		if got := lcp.Check(in, proof, scheme.Verifier()); !reflect.DeepEqual(got.Outputs, want.Outputs) {
 			t.Fatalf("lcp.Check diverged: %v vs %v", got.Outputs, want.Outputs)
-		}
-		dres, err := lcp.CheckDistributed(in, proof, scheme.Verifier())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dres.Outputs, want.Outputs) {
-			t.Fatalf("lcp.CheckDistributed diverged: %v vs %v", dres.Outputs, want.Outputs)
-		}
-		sres, err := lcp.CheckDistributedWith(in, proof, scheme.Verifier(), lcp.DistOptions{Sharded: true, Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sres.Outputs, want.Outputs) {
-			t.Fatalf("lcp.CheckDistributedWith diverged: %v vs %v", sres.Outputs, want.Outputs)
 		}
 	}
 }
@@ -416,7 +416,7 @@ func TestCheckerReportStages(t *testing.T) {
 		lcp.BackendCore:       {"core.check"},
 		lcp.BackendDist:       {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
 		lcp.BackendEngine:     {"engine.views", "engine.verify"},
-		lcp.BackendEngineDist: {"engine.run", "dist.run"},
+		lcp.BackendEngineDist: {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
 	}
 	for backend, want := range wantStages {
 		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(backend))

@@ -24,7 +24,7 @@ import (
 func main() {
 	sizesFlag := flag.String("sizes", "16,32,64,128", "comma-separated instance sizes")
 	seed := flag.Int64("seed", 1, "generator seed")
-	distributed := flag.Bool("verify-distributed", false, "run verifiers on the goroutine-per-node runtime too")
+	distributed := flag.Bool("verify-distributed", false, "run verifiers on the message-passing runtime too")
 	flag.Parse()
 
 	sizes, err := parseSizes(*sizesFlag)
@@ -68,11 +68,7 @@ func main() {
 				ok = false
 				continue
 			}
-			// One engine per generated instance, shared by both façade
-			// checkers: the verification passes (and any future
-			// per-size re-checks) reuse the cached radius-r views.
-			eng := lcp.NewEngine(in)
-			chk, cerr := lcp.NewChecker(in, lcp.WithScheme(exp.Scheme), lcp.WithEngine(eng))
+			chk, cerr := lcp.NewChecker(in, lcp.WithScheme(exp.Scheme))
 			if cerr != nil {
 				row += fmt.Sprintf(" %9s", "ERR")
 				ok = false
@@ -85,8 +81,7 @@ func main() {
 				continue
 			}
 			if *distributed {
-				dchk, derr := lcp.NewChecker(in, lcp.WithScheme(exp.Scheme),
-					lcp.WithBackend(lcp.BackendEngineDist), lcp.WithEngine(eng))
+				dchk, derr := lcp.NewChecker(in, lcp.WithScheme(exp.Scheme), lcp.WithBackend(lcp.BackendDist))
 				var drep *lcp.Report
 				if derr == nil {
 					drep, derr = dchk.Check(context.Background(), proof)

@@ -47,9 +47,10 @@ func run(n int, seed int64) error {
 
 	fmt.Println("2. Every node verifies its radius-1 view — one goroutine per")
 	fmt.Println("   node, views collected by synchronous flooding:")
-	// One façade checker on the message-passing backend serves both the
-	// honest and the tampered check; the network wiring is built once.
-	chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist))
+	// One façade checker on the message-passing backend, one shard (and
+	// so one goroutine) per node, serves both the honest and the
+	// tampered check; the network wiring is built once.
+	chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist), lcp.WithShards(in.G.N()))
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,9 @@
 // Command lcpfleet is the multi-process transport smoke test: it
 // spawns a small fleet of worker subprocesses (re-executing its own
 // binary in worker mode), fans catalog checks out to them over the
-// dist-tcp backend, and asserts verdict equality with both the
-// sequential reference and an in-proc distributed run — then shuts the
-// fleet down with SIGTERM and insists on clean exits.
+// dist-tcp backend, and asserts verdict equality with the sequential
+// reference — then shuts the fleet down with SIGTERM and insists on
+// clean exits.
 //
 //	lcpfleet            # spawn 2 workers, run the smoke, exit 0/1
 //	lcpfleet -workers 4

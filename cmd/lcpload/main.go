@@ -10,7 +10,7 @@
 // hermetically — that mode is what `make load-smoke` runs in CI.
 //
 //	lcpload -url http://localhost:8080 -duration 5s -concurrency 16
-//	lcpload -duration 2s -nodes 256 -batch 32 -backend engine-dist
+//	lcpload -duration 2s -nodes 256 -batch 32 -backend dist
 //
 // The workload registers one instance (an even cycle with the bipartite
 // scheme, proved by the server's own registry) and then re-verifies its

@@ -17,7 +17,7 @@
 //	curl -sN localhost:8080/check/stream -d '{"instance":"i1","proof":{},"stop_on_reject":true}'
 //
 //	# distributed check with a locality-aware shard partition
-//	curl -s localhost:8080/check -d '{"instance":"i1","proof":{},"backend":"engine-dist","partitioner":"bfs"}'
+//	curl -s localhost:8080/check -d '{"instance":"i1","proof":{},"backend":"dist","partitioner":"bfs"}'
 //
 //	# request counters, latency sums and fixed-bound latency histograms
 //	curl -s localhost:8080/stats
@@ -29,8 +29,7 @@
 // internal/config resolver — the same keys HTTP requests accept as
 // JSON options — so the command line cannot drift from the wire
 // protocol: -backend picks the default execution path (core, dist,
-// engine, engine-dist), -workers / -runtimes / -sharded / -shards /
-// -free-running / -partitioner tune it. Server-level knobs stay their
+// engine, dist-tcp), -workers / -shards / -partitioner tune it. Server-level knobs stay their
 // own flags: -addr, -max-instances (LRU instance-store bound) and
 // -log-requests (one structured log line per request, carrying the
 // request's trace ID so log lines join with X-Trace-Id headers).

@@ -40,13 +40,17 @@ func (b benchEntry) ns() float64 {
 
 // benchFile is the subset of the BENCH_*.json schema bench-diff needs:
 // the recorded command, the base measurements, and the updates ledger
-// (later entries supersede earlier ones per benchmark name).
+// (later entries supersede earlier ones per benchmark name, and an
+// entry's retired rows drop out of the comparison).
 type benchFile struct {
 	Command    string       `json:"command"`
 	Benchmarks []benchEntry `json:"benchmarks"`
 	Updates    []struct {
 		Command    string       `json:"command"`
 		Benchmarks []benchEntry `json:"benchmarks"`
+		Retired    []struct {
+			Name string `json:"name"`
+		} `json:"retired"`
 	} `json:"updates"`
 }
 
@@ -122,6 +126,9 @@ func runBenchDiff(paths []string) error {
 				commands[u.Command] = true
 			}
 			record(u.Benchmarks)
+			for _, r := range u.Retired {
+				delete(baselines, r.Name)
+			}
 		}
 	}
 

@@ -96,7 +96,7 @@ func main() {
 		benchDiff    = flag.Bool("bench-diff", false, "run the baselined benchmarks fresh and print ratios against BENCH_*.json")
 		nList        = flag.String("n", "100000", "comma-separated instance sizes")
 		families     = flag.String("families", "power-law,regular,road", "comma-separated graph families: power-law, regular, road")
-		backends     = flag.String("backends", "core,dist,engine,engine-dist", "comma-separated checker backends: "+fmt.Sprint(config.Backends()))
+		backends     = flag.String("backends", "core,dist,engine", "comma-separated checker backends: "+fmt.Sprint(config.Backends()))
 		partitioners = flag.String("partitioners", "contiguous", "comma-separated partitioners for the dist backends: "+strings.Join(partition.Names(), ", "))
 		shardsList   = flag.String("shards", "0", "comma-separated shard counts for the dist backends (0 = GOMAXPROCS, goroutine-per-node layout)")
 		maxDistN     = flag.Int("max-dist-n", 100000, "largest n the message-passing backends attempt in-process; bigger cells are skipped (the dist-tcp backend scales past this ceiling by spreading shards over lcpworker processes)")

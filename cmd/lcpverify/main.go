@@ -85,16 +85,13 @@ func check(path string) error {
 	if err != nil {
 		return err
 	}
-	// Two façade checkers over one shared engine: the certificate is
-	// checked on both the shared-memory path and the message-passing
-	// runtime, with the radius-r views and network wiring built once.
-	eng := lcp.NewEngine(doc.Instance)
-	chk, err := lcp.NewChecker(doc.Instance, lcp.WithScheme(scheme), lcp.WithEngine(eng))
+	// Two façade checkers: the certificate is checked on both the
+	// shared-memory engine and the message-passing runtime.
+	chk, err := lcp.NewChecker(doc.Instance, lcp.WithScheme(scheme))
 	if err != nil {
 		return err
 	}
-	dchk, err := lcp.NewChecker(doc.Instance, lcp.WithScheme(scheme),
-		lcp.WithBackend(lcp.BackendEngineDist), lcp.WithEngine(eng))
+	dchk, err := lcp.NewChecker(doc.Instance, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist))
 	if err != nil {
 		return err
 	}

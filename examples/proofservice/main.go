@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: serve.New(lcp.BuiltinSchemes(), config.Config{Runtimes: 2})}
+	srv := &http.Server{Handler: serve.New(lcp.BuiltinSchemes(), config.Config{})}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -25,10 +25,11 @@ func main() {
 	fmt.Printf("C8: %s with %d bit(s) per node\n", res, proof.Size())
 
 	// Verify on the LOCAL-model runtime through the unified façade:
-	// one goroutine per node, views flooded for radius rounds. The same
-	// NewChecker call with a different WithBackend selects the
-	// sequential reference or the cached-view engine instead.
-	chk, err := lcp.NewChecker(even, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist))
+	// one shard (and so one goroutine) per node, views flooded for
+	// radius rounds. The same NewChecker call with a different
+	// WithBackend selects the sequential reference or the cached-view
+	// engine instead.
+	chk, err := lcp.NewChecker(even, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist), lcp.WithShards(even.G.N()))
 	if err != nil {
 		log.Fatal(err)
 	}

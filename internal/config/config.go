@@ -2,10 +2,10 @@
 // verification entry point: the lcp.Checker functional options, the
 // lcpserve command-line flags, and the HTTP request options of
 // internal/serve all resolve into a Config, and dist.Options /
-// engine.Options are derived from it. The package exists so the four
+// engine.Options are derived from it. The package exists so the
 // execution paths (sequential reference, message-passing runtime,
-// cached-view engine, halo-sharded distributed engine) are parameterized
-// by one object instead of three hand-synchronized option structs.
+// cached-view engine, multi-process scale-out) are parameterized by one
+// object instead of several hand-synchronized option structs.
 package config
 
 import (
@@ -19,7 +19,7 @@ import (
 	"lcp/internal/partition"
 )
 
-// Backend names one of the four execution paths a Config selects.
+// Backend names one of the execution paths a Config selects.
 type Backend string
 
 const (
@@ -27,17 +27,16 @@ const (
 	// node per proof, no caching, no concurrency. The other three are
 	// property-tested verdict-identical to it.
 	BackendCore Backend = "core"
-	// BackendDist is the message-passing LOCAL runtime: node automata
-	// flood their radius-r balls over ports for Radius() rounds. The
-	// Dist tunables (sharded scheduler, free-running synchronization)
-	// apply here.
+	// BackendDist is the message-passing LOCAL runtime: node automata,
+	// grouped onto shards, flood their radius-r balls for Radius()
+	// rounds. The Dist tunables (shard count, partitioner) apply here.
 	BackendDist Backend = "dist"
 	// BackendEngine is the amortized shared-memory engine: radius-r view
 	// skeletons cached per instance, checks served by a worker pool.
 	BackendEngine Backend = "engine"
-	// BackendEngineDist is the distributed engine: the instance is cut
-	// into Runtimes radius-r halos (by Partitioner), each owned by a
-	// reusable message-passing runtime.
+	// BackendEngineDist is an alias of BackendDist, accepted so existing
+	// configurations keep working: ParseBackend and ResolvedBackend turn
+	// it into BackendDist.
 	BackendEngineDist Backend = "engine-dist"
 	// BackendDistTCP is the multi-process scale-out: the instance is
 	// partitioned across external lcpworker processes (WorkerAddrs), each
@@ -47,15 +46,19 @@ const (
 	BackendDistTCP Backend = "dist-tcp"
 )
 
-// Backends lists the valid backend names, in documentation order.
+// Backends lists the backend names, in documentation order. The
+// "engine-dist" alias is accepted by ParseBackend but not listed.
 func Backends() []string {
-	return []string{string(BackendCore), string(BackendDist), string(BackendEngine), string(BackendEngineDist), string(BackendDistTCP)}
+	return []string{string(BackendCore), string(BackendDist), string(BackendEngine), string(BackendDistTCP)}
 }
 
-// ParseBackend resolves a backend name.
+// ParseBackend resolves a backend name; "engine-dist" resolves to
+// BackendDist.
 func ParseBackend(name string) (Backend, error) {
 	switch Backend(name) {
-	case BackendCore, BackendDist, BackendEngine, BackendEngineDist, BackendDistTCP:
+	case BackendEngineDist:
+		return BackendDist, nil
+	case BackendCore, BackendDist, BackendEngine, BackendDistTCP:
 		return Backend(name), nil
 	}
 	return "", fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(Backends(), ", "))
@@ -74,19 +77,13 @@ type Config struct {
 	// Workers bounds the engine's shared-memory worker pool
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Runtimes is the number of message-passing runtimes the
-	// engine-dist backend spans, each owning one partitioner group's
-	// radius-r halo (0 = 1).
-	Runtimes int
-	// Partitioner chooses the node→shard assignment policy, applied at
-	// both levels like lcpserve's -partitioner flag: the engine-dist
-	// halo cut and the sharded scheduler layout inside each runtime.
-	// nil means partition.Contiguous{}.
+	// Partitioner chooses the node→shard assignment policy of the
+	// distributed backends: the dist shard layout and the dist-tcp
+	// worker cut. nil means partition.Contiguous{}.
 	Partitioner partition.Partitioner
-	// Dist carries the message-passing scheduler tunables (sharded
-	// layout, shard count, free-running synchronization, port buffers).
-	// Its Partitioner field, when nil, inherits Config.Partitioner.
-	Dist dist.Options
+	// Shards is the dist backend's shard goroutine count per check
+	// (0 = GOMAXPROCS; the node count gives one goroutine per node).
+	Shards int
 	// BatchColumns selects whether CheckBatch on the engine backend
 	// takes the column-wise batch path (one ball walk feeding all k
 	// proofs). The zero value auto-engages it at
@@ -144,10 +141,14 @@ func (m BatchColumnsMode) String() string {
 	}
 }
 
-// ResolvedBackend is Backend with the zero value defaulted.
+// ResolvedBackend is Backend with the zero value defaulted and the
+// engine-dist alias resolved.
 func (c Config) ResolvedBackend() Backend {
-	if c.Backend == "" {
+	switch c.Backend {
+	case "":
 		return BackendEngine
+	case BackendEngineDist:
+		return BackendDist
 	}
 	return c.Backend
 }
@@ -177,34 +178,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DistOptions derives the message-passing scheduler options: the Dist
-// tunables with the shared partitioner policy filled in.
+// DistOptions derives the message-passing runtime options.
 func (c Config) DistOptions() dist.Options {
-	d := c.Dist
-	if d.Partitioner == nil {
-		d.Partitioner = c.Partitioner
-	}
-	return d
+	return dist.Options{Shards: c.Shards, Partitioner: c.Partitioner}
 }
 
-// EngineOptions derives the engine configuration: worker pool, halo
-// runtimes, halo partitioner, and the scheduler options of every
-// runtime.
+// EngineOptions derives the engine configuration: the worker pool.
 func (c Config) EngineOptions() engine.Options {
-	return engine.Options{
-		Workers:     c.Workers,
-		Shards:      c.Runtimes,
-		Partitioner: c.Partitioner,
-		Dist:        c.DistOptions(),
-	}
+	return engine.Options{Workers: c.Workers}
 }
 
 // Option describes one textual configuration key of the shared
-// resolver: its Set key (also the lcpserve flag name), whether it is
-// boolean (registered as a toggle flag), and its usage string.
+// resolver: its Set key (also the lcpserve flag name) and its usage
+// string.
 type Option struct {
 	Key   string
-	Bool  bool
 	Usage string
 }
 
@@ -215,11 +203,8 @@ func Options() []Option {
 	return []Option{
 		{Key: "backend", Usage: "execution path: " + strings.Join(Backends(), ", ")},
 		{Key: "workers", Usage: "engine worker pool size (0 = GOMAXPROCS)"},
-		{Key: "runtimes", Usage: "message-passing runtimes per instance on the engine-dist backend, each owning one partitioner group's radius-r halo (0 = 1; this is what -shards meant before the facade redesign)"},
-		{Key: "partitioner", Usage: "node->shard partitioner: " + strings.Join(partition.Names(), ", ") + " (applied to the engine-dist halo cut and the sharded scheduler layout)"},
-		{Key: "sharded", Bool: true, Usage: "batch message-passing nodes onto shared scheduler goroutines instead of one goroutine per node"},
-		{Key: "shards", Usage: "scheduler goroutines per message-passing runtime in sharded mode (0 = GOMAXPROCS; implies sharded). NOTE: pre-facade releases spelled this -dist-shards and used -shards for what is now -runtimes"},
-		{Key: "free-running", Bool: true, Usage: "run message-passing runtimes without a global round barrier (α-synchronization)"},
+		{Key: "partitioner", Usage: "node->shard partitioner: " + strings.Join(partition.Names(), ", ") + " (applied to the dist shard layout and the dist-tcp worker cut)"},
+		{Key: "shards", Usage: "shard goroutines per dist check (0 = GOMAXPROCS; the node count gives one goroutine per node)"},
 		{Key: "batch-columns", Usage: fmt.Sprintf("engine-backend batch strategy: auto (column-wise for batches of >= %d proofs), true (always column-wise), false (per-proof loop)", BatchColumnsAutoThreshold)},
 		{Key: "worker-addrs", Usage: "comma-separated lcpworker control addresses (host:port,...) for the dist-tcp backend, one shard per worker"},
 	}
@@ -227,7 +212,7 @@ func Options() []Option {
 
 // Set applies one textual option to the config. It accepts every key in
 // Options plus "distributed", the HTTP request alias that serve has
-// always spoken: "distributed=true" selects the engine-dist backend,
+// always spoken: "distributed=true" selects the dist backend,
 // "distributed=false" the engine backend.
 func (c *Config) Set(key, value string) error {
 	fail := func(err error) error { return fmt.Errorf("option %q: %v", key, err) }
@@ -244,7 +229,7 @@ func (c *Config) Set(key, value string) error {
 			return fail(err)
 		}
 		if on {
-			c.Backend = BackendEngineDist
+			c.Backend = BackendDist
 		} else {
 			c.Backend = BackendEngine
 		}
@@ -254,39 +239,18 @@ func (c *Config) Set(key, value string) error {
 			return fail(err)
 		}
 		c.Workers = n
-	case "runtimes":
-		n, err := nonNegativeInt(value)
-		if err != nil {
-			return fail(err)
-		}
-		c.Runtimes = n
 	case "partitioner":
 		p, err := partition.ByName(value)
 		if err != nil {
 			return fail(err)
 		}
 		c.Partitioner = p
-	case "sharded":
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		c.Dist.Sharded = on
 	case "shards":
 		n, err := nonNegativeInt(value)
 		if err != nil {
 			return fail(err)
 		}
-		c.Dist.Shards = n
-		if n > 0 {
-			c.Dist.Sharded = true
-		}
-	case "free-running":
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		c.Dist.FreeRunning = on
+		c.Shards = n
 	case "worker-addrs":
 		var addrs []string
 		for _, a := range strings.Split(value, ",") {
@@ -334,15 +298,10 @@ func nonNegativeInt(value string) (int, error) {
 // Flags registers every option of the key table on the flag set, all
 // funneling through c.Set — the lcpserve flag surface is generated from
 // the same table the HTTP options resolve against, so the two can never
-// drift. Boolean options register as toggles (-sharded), the rest as
-// value flags (-runtimes 4).
+// drift.
 func Flags(fs *flag.FlagSet, c *Config) {
 	for _, o := range Options() {
 		key := o.Key
-		if o.Bool {
-			fs.BoolFunc(key, o.Usage, func(v string) error { return c.Set(key, v) })
-		} else {
-			fs.Func(key, o.Usage, func(v string) error { return c.Set(key, v) })
-		}
+		fs.Func(key, o.Usage, func(v string) error { return c.Set(key, v) })
 	}
 }

@@ -15,28 +15,26 @@ func TestSetResolvesEveryKey(t *testing.T) {
 	for _, kv := range [][2]string{
 		{"backend", "engine-dist"},
 		{"workers", "5"},
-		{"runtimes", "3"},
 		{"partitioner", "bfs"},
-		{"sharded", "true"},
 		{"shards", "4"},
-		{"free-running", "true"},
+		{"batch-columns", "true"},
+		{"worker-addrs", "a:1, b:2"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set(%q, %q): %v", kv[0], kv[1], err)
 		}
 	}
-	if c.Backend != BackendEngineDist || c.Workers != 5 || c.Runtimes != 3 {
+	if c.Backend != BackendDist || c.Workers != 5 || c.BatchColumns != BatchColumnsOn || len(c.WorkerAddrs) != 2 {
 		t.Fatalf("top-level fields wrong: %+v", c)
 	}
 	if c.Partitioner == nil || c.Partitioner.Name() != "bfs" {
 		t.Fatalf("partitioner not resolved: %+v", c.Partitioner)
 	}
-	eo := c.EngineOptions()
-	if eo.Workers != 5 || eo.Shards != 3 || eo.Partitioner.Name() != "bfs" {
+	if eo := c.EngineOptions(); eo.Workers != 5 {
 		t.Fatalf("EngineOptions wrong: %+v", eo)
 	}
 	do := c.DistOptions()
-	if !do.Sharded || do.Shards != 4 || !do.FreeRunning || do.Partitioner.Name() != "bfs" {
+	if do.Shards != 4 || do.Partitioner.Name() != "bfs" {
 		t.Fatalf("DistOptions wrong: %+v", do)
 	}
 
@@ -44,7 +42,7 @@ func TestSetResolvesEveryKey(t *testing.T) {
 	if err := d.Set("distributed", "true"); err != nil {
 		t.Fatal(err)
 	}
-	if d.Backend != BackendEngineDist {
+	if d.Backend != BackendDist {
 		t.Fatalf("distributed=true resolved to %q", d.Backend)
 	}
 	if err := d.Set("distributed", "false"); err != nil {
@@ -52,6 +50,10 @@ func TestSetResolvesEveryKey(t *testing.T) {
 	}
 	if d.Backend != BackendEngine {
 		t.Fatalf("distributed=false resolved to %q", d.Backend)
+	}
+	// The alias also resolves when assigned to the field directly.
+	if got := (Config{Backend: BackendEngineDist}).ResolvedBackend(); got != BackendDist {
+		t.Fatalf("engine-dist field resolves to %q", got)
 	}
 }
 
@@ -61,11 +63,16 @@ func TestSetRejectsBadValues(t *testing.T) {
 		{"backend", "quantum"},
 		{"workers", "-1"},
 		{"workers", "many"},
-		{"runtimes", "-2"},
+		{"shards", "-2"},
 		{"partitioner", "psychic"},
-		{"sharded", "maybe"},
 		{"distributed", "sometimes"},
+		{"batch-columns", "often"},
+		{"worker-addrs", " , "},
 		{"warp", "9"},
+		// Retired keys: the layout knob is "shards" alone.
+		{"runtimes", "2"},
+		{"sharded", "true"},
+		{"free-running", "true"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err == nil {
 			t.Fatalf("Set(%q, %q) accepted", kv[0], kv[1])
@@ -73,15 +80,19 @@ func TestSetRejectsBadValues(t *testing.T) {
 	}
 }
 
-// TestShardsImpliesSharded: a non-zero shard count turns the sharded
-// layout on, matching WithShards at the façade.
+// TestShardsImpliesSharded: the shard count is the whole layout — a
+// non-zero count lands in the dist options on its own, with no separate
+// sharded toggle to turn on.
 func TestShardsImpliesSharded(t *testing.T) {
 	var c Config
 	if err := c.Set("shards", "2"); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Dist.Sharded {
-		t.Fatal("shards=2 did not imply sharded")
+	if got := c.DistOptions().Shards; got != 2 {
+		t.Fatalf("shards=2 gave DistOptions().Shards = %d", got)
+	}
+	if err := c.Set("sharded", "true"); err == nil {
+		t.Fatal("the retired sharded toggle still parses")
 	}
 }
 
@@ -98,14 +109,14 @@ func TestFlagsGeneratedFromKeyTable(t *testing.T) {
 		}
 	}
 	err := fs.Parse([]string{
-		"-backend", "dist", "-workers", "2", "-runtimes", "4",
-		"-partitioner", "greedy", "-sharded", "-shards", "3", "-free-running",
+		"-backend", "dist", "-workers", "2",
+		"-partitioner", "greedy", "-shards", "3",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Backend != BackendDist || c.Workers != 2 || c.Runtimes != 4 ||
-		c.Partitioner.Name() != "greedy" || !c.Dist.Sharded || c.Dist.Shards != 3 || !c.Dist.FreeRunning {
+	if c.Backend != BackendDist || c.Workers != 2 ||
+		c.Partitioner.Name() != "greedy" || c.Shards != 3 {
 		t.Fatalf("flag parse landed wrong: %+v", c)
 	}
 

@@ -11,7 +11,7 @@
 //	(ii) G ∉ P ⇒ for every proof P some node v has A(G, P, v) = 0.
 //
 // The package provides the sequential reference runner (package dist runs
-// the same verifiers on a goroutine-per-node message-passing runtime),
+// the same verifiers on a sharded message-passing runtime),
 // proof-size accounting, adversarial proof manipulation for soundness
 // experiments, and exhaustive minimum-proof-size search on tiny instances.
 package core

@@ -1,9 +1,8 @@
 package dist_test
 
-// Scheduler benchmarks: how the runtime's tunables (round barrier vs
-// free-running α-synchronization, decision fan-out, per-port buffering)
-// move the needle on different topologies. The root bench_test.go holds
-// the headline three-way comparison (sequential / parallel-shared /
+// Runtime benchmarks: how the shard layout and wiring reuse move the
+// needle on different topologies. The root bench_test.go holds the
+// headline three-way comparison (sequential / parallel-shared /
 // message-passing); these benches explain *why* the message-passing
 // numbers look the way they do.
 
@@ -33,29 +32,6 @@ func benchCheckWith(b *testing.B, in *core.Instance, opt dist.Options) {
 	}
 }
 
-func BenchmarkSchedulerSynchronization(b *testing.B) {
-	in := lcp.NewInstance(lcp.Cycle(255))
-	for _, tc := range []struct {
-		name string
-		opt  dist.Options
-	}{
-		{"lockstep-barrier", dist.Options{}},
-		{"free-running", dist.Options{FreeRunning: true}},
-		{"free-running-buf8", dist.Options{FreeRunning: true, PortBuffer: 8}},
-	} {
-		b.Run(tc.name, func(b *testing.B) { benchCheckWith(b, in, tc.opt) })
-	}
-}
-
-func BenchmarkSchedulerFanout(b *testing.B) {
-	in := lcp.NewInstance(lcp.Cycle(255))
-	for _, fanout := range []int{1, 2, 0 /* GOMAXPROCS */, -1 /* unbounded */} {
-		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			benchCheckWith(b, in, dist.Options{Fanout: fanout})
-		})
-	}
-}
-
 func BenchmarkSchedulerTopology(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -71,14 +47,14 @@ func BenchmarkSchedulerTopology(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerSharded is the headline scheduler comparison:
-// goroutine-per-node versus the sharded layout on cycles whose node
-// count dwarfs GOMAXPROCS (1023 ≥ 4·GOMAXPROCS on any machine this
-// repo targets). Sharding batches the automata onto O(GOMAXPROCS)
-// goroutines, delivers same-shard messages without channels, and shrinks
-// the round barrier from n participants to one per shard — the ns/op gap
-// to goroutine-per-node is what BENCH_dist.json tracks (acceptance bar:
-// ≥1.3× at n ≥ 4·GOMAXPROCS).
+// BenchmarkSchedulerSharded is the headline layout comparison: one
+// shard per node (the goroutine-per-node reading of the LOCAL model)
+// versus the default GOMAXPROCS shards, on cycles whose node count
+// dwarfs GOMAXPROCS (1023 ≥ 4·GOMAXPROCS on any machine this repo
+// targets). Sharding batches the automata onto O(GOMAXPROCS)
+// goroutines, delivers same-shard messages by direct merge, and shrinks
+// every round gate from n participants to one per shard — the ns/op
+// gap between the two rows is what BENCH_dist.json tracks.
 func BenchmarkSchedulerSharded(b *testing.B) {
 	for _, n := range []int{255, 1023} {
 		in := lcp.NewInstance(lcp.Cycle(n))
@@ -86,9 +62,8 @@ func BenchmarkSchedulerSharded(b *testing.B) {
 			name string
 			opt  dist.Options
 		}{
-			{"goroutine-per-node", dist.Options{}},
-			{"sharded", dist.Options{Sharded: true}},
-			{"sharded-free-running", dist.Options{Sharded: true, FreeRunning: true}},
+			{"goroutine-per-node", dist.Options{Shards: n}},
+			{"sharded", dist.Options{}},
 		} {
 			b.Run(fmt.Sprintf("cycle-%d/%s", n, tc.name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -99,11 +74,10 @@ func BenchmarkSchedulerSharded(b *testing.B) {
 }
 
 // BenchmarkNetworkReuse measures what the reusable Network entry point
-// amortizes: "one-shot" pays wiring plus flooding per proof (with the
-// node/record pool recycling allocations across runs), "reused-network"
-// wires once and only floods. The allocs/op gap is the per-run cost of
-// channels and node state; BENCH_dist.json tracks both against the
-// pre-pooling baseline.
+// amortizes: "one-shot" pays partitioning, wiring and flooding per
+// proof, "reused-network" wires once and only floods. The allocs/op gap
+// is the per-run cost of wiring the shards; BENCH_dist.json tracks
+// both.
 func BenchmarkNetworkReuse(b *testing.B) {
 	in := lcp.NewInstance(lcp.Cycle(255))
 	scheme := lcp.OddNScheme()

@@ -1,9 +1,8 @@
 package dist
 
-// Cancellation tests for the round loop: a cancelled context poisons
-// the round barrier, every automaton aborts after the same round, and —
-// critically — the wiring stays reusable: the next run on the same
-// network must produce full, correct verdicts.
+// Cancellation tests for the round loop: a cancelled context stops
+// every shard of the run, and — critically — the wiring stays reusable:
+// the next run on the same network must produce full, correct verdicts.
 
 import (
 	"context"
@@ -21,27 +20,30 @@ func slowVerifier(radius int) core.Verifier {
 	return core.VerifierFunc{R: radius, F: func(w *core.View) bool { return true }}
 }
 
-// runAborts drives network.run directly with an already-cancelled
-// context: the watcher poisons the barrier before round 1 completes, so
-// the run must abort with the context's error — deterministically, on
-// every lockstep layout.
+// runAborts drives one wiring directly with an already-cancelled
+// context, so the run must abort with the context's error —
+// deterministically, whatever the layout — and then re-runs the same
+// wiring to completion.
 func runAborts(t *testing.T, opt Options) {
 	t.Helper()
 	in := core.NewInstance(graph.Cycle(24))
 	v := slowVerifier(4)
-	net, err := buildNetwork(in, opt)
+	nw, err := NewNetwork(in, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.release()
+	w, err := nw.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := net.run(ctx, in, core.Proof{}, v, opt); !errors.Is(err, context.Canceled) {
+	if _, err := w.run(ctx, in.G.N(), core.Proof{}, v); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted run error = %v, want context.Canceled", err)
 	}
-	// The wiring must be clean after the abort: every port drained,
-	// every automaton reseedable. A full re-run must match core.Check.
-	res, err := net.run(context.Background(), in, core.Proof{}, v, opt)
+	// The wiring must be clean after the abort: every automaton
+	// reseedable. A full re-run must match core.Check.
+	res, err := w.run(context.Background(), in.G.N(), core.Proof{}, v)
 	if err != nil {
 		t.Fatalf("re-run after abort: %v", err)
 	}
@@ -52,36 +54,11 @@ func runAborts(t *testing.T, opt Options) {
 }
 
 func TestRunAbortsOnCancelPerNode(t *testing.T) {
-	runAborts(t, Options{})
+	runAborts(t, Options{Shards: 24})
 }
 
 func TestRunAbortsOnCancelSharded(t *testing.T) {
-	runAborts(t, Options{Sharded: true, Shards: 3})
-}
-
-// TestFreeRunningIgnoresMidRunCancel pins the documented free-running
-// trade-off: with no barrier to poison, a cancelled context does not
-// abort the flood — the run completes with correct verdicts (the error
-// comes only from the pre-run context check in the public API).
-func TestFreeRunningIgnoresMidRunCancel(t *testing.T) {
-	in := core.NewInstance(graph.Cycle(16))
-	v := slowVerifier(3)
-	opt := Options{FreeRunning: true, Sharded: true, Shards: 2}
-	net, err := buildNetwork(in, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.release()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := net.run(ctx, in, core.Proof{}, v, opt)
-	if err != nil {
-		t.Fatalf("free-running run returned %v, want completion", err)
-	}
-	want := core.Check(in, core.Proof{}, v)
-	if !reflect.DeepEqual(res.Outputs, want.Outputs) {
-		t.Fatalf("free-running run diverged under cancelled context")
-	}
+	runAborts(t, Options{Shards: 3})
 }
 
 // TestNetworkCheckCtx covers the public surface: a pre-cancelled
@@ -91,7 +68,7 @@ func TestFreeRunningIgnoresMidRunCancel(t *testing.T) {
 func TestNetworkCheckCtx(t *testing.T) {
 	in := core.NewInstance(graph.Cycle(64))
 	v := slowVerifier(6)
-	nw, err := NewNetwork(in, Options{Sharded: true, Shards: 4})
+	nw, err := NewNetwork(in, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,87 +11,30 @@ import (
 	"lcp/internal/partition"
 )
 
-// Options tunes the runtime's scheduler. The zero value is the default
-// configuration used by Check, Collect and CheckParallelViews: one
-// goroutine per node in lockstep.
+// Options configures the runtime. The zero value is the default used
+// by Check, Collect and CheckParallelViews: GOMAXPROCS shards cut by
+// the contiguous partitioner.
 type Options struct {
-	// Sharded batches the node automata onto Shards shared worker
-	// goroutines instead of one goroutine per node. Same-shard message
-	// delivery is a direct merge into the neighbour's automaton (no
-	// channel); only cross-shard edges keep their ports. Verdicts are
-	// identical to the goroutine-per-node layout; the trade is model
-	// fidelity (n independent processors) against scheduler pressure
-	// once n ≫ GOMAXPROCS. See shard.go.
+	// Sharded has no effect: Shards alone picks the layout. The field is
+	// kept so existing callers keep compiling.
 	Sharded bool
-	// Shards is the number of shard goroutines in sharded mode, capped
-	// at the node count. 0 means GOMAXPROCS. Ignored unless Sharded.
+	// Shards is the number of shard goroutines a check runs, each
+	// stepping its group of node automata through Shard.Run. 0 means
+	// GOMAXPROCS; the count is capped at the node count, so Shards: n
+	// is the goroutine-per-node layout of the model's "n independent
+	// processors".
 	Shards int
-	// Partitioner computes the node→shard assignment in sharded mode.
-	// nil means partition.Contiguous{}: near-equal chunks of the
-	// ascending identifier order, the layout the scheduler always had.
-	// Locality-aware partitioners (partition.BFSChunks,
-	// partition.GreedyBalanced) cut fewer edges across shard
-	// boundaries, which means fewer ports, fewer channel operations per
-	// round, and less cross-shard traffic on graphs whose identifiers
-	// do not follow topology. Verdicts are identical under every
-	// assignment. Ignored unless Sharded.
+	// Partitioner computes the node→shard assignment. nil means
+	// partition.Contiguous{}: near-equal chunks of the ascending
+	// identifier order. Locality-aware partitioners
+	// (partition.BFSChunks, partition.GreedyBalanced) cut fewer edges
+	// across shard boundaries, which means less cross-shard traffic on
+	// graphs whose identifiers do not follow topology. Verdicts are
+	// identical under every assignment.
 	Partitioner partition.Partitioner
-	// Fanout bounds how many nodes may run their local decision (view
-	// assembly + verifier call) concurrently once flooding has finished.
-	// The network itself keeps one goroutine per node regardless; the
-	// bound only throttles the CPU-heavy phase so n goroutines do not
-	// thrash the scheduler. 0 means GOMAXPROCS; negative means
-	// unbounded. In sharded mode the option is moot: decision
-	// concurrency is the shard count by construction.
-	Fanout int
-	// PortBuffer is the capacity of each port channel, in round
-	// batches. 0 picks the default: 1 in lockstep mode (a batch is
-	// always drained before the round barrier trips) and 2 in
-	// free-running mode (adjacent nodes skew by at most one round, so
-	// two slots make sends wait-free).
-	PortBuffer int
-	// FreeRunning disables the global round barrier. Rounds are then
-	// aligned only by per-port message counting (each node sends and
-	// receives exactly one batch per port per round), the classic
-	// α-synchronizer. Verdicts are identical; the trade is barrier
-	// latency against per-round buffer reuse. In sharded mode the
-	// counting happens at shard granularity: adjacent shards skew by at
-	// most one round.
-	FreeRunning bool
 	// Workers sizes the CheckParallelViews worker pool. 0 means
 	// GOMAXPROCS.
 	Workers int
-	// DecideOnly restricts the decision phase to the listed nodes: every
-	// node still floods (carriers are part of the communication graph
-	// and must forward records), but only the listed ones assemble views
-	// and run the verifier, and only they appear in the Result. nil
-	// means every node decides. The engine's halo shards use this so the
-	// halo-only carrier nodes — whose views are clipped at the halo
-	// boundary and whose verdicts would be discarded anyway — never pay
-	// verifier work (and can never fail a run by panicking on a clipped
-	// view). Unknown identifiers are ignored.
-	DecideOnly []int
-}
-
-func (o Options) fanout() int {
-	switch {
-	case o.Fanout > 0:
-		return o.Fanout
-	case o.Fanout < 0:
-		return 0 // unbounded
-	default:
-		return runtime.GOMAXPROCS(0)
-	}
-}
-
-func (o Options) portBuffer() int {
-	if o.PortBuffer > 0 {
-		return o.PortBuffer
-	}
-	if o.FreeRunning {
-		return 2
-	}
-	return 1
 }
 
 func (o Options) workers() int {
@@ -101,23 +44,13 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// shardCount resolves the shard goroutine count for an n-node network:
-// 0 when sharding is off, otherwise at least 1 and at most n.
+// shardCount resolves the shard count for a network of n ≥ 1 nodes:
+// at least 1 and at most n.
 func (o Options) shardCount(n int) int {
-	if !o.Sharded || n == 0 {
-		return 0
+	if o.Shards <= 0 {
+		return min(runtime.GOMAXPROCS(0), n)
 	}
-	s := o.Shards
-	if s <= 0 {
-		s = runtime.GOMAXPROCS(0)
-	}
-	if s > n {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return min(o.Shards, n)
 }
 
 // partitioner resolves the shard partitioner: the configured one, or
@@ -129,55 +62,38 @@ func (o Options) partitioner() partition.Partitioner {
 	return partition.Contiguous{}
 }
 
-// nodeVerdict is one node's contribution to the run result.
-type nodeVerdict struct {
-	id  int
-	ok  bool
-	err error
-}
-
-// Check runs the verifier on the message-passing runtime: one goroutine
-// per node floods for Radius() rounds, assembles its view, and decides.
-// The result is verdict-for-verdict identical to core.Check. The error is
-// non-nil only if the network could not run (nil arguments) or a verifier
-// panicked inside a node goroutine.
+// Check runs the verifier on the message-passing runtime: every node
+// floods for Radius() rounds, assembles its view, and decides. The
+// result is verdict-for-verdict identical to core.Check. The error is
+// non-nil only if the network could not run (nil arguments) or a
+// verifier panicked.
 func Check(in *core.Instance, p core.Proof, v core.Verifier) (*core.Result, error) {
 	return CheckWith(in, p, v, Options{})
 }
 
-// CheckWith is Check with an explicit scheduler configuration —
-// including Options.Sharded, which runs the same protocol on shared
-// shard goroutines instead of one goroutine per node.
+// CheckWith is Check with an explicit layout.
 func CheckWith(in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
 	//lint:ignore ctxflow ctx-less CheckWith is the documented uncancellable entry point; CheckWithCtx is the threaded variant
 	return CheckWithCtx(context.Background(), in, p, v, opt)
 }
 
-// CheckWithCtx is CheckWith with context cancellation: lockstep runs
-// abort between communication rounds (the context watcher poisons the
-// round barrier and every automaton stops after the same round) and
-// return ctx.Err(). Free-running runs have no barrier and honor the
-// context only at run boundaries.
+// CheckWithCtx is CheckWith with context cancellation: the run aborts
+// between communication rounds and returns ctx.Err(). It wires a
+// Network for the one check; callers verifying many proofs should keep
+// a Network instead.
 func CheckWithCtx(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
-	if in == nil || in.G == nil {
-		return nil, fmt.Errorf("dist: nil instance")
-	}
 	if v == nil {
 		return nil, fmt.Errorf("dist: nil verifier")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if in.G.N() == 0 {
-		return &core.Result{Outputs: map[int]bool{}}, nil
-	}
-	net, err := buildNetwork(in, opt)
+	nw, err := NewNetwork(in, opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := net.run(ctx, in, p, v, opt)
-	net.release()
-	return res, err
+	defer nw.Close()
+	return nw.CheckCtx(ctx, p, v)
 }
 
 // Collect assembles the radius-r view of center by running the flooding
@@ -190,23 +106,25 @@ func Collect(in *core.Instance, p core.Proof, center, radius int) *core.View {
 	return CollectWith(in, p, center, radius, Options{})
 }
 
-// CollectWith is Collect with an explicit scheduler configuration. Like
-// Collect it panics on impossible inputs — an unknown center, or a
-// custom Partitioner returning an invalid assignment.
+// CollectWith is Collect with an explicit layout: a CheckWith whose
+// verifier keeps the center's view. Like Collect it panics on
+// impossible inputs — an unknown center, or a custom Partitioner
+// returning an invalid assignment.
 func CollectWith(in *core.Instance, p core.Proof, center, radius int, opt Options) *core.View {
 	if !in.G.Has(center) {
 		panic(fmt.Sprintf("dist: unknown node %d", center))
 	}
-	net, err := buildNetwork(in, opt)
-	if err != nil {
+	var view *core.View
+	keep := core.VerifierFunc{R: radius, F: func(w *core.View) bool {
+		if w.Center == center {
+			view = w
+		}
+		return true
+	}}
+	if _, err := CheckWith(in, p, keep, opt); err != nil {
 		panic(err)
 	}
-	for _, nd := range net.nodes {
-		nd.seed(p)
-	}
-	v := net.collect(in, center, radius)
-	net.release()
-	return v
+	return view
 }
 
 // CheckParallelViews is the shared-memory fast path: a worker pool sized

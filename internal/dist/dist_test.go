@@ -5,14 +5,16 @@ package dist_test
 //
 //  1. dist.Collect produces views identical to core.BuildView on random
 //     trees, cycles, regular graphs and directed graphs, across radii;
-//  2. dist.Check and dist.CheckParallelViews agree with core.Check
+//  2. dist.CheckWith — at every shard count and partitioner of the
+//     layouts sweep — and dist.CheckParallelViews agree with core.Check
 //     verdict-for-verdict (Outputs and Rejectors) across every scheme in
 //     the root catalog, on yes-instances, no-instances with adversarial
-//     proofs, and tampered honest proofs.
+//     proofs, and tampered and truncated honest proofs.
 
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lcp"
@@ -129,28 +131,34 @@ func TestCollectEqualsBuildViewDirected(t *testing.T) {
 }
 
 // TestCollectSchedulerVariants re-runs the same collection under every
-// scheduler configuration; the assembled views must not depend on the
-// synchronization strategy.
+// shard layout; the assembled views must not depend on how the
+// automata are grouped onto shards.
 func TestCollectSchedulerVariants(t *testing.T) {
 	in := core.NewInstance(lcp.RandomConnected(18, 0.2, 5))
 	p := core.RandomProof(in, 6, 5)
 	want := core.BuildView(in, p, in.G.Nodes()[3], 2)
-	for _, opt := range []dist.Options{
-		{},
-		{FreeRunning: true},
-		{PortBuffer: 8},
-		{FreeRunning: true, PortBuffer: 1}, // backpressure: sends may block, must still terminate
-		{Fanout: 1},
-		{Fanout: -1},
-		{Sharded: true},
-		{Sharded: true, Shards: 4},
-		{Sharded: true, Shards: 4, FreeRunning: true},
-		{Sharded: true, Shards: 4, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 4, FreeRunning: true, Partitioner: partition.GreedyBalanced{}},
-	} {
+	for _, opt := range layouts(in.G.N()) {
 		got := dist.CollectWith(in, p, want.Center, 2, opt)
-		viewsEqual(t, fmt.Sprintf("opts=%+v", opt), got, want)
+		viewsEqual(t, layoutName(opt), got, want)
 	}
+}
+
+// layouts is the sweep every equivalence test runs: Shards ∈ {1, 2,
+// GOMAXPROCS, n} under each of the three partitioners. One shard has
+// no cut edges, n shards is the goroutine-per-node layout, and the
+// counts in between put shard boundaries inside the instance.
+func layouts(n int) []dist.Options {
+	var out []dist.Options
+	for _, shards := range []int{1, 2, runtime.GOMAXPROCS(0), n} {
+		for _, pt := range []partition.Partitioner{partition.Contiguous{}, partition.BFSChunks{}, partition.GreedyBalanced{}} {
+			out = append(out, dist.Options{Shards: shards, Partitioner: pt})
+		}
+	}
+	return out
+}
+
+func layoutName(opt dist.Options) string {
+	return fmt.Sprintf("shards=%d/%s", opt.Shards, opt.Partitioner.Name())
 }
 
 // resultsEqual asserts verdict-for-verdict agreement, including the
@@ -168,34 +176,20 @@ func resultsEqual(t *testing.T, ctx string, got, want *core.Result) {
 	}
 }
 
-// checkAllRunners runs every execution strategy — sequential reference,
-// goroutine-per-node message passing, sharded message passing (several
-// shard counts, so shard boundaries fall inside the instance; every
-// partitioner, lockstep and free-running, so arbitrary node→shard
-// assignments are exercised catalog-wide), and the parallel shared-view
-// pool — and demands identical results.
+// checkAllRunners runs every execution strategy — the sequential
+// reference, the message-passing runtime under every layout of the
+// layouts sweep (so arbitrary node→shard assignments are exercised
+// catalog-wide), and the parallel shared-view pool — and demands
+// identical results.
 func checkAllRunners(t *testing.T, ctx string, in *core.Instance, p core.Proof, v core.Verifier) {
 	t.Helper()
 	want := core.Check(in, p, v)
-	got, err := dist.Check(in, p, v)
-	if err != nil {
-		t.Fatalf("%s: dist.Check: %v", ctx, err)
-	}
-	resultsEqual(t, ctx+" [message-passing]", got, want)
-	for _, opt := range []dist.Options{
-		{Sharded: true},            // GOMAXPROCS shards, contiguous default
-		{Sharded: true, Shards: 3}, // cross-shard ports guaranteed for n > 3
-		{Sharded: true, Shards: 3, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 3, Partitioner: partition.GreedyBalanced{}},
-		{Sharded: true, Shards: 3, FreeRunning: true},
-		{Sharded: true, Shards: 3, FreeRunning: true, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 3, FreeRunning: true, Partitioner: partition.GreedyBalanced{}},
-	} {
-		sres, err := dist.CheckWith(in, p, v, opt)
+	for _, opt := range layouts(in.G.N()) {
+		got, err := dist.CheckWith(in, p, v, opt)
 		if err != nil {
-			t.Fatalf("%s: sharded opts=%+v: %v", ctx, opt, err)
+			t.Fatalf("%s [%s]: %v", ctx, layoutName(opt), err)
 		}
-		resultsEqual(t, fmt.Sprintf("%s [sharded opts=%+v]", ctx, opt), sres, want)
+		resultsEqual(t, fmt.Sprintf("%s [%s]", ctx, layoutName(opt)), got, want)
 	}
 	resultsEqual(t, ctx+" [parallel-views]", dist.CheckParallelViews(in, p, v), want)
 }
@@ -239,7 +233,7 @@ func TestCheckAgreesWithCoreAcrossCatalog(t *testing.T) {
 }
 
 // TestCheckSchedulerVariants: the verdict map is invariant under every
-// scheduler configuration, on an instance where some nodes reject.
+// layout and worker-pool size, on an instance where some nodes reject.
 func TestCheckSchedulerVariants(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(16)) // even cycle
 	v := lcp.OddNScheme().Verifier()      // odd-n verifier: must reject somewhere
@@ -248,31 +242,50 @@ func TestCheckSchedulerVariants(t *testing.T) {
 	if want.Accepted() {
 		t.Fatal("setup: random odd-n proof unexpectedly accepted on even cycle")
 	}
-	for _, opt := range []dist.Options{
-		{},
-		{FreeRunning: true},
-		{FreeRunning: true, PortBuffer: 1},
-		{Fanout: 1, PortBuffer: 4},
-		{Fanout: -1},
-		{Workers: 1},
-		{Workers: 3},
-		{Sharded: true},
-		{Sharded: true, Shards: 1},
-		{Sharded: true, Shards: 5},
-		{Sharded: true, Shards: 5, FreeRunning: true},
-		{Sharded: true, Shards: 5, FreeRunning: true, PortBuffer: 1},
-		{Sharded: true, Shards: 5, FreeRunning: true, PortBuffer: 8},
-		{Sharded: true, Shards: 5, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 5, Partitioner: partition.GreedyBalanced{}},
-		{Sharded: true, Shards: 5, FreeRunning: true, PortBuffer: 1, Partitioner: partition.BFSChunks{}},
-		{Sharded: true, Shards: 5, FreeRunning: true, Partitioner: partition.GreedyBalanced{}},
-	} {
+	opts := append(layouts(in.G.N()), dist.Options{}, dist.Options{Shards: 5}, dist.Options{Workers: 1}, dist.Options{Workers: 3})
+	for _, opt := range opts {
 		got, err := dist.CheckWith(in, p, v, opt)
 		if err != nil {
 			t.Fatalf("opts=%+v: %v", opt, err)
 		}
 		resultsEqual(t, fmt.Sprintf("opts=%+v", opt), got, want)
 		resultsEqual(t, fmt.Sprintf("pv opts=%+v", opt), dist.CheckParallelViewsWith(in, p, v, opt), want)
+	}
+}
+
+// TestLargeBallsMatchCore covers automata whose balls outgrow the
+// linear-scan limit and switch to a hash index mid-flood: views and
+// verdicts still match the sequential reference, at every layout, and a
+// reused network rewinds the index between checks.
+func TestLargeBallsMatchCore(t *testing.T) {
+	in := core.NewInstance(lcp.RandomConnected(40, 0.15, 3))
+	// Sensitive to the ball's size, its edges and the proof, so a lost
+	// or stale record flips some verdict.
+	v := core.VerifierFunc{R: 3, F: func(w *core.View) bool {
+		sum := 31*w.G.N() + 17*w.G.M() + w.ProofOf(w.Center).Len()
+		for _, d := range w.Dist {
+			sum += 7 * d
+		}
+		return sum%3 != 0
+	}}
+	for seed := int64(0); seed < 3; seed++ {
+		p := core.RandomProof(in, 5, seed)
+		collectEqualsBuildViewEverywhere(t, fmt.Sprintf("large-balls-%d", seed), in, p, []int{3})
+	}
+	for _, opt := range layouts(in.G.N()) {
+		nw, err := dist.NewNetwork(in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			p := core.RandomProof(in, 5, seed)
+			got, err := nw.Check(p, v)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", layoutName(opt), seed, err)
+			}
+			resultsEqual(t, fmt.Sprintf("%s seed %d", layoutName(opt), seed), got, core.Check(in, p, v))
+		}
+		nw.Close()
 	}
 }
 
@@ -316,8 +329,8 @@ func TestCheckEmptyAndNilInputs(t *testing.T) {
 	checkAllRunners(t, "nil-proof", in, nil, lcp.BipartiteScheme().Verifier())
 }
 
-// TestCheckRecoversVerifierPanic: a panic inside one node goroutine must
-// surface as an error, not crash the process.
+// TestCheckRecoversVerifierPanic: a panic inside one shard must surface
+// as an error, not crash the process.
 func TestCheckRecoversVerifierPanic(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(8))
 	v := core.VerifierFunc{R: 1, F: func(w *core.View) bool {

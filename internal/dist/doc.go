@@ -11,38 +11,29 @@
 // core.BuildView and Check to core.Check — a property the tests assert —
 // but the information only ever travels along edges.
 //
-// Two execution layouts run the same protocol:
+// There is one round runner over a Transport: Shard.Run. A Shard is a
+// group of node automata wired once (NewShard); each round it merges
+// same-shard deliveries directly and hands every cut edge's batch to a
+// transport.Transport, whose Exchange and Barrier keep all shards in
+// lockstep. Every distributed path is this runner:
 //
-//   - goroutine-per-node (the default): one goroutine per node, one
-//     channel per directed port — the faithful reading of "a network of
-//     independent processors";
-//   - sharded (Options.Sharded): the node automata are batched onto
-//     O(GOMAXPROCS) shard goroutines; same-shard delivery is a direct
-//     merge with no channel, only cross-shard edges keep ports, and the
-//     round barrier shrinks from n participants to one per shard. This
-//     is the throughput layout once n ≫ GOMAXPROCS.
+//   - Network (and Check, CheckWith, Collect on top of it) partitions
+//     the instance once into Options.Shards groups (GOMAXPROCS by
+//     default, cut by Options.Partitioner), keeps prewired shard sets,
+//     and runs each check as one goroutine per shard over a fresh
+//     transport.InProc group. Shards: n is the goroutine-per-node
+//     layout — the faithful reading of "a network of independent
+//     processors" — and needs no code of its own;
+//   - the dist-tcp workers of internal/remote run one Shard each over
+//     transport.TCP.
 //
-// Together with the shared-memory foils that sidestep message passing
-// entirely, four execution strategies are benchmarked at the repository
-// root (BenchmarkAblationViewConstruction):
+// CheckParallelViews is the shared-memory foil that sidesteps message
+// passing entirely: a worker pool over BFS views, sized by GOMAXPROCS.
+// The root benchmarks (BenchmarkAblationViewConstruction) compare it
+// with the sequential reference and the message-passing runtime.
 //
-//   - core.Check: sequential BFS views (the reference runner);
-//   - CheckParallelViews: a worker pool over BFS views, sized by
-//     GOMAXPROCS — the fast path when the whole instance lives in one
-//     address space;
-//   - Check: the goroutine-per-node message-passing runtime;
-//   - CheckWith{Sharded: true}: the sharded message-passing runtime.
-//
-// The scheduler is tunable via Options: sharding (count and on/off), a
-// bounded fan-out for the local decision phase, a reusable round barrier
-// (or free-running α-synchronization via per-port message counting), and
-// per-port, per-round message buffers. The reusable Network type wires a
-// network once per instance and re-checks it against many proofs; it
-// keeps a small pool of wirings so concurrent checks do not serialize.
-//
-// Regardless of layout, each node assembles its view incrementally: the
-// induced edges of the ball are collected as records arrive (see
-// node.learn) and the ball graph is frozen through graph.FromParts, so
-// the per-node induced-subgraph rebuild that used to dominate the
-// decision phase is amortized into the flooding rounds.
+// Each node assembles its view incrementally: the induced edges of the
+// ball are collected as records arrive (see node.learn) and the ball
+// graph is frozen through graph.FromParts, so the per-node
+// induced-subgraph rebuild is amortized into the flooding rounds.
 package dist

@@ -1,27 +1,25 @@
 package dist
 
-import (
-	"sync/atomic"
-
-	"lcp/internal/obs"
-)
+import "lcp/internal/obs"
 
 // The runtime's observable quantities are exactly the ones the paper's
 // model prices: communication rounds and messages exchanged. Both are
 // counted analytically at run granularity — the wiring fixes how many
-// deliveries one synchronous round performs (every out-port carries
-// exactly one batch per round, every same-shard link merges exactly
-// once per round), so a completed run contributes ports×rounds without
-// the flooding loops ever touching a counter. Aborted runs increment
-// only their own counter: how many rounds they completed before the
-// poison landed is not observable from outside the barrier, so their
-// rounds and deliveries go uncounted.
+// deliveries one synchronous round performs (every cut-edge link
+// carries exactly one batch per round, every same-shard link merges
+// exactly once per round), so a completed run contributes links×rounds
+// without the round loop ever touching a counter. Aborted runs
+// increment only their own counter: how many rounds each shard
+// completed before the cancellation landed is not observable from
+// outside the round loop, so their rounds and deliveries go
+// uncounted.
 var (
 	distRuns        = obs.Default().Counter("lcp_dist_runs_total", "Completed distributed verification runs.")
 	distRunsAborted = obs.Default().Counter("lcp_dist_runs_aborted_total", "Distributed runs aborted by context cancellation.")
 	distRounds      = obs.Default().Counter("lcp_dist_rounds_total", "Communication rounds executed by completed runs.")
-	distCrossShard  = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard rides a channel port, same-shard is a direct merge. The goroutine-per-node layout is all ports, hence all cross-shard.", obs.Label{Name: "link", Value: "cross-shard"})
-	distSameShard   = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard rides a channel port, same-shard is a direct merge. The goroutine-per-node layout is all ports, hence all cross-shard.", obs.Label{Name: "link", Value: "same-shard"})
+	distWirings     = obs.Default().Counter("lcp_dist_wirings_total", "Shard sets wired by dist networks: one per network, plus one per concurrent check that found every wiring busy.")
+	distCrossShard  = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard crosses a cut edge through the shard transport, same-shard is a direct merge between automata of one shard. With one shard per node every link is cross-shard.", obs.Label{Name: "link", Value: "cross-shard"})
+	distSameShard   = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard crosses a cut edge through the shard transport, same-shard is a direct merge between automata of one shard. With one shard per node every link is cross-shard.", obs.Label{Name: "link", Value: "same-shard"})
 )
 
 // MetricsSnapshot is a point-in-time read of the runtime's counters,
@@ -30,6 +28,7 @@ type MetricsSnapshot struct {
 	Runs                 float64
 	RunsAborted          float64
 	Rounds               float64
+	Wirings              float64
 	CrossShardDeliveries float64
 	SameShardDeliveries  float64
 }
@@ -40,31 +39,20 @@ func Metrics() MetricsSnapshot {
 		Runs:                 distRuns.Value(),
 		RunsAborted:          distRunsAborted.Value(),
 		Rounds:               distRounds.Value(),
+		Wirings:              distWirings.Value(),
 		CrossShardDeliveries: distCrossShard.Value(),
 		SameShardDeliveries:  distSameShard.Value(),
 	}
 }
 
-// storeMax raises a to at least v. The flood workers use it to publish
-// the slowest worker's wall time — the parallel phase's critical path —
-// as the run's "dist.flood" stage.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
-
 // countRun records one finished run's contribution to the counters.
-func countRun(net *network, rounds int, aborted bool) {
+func countRun(w *wiring, rounds int, aborted bool) {
 	if aborted {
 		distRunsAborted.Inc()
 		return
 	}
 	distRuns.Inc()
 	distRounds.Add(float64(rounds))
-	distCrossShard.Add(float64(net.crossPorts * rounds))
-	distSameShard.Add(float64(net.localLinks * rounds))
+	distCrossShard.Add(float64(w.cross * rounds))
+	distSameShard.Add(float64(w.local * rounds))
 }

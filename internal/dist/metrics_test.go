@@ -25,7 +25,7 @@ func TestMetricsPerNodeCycle(t *testing.T) {
 	v := core.VerifierFunc{R: r, F: func(*core.View) bool { return true }}
 
 	before := dist.Metrics()
-	if _, err := dist.Check(in, nil, v); err != nil {
+	if _, err := dist.CheckWith(in, nil, v, dist.Options{Shards: n}); err != nil {
 		t.Fatal(err)
 	}
 	after := dist.Metrics()
@@ -36,9 +36,9 @@ func TestMetricsPerNodeCycle(t *testing.T) {
 	if got := after.Rounds - before.Rounds; got != r {
 		t.Errorf("rounds delta = %v, want %d", got, r)
 	}
-	// A cycle has n undirected edges = 2n directed ports; every port
-	// carries one batch per round, and the per-node layout has no
-	// same-shard links at all.
+	// A cycle has n undirected edges = 2n directed links; with one
+	// shard per node every link is a cut edge carrying one batch per
+	// round, and there are no same-shard links at all.
 	if got := after.CrossShardDeliveries - before.CrossShardDeliveries; got != 2*n*r {
 		t.Errorf("cross-shard deliveries delta = %v, want %d", got, 2*n*r)
 	}
@@ -51,7 +51,7 @@ func TestMetricsShardedCycle(t *testing.T) {
 	const n, r = 12, 2
 	in := core.NewInstance(lcp.Cycle(n))
 	v := core.VerifierFunc{R: r, F: func(*core.View) bool { return true }}
-	opt := dist.Options{Sharded: true, Shards: 2, Partitioner: partition.Contiguous{}}
+	opt := dist.Options{Shards: 2, Partitioner: partition.Contiguous{}}
 
 	before := dist.Metrics()
 	if _, err := dist.CheckWith(in, nil, v, opt); err != nil {
@@ -66,8 +66,8 @@ func TestMetricsShardedCycle(t *testing.T) {
 		t.Errorf("rounds delta = %v, want %d", got, r)
 	}
 	// A contiguous 2-way split of a cycle cuts exactly 2 undirected
-	// edges (4 directed ports); the remaining n-2 edges stay inside a
-	// shard (2n-4 directed merge links).
+	// edges (4 directed cut-edge links); the remaining n-2 edges stay
+	// inside a shard (2n-4 directed merge links).
 	if got := after.CrossShardDeliveries - before.CrossShardDeliveries; got != 4*r {
 		t.Errorf("cross-shard deliveries delta = %v, want %d", got, 4*r)
 	}

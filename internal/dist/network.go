@@ -5,47 +5,61 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"lcp/internal/core"
+	"lcp/internal/obs"
+	"lcp/internal/partition"
+	"lcp/internal/transport"
 )
 
-// Network is a long-lived instance of the message-passing runtime: node
-// automata, port channels and round barrier are wired once per instance
-// and then re-checked against many proofs. Construction is the expensive
-// part of a run (per-node state, one channel per cross-shard directed
-// port); Check only swaps the proof bits into the round-0 records and
-// floods, so repeated verification of the same graph amortizes the
-// wiring — the engine's message-passing path and cmd/lcpserve both sit
-// on top of this type.
+// Network is a long-lived instance of the message-passing runtime: the
+// instance is partitioned once, each shard's automata are wired once
+// (NewShard), and every check runs one goroutine per shard through
+// Shard.Run over a fresh transport.InProc group. Construction is the
+// expensive part of a run; a check only swaps the proof bits into the
+// round-0 records and floods, so repeated verification of the same
+// graph amortizes the wiring — the façade's dist backend and
+// cmd/lcpserve both sit on top of this type.
 //
-// A wiring is single-occupancy (one run at a time), but Check never
+// A wiring (one set of shards) is single-occupancy, but CheckCtx never
 // serializes callers on it: when the idle wirings run out, an extra one
-// is built on the spot (cheap thanks to the node pool) and up to
-// maxIdleWirings are kept for reuse afterwards. Concurrent checks of the
-// same instance therefore scale to the caller's concurrency instead of
-// queueing on a mutex.
+// is built from the same partition, and up to maxIdleWirings are kept
+// for reuse afterwards. Concurrent checks of the same instance
+// therefore scale to the caller's concurrency instead of queueing on a
+// mutex.
 type Network struct {
-	in  *core.Instance
-	opt Options
+	in    *core.Instance
+	plans []ShardPlan // one per shard, fixed by the partition at NewNetwork
 
 	// sem bounds in-flight runs — and with them the wirings built:
 	// beyond a small multiple of GOMAXPROCS extra wirings cannot make
-	// progress, they only multiply the O(n+m) automaton-and-channel
-	// footprint per concurrent caller. Callers over the bound wait for
-	// a wiring to come back instead of building another.
+	// progress, they only multiply the O(n+m) automaton footprint per
+	// concurrent caller. Callers over the bound wait for a wiring to
+	// come back instead of building another.
 	sem chan struct{}
 
 	mu     sync.Mutex
 	closed bool
-	idle   []*network // wirings ready for the next run
+	idle   []*wiring // wirings ready for the next run
+}
+
+// wiring is one complete set of shards for the instance, plus the
+// per-round delivery counts it implies.
+type wiring struct {
+	shards []*Shard
+	// cross and local fix the per-round delivery counts: every cut-edge
+	// link carries one batch per round, every same-shard link merges
+	// once per round. countRun multiplies them by the round count, so
+	// the round loop never touches a counter.
+	cross, local int
 }
 
 // maxIdleWirings bounds how many idle wirings a Network retains between
 // checks: GOMAXPROCS, because that is the useful concurrency of CPU-
 // bound runs — callers beyond it gain nothing from extra wirings, while
 // anything below it would make steady-state concurrent checks rebuild
-// wirings every wave on exactly the path the pool amortizes. Surplus
-// wirings drain back into the node pool.
+// wirings every wave on exactly the path the pool amortizes.
 func maxIdleWirings() int {
 	return runtime.GOMAXPROCS(0)
 }
@@ -58,25 +72,53 @@ func maxLiveWirings() int {
 	return 2 * runtime.GOMAXPROCS(0)
 }
 
-// NewNetwork wires a reusable network for the instance. The options fix
-// the scheduler configuration for every subsequent run.
+// NewNetwork partitions the instance and wires a reusable network for
+// it. The options fix the layout for every subsequent run.
 func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
 	if in == nil || in.G == nil {
 		return nil, fmt.Errorf("dist: nil instance")
 	}
-	nw := &Network{in: in, opt: opt, sem: make(chan struct{}, maxLiveWirings())}
-	if in.G.N() > 0 {
-		net, err := buildNetwork(in, opt)
-		if err != nil {
-			return nil, err
-		}
-		nw.idle = append(nw.idle, net)
+	nw := &Network{in: in, sem: make(chan struct{}, maxLiveWirings())}
+	ids := in.G.Nodes()
+	if len(ids) == 0 {
+		return nw, nil
 	}
+	shards := opt.shardCount(len(ids))
+	pt := opt.partitioner()
+	assign := pt.Assign(in.G, shards)
+	if err := partition.Validate(assign, len(ids), shards); err != nil {
+		return nil, fmt.Errorf("dist: partitioner %q: %v", pt.Name(), err)
+	}
+	byID := make(map[int]int, len(ids))
+	for i, id := range ids {
+		byID[id] = assign[i]
+	}
+	for _, owned := range partition.Groups(in.G, assign, shards) {
+		nw.plans = append(nw.plans, ShardPlan{In: in, Owned: owned, Assign: byID})
+	}
+	w, err := nw.wire()
+	if err != nil {
+		return nil, err
+	}
+	nw.idle = append(nw.idle, w)
 	return nw, nil
 }
 
-// Instance returns the instance the network was wired for.
-func (nw *Network) Instance() *core.Instance { return nw.in }
+// wire builds one wiring from the network's partition.
+func (nw *Network) wire() (*wiring, error) {
+	w := &wiring{shards: make([]*Shard, len(nw.plans))}
+	for i, plan := range nw.plans {
+		s, err := NewShard(plan, i)
+		if err != nil {
+			return nil, err
+		}
+		w.shards[i] = s
+		w.cross += len(s.remotes)
+		w.local += s.links
+	}
+	distWirings.Inc()
+	return w, nil
+}
 
 // Check runs the verifier against the proof on a prewired network.
 // Verdicts are identical to a fresh dist.CheckWith under the same
@@ -88,11 +130,9 @@ func (nw *Network) Check(p core.Proof, v core.Verifier) (*core.Result, error) {
 	return nw.CheckCtx(context.Background(), p, v)
 }
 
-// CheckCtx is Check with context cancellation: lockstep runs abort
-// between communication rounds (the watcher poisons the round barrier,
-// so every automaton stops after the same round and the wiring stays
-// reusable) and return ctx.Err(). Free-running runs flood to completion
-// and honor the context only at run boundaries.
+// CheckCtx is Check with context cancellation: the run aborts between
+// communication rounds (every shard stops, the wiring stays reusable)
+// and returns ctx.Err().
 func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) (*core.Result, error) {
 	if v == nil {
 		return nil, fmt.Errorf("dist: nil verifier")
@@ -100,7 +140,7 @@ func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if nw.in.G.N() == 0 {
+	if len(nw.plans) == 0 {
 		return &core.Result{Outputs: map[int]bool{}}, nil
 	}
 	select {
@@ -108,58 +148,126 @@ func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) 
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	net, err := nw.acquire()
+	defer func() { <-nw.sem }()
+	w, err := nw.acquire()
 	if err != nil {
-		<-nw.sem
 		return nil, err
 	}
-	res, err := net.run(ctx, nw.in, p, v, nw.opt)
-	nw.put(net)
-	<-nw.sem
+	res, err := w.run(ctx, nw.in.G.N(), p, v)
+	nw.put(w)
 	return res, err
 }
 
-func (nw *Network) acquire() (*network, error) {
+func (nw *Network) acquire() (*wiring, error) {
 	nw.mu.Lock()
 	if nw.closed {
 		nw.mu.Unlock()
 		return nil, fmt.Errorf("dist: network is closed")
 	}
 	if n := len(nw.idle); n > 0 {
-		net := nw.idle[n-1]
+		w := nw.idle[n-1]
 		nw.idle = nw.idle[:n-1]
 		nw.mu.Unlock()
-		return net, nil
+		return w, nil
 	}
 	nw.mu.Unlock()
 	// Build outside the lock: wiring is the expensive part, and cold
 	// concurrent checks must not serialize on it. A Close racing the
-	// build is harmless — put() releases the wiring instead of pooling
-	// it.
-	return buildNetwork(nw.in, nw.opt)
+	// build is harmless — put() drops the wiring instead of pooling it.
+	return nw.wire()
 }
 
-func (nw *Network) put(net *network) {
+func (nw *Network) put(w *wiring) {
 	nw.mu.Lock()
+	defer nw.mu.Unlock()
 	if !nw.closed && len(nw.idle) < maxIdleWirings() {
-		nw.idle = append(nw.idle, net)
-		nw.mu.Unlock()
-		return
+		nw.idle = append(nw.idle, w)
 	}
-	nw.mu.Unlock()
-	net.release()
 }
 
-// Close releases the idle wirings back to the runtime's pool; wirings of
-// in-flight checks follow as those checks return. The network must not
-// be checked again afterwards.
+// Close drops the idle wirings; wirings of in-flight checks follow as
+// those checks return. The network must not be checked again
+// afterwards.
 func (nw *Network) Close() {
 	nw.mu.Lock()
-	idle := nw.idle
 	nw.idle = nil
 	nw.closed = true
 	nw.mu.Unlock()
-	for _, net := range idle {
-		net.release()
+}
+
+// run executes one check on the wiring: one goroutine per shard runs
+// Shard.Run over its member of a fresh in-process transport group, and
+// the verdicts merge into one result. Every shard goroutine is joined
+// before run returns, so the wiring is reusable immediately afterwards.
+//
+// Each member closes its transport on exit: after a completed run that
+// is past the final barrier (harmless to peers); after an early error
+// it poisons the group, so no shard waits for one that quit.
+func (w *wiring) run(ctx context.Context, n int, p core.Proof, v core.Verifier) (*core.Result, error) {
+	tl := obs.TimelineFrom(ctx)
+	trs := transport.NewInProcGroup(len(w.shards))
+	verdicts := make([][]bool, len(w.shards))
+	errs := make([]error, len(w.shards))
+	// times, when a timeline is watching, collects each shard's seed
+	// and flood wall times; unobserved runs (and every benchmark) skip
+	// even the clock reads.
+	var times []phaseTimes
+	if tl != nil {
+		times = make([]phaseTimes, len(w.shards))
 	}
+	stopRun := tl.Start("dist.run")
+	var wg sync.WaitGroup
+	for i, s := range w.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { _ = trs[i].Close() }()
+			var tm *phaseTimes
+			if times != nil {
+				tm = &times[i]
+			}
+			verdicts[i], errs[i] = s.run(ctx, trs[i], p, v, tm)
+		}()
+	}
+	wg.Wait()
+	stopRun()
+	if times != nil {
+		// The shards run in parallel: the slowest one is each phase's
+		// critical path.
+		var seed, flood time.Duration
+		for _, tm := range times {
+			seed, flood = max(seed, tm.seed), max(flood, tm.flood)
+		}
+		tl.Observe("dist.seed", seed)
+		tl.Observe("dist.flood", flood)
+	}
+	var firstErr error
+	for _, err := range errs {
+		if err != nil {
+			firstErr = err
+			break
+		}
+	}
+	if firstErr != nil {
+		// A poisoned group reports ErrClosed on every shard but the one
+		// that failed first; surface the cancellation cause if that is
+		// what started it.
+		if err := ctx.Err(); err != nil {
+			countRun(w, 0, true)
+			return nil, err
+		}
+	}
+	// Only cancellation stops a flood early in process: a run that
+	// failed in a verifier completed every round.
+	countRun(w, max(v.Radius(), 0), false)
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	res := &core.Result{Outputs: make(map[int]bool, n)}
+	for i, s := range w.shards {
+		for j, id := range s.owned {
+			res.Outputs[id] = verdicts[i][j]
+		}
+	}
+	return res, nil
 }

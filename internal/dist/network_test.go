@@ -4,13 +4,17 @@ package dist_test
 // verdicts always identical to core.Check.
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"lcp"
 	"lcp/internal/core"
 	"lcp/internal/dist"
+	"lcp/internal/partition"
 )
 
 func TestNetworkReusedAcrossProofs(t *testing.T) {
@@ -70,9 +74,9 @@ func TestNetworkSchedulerVariants(t *testing.T) {
 	want := core.Check(in, p, v)
 	for _, opt := range []dist.Options{
 		{},
-		{FreeRunning: true},
-		{FreeRunning: true, PortBuffer: 1},
-		{Fanout: 1},
+		{Shards: 1},
+		{Shards: in.G.N()},
+		{Shards: 3, Partitioner: partition.BFSChunks{}},
 	} {
 		nw, err := dist.NewNetwork(in, opt)
 		if err != nil {
@@ -89,9 +93,12 @@ func TestNetworkSchedulerVariants(t *testing.T) {
 	}
 }
 
+// TestNetworkConcurrentChecks: concurrent CheckCtx callers on one
+// Network each get a wiring of their own (built on demand past the
+// idle ones) and the exact verdicts for their own proof — at one
+// shard, GOMAXPROCS shards and one shard per node. Run under -race it
+// also pins that concurrent runs share no mutable state.
 func TestNetworkConcurrentChecks(t *testing.T) {
-	// Concurrent callers serialize on the wiring but must each get the
-	// verdict for their own proof.
 	in := lcp.NewInstance(lcp.Cycle(9))
 	scheme := lcp.OddNScheme()
 	honest, err := scheme.Prove(in)
@@ -99,36 +106,38 @@ func TestNetworkConcurrentChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := scheme.Verifier()
-	nw, err := dist.NewNetwork(in, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := honest
-			if i%2 == 1 {
-				p = core.FlipBit(honest, int64(i))
-			}
-			want := core.Check(in, p, v)
-			got, err := nw.Check(p, v)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if got.Accepted() != want.Accepted() {
-				errs <- fmt.Errorf("goroutine %d: acceptance mismatch", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for _, shards := range []int{1, runtime.GOMAXPROCS(0), in.G.N()} {
+		nw, err := dist.NewNetwork(in, dist.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 16)
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				p := honest
+				if i%2 == 1 {
+					p = core.FlipBit(honest, int64(i))
+				}
+				want := core.Check(in, p, v)
+				got, err := nw.CheckCtx(context.Background(), p, v)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+					errs <- fmt.Errorf("shards=%d goroutine %d: outputs differ", shards, i)
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		nw.Close()
 	}
 }
 

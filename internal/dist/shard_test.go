@@ -1,12 +1,11 @@
 package dist_test
 
-// Edge-case tests for the sharded scheduler. The catalog-wide
+// Edge-case tests for the shard layout. The catalog-wide
 // verdict-identity property lives in dist_test.go (checkAllRunners runs
-// sharded mode alongside every other strategy); this file pins down the
+// every shard count and partitioner); this file pins down the
 // degenerate configurations where the shard partition itself could go
-// wrong: more shards than nodes, a single shard (no channels at all),
-// isolated nodes, empty port sets, and panic recovery inside a shard
-// worker.
+// wrong: more shards than nodes, a single shard (no cut edges at all),
+// isolated nodes, empty link sets, and panic recovery inside a shard.
 
 import (
 	"fmt"
@@ -20,7 +19,7 @@ import (
 )
 
 // TestShardedMoreShardsThanNodes: the shard count clamps to n, leaving
-// some requested shards empty-handed rather than wedging the barrier.
+// some requested shards empty-handed rather than wedging a round gate.
 func TestShardedMoreShardsThanNodes(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(5))
 	scheme := lcp.OddNScheme()
@@ -31,7 +30,7 @@ func TestShardedMoreShardsThanNodes(t *testing.T) {
 	v := scheme.Verifier()
 	want := core.Check(in, p, v)
 	for _, shards := range []int{5, 6, 99} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: shards})
+		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -39,7 +38,7 @@ func TestShardedMoreShardsThanNodes(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardDegenerate: one shard means zero channels — the
+// TestShardedSingleShardDegenerate: one shard means zero cut edges — the
 // whole protocol degenerates to a sequential sweep on one goroutine —
 // and the verdicts still match the reference exactly.
 func TestShardedSingleShardDegenerate(t *testing.T) {
@@ -47,7 +46,7 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	p := core.RandomProof(in, 6, 3)
 	v := lcp.OddNScheme().Verifier()
 	want := core.Check(in, p, v)
-	got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: 1})
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +54,13 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	// Collect in the same degenerate mode.
 	center := in.G.Nodes()[5]
 	viewsEqual(t, "single-shard collect",
-		dist.CollectWith(in, p, center, 2, dist.Options{Sharded: true, Shards: 1}),
+		dist.CollectWith(in, p, center, 2, dist.Options{Shards: 1}),
 		core.BuildView(in, p, center, 2))
 }
 
-// TestShardedIsolatedNodes: nodes with no edges have no ports and no
-// local neighbours in any partition; they must still decide (and their
-// empty radius-r balls must not stall any barrier phase).
+// TestShardedIsolatedNodes: nodes with no edges have no links in any
+// partition; they must still decide (and their empty radius-r balls
+// must not stall any round gate).
 func TestShardedIsolatedNodes(t *testing.T) {
 	b := lcp.NewBuilder()
 	b.AddPath(1, 2, 3, 4)
@@ -79,7 +78,7 @@ func TestShardedIsolatedNodes(t *testing.T) {
 	}}
 	want := core.Check(in, p, v)
 	for _, shards := range []int{1, 2, 3, 6, 10} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: shards})
+		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -92,7 +91,7 @@ func TestShardedIsolatedNodes(t *testing.T) {
 	}
 	iso := core.NewInstance(b2.Graph())
 	want = core.Check(iso, nil, v)
-	got, err := dist.CheckWith(iso, nil, v, dist.Options{Sharded: true, Shards: 4})
+	got, err := dist.CheckWith(iso, nil, v, dist.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestShardedDisconnectedAcrossShardBoundary(t *testing.T) {
 	v := lcp.OddNScheme().Verifier()
 	want := core.Check(in, p, v)
 	for _, shards := range []int{2, 3, 5} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: shards})
+		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -127,14 +126,13 @@ func TestShardedRecoversVerifierPanic(t *testing.T) {
 		}
 		return true
 	}}
-	if _, err := dist.CheckWith(in, core.Proof{}, v, dist.Options{Sharded: true, Shards: 3}); err == nil {
+	if _, err := dist.CheckWith(in, core.Proof{}, v, dist.Options{Shards: 3}); err == nil {
 		t.Error("want panic surfaced as error")
 	}
 }
 
-// TestShardedNetworkReuse: a reusable Network in sharded mode serves
-// many proofs, and concurrent checks (which draw extra wirings from the
-// pool) all match the reference.
+// TestShardedNetworkReuse: a reusable multi-shard Network serves many
+// proofs, each matching the reference.
 func TestShardedNetworkReuse(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(19))
 	scheme := lcp.OddNScheme()
@@ -143,7 +141,7 @@ func TestShardedNetworkReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := scheme.Verifier()
-	nw, err := dist.NewNetwork(in, dist.Options{Sharded: true, Shards: 3})
+	nw, err := dist.NewNetwork(in, dist.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,54 +159,6 @@ func TestShardedNetworkReuse(t *testing.T) {
 	}
 }
 
-// TestDecideOnlySubset: carriers flood but never decide — the result
-// contains exactly the listed nodes, their verdicts match the full
-// reference, and a verifier that panics at a carrier never fires. Both
-// execution layouts are covered.
-func TestDecideOnlySubset(t *testing.T) {
-	in := core.NewInstance(lcp.Cycle(11))
-	scheme := lcp.OddNScheme()
-	p, err := scheme.Prove(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deciders := []int{2, 5, 6, 9}
-	isDecider := func(id int) bool {
-		for _, d := range deciders {
-			if d == id {
-				return true
-			}
-		}
-		return false
-	}
-	v := core.VerifierFunc{R: scheme.Verifier().Radius(), F: func(w *core.View) bool {
-		if !isDecider(w.Center) {
-			panic(fmt.Sprintf("carrier %d was asked to decide", w.Center))
-		}
-		return scheme.Verifier().Verify(w)
-	}}
-	want := core.Check(in, p, scheme.Verifier())
-	for _, opt := range []dist.Options{
-		{DecideOnly: deciders},
-		{DecideOnly: deciders, Sharded: true, Shards: 3},
-		{DecideOnly: deciders, Sharded: true, FreeRunning: true},
-	} {
-		got, err := dist.CheckWith(in, p, v, opt)
-		if err != nil {
-			t.Fatalf("opts=%+v: %v", opt, err)
-		}
-		if len(got.Outputs) != len(deciders) {
-			t.Fatalf("opts=%+v: got %d verdicts, want %d", opt, len(got.Outputs), len(deciders))
-		}
-		for _, id := range deciders {
-			out, ok := got.Outputs[id]
-			if !ok || out != want.Outputs[id] {
-				t.Fatalf("opts=%+v: node %d verdict %v/%v, reference %v", opt, id, out, ok, want.Outputs[id])
-			}
-		}
-	}
-}
-
 // badPartitioner returns a fixed (usually invalid) assignment no matter
 // the graph.
 type badPartitioner struct{ assign []int }
@@ -218,15 +168,15 @@ func (p badPartitioner) Assign(*graph.Graph, int) []int { return p.assign }
 
 // TestShardedInvalidPartitionerRejected: a custom partitioner returning
 // a malformed assignment surfaces as an error from every entry point
-// instead of wedging or panicking the scheduler.
+// instead of wedging or panicking the runtime.
 func TestShardedInvalidPartitionerRejected(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(6))
 	v := lcp.OddNScheme().Verifier()
 	for name, bad := range map[string]dist.Options{
-		"short":        {Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1}}},
-		"out-of-range": {Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1, 2, 3, 0, 1}}},
-		"negative":     {Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: []int{0, -1, 2, 0, 1, 2}}},
-		"nil":          {Sharded: true, Shards: 3, Partitioner: badPartitioner{}},
+		"short":        {Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1}}},
+		"out-of-range": {Shards: 3, Partitioner: badPartitioner{assign: []int{0, 1, 2, 3, 0, 1}}},
+		"negative":     {Shards: 3, Partitioner: badPartitioner{assign: []int{0, -1, 2, 0, 1, 2}}},
+		"nil":          {Shards: 3, Partitioner: badPartitioner{}},
 	} {
 		if _, err := dist.CheckWith(in, core.Proof{}, v, bad); err == nil {
 			t.Errorf("%s: CheckWith accepted an invalid assignment", name)
@@ -239,7 +189,7 @@ func TestShardedInvalidPartitionerRejected(t *testing.T) {
 
 // TestShardedArbitraryAssignment: a partitioner may scatter nodes
 // across shards in any pattern — interleaved round-robin included —
-// and verdicts still match the reference, lockstep and free-running.
+// and verdicts still match the reference.
 func TestShardedArbitraryAssignment(t *testing.T) {
 	in := core.NewInstance(lcp.Grid(4, 5))
 	scheme := lcp.OddNScheme() // 20 nodes: even, rejects somewhere
@@ -250,20 +200,15 @@ func TestShardedArbitraryAssignment(t *testing.T) {
 	for i := range roundRobin {
 		roundRobin[i] = i % 3
 	}
-	for _, opt := range []dist.Options{
-		{Sharded: true, Shards: 3, Partitioner: badPartitioner{assign: roundRobin}},
-		{Sharded: true, Shards: 3, FreeRunning: true, Partitioner: badPartitioner{assign: roundRobin}},
-	} {
-		got, err := dist.CheckWith(in, p, v, opt)
-		if err != nil {
-			t.Fatalf("free-running=%v: %v", opt.FreeRunning, err)
-		}
-		resultsEqual(t, fmt.Sprintf("round-robin free-running=%v", opt.FreeRunning), got, want)
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: roundRobin}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	resultsEqual(t, "round-robin", got, want)
 }
 
 // TestShardedEmptyShardAllowed: an assignment that leaves a shard with
-// no nodes must not wedge the barrier or the port wiring.
+// no nodes must not wedge the round gates or the link wiring.
 func TestShardedEmptyShardAllowed(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(6))
 	v := lcp.OddNScheme().Verifier()
@@ -271,55 +216,11 @@ func TestShardedEmptyShardAllowed(t *testing.T) {
 	want := core.Check(in, p, v)
 	// Shard 1 of 3 owns nothing.
 	lopsided := []int{0, 0, 2, 2, 0, 2}
-	for _, freeRunning := range []bool{false, true} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{
-			Sharded: true, Shards: 3, FreeRunning: freeRunning,
-			Partitioner: badPartitioner{assign: lopsided},
-		})
-		if err != nil {
-			t.Fatalf("free-running=%v: %v", freeRunning, err)
-		}
-		resultsEqual(t, fmt.Sprintf("empty-shard free-running=%v", freeRunning), got, want)
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: lopsided}})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestShardedFreeRunningBatchRing: the free-running sharded layout
-// reuses round batches through the epoch ring. Long floods (radius well
-// past the ring length) over a reused Network are the case where a
-// stale slot would resurface as message corruption; verdicts and views
-// must stay exact across many back-to-back runs, at several port
-// buffer depths (which set the ring length).
-func TestShardedFreeRunningBatchRing(t *testing.T) {
-	g := lcp.RandomConnected(24, 0.12, 9)
-	in := core.NewInstance(g)
-	v := core.VerifierFunc{R: 9, F: func(w *core.View) bool {
-		// Radius 9 ≫ ring length; accept iff the ball saw ≥ 12 nodes, so
-		// any lost or duplicated record flips a verdict.
-		return w.G.N() >= 12
-	}}
-	for _, portBuf := range []int{0, 1, 4} {
-		opt := dist.Options{Sharded: true, Shards: 4, FreeRunning: true, PortBuffer: portBuf}
-		nw, err := dist.NewNetwork(in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 6; i++ {
-			p := core.RandomProof(in, 4, int64(i))
-			want := core.Check(in, p, v)
-			got, err := nw.Check(p, v)
-			if err != nil {
-				t.Fatalf("portBuf=%d run %d: %v", portBuf, i, err)
-			}
-			resultsEqual(t, fmt.Sprintf("ring portBuf=%d run %d", portBuf, i), got, want)
-		}
-		nw.Close()
-		// Views assembled under the ring match the sequential reference.
-		p := core.RandomProof(in, 4, 99)
-		center := in.G.Nodes()[7]
-		viewsEqual(t, fmt.Sprintf("ring collect portBuf=%d", portBuf),
-			dist.CollectWith(in, p, center, 6, opt),
-			core.BuildView(in, p, center, 6))
-	}
+	resultsEqual(t, "empty-shard", got, want)
 }
 
 // TestShardedPartitionersAcrossTopologies: the three partitioners are
@@ -343,21 +244,19 @@ func TestShardedPartitionersAcrossTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, freeRunning := range []bool{false, true} {
-				got, err := dist.CheckWith(in, p, v, dist.Options{
-					Sharded: true, Shards: 4, FreeRunning: freeRunning, Partitioner: pt,
-				})
+			for _, shards := range []int{4, in.G.N()} {
+				got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards, Partitioner: pt})
 				if err != nil {
-					t.Fatalf("%s/%s free-running=%v: %v", name, pname, freeRunning, err)
+					t.Fatalf("%s/%s shards=%d: %v", name, pname, shards, err)
 				}
-				resultsEqual(t, fmt.Sprintf("%s/%s free-running=%v", name, pname, freeRunning), got, want)
+				resultsEqual(t, fmt.Sprintf("%s/%s shards=%d", name, pname, shards), got, want)
 			}
 		}
 	}
 }
 
-// TestShardedRadiusZero: zero communication rounds, shard barrier never
-// trips, verdicts still flow.
+// TestShardedRadiusZero: zero communication rounds, no round gate ever
+// opens, verdicts still flow.
 func TestShardedRadiusZero(t *testing.T) {
 	in := core.NewInstance(lcp.Path(7)).SetNodeLabel(3, core.LabelLeader)
 	p := core.RandomProof(in, 2, 1)
@@ -369,7 +268,7 @@ func TestShardedRadiusZero(t *testing.T) {
 		return s.Len() > 0 && s.Bit(0)
 	}}
 	want := core.Check(in, p, v)
-	got, err := dist.CheckWith(in, p, v, dist.Options{Sharded: true, Shards: 3})
+	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,38 @@
 package dist
 
-// The transport-backed shard runner: the sharded scheduler's four-phase
-// round, executed against a transport.Transport instead of in-process
-// channel ports. A Shard is what a worker process keeps for its slice
-// of a registered instance — wired once by NewShard, run once per check
-// — with the same node automata, merge rules, and view assembly as the
-// channel scheduler (so verdicts are identical to core.Check by the
-// same argument), and the cross-shard edge behind the Transport
-// interface: InProc for the single-process fan-out the equivalence
-// tests pin, TCP for the multi-process coordinator.
+// The round runner: the one implementation of the LOCAL round in the
+// repository. A Shard is a slice of an instance's node automata, wired
+// once by NewShard and run once per check by Shard.Run; the cut edges
+// to other shards sit behind the transport.Transport interface. Every
+// distributed backend is this runner: Network runs one goroutine per
+// shard over a transport.InProc group, and the multi-process
+// coordinator's workers run their shard over TCP.
 //
-// The phase structure maps onto the interface as:
+// A round has four phases, mapped onto the interface as:
 //
 //	phase 1 (freeze + send cur)   -> Send per cut edge, then Exchange
 //	phase 2 (rewind next)         -> after Exchange returns
 //	phase 3 (merge local + recv)  -> direct merges + the deliveries
 //	phase 4 (swap + barrier)      -> swap cur/next, then Barrier
 //
-// Exchange is the delivery synchronization (all round-r traffic handed
-// over) and Barrier the reuse synchronization (all round-r merges done,
-// so rewinding buffers in round r+1 is safe). The in-process transport
+// Within a round every automaton's outgoing batch (cur) is frozen
+// before any delivery happens, so a merge can never leak round-r
+// knowledge into a round-r send — which is what keeps every view, and
+// hence every verdict, identical to core.Check. Exchange is the
+// delivery synchronization (all round-r traffic handed over) and
+// Barrier the reuse synchronization (all round-r merges done, so
+// rewinding buffers in round r+1 is safe). The in-process transport
 // implements both as group gates; TCP copies at staging time and
 // message-counts, so its Barrier is free.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"time"
 
 	"lcp/internal/core"
-	"lcp/internal/partition"
+	"lcp/internal/graph"
 	"lcp/internal/transport"
 )
 
@@ -65,10 +68,9 @@ type remoteLink struct {
 // by every check: the node automata with their round-0 base records,
 // the same-shard direct-merge links, and the cut-edge links routed by
 // the assignment. A check only seeds, floods, and decides — seeding
-// rewinds each automaton's knowledge maps and batch buffers in place,
-// the way the scheduler rewinds its pooled nodes, so a long-lived
-// shard (a worker's registered instance) stops paying for wiring and
-// map growth on every check.
+// rewinds each automaton's ball and batch buffers in place, so
+// a long-lived shard (a worker's registered instance, a Network's
+// wiring) stops paying for wiring and map growth on every check.
 //
 // A Shard is not safe for concurrent runs; callers serialize them. It
 // keeps the previous check's flooded knowledge until the next check
@@ -77,44 +79,62 @@ type Shard struct {
 	in      *core.Instance
 	me      int
 	owned   []int
-	nodes   []*node // in Owned order
+	nodes   []node // in Owned order
 	byID    map[int]*node
 	remotes []remoteLink // grouped by sender, so a node's batch to one peer stages back to back
 	peers   []int        // shards sharing a cut edge with this one, ascending
+	links   int          // directed same-shard merge links
 }
 
 // NewShard wires shard me of the plan. It fails — before any check —
 // when an owned node is absent from the plan's instance, a neighbor of
 // an owned node has no assignment, or a neighbor assigned to me is not
-// owned. The automata are plain heap nodes, not drawn from the
-// scheduler's pool — a transport run's batches cross shard (or process)
-// lifetimes the pool's reuse discipline does not cover.
+// owned. The automata and their buffers are carved from a few slabs,
+// so wiring costs a constant number of allocations per shard, not per
+// node.
 func NewShard(plan ShardPlan, me int) (*Shard, error) {
 	s := &Shard{
 		in:    plan.In,
 		me:    me,
 		owned: plan.Owned,
-		nodes: make([]*node, 0, len(plan.Owned)),
+		nodes: make([]node, len(plan.Owned)),
 		byID:  make(map[int]*node, len(plan.Owned)),
 	}
+	// Beyond the round-0 edge records, each automaton's buffers start
+	// in slabs sized for a radius-1 check — a ball of degree+1 records,
+	// up to degree+1 records per round's batch, degree induced edges —
+	// so wiring a shard costs a constant number of allocations, not a
+	// few per node. Larger radii grow the buffers past their slab share.
+	edges, balls := 0, 0
 	for _, id := range plan.Owned {
 		if !plan.In.G.Has(id) {
 			return nil, fmt.Errorf("dist: shard %d owns node %d, absent from its instance", me, id)
 		}
-		nd := &node{
-			id:    id,
-			base:  initialRecord(plan.In, id, nil),
-			known: make(map[int]record),
-			dist:  make(map[int]int),
-		}
+		d := degree(plan.In, id)
+		edges += d
+		balls += min(d+1, smallBall+1)
+	}
+	recs := make([]edgeRec, 0, 2*edges)
+	ballSlab := make([]learned, 0, balls)
+	batches := make([]record, 0, 2*(edges+len(plan.Owned)))
+	for i, id := range plan.Owned {
+		nd := &s.nodes[i]
+		nd.id = id
+		nd.base, recs = initialRecord(plan.In, id, recs)
+		deg := len(nd.base.Edges)
+		nd.indEdges, recs = carve(recs, deg)
+		nd.ball, ballSlab = carve(ballSlab, min(deg+1, smallBall+1))
+		nd.cur, batches = carve(batches, deg+1)
+		nd.next, batches = carve(batches, deg+1)
 		s.byID[id] = nd
-		s.nodes = append(s.nodes, nd)
 	}
 	// Wire after every automaton exists: same-shard neighbours get
 	// direct-merge links, cut edges get remote links routed by the
 	// assignment.
-	peerSet := map[int]bool{}
-	for _, nd := range s.nodes {
+	locals := make([]*node, 0, edges)
+	for i := range s.nodes {
+		nd := &s.nodes[i]
+		start := len(locals)
 		for _, w := range plan.In.G.UndirectedNeighbors(nd.id) {
 			owner, ok := plan.Assign[w]
 			if !ok {
@@ -125,18 +145,25 @@ func NewShard(plan ShardPlan, me int) (*Shard, error) {
 				if nb == nil {
 					return nil, fmt.Errorf("dist: shard %d: node %d assigned here but not owned", me, w)
 				}
-				nd.local = append(nd.local, nb)
+				locals = append(locals, nb)
 			} else {
 				s.remotes = append(s.remotes, remoteLink{from: nd, peer: owner, dst: w})
-				peerSet[owner] = true
+				s.peers = append(s.peers, owner)
 			}
 		}
+		nd.local = locals[start:len(locals):len(locals)]
 	}
-	for p := range peerSet {
-		s.peers = append(s.peers, p)
-	}
-	sort.Ints(s.peers)
+	s.links = len(locals)
+	slices.Sort(s.peers)
+	s.peers = slices.Compact(s.peers)
 	return s, nil
+}
+
+// carve cuts an empty piece of capacity n off the end of slab and
+// returns it with the slab grown past it.
+func carve[T any](slab []T, n int) (piece, rest []T) {
+	end := len(slab) + n
+	return slab[len(slab):len(slab):end], slab[:end]
 }
 
 // Owned lists the nodes the shard decides, in the order Run reports
@@ -156,21 +183,42 @@ func (s *Shard) Peers() []int { return s.peers }
 // The caller owns the transport: Run never closes it, so stats survive
 // the run. The transport must speak for the shard's index.
 func (s *Shard) Run(ctx context.Context, tr transport.Transport, p core.Proof, v core.Verifier) ([]bool, error) {
+	return s.run(ctx, tr, p, v, nil)
+}
+
+// phaseTimes receives one run's seed and flood wall times, for the
+// "dist.seed" and "dist.flood" timeline stages.
+type phaseTimes struct {
+	seed, flood time.Duration
+}
+
+// run is Run, additionally timing the seed and flood phases into tm
+// when it is non-nil.
+func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v core.Verifier, tm *phaseTimes) ([]bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if tr.Shard() != s.me {
 		return nil, fmt.Errorf("dist: shard %d run over the transport of shard %d", s.me, tr.Shard())
 	}
-	for _, nd := range s.nodes {
-		nd.seed(p)
+	var t0 time.Time
+	if tm != nil {
+		t0 = time.Now()
+	}
+	for i := range s.nodes {
+		s.nodes[i].seed(p)
+	}
+	if tm != nil {
+		t1 := time.Now()
+		tm.seed, t0 = t1.Sub(t0), t1
 	}
 	radius := v.Radius()
-	rounds := radius
-	if rounds < 0 {
-		rounds = 0
-	}
-	for r := 1; r <= rounds; r++ {
+	for r := 1; r <= radius; r++ {
+		// A cancelled context stops the shard at the next round even
+		// when no gate would notice (a single-shard group never waits).
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Phase 1: freeze and stage cur on every cut edge, then
 		// exchange. cur buffers stay untouched through the delivery.
 		for _, rl := range s.remotes {
@@ -181,13 +229,14 @@ func (s *Shard) Run(ctx context.Context, tr transport.Transport, p core.Proof, v
 			return nil, err
 		}
 		// Phase 2: rewind the accumulation buffers.
-		for _, nd := range s.nodes {
-			nd.next = nd.next[:0]
+		for i := range s.nodes {
+			s.nodes[i].next = s.nodes[i].next[:0]
 		}
 		// Phase 3: same-shard direct merges, then the transport's
 		// deliveries. Merges never touch a cur buffer, so ordering
 		// within the phase is irrelevant.
-		for _, nd := range s.nodes {
+		for i := range s.nodes {
+			nd := &s.nodes[i]
 			for _, nb := range nd.local {
 				nb.merge(nd.cur, r)
 			}
@@ -201,20 +250,25 @@ func (s *Shard) Run(ctx context.Context, tr transport.Transport, p core.Proof, v
 		}
 		// Phase 4: swap, then close the round — after Barrier, every
 		// shard has merged round r and buffer reuse is licensed.
-		for _, nd := range s.nodes {
+		for i := range s.nodes {
+			nd := &s.nodes[i]
 			nd.cur, nd.next = nd.next, nd.cur
 		}
 		if err := tr.Barrier(ctx, r); err != nil {
 			return nil, err
 		}
 	}
+	if tm != nil {
+		tm.flood = time.Since(t0)
+	}
 	verdicts := make([]bool, len(s.nodes))
-	for i, nd := range s.nodes {
-		nv := decide(nd, s.in, radius, v)
-		if nv.err != nil {
-			return nil, nv.err
+	var scratch []graph.Edge
+	for i := range s.nodes {
+		ok, err := decide(&s.nodes[i], s.in, radius, v, &scratch)
+		if err != nil {
+			return nil, err
 		}
-		verdicts[i] = nv.ok
+		verdicts[i] = ok
 	}
 	return verdicts, nil
 }
@@ -239,77 +293,4 @@ func RunShard(ctx context.Context, plan ShardPlan, tr transport.Transport, p cor
 		outputs[s.owned[i]] = ok
 	}
 	return outputs, nil
-}
-
-// CheckTransport verifies one proof by fanning the instance out over an
-// in-process transport group: shards partitions by pt (nil =
-// contiguous), one shard goroutine per group, cut edges carried by
-// transport.InProc. Verdict-identical to Check and core.Check — it is
-// the single-process reference for the transport path, and what the
-// cross-backend equivalence tests pin the TCP coordinator against.
-func CheckTransport(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier, shards int, pt partition.Partitioner) (*core.Result, error) {
-	ids := in.G.Nodes()
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > len(ids) {
-		shards = len(ids)
-	}
-	if len(ids) == 0 {
-		return &core.Result{Outputs: map[int]bool{}}, nil
-	}
-	if pt == nil {
-		pt = partition.Contiguous{}
-	}
-	assign := pt.Assign(in.G, shards)
-	if err := partition.Validate(assign, len(ids), shards); err != nil {
-		return nil, fmt.Errorf("dist: partitioner %q: %v", pt.Name(), err)
-	}
-	groups := partition.Groups(in.G, assign, shards)
-	assignByID := make(map[int]int, len(ids))
-	for i, id := range ids {
-		assignByID[id] = assign[i]
-	}
-	trs := transport.NewInProcGroup(shards)
-	type shardResult struct {
-		outputs map[int]bool
-		err     error
-	}
-	results := make([]shardResult, shards)
-	done := make(chan int, shards)
-	for s := 0; s < shards; s++ {
-		go func(s int) {
-			defer func() { done <- s }()
-			// Close on exit: a normal exit is past the final barrier
-			// (harmless to peers), an early error poisons the group so
-			// nobody waits for a shard that quit.
-			defer func() { _ = trs[s].Close() }()
-			outputs, err := RunShard(ctx, ShardPlan{In: in, Owned: groups[s], Assign: assignByID}, trs[s], p, v)
-			results[s] = shardResult{outputs: outputs, err: err}
-		}(s)
-	}
-	for range trs {
-		<-done
-	}
-	res := &core.Result{Outputs: make(map[int]bool, len(ids))}
-	var firstErr error
-	errShard := -1
-	for s, sr := range results {
-		if sr.err != nil && (errShard == -1 || s < errShard) {
-			firstErr, errShard = sr.err, s
-		}
-		for id, ok := range sr.outputs {
-			res.Outputs[id] = ok
-		}
-	}
-	if firstErr != nil {
-		// A poisoned group reports ErrClosed on every shard but the one
-		// that failed first; surface the cancellation cause if that is
-		// what started it.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, firstErr
-	}
-	return res, nil
 }

@@ -1,11 +1,13 @@
 package dist_test
 
-// The transport-backed runner's contract: CheckTransport (the sharded
-// four-phase round executed over transport.InProc) is verdict-identical
-// to core.Check across the whole catalog — honest, tampered, and
-// truncated proofs, every partitioner, shard counts that force real
-// cut-edge traffic — and cancellation unblocks the whole group within
-// bounded time instead of deadlocking a gate.
+// The round runner's contract at the Shard level: shards wired from
+// per-shard plans and run over an in-process transport group are
+// verdict-identical to core.Check across the whole catalog — honest,
+// tampered, and truncated proofs, every partitioner, shard counts that
+// force real cut-edge traffic — including when each shard only sees the
+// radius-1 halo of its owned nodes, as a dist-tcp worker does; and a
+// failed check unblocks the whole group within bounded time instead of
+// deadlocking a gate.
 
 import (
 	"context"
@@ -19,10 +21,33 @@ import (
 	"lcp"
 	"lcp/internal/core"
 	"lcp/internal/dist"
+	"lcp/internal/engine"
 	"lcp/internal/graph"
 	"lcp/internal/partition"
 	"lcp/internal/transport"
 )
+
+// haloShards wires the shards of a partitioned instance the way the
+// multi-process coordinator ships them: each shard's plan carries only
+// the radius-1 halo of its owned nodes.
+func haloShards(t *testing.T, in *core.Instance, shards int, pt partition.Partitioner) []*dist.Shard {
+	t.Helper()
+	assign := pt.Assign(in.G, shards)
+	groups := partition.Groups(in.G, assign, shards)
+	assignByID := map[int]int{}
+	for i, id := range in.G.Nodes() {
+		assignByID[id] = assign[i]
+	}
+	out := make([]*dist.Shard, shards)
+	for s, owned := range groups {
+		plan := dist.ShardPlan{In: engine.HaloInstance(in, owned, 1), Owned: owned, Assign: assignByID}
+		var err error
+		if out[s], err = dist.NewShard(plan, s); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+	}
+	return out
+}
 
 func TestCheckTransportMatchesCoreOnCatalog(t *testing.T) {
 	const n = 12
@@ -44,17 +69,18 @@ func TestCheckTransportMatchesCoreOnCatalog(t *testing.T) {
 			v := exp.Scheme.Verifier()
 			proofs := []core.Proof{honest, core.FlipBit(honest, 0), honest.Truncated(1)}
 			labels := []string{"honest", "tampered", "truncated"}
-			for pi, p := range proofs {
-				want := core.Check(in, p, v)
-				for _, shards := range []int{1, 3, 4} {
-					for _, pt := range partitioners {
-						got, err := dist.CheckTransport(ctx, in, p, v, shards, pt)
+			for _, shards := range []int{1, 3, 4} {
+				for _, pt := range partitioners {
+					wired := haloShards(t, in, shards, pt)
+					for pi, p := range proofs {
+						want := core.Check(in, p, v)
+						got, err := runShards(ctx, wired, p, v, nil)
 						if err != nil {
 							t.Fatalf("%s/%d-shards/%s: %v", labels[pi], shards, pt.Name(), err)
 						}
-						if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+						if !reflect.DeepEqual(got, want.Outputs) {
 							t.Fatalf("%s/%d-shards/%s: outputs differ:\n got %v\nwant %v",
-								labels[pi], shards, pt.Name(), got.Outputs, want.Outputs)
+								labels[pi], shards, pt.Name(), got, want.Outputs)
 						}
 					}
 				}
@@ -76,13 +102,13 @@ func TestCheckTransportCancellation(t *testing.T) {
 	cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := dist.CheckTransport(ctx, in, p, exp.Scheme.Verifier(), 4, partition.BFSChunks{})
+		_, err := runShards(ctx, haloShards(t, in, 4, partition.BFSChunks{}), p, exp.Scheme.Verifier(), nil)
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled transport check succeeded")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled transport check returned %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled transport check hung")
@@ -107,9 +133,9 @@ func widestExperiment(t *testing.T) lcp.Experiment {
 	return best
 }
 
-// TestCheckTransportPropagatesVerifierPanic: a panicking verifier on
-// one shard becomes an error for the whole check, and the poisoned
-// group still unwinds every other shard.
+// TestCheckTransportPropagatesVerifierPanic: a panicking verifier
+// becomes an error for the whole check, at every layout, and the
+// poisoned group still unwinds every other shard.
 func TestCheckTransportPropagatesVerifierPanic(t *testing.T) {
 	exp := widestExperiment(t)
 	in := exp.MakeYes(24, 1)
@@ -121,8 +147,10 @@ func TestCheckTransportPropagatesVerifierPanic(t *testing.T) {
 		R: exp.Scheme.Verifier().Radius(),
 		F: func(w *core.View) bool { panic(fmt.Sprintf("bomb at %d", w.Center)) },
 	}
-	if _, err := dist.CheckTransport(context.Background(), in, p, bomb, 3, nil); err == nil {
-		t.Fatal("panicking verifier produced no error")
+	for _, shards := range []int{1, 3, in.G.N()} {
+		if _, err := dist.CheckWith(in, p, bomb, dist.Options{Shards: shards}); err == nil {
+			t.Fatalf("shards=%d: panicking verifier produced no error", shards)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package engine_test
 
-// Context-cancellation tests for the engine's batch and distributed
-// paths (the façade relies on both behaving uniformly).
+// Context-cancellation tests for the engine's batch paths (the façade
+// relies on them behaving uniformly).
 
 import (
 	"context"
@@ -60,27 +60,5 @@ func TestCheckBatchCtxBackgroundMatchesCheckBatch(t *testing.T) {
 		if !reflect.DeepEqual(got[i].Outputs, want[i].Outputs) {
 			t.Fatalf("proof %d diverged", i)
 		}
-	}
-}
-
-// TestCheckDistributedCtxPreCancelled: a cancelled context fails the
-// sharded distributed path before any halo floods.
-func TestCheckDistributedCtxPreCancelled(t *testing.T) {
-	in := lcp.NewInstance(lcp.Cycle(16))
-	scheme := lcp.BipartiteScheme()
-	e := engine.New(in, engine.Options{Shards: 3})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.CheckDistributedCtx(ctx, core.Proof{}, scheme.Verifier()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	// The engine must keep serving after a cancelled distributed check.
-	res, err := e.CheckDistributed(core.Proof{}, scheme.Verifier())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.Check(in, core.Proof{}, scheme.Verifier())
-	if !reflect.DeepEqual(res.Outputs, want.Outputs) {
-		t.Fatal("engine diverged after cancelled distributed check")
 	}
 }

@@ -21,7 +21,7 @@
 // restriction enforced by View.ProofOf against the skeleton's distance
 // map. The per-proof cost is one O(n) load plus the verifier's own work.
 //
-// Four serving shapes are exposed:
+// Three serving shapes are exposed:
 //
 //   - CheckProof / CheckBatch: sharded over a bounded worker pool
 //     (contiguous node ranges, the shared-memory path);
@@ -33,17 +33,11 @@
 //     verifier;
 //   - CheckStream: verdicts stream over a channel as each node decides,
 //     with early exit on context cancellation — callers stop paying the
-//     moment the first rejection arrives;
-//   - CheckDistributed: the message-passing path, sharded across
-//     multiple reusable dist.Network runtimes. Each shard owns a
-//     contiguous node range and floods inside the range's radius-r halo
-//     (every node within distance r of an owned node), so its owned
-//     views are exactly what the full graph would deliver. The shards
-//     of one check always flood concurrently, and because dist.Network
-//     draws wirings from a pool instead of serializing on a mutex,
-//     concurrent checks of the same instance overlap too. Each
-//     underlying runtime can itself run goroutine-per-node or sharded
-//     (Options.Dist.Sharded).
+//     moment the first rejection arrives.
+//
+// The message-passing runtime lives in internal/dist; the engine only
+// lends it HaloInstance, the radius-r halo cutter the multi-process
+// coordinator uses to ship each worker its shard.
 //
 // Verdicts are identical to core.Check on every path; the property
 // tests sweep the whole catalog, including tampered and truncated

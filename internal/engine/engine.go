@@ -7,36 +7,18 @@ import (
 	"sync"
 
 	"lcp/internal/core"
-	"lcp/internal/dist"
 	"lcp/internal/graph"
 	"lcp/internal/obs"
 	"lcp/internal/partition"
 )
 
 // Options configures an Engine. The zero value serves with GOMAXPROCS
-// workers and a single message-passing runtime.
+// workers.
 type Options struct {
-	// Workers bounds the worker pool of the shared-memory paths
-	// (CheckProof, CheckBatch, CheckStream) and of skeleton
-	// construction. 0 means GOMAXPROCS.
+	// Workers bounds the worker pool of the check paths (CheckProof,
+	// CheckBatch, CheckStream) and of skeleton construction. 0 means
+	// GOMAXPROCS.
 	Workers int
-	// Shards is the number of dist runtimes the message-passing path
-	// spans. Each shard owns a group of nodes chosen by Partitioner and
-	// runs a reusable dist.Network over the group's radius-r halo.
-	// 0 means 1.
-	Shards int
-	// Partitioner chooses which nodes each distributed shard owns. nil
-	// means partition.Contiguous{} — near-equal ranges of the ascending
-	// identifier order. A locality-aware partitioner (partition.
-	// BFSChunks, partition.GreedyBalanced) keeps each shard's owned set
-	// topologically tight, so its radius-r halo adds fewer carrier
-	// nodes and the duplicated flooding work across shards shrinks.
-	// Verdicts are identical under every assignment. This is the halo
-	// cut; the scheduler layout inside each shard's runtime has its own
-	// partitioner knob at Dist.Partitioner.
-	Partitioner partition.Partitioner
-	// Dist tunes the scheduler of every sharded runtime.
-	Dist dist.Options
 }
 
 func (o Options) workers() int {
@@ -44,22 +26,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (o Options) shards() int {
-	if o.Shards > 0 {
-		return o.Shards
-	}
-	return 1
-}
-
-// partitioner resolves the halo partitioner: the configured one, or
-// the contiguous id-range default.
-func (o Options) partitioner() partition.Partitioner {
-	if o.Partitioner != nil {
-		return o.Partitioner
-	}
-	return partition.Contiguous{}
 }
 
 // Verdict is one node's decision, as streamed by CheckStream.
@@ -80,7 +46,6 @@ type Engine struct {
 	// second caller at the same radius from doubling the work).
 	mu    sync.Mutex
 	views map[int]*viewCache // radius -> proof-free skeletons, aligned with in.G.Nodes()
-	nets  map[int]*netCache  // radius -> sharded message-passing runtimes
 
 	// flats recycles the dense proof tables of the cached-view paths:
 	// one table per in-flight check, loaded in O(n) from the map-backed
@@ -129,12 +94,6 @@ func (c *viewCache) ballIndexes(g *graph.Graph) [][]int32 {
 	return c.balls
 }
 
-type netCache struct {
-	once sync.Once
-	sn   *shardedNets
-	err  error
-}
-
 // New builds an engine for the instance. The instance (graph, labels,
 // weights, globals) must not be mutated while the engine serves; if it
 // is, call Invalidate to drop the stale caches.
@@ -146,22 +105,18 @@ func New(in *core.Instance, opt Options) *Engine {
 		in:    in,
 		opt:   opt,
 		views: make(map[int]*viewCache),
-		nets:  make(map[int]*netCache),
 	}
 }
 
 // Instance returns the instance the engine serves.
 func (e *Engine) Instance() *core.Instance { return e.in }
 
-// Invalidate drops every cached view skeleton and sharded runtime.
-// Checks already in flight keep using the caches they resolved (a
-// dropped sharded runtime finishes its current runs and is then
-// garbage collected); new checks rebuild.
+// Invalidate drops every cached view skeleton. Checks already in
+// flight keep using the caches they resolved; new checks rebuild.
 func (e *Engine) Invalidate() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.views = make(map[int]*viewCache)
-	e.nets = make(map[int]*netCache)
 }
 
 // InvalidateRadius drops the caches of a single radius, leaving other
@@ -170,7 +125,6 @@ func (e *Engine) InvalidateRadius(radius int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.views, radius)
-	delete(e.nets, radius)
 }
 
 // viewsFor returns the per-node skeletons for the radius, building and

@@ -3,7 +3,7 @@ package engine_test
 // Property tests for the amortized engine: every serving shape must be
 // verdict-for-verdict identical to core.Check, across the whole scheme
 // catalog, including adversarial (tampered, truncated, random) proofs,
-// and regardless of worker/shard configuration.
+// and regardless of worker configuration.
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 
 	"lcp"
 	"lcp/internal/core"
-	"lcp/internal/dist"
 	"lcp/internal/engine"
 	"lcp/internal/graph"
 	"lcp/internal/partition"
@@ -38,12 +37,6 @@ func checkAllPaths(t *testing.T, ctx string, e *engine.Engine, in *core.Instance
 	want := core.Check(in, p, v)
 	resultsEqual(t, ctx+" [check-proof]", e.CheckProof(p, v), want)
 
-	dres, err := e.CheckDistributed(p, v)
-	if err != nil {
-		t.Fatalf("%s: CheckDistributed: %v", ctx, err)
-	}
-	resultsEqual(t, ctx+" [sharded-dist]", dres, want)
-
 	stream := &core.Result{Outputs: make(map[int]bool, in.G.N())}
 	for verdict := range e.CheckStream(context.Background(), p, v) {
 		if _, dup := stream.Outputs[verdict.Node]; dup {
@@ -66,10 +59,7 @@ func TestEngineAgreesWithCoreAcrossCatalog(t *testing.T) {
 			}
 			v := exp.Scheme.Verifier()
 			in := exp.MakeYes(size, 1)
-			// Shards chosen to exercise real halo clipping at this size;
-			// the BFS partitioner makes the halo cut follow topology
-			// instead of identifier ranges, catalog-wide.
-			e := engine.New(in, engine.Options{Workers: 3, Shards: 3, Partitioner: partition.BFSChunks{}})
+			e := engine.New(in, engine.Options{Workers: 3})
 			p, err := exp.Scheme.Prove(in)
 			if err != nil {
 				t.Fatalf("prove yes-instance: %v", err)
@@ -81,7 +71,7 @@ func TestEngineAgreesWithCoreAcrossCatalog(t *testing.T) {
 			checkAllPaths(t, "truncated", e, in, p.Truncated(1), v)
 			if exp.MakeNo != nil {
 				no := exp.MakeNo(size, 2)
-				ne := engine.New(no, engine.Options{Workers: 2, Shards: 4, Partitioner: partition.GreedyBalanced{}})
+				ne := engine.New(no, engine.Options{Workers: 2})
 				checkAllPaths(t, "no-empty-proof", ne, no, core.Proof{}, v)
 				for _, bits := range []int{1, 16} {
 					checkAllPaths(t, fmt.Sprintf("no-random-%d", bits), ne, no,
@@ -93,7 +83,7 @@ func TestEngineAgreesWithCoreAcrossCatalog(t *testing.T) {
 }
 
 // TestEngineWorkerShardConfigurations: the verdict map is invariant
-// under every worker/shard split, on an instance where nodes reject.
+// under every worker-pool size, on an instance where nodes reject.
 func TestEngineWorkerShardConfigurations(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(16)) // even cycle
 	v := lcp.OddNScheme().Verifier()     // rejects somewhere
@@ -105,16 +95,9 @@ func TestEngineWorkerShardConfigurations(t *testing.T) {
 	for _, opt := range []engine.Options{
 		{},
 		{Workers: 1},
-		{Workers: 1, Shards: 1},
-		{Workers: 5, Shards: 2},
-		{Workers: 2, Shards: 7},
-		{Shards: 16}, // one node per shard
-		{Shards: 99}, // more shards than nodes
-		{Shards: 3, Dist: dist.Options{FreeRunning: true}},
-		{Shards: 3, Partitioner: partition.BFSChunks{}},
-		{Shards: 4, Partitioner: partition.GreedyBalanced{}, Dist: dist.Options{Sharded: true, Shards: 2}},
-		{Shards: 16, Partitioner: partition.BFSChunks{}}, // one node per shard, BFS order
-		{Shards: 3, Partitioner: partition.BFSChunks{}, Dist: dist.Options{Sharded: true, FreeRunning: true, Partitioner: partition.BFSChunks{}}},
+		{Workers: 5},
+		{Workers: 16}, // one node per worker
+		{Workers: 99}, // more workers than nodes
 	} {
 		e := engine.New(in, opt)
 		checkAllPaths(t, fmt.Sprintf("opts=%+v", opt), e, in, p, v)
@@ -132,7 +115,7 @@ func TestEngineCachedViewsSurviveManyProofs(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := scheme.Verifier()
-	e := engine.New(in, engine.Options{Shards: 2})
+	e := engine.New(in, engine.Options{})
 	for i := 0; i < 50; i++ {
 		proof := core.FlipBit(p, int64(i))
 		want := core.Check(in, proof, v)
@@ -215,7 +198,7 @@ func TestEngineConcurrentChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := scheme.Verifier()
-	e := engine.New(in, engine.Options{Shards: 2})
+	e := engine.New(in, engine.Options{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 32; i++ {
@@ -233,7 +216,7 @@ func TestEngineConcurrentChecks(t *testing.T) {
 				got = e.CheckProof(proof, v)
 			case 1:
 				var err error
-				got, err = e.CheckDistributed(proof, v)
+				got, err = e.CheckProofCtx(context.Background(), proof, v)
 				if err != nil {
 					errs <- err
 					return
@@ -266,21 +249,13 @@ func TestEngineInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := scheme.Verifier()
-	e := engine.New(in, engine.Options{Shards: 2})
+	e := engine.New(in, engine.Options{})
 	want := core.Check(in, p, v)
 	resultsEqual(t, "warm", e.CheckProof(p, v), want)
 	e.InvalidateRadius(v.Radius())
 	resultsEqual(t, "after radius invalidate", e.CheckProof(p, v), want)
-	if _, err := e.CheckDistributed(p, v); err != nil {
-		t.Fatal(err)
-	}
 	e.Invalidate()
 	resultsEqual(t, "after full invalidate", e.CheckProof(p, v), want)
-	dres, err := e.CheckDistributed(p, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsEqual(t, "dist after full invalidate", dres, want)
 }
 
 // TestEngineMultipleRadiiShareInstance: verifiers with different
@@ -288,30 +263,21 @@ func TestEngineInvalidate(t *testing.T) {
 func TestEngineMultipleRadiiShareInstance(t *testing.T) {
 	in := lcp.NewInstance(lcp.Grid(4, 5))
 	p := core.RandomProof(in, 4, 1)
-	e := engine.New(in, engine.Options{Shards: 3})
+	e := engine.New(in, engine.Options{})
 	for _, r := range []int{0, 2, 1, 2, 0} {
 		v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
 			return w.Radius == r && len(w.Dist) == w.G.N()
 		}}
 		resultsEqual(t, fmt.Sprintf("radius %d", r), e.CheckProof(p, v), core.Check(in, p, v))
-		dres, err := e.CheckDistributed(p, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, fmt.Sprintf("dist radius %d", r), dres, core.Check(in, p, v))
 	}
 }
 
 // TestEngineEmptyGraph: degenerate instance serves empty results.
 func TestEngineEmptyGraph(t *testing.T) {
-	e := engine.New(lcp.NewInstance(lcp.NewBuilder().Graph()), engine.Options{Shards: 4})
+	e := engine.New(lcp.NewInstance(lcp.NewBuilder().Graph()), engine.Options{})
 	v := lcp.BipartiteScheme().Verifier()
 	if res := e.CheckProof(core.Proof{}, v); len(res.Outputs) != 0 || !res.Accepted() {
 		t.Errorf("empty graph CheckProof: %v", res)
-	}
-	res, err := e.CheckDistributed(core.Proof{}, v)
-	if err != nil || len(res.Outputs) != 0 {
-		t.Errorf("empty graph CheckDistributed: %v, %v", res, err)
 	}
 	for range e.CheckStream(context.Background(), core.Proof{}, v) {
 		t.Error("empty graph stream delivered a verdict")
@@ -363,33 +329,6 @@ func TestEngineFlatProofBallRestriction(t *testing.T) {
 	checkAllPaths(t, "flat-restriction", e, in, p, v)
 }
 
-// TestEngineDistributedHaloNodesNeverDecide: halo-only nodes of a
-// shard's sub-instance see balls clipped at the halo boundary; they
-// must carry messages without ever running the verifier, or a
-// structure-asserting verifier would panic on a view no real node of
-// the full graph sees and CheckDistributed would error where core.Check
-// accepts.
-func TestEngineDistributedHaloNodesNeverDecide(t *testing.T) {
-	in := lcp.NewInstance(lcp.Cycle(12))
-	v := core.VerifierFunc{R: 2, F: func(w *core.View) bool {
-		if len(w.Dist) != 5 { // every radius-2 ball of C12 has 5 nodes
-			panic(fmt.Sprintf("clipped ball of %d nodes at %d", len(w.Dist), w.Center))
-		}
-		return true
-	}}
-	want := core.Check(in, core.Proof{}, v)
-	for _, opt := range []engine.Options{
-		{Shards: 3},
-		{Shards: 3, Dist: dist.Options{Sharded: true, Shards: 2}},
-	} {
-		res, err := engine.New(in, opt).CheckDistributed(core.Proof{}, v)
-		if err != nil {
-			t.Fatalf("opts=%+v: halo node ran the verifier: %v", opt, err)
-		}
-		resultsEqual(t, fmt.Sprintf("opts=%+v", opt), res, want)
-	}
-}
-
 // TestEngineM2WrappedScheme: the §7.1 M2 translation's verifier is the
 // one catalog citizen that needs the proof restriction as a value (it
 // re-addresses the ball with virtual identifiers via View.BallProof),
@@ -408,71 +347,49 @@ func TestEngineM2WrappedScheme(t *testing.T) {
 	if !core.Check(in, p, v).Accepted() {
 		t.Fatal("setup: honest M2 proof rejected by the reference runner")
 	}
-	e := engine.New(in, engine.Options{Workers: 2, Shards: 2})
+	e := engine.New(in, engine.Options{Workers: 2})
 	checkAllPaths(t, "m2-honest", e, in, p, v)
 	checkAllPaths(t, "m2-tampered", e, in, core.FlipBit(p, 5), v)
 }
 
-// TestEngineHaloShrinksWithLocalityPartitioner: every node a shard does
-// not own but must wire is a duplicated flooding carrier, so the summed
-// halo sizes measure what CheckDistributed over-pays relative to one
-// big runtime. On a scrambled grid the contiguous owned sets are
-// scattered — nearly every owned node sits on a boundary and drags a
-// radius-r ball of carriers in — while BFS-chunked owned sets are tight
-// regions with thin boundaries. The verdicts must not move at all.
+// TestEngineHaloShrinksWithLocalityPartitioner: HaloInstance cuts the
+// union of radius-r balls around an owned set, and every node it adds
+// beyond the owned ones is a duplicated carrier. On a scrambled grid
+// the contiguous owned sets are scattered — nearly every owned node
+// sits on a boundary and drags a radius-r ball of carriers in — while
+// BFS-chunked owned sets are tight regions with thin boundaries. The
+// halo must still see every owned node's full ball: core.Check on the
+// halo agrees with the full instance on every owned node.
 func TestEngineHaloShrinksWithLocalityPartitioner(t *testing.T) {
 	in := lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(16, 16), 7))
-	const radius = 2
-	sum := func(e *engine.Engine) int {
-		sizes, err := e.HaloSizes(radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, s := range sizes {
-			n += s
-		}
-		return n
-	}
-	contig := sum(engine.New(in, engine.Options{Shards: 4}))
-	bfs := sum(engine.New(in, engine.Options{Shards: 4, Partitioner: partition.BFSChunks{}}))
-	if bfs >= contig {
-		t.Errorf("summed halo sizes: bfs=%d contiguous=%d — want strictly smaller", bfs, contig)
-	}
+	const radius, shards = 2, 4
 	p := core.RandomProof(in, 3, 2)
 	v := core.VerifierFunc{R: radius, F: func(w *core.View) bool { return w.G.N() > 6 }}
 	want := core.Check(in, p, v)
-	for _, opt := range []engine.Options{
-		{Shards: 4},
-		{Shards: 4, Partitioner: partition.BFSChunks{}},
-		{Shards: 4, Partitioner: partition.GreedyBalanced{}},
-	} {
-		got, err := engine.New(in, opt).CheckDistributed(p, v)
-		if err != nil {
-			t.Fatalf("opts=%+v: %v", opt, err)
+	sum := func(pt partition.Partitioner) int {
+		groups := partition.Groups(in.G, pt.Assign(in.G, shards), shards)
+		n := 0
+		for _, owned := range groups {
+			halo := engine.HaloInstance(in, owned, radius)
+			n += halo.G.N()
+			got := core.Check(halo, p, v)
+			for _, id := range owned {
+				if got.Outputs[id] != want.Outputs[id] {
+					t.Fatalf("%s: node %d decides %v on its halo, %v on the full instance", pt.Name(), id, got.Outputs[id], want.Outputs[id])
+				}
+			}
 		}
-		resultsEqual(t, fmt.Sprintf("halo opts=%+v", opt), got, want)
+		return n
+	}
+	contig, bfs := sum(partition.Contiguous{}), sum(partition.BFSChunks{})
+	sum(partition.GreedyBalanced{})
+	if bfs >= contig {
+		t.Errorf("summed halo sizes: bfs=%d contiguous=%d — want strictly smaller", bfs, contig)
 	}
 }
 
-// TestEngineInvalidPartitioner: a malformed custom assignment surfaces
-// as a CheckDistributed error, and the cached error persists like any
-// other failed shard build.
-func TestEngineInvalidPartitioner(t *testing.T) {
-	in := lcp.NewInstance(lcp.Cycle(8))
-	e := engine.New(in, engine.Options{Shards: 3, Partitioner: truncatedPartitioner{}})
-	if _, err := e.CheckDistributed(core.Proof{}, lcp.OddNScheme().Verifier()); err == nil {
-		t.Error("invalid assignment accepted")
-	}
-}
-
-type truncatedPartitioner struct{}
-
-func (truncatedPartitioner) Name() string                 { return "truncated" }
-func (truncatedPartitioner) Assign(*lcp.Graph, int) []int { return []int{0} }
-
-// TestEngineDirectedInstances: halo sharding follows undirected
-// reachability on directed graphs.
+// TestEngineDirectedInstances: the cached views follow undirected
+// reachability on directed graphs while keeping their arcs directed.
 func TestEngineDirectedInstances(t *testing.T) {
 	b := lcp.NewDirectedBuilder()
 	for i := 1; i < 10; i++ {
@@ -482,10 +399,10 @@ func TestEngineDirectedInstances(t *testing.T) {
 	in := core.NewInstance(b.Graph()).SetNodeLabel(1, core.LabelS).SetNodeLabel(9, core.LabelT)
 	p := core.RandomProof(in, 4, 11)
 	v := core.VerifierFunc{R: 2, F: func(w *core.View) bool {
-		// Depends on arcs, labels and proofs in the view, so any halo
+		// Depends on arcs, labels and proofs in the view, so any ball
 		// clipping bug flips verdicts somewhere.
 		return w.G.M()%2 == 0 || w.ProofOf(w.Center).Len() > 0 || w.Label(w.Center) != ""
 	}}
-	e := engine.New(in, engine.Options{Shards: 3})
+	e := engine.New(in, engine.Options{Workers: 3})
 	checkAllPaths(t, "directed", e, in, p, v)
 }

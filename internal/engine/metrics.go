@@ -3,18 +3,12 @@ package engine
 import "lcp/internal/obs"
 
 // The engine's observable quantities are its amortization story: how
-// often a check found the radius's skeleton cache warm, how much was
-// built when it wasn't, and how much flooding the halo cut duplicates
-// across the sharded runtimes (carriers are exactly the nodes paid for
-// more than once — the quantity the locality-aware partitioners
-// minimize).
+// often a check found the radius's skeleton cache warm, and how much
+// was built when it wasn't.
 var (
-	engineViewHits    = obs.Default().Counter("lcp_engine_cache_hits_total", "Checks that found their radius's view-skeleton cache already built.")
-	engineViewMisses  = obs.Default().Counter("lcp_engine_cache_misses_total", "Checks that built their radius's view-skeleton cache.")
-	engineSkeletons   = obs.Default().Counter("lcp_engine_skeletons_built_total", "Proof-free view skeletons constructed by cache builds.")
-	engineHaloOwned   = obs.Default().Counter("lcp_engine_halo_nodes_total", "Nodes wired into sharded runtimes, split by role: owned nodes decide, carrier nodes are halo padding that only floods (duplicated work across shards).", obs.Label{Name: "kind", Value: "owned"})
-	engineHaloCarrier = obs.Default().Counter("lcp_engine_halo_nodes_total", "Nodes wired into sharded runtimes, split by role: owned nodes decide, carrier nodes are halo padding that only floods (duplicated work across shards).", obs.Label{Name: "kind", Value: "carrier"})
-	engineRuntimes    = obs.Default().Counter("lcp_engine_runtimes_wired_total", "Reusable dist runtimes wired by netsFor cache builds.")
+	engineViewHits   = obs.Default().Counter("lcp_engine_cache_hits_total", "Checks that found their radius's view-skeleton cache already built.")
+	engineViewMisses = obs.Default().Counter("lcp_engine_cache_misses_total", "Checks that built their radius's view-skeleton cache.")
+	engineSkeletons  = obs.Default().Counter("lcp_engine_skeletons_built_total", "Proof-free view skeletons constructed by cache builds.")
 	// engineBatchColumns counts proofs served by the column-wise batch
 	// path, the unit the ≥2× ns/proof target is measured in.
 	engineBatchColumns = obs.Default().Counter("lcp_engine_batch_columns_total", "Proofs verified through the column-wise batch path (CheckBatchColumns).")

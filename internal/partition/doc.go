@@ -1,13 +1,14 @@
-// Package partition assigns graph nodes to scheduler shards.
+// Package partition assigns graph nodes to runtime shards.
 //
 // Every sharded execution layer in the repository — the dist runtime's
-// shard goroutines, the engine's halo sub-instances, and the worker
-// pools that split node ranges — ultimately needs a map from nodes to
-// shards. The LOCAL model charges only for communication rounds, but
-// the simulation's wall-clock cost is dominated by cross-shard message
-// traffic: a same-shard edge is a direct merge with no channel, while a
-// cross-shard edge costs two ports, two channel operations per round,
-// and (in the engine) a duplicated halo carrier. This package therefore
+// shard goroutines, the dist-tcp workers' halo sub-instances, and the
+// worker pools that split node ranges — ultimately needs a map from
+// nodes to shards. The LOCAL model charges only for communication
+// rounds, but the simulation's wall-clock cost is dominated by
+// cross-shard message traffic: a same-shard edge is a direct merge,
+// while a cross-shard edge costs a transport delivery per direction per
+// round (wire bytes on dist-tcp) and widens the owning workers' halos.
+// This package therefore
 // treats partitioning as a quality problem, not an indexing detail: the
 // Partitioner interface produces a node→shard assignment, and the three
 // implementations trade assignment cost against cut quality.
@@ -23,9 +24,9 @@
 //     neighbouring shard where most of their edges live, under a balance
 //     constraint, strictly reducing the cut at every move.
 //
-// CutEdges measures what the schedulers pay for; BenchmarkPartitioners
+// CutEdges measures what the shard layouts pay for; BenchmarkPartitioners
 // and BENCH_partition.json track it alongside round throughput. All
 // partitioners are deterministic and verdict-neutral: property tests in
-// internal/dist and internal/engine assert that every assignment yields
-// results identical to core.Check.
+// internal/dist assert that every assignment yields results identical
+// to core.Check.
 package partition

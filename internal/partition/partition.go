@@ -79,9 +79,9 @@ func Groups(g *graph.Graph, assign []int, shards int) [][]int {
 }
 
 // CutEdges counts the edges of g whose endpoints are assigned to
-// different shards — the edges that cost channels and per-round message
-// traffic in the sharded schedulers (each one becomes two directed
-// ports). assign is indexed like Assign's result.
+// different shards — the edges that cost per-round transport traffic in
+// the shard layouts (each one becomes two directed cut-edge links).
+// assign is indexed like Assign's result.
 func CutEdges(g *graph.Graph, assign []int) int {
 	cut := 0
 	for _, e := range g.Edges() {

@@ -89,29 +89,25 @@ type instanceEntry struct {
 	Doc    *textio.Document
 	Engine *engine.Engine
 	elem   *list.Element // LRU position; nil for inline one-shot entries
-	// alt holds lazily wired engines for per-request partitioner
-	// overrides, keyed by partitioner name and guarded by the server
-	// mutex. They share the entry's instance; only the distributed-shard
-	// cut differs, so each warms its own runtime caches on first use.
-	alt map[string]*engine.Engine
-	// remote holds the entry's dist-tcp checkers, keyed by scheme and
-	// partitioner and guarded by the server mutex. Each one dialed the
-	// worker fleet and registered the instance on first use — the
-	// expensive part of the multi-process path — so repeated requests
-	// reuse the registration like the engine paths reuse cached views.
-	// Evicting or deleting the entry closes them, which tells the fleet
-	// to forget the instance.
-	remote map[string]lcp.Checker
+	// dist holds the entry's dist and dist-tcp checkers, keyed by
+	// backend, scheme and partitioner and guarded by the server mutex.
+	// Each one wires its shards (dist) or dials the worker fleet and
+	// registers the instance (dist-tcp) on first use — the expensive
+	// part of the message-passing paths — so repeated requests reuse
+	// the wiring like the engine path reuses cached views. Evicting or
+	// deleting the entry closes them, which tells a fleet to forget the
+	// instance.
+	dist map[string]lcp.Checker
 }
 
-// closeRemote closes the entry's dist-tcp checkers (fleet
-// deregistration + control connections). Caller holds the server mutex
-// or owns the entry exclusively.
-func (entry *instanceEntry) closeRemote() {
-	for _, chk := range entry.remote {
+// closeDist closes the entry's dist and dist-tcp checkers (dropped
+// wirings; fleet deregistration + control connections). Caller holds
+// the server mutex or owns the entry exclusively.
+func (entry *instanceEntry) closeDist() {
+	for _, chk := range entry.dist {
 		lcp.CloseChecker(chk)
 	}
-	entry.remote = nil
+	entry.dist = nil
 }
 
 // latencyBoundsMS are the fixed per-endpoint histogram bucket upper
@@ -335,20 +331,21 @@ type checkRequest struct {
 	// Proofs is the batch variant (POST /check/batch only).
 	Proofs []map[string]string `json:"proofs,omitempty"`
 	// Backend overrides the execution path for this request: "core",
-	// "dist", "engine", or "engine-dist". It resolves through the same
+	// "dist", "engine", or "dist-tcp" ("engine-dist" is an alias of
+	// "dist"). It resolves through the same
 	// config.Set resolver as the lcpserve flags, so the names (and the
 	// semantics) are identical on the command line and on the wire.
 	// Empty means the server's configured default backend.
 	Backend string `json:"backend,omitempty"`
 	// Distributed is the legacy alias for Backend: true selects
-	// "engine-dist". Set either Distributed or Backend, not both.
+	// "dist". Set either Distributed or Backend, not both.
 	Distributed bool `json:"distributed,omitempty"`
 	// Partitioner overrides how the distributed backends assign nodes
 	// to shards for this request: "contiguous", "bfs", or "greedy" (see
 	// internal/partition). Requires a distributed backend. Empty means
 	// the server's configured default. Each named partitioner gets its
-	// own long-lived engine per registered instance, so repeated
-	// requests amortize exactly like the default one.
+	// own long-lived checker per registered instance and scheme, so
+	// repeated requests amortize exactly like the default one.
 	Partitioner string `json:"partitioner,omitempty"`
 	// StopOnReject makes /check/stream cancel remaining work as soon
 	// as the first rejection streams out.
@@ -622,9 +619,9 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 		// exact client bug this guard exists for. The check runs against
 		// the resolved backend, so a server whose *default* backend is
 		// distributed honors partitioner-only requests.
-		if b := cfg.ResolvedBackend(); b != config.BackendDist && b != config.BackendEngineDist && b != config.BackendDistTCP {
-			return cfg, fmt.Errorf("%q requires a distributed backend (%q, %q, or %q), resolved backend is %q",
-				"partitioner", config.BackendDist, config.BackendEngineDist, config.BackendDistTCP, b)
+		if b := cfg.ResolvedBackend(); b != config.BackendDist && b != config.BackendDistTCP {
+			return cfg, fmt.Errorf("%q requires a distributed backend (%q or %q), resolved backend is %q",
+				"partitioner", config.BackendDist, config.BackendDistTCP, b)
 		}
 		if err := cfg.Set("partitioner", req.Partitioner); err != nil {
 			return cfg, err
@@ -649,51 +646,23 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 	return cfg, nil
 }
 
-// engineFor picks the entry's engine for the resolved config's
-// partitioner. The server's configured default policy is the primary
-// engine; any other partitioner gets a lazily wired engine of its own,
-// cached on the entry so repeated requests amortize their view and
-// runtime caches exactly like the default path.
-func (s *Server) engineFor(entry *instanceEntry, cfg config.Config) *engine.Engine {
-	name := cfg.PartitionerName()
-	if name == s.base.PartitionerName() {
-		return entry.Engine
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := entry.alt[name]; ok {
-		return e
-	}
-	// One policy at both levels, mirroring lcpserve's -partitioner
-	// flag: the halo cut across dist runtimes and the shard layout
-	// inside each runtime — EngineOptions derives both from the one
-	// Config.Partitioner.
-	e := engine.New(entry.Doc.Instance, cfg.EngineOptions())
-	if entry.alt == nil {
-		entry.alt = make(map[string]*engine.Engine)
-	}
-	entry.alt[name] = e
-	return e
-}
-
 // checkerFor builds the façade checker executing one request: the
-// resolved config's backend over the entry's instance, backed by the
-// entry's cached engine on the engine backends (so every request
-// amortizes the same views and runtimes) and wrapped in the fail-closed
-// safeVerifier. Checkers on the engine backends are cheap per-request
-// shims over the shared engine; the core and dist reference backends
-// carry their own (per-request) state.
+// resolved config's backend over the entry's instance. The engine
+// backend is a cheap per-request shim over the entry's cached engine
+// (so every request amortizes the same views); the message-passing
+// backends come from distCheckerFor, cached per entry. Every
+// in-process verifier is wrapped in the fail-closed safeVerifier.
 func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
-	if cfg.ResolvedBackend() == config.BackendDistTCP {
-		return s.remoteCheckerFor(entry, cfg, scheme)
+	switch cfg.ResolvedBackend() {
+	case config.BackendDist, config.BackendDistTCP:
+		return s.distCheckerFor(entry, cfg, scheme)
 	}
 	opts := []lcp.CheckerOption{
 		lcp.WithBackend(string(cfg.ResolvedBackend())),
 		lcp.WithVerifier(safeVerifier{scheme.Verifier()}),
 	}
-	switch cfg.ResolvedBackend() {
-	case config.BackendEngine, config.BackendEngineDist:
-		opts = append(opts, lcp.WithEngine(s.engineFor(entry, cfg)))
+	if cfg.ResolvedBackend() == config.BackendEngine {
+		opts = append(opts, lcp.WithEngine(entry.Engine))
 		// The batch strategy rides the config, not the shared engine:
 		// auto is the checker default, so only a forced mode needs an
 		// option.
@@ -703,45 +672,43 @@ func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core
 		case config.BatchColumnsOff:
 			opts = append(opts, lcp.WithBatchColumns(false))
 		}
-	case config.BackendDist:
-		d := cfg.DistOptions()
-		opts = append(opts,
-			lcp.WithSharded(d.Sharded),
-			lcp.WithShards(d.Shards),
-			lcp.WithFreeRunning(d.FreeRunning),
-			lcp.WithPartitioner(d.Partitioner),
-		)
 	}
 	return lcp.NewChecker(entry.Doc.Instance, opts...)
 }
 
-// remoteCheckerFor returns the entry's dist-tcp checker for the
-// request's scheme and partitioner, building it on first use. The
-// checker registers the instance on the worker fleet lazily (at first
-// check), so a cached checker amortizes the halo shipping across
-// requests; eviction closes it, deregistering fleet-side. The verifier
-// is not wrapped in safeVerifier — it runs in the worker process, whose
-// shard runner already converts verifier panics to errors.
-func (s *Server) remoteCheckerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
-	key := scheme.Name() + "\x00" + cfg.PartitionerName()
+// distCheckerFor returns the entry's dist or dist-tcp checker for the
+// request's scheme and partitioner, building it on first use. A dist
+// checker wires the instance's shards at its first check; a dist-tcp
+// checker registers the instance on the worker fleet. Either way a
+// cached checker amortizes that cost across requests, and eviction
+// closes it (deregistering fleet-side). The dist-tcp verifier is not
+// wrapped in safeVerifier — it runs in the worker process, whose shard
+// runner already converts verifier panics to errors.
+func (s *Server) distCheckerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
+	backend := cfg.ResolvedBackend()
+	key := string(backend) + "\x00" + scheme.Name() + "\x00" + cfg.PartitionerName()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if chk, ok := entry.remote[key]; ok {
+	if chk, ok := entry.dist[key]; ok {
 		return chk, nil
 	}
-	chk, err := lcp.NewChecker(entry.Doc.Instance,
-		lcp.WithBackend(string(config.BackendDistTCP)),
-		lcp.WithScheme(scheme),
-		lcp.WithWorkerAddrs(cfg.WorkerAddrs...),
+	opts := []lcp.CheckerOption{
+		lcp.WithBackend(string(backend)),
 		lcp.WithPartitioner(cfg.Partitioner),
-	)
+	}
+	if backend == config.BackendDistTCP {
+		opts = append(opts, lcp.WithScheme(scheme), lcp.WithWorkerAddrs(cfg.WorkerAddrs...))
+	} else {
+		opts = append(opts, lcp.WithVerifier(safeVerifier{scheme.Verifier()}), lcp.WithShards(cfg.Shards))
+	}
+	chk, err := lcp.NewChecker(entry.Doc.Instance, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if entry.remote == nil {
-		entry.remote = make(map[string]lcp.Checker)
+	if entry.dist == nil {
+		entry.dist = make(map[string]lcp.Checker)
 	}
-	entry.remote[key] = chk
+	entry.dist[key] = chk
 	return chk, nil
 }
 
@@ -794,7 +761,7 @@ func (s *Server) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 	// fleet off the request path: an in-flight remote check holds its
 	// coordinator's lock, so closing waits for it to drain.
 	for _, old := range evictedEntries {
-		go old.closeRemote()
+		go old.closeDist()
 	}
 	writeJSON(w, http.StatusCreated, s.info(entry))
 }
@@ -846,7 +813,7 @@ func (s *Server) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 	// dist-tcp checkers hold fleet registrations, so those are closed
 	// explicitly — off the response path, since close waits for any
 	// in-flight remote check to drain.
-	go entry.closeRemote()
+	go entry.closeDist()
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
@@ -905,8 +872,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if entry.elem == nil {
 		// Inline one-shot entry: nothing caches it, so a dist-tcp
 		// checker must deregister from the fleet when the request ends
-		// (a no-op on the in-process backends).
-		defer entry.closeRemote()
+		// (a dist checker just drops its wirings).
+		defer entry.closeDist()
 	}
 	p, err := requestProof(entry.Doc.Instance, entry.Doc, &req)
 	if err != nil {
@@ -958,8 +925,8 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	if entry.elem == nil {
 		// Inline one-shot entry: nothing caches it, so a dist-tcp
 		// checker must deregister from the fleet when the request ends
-		// (a no-op on the in-process backends).
-		defer entry.closeRemote()
+		// (a dist checker just drops its wirings).
+		defer entry.closeDist()
 	}
 	if len(req.Proofs) == 0 {
 		writeError(w, http.StatusBadRequest, "batch request needs a \"proofs\" array")
@@ -1056,8 +1023,8 @@ func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
 	if entry.elem == nil {
 		// Inline one-shot entry: nothing caches it, so a dist-tcp
 		// checker must deregister from the fleet when the request ends
-		// (a no-op on the in-process backends).
-		defer entry.closeRemote()
+		// (a dist checker just drops its wirings).
+		defer entry.closeDist()
 	}
 	p, err := requestProof(entry.Doc.Instance, entry.Doc, &req)
 	if err != nil {

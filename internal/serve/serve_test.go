@@ -19,14 +19,13 @@ import (
 	"lcp"
 	"lcp/internal/config"
 	"lcp/internal/core"
-	"lcp/internal/dist"
 	"lcp/internal/serve"
 	"lcp/internal/textio"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), config.Config{Runtimes: 2}))
+	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), config.Config{Shards: 2}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -92,15 +91,14 @@ func proofWire(p core.Proof) map[string]string {
 // TestServeDistributedBatchConcurrentShards is the -race stress test of
 // concurrent shard checks inside a single serve request: one
 // /check/batch with distributed=true fans its proofs out over the
-// engine's sharded dist runtimes concurrently (each proof's shards also
-// flood in parallel, on the sharded scheduler), so the whole wiring pool
-// and the shard barriers are exercised under contention. Verdicts must
-// match the sequential reference proof-for-proof.
+// instance's dist network concurrently (each proof's shards also flood
+// in parallel), so the whole wiring pool and the round gates are
+// exercised under contention. Verdicts must match the sequential
+// reference proof-for-proof.
 func TestServeDistributedBatchConcurrentShards(t *testing.T) {
 	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), config.Config{
-		Workers:  4,
-		Runtimes: 3,
-		Dist:     dist.Options{Sharded: true, Shards: 2},
+		Workers: 4,
+		Shards:  3,
 	}))
 	t.Cleanup(ts.Close)
 

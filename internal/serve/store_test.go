@@ -13,6 +13,7 @@ import (
 	"lcp"
 	"lcp/internal/config"
 	"lcp/internal/core"
+	"lcp/internal/dist"
 	"lcp/internal/serve"
 )
 
@@ -225,9 +226,9 @@ func TestServePartitionerOption(t *testing.T) {
 }
 
 // TestServePartitionerEnginesAmortize: repeated overridden requests hit
-// the same cached alternate engine — observable as stable verdicts over
-// many proofs without re-registering (and exercised for races by -race
-// CI runs).
+// the same cached dist checker for that partitioner — observable as
+// stable verdicts over many proofs without re-registering (and
+// exercised for races by -race CI runs).
 func TestServePartitionerEnginesAmortize(t *testing.T) {
 	ts := newTestServer(t)
 	in := lcp.NewInstance(lcp.Cycle(15))
@@ -259,5 +260,31 @@ func TestServePartitionerEnginesAmortize(t *testing.T) {
 		if out.Accepted != wantAccept {
 			t.Errorf("run %d: accepted=%v, want %v", i, out.Accepted, wantAccept)
 		}
+	}
+}
+
+// TestServeDistWiresOnce: the entry caches its dist checker, so two dist
+// requests on one instance — one spelled with the engine-dist alias —
+// wire the instance's shards once, not once per request.
+func TestServeDistWiresOnce(t *testing.T) {
+	ts := newTestServer(t)
+	in := lcp.NewInstance(lcp.Cycle(15))
+	scheme := lcp.OddNScheme()
+	p, err := scheme.Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := registerInstance(t, ts, docText(t, in, "odd-n", nil))
+	before := dist.Metrics().Wirings
+	for _, backend := range []string{"dist", "engine-dist"} {
+		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
+			"instance": id, "proof": proofWire(p), "backend": backend,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", backend, resp.StatusCode, body)
+		}
+	}
+	if got := dist.Metrics().Wirings - before; got != 1 {
+		t.Fatalf("two dist requests wired %v shard sets, want 1", got)
 	}
 }

@@ -1,18 +1,26 @@
 package transport
 
-// The in-process implementation: shared-memory mailboxes plus
-// channel-based round gates. It is the transport the equivalence tests
-// pin against TCP, and the reference for the round contract.
+// The in-process implementation: shared-memory inboxes plus
+// channel-based round gates. It is the transport every in-process
+// distributed check runs over, and the reference for the round
+// contract.
 //
 // Zero-copy is the point and the hazard: Send stages the caller's
 // batch slice by reference, and the receiving shard's merge reads it
 // in place. Two gates per round make that safe, mirroring the phase
-// argument of dist's floodShard:
+// argument of dist's Shard.Run:
 //
-//   - the Exchange gate (all shards have published round r's frames)
+//   - the Exchange gate (all shards have published round r's traffic)
 //     orders every publish before any read;
 //   - the Barrier gate (all shards have merged round r) orders every
 //     read before any round-r+1 rewind of the same buffers.
+//
+// A group keeps no per-pair state: each member owns one inbox that its
+// peers append to, so a round costs O(peers sent to + deliveries), not
+// O(group size). The inbox is double-buffered by round parity and the
+// staging slice is rewound after every publish, so steady-state rounds
+// allocate nothing; the Barrier argument above is what licenses the
+// reuse (see Exchange).
 //
 // The gates cannot use sync.Cond — a cancelled context must be able to
 // interrupt the wait — so they are one-shot channels closed by the
@@ -32,9 +40,14 @@ import (
 type InProc struct {
 	hub    *inprocHub
 	me     int
-	peers  []int
-	staged map[int][]Delivery // peer -> deliveries staged this round
+	staged []outgoing // this round's Sends, rewound after every publish
 	stats  Stats
+}
+
+// outgoing is one staged Send: a delivery bound for a peer's inbox.
+type outgoing struct {
+	peer int
+	del  Delivery
 }
 
 // NewInProcGroup builds a group of n in-process transports sharing one
@@ -42,19 +55,13 @@ type InProc struct {
 func NewInProcGroup(n int) []*InProc {
 	hub := &inprocHub{
 		n:       n,
-		boxes:   make([][]Delivery, n*n),
+		inbox:   make([][2][]Delivery, n),
 		gates:   make(map[int64]*gate),
 		aborted: make(chan struct{}),
 	}
 	group := make([]*InProc, n)
 	for i := range group {
-		peers := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers = append(peers, j)
-			}
-		}
-		group[i] = &InProc{hub: hub, me: i, peers: peers, staged: make(map[int][]Delivery)}
+		group[i] = &InProc{hub: hub, me: i}
 	}
 	return group
 }
@@ -65,44 +72,58 @@ func (t *InProc) Name() string { return "inproc" }
 // Shard is the index this transport speaks for.
 func (t *InProc) Shard() int { return t.me }
 
-// Peers lists the other shard indices, ascending.
-func (t *InProc) Peers() []int { return t.peers }
+// Peers lists the other shard indices, ascending. The list is built on
+// each call: the round loop never needs it, so a group stores none.
+func (t *InProc) Peers() []int {
+	peers := make([]int, 0, t.hub.n-1)
+	for j := 0; j < t.hub.n; j++ {
+		if j != t.me {
+			peers = append(peers, j)
+		}
+	}
+	return peers
+}
 
 // Send stages recs for node dst on shard peer. The slice is staged by
 // reference; the caller must keep it frozen until Barrier returns for
-// the current round (the same contract the channel scheduler's cur
-// buffers live by).
+// the current round (the same contract Shard.Run's cur buffers live
+// by).
 func (t *InProc) Send(peer, dst int, recs Batch) {
-	t.staged[peer] = append(t.staged[peer], Delivery{Dst: dst, Recs: recs})
+	t.staged = append(t.staged, outgoing{peer: peer, del: Delivery{Dst: dst, Recs: recs}})
 }
 
-// Exchange publishes this shard's staged traffic, waits until every
-// shard has published round's traffic, and collects the deliveries
-// addressed here.
+// Exchange publishes this shard's staged traffic into the peers'
+// inboxes, waits until every shard has published round's traffic, and
+// collects the deliveries addressed here.
+//
+// The returned slice is this shard's inbox for the round's parity. It
+// stays valid until the shard's Barrier of the next round returns: no
+// peer publishes into the same parity before round+2, and no peer
+// starts round+2 before this shard has closed round+1.
 func (t *InProc) Exchange(ctx context.Context, round int) ([]Delivery, error) {
 	h := t.hub
-	h.mu.Lock()
-	for _, p := range t.peers {
-		t.stats.FramesOut++
-		h.boxes[t.me*h.n+p] = t.staged[p]
-		t.staged[p] = nil
+	parity := round & 1
+	if len(t.staged) > 0 {
+		h.mu.Lock()
+		for _, o := range t.staged {
+			box := &h.inbox[o.peer][parity]
+			*box = append(*box, o.del)
+		}
+		h.mu.Unlock()
+		clear(t.staged) // drop the batch references for the GC
+		t.staged = t.staged[:0]
 	}
-	h.mu.Unlock()
 	if err := h.gate(ctx, gateKey(round, 0)); err != nil {
 		return nil, &Error{Transport: t.Name(), Round: round, Err: err}
 	}
-	var dels []Delivery
-	h.mu.Lock()
-	for _, p := range t.peers {
-		t.stats.FramesIn++
-		dels = append(dels, h.boxes[p*h.n+t.me]...)
-		h.boxes[p*h.n+t.me] = nil
-	}
-	h.mu.Unlock()
+	// Every round-r publish happened before the gate opened, and no
+	// peer touches this parity again before round+2, so the inbox is
+	// read and rewound without the lock.
+	box := &h.inbox[t.me][parity]
+	dels := *box
+	*box = dels[:0]
 	t.stats.Rounds++
 	metricRounds(t.Name()).Inc()
-	metricFrames(t.Name(), "in").Add(float64(len(t.peers)))
-	metricFrames(t.Name(), "out").Add(float64(len(t.peers)))
 	return dels, nil
 }
 
@@ -115,8 +136,8 @@ func (t *InProc) Barrier(ctx context.Context, round int) error {
 	return nil
 }
 
-// Stats reports traffic totals since construction. Bytes stay zero:
-// nothing is serialized in process.
+// Stats reports traffic totals since construction. Bytes and frames
+// stay zero: nothing is serialized in process.
 func (t *InProc) Stats() Stats { return t.stats }
 
 // Close poisons the group, unblocking every member still waiting at a
@@ -127,12 +148,13 @@ func (t *InProc) Close() error {
 	return nil
 }
 
-// inprocHub is the state shared by one transport group: the mailbox
-// matrix, the round gates, and the poison channel.
+// inprocHub is the state shared by one transport group: one
+// double-buffered inbox per member, the round gates, and the poison
+// channel.
 type inprocHub struct {
 	n       int
 	mu      sync.Mutex
-	boxes   [][]Delivery // [src*n+dst] staged deliveries
+	inbox   [][2][]Delivery // [dst][round parity] published deliveries
 	gates   map[int64]*gate
 	aborted chan struct{}
 	abort1  sync.Once

@@ -5,8 +5,8 @@ package transport
 // counting is the round synchronization (a shard can only read its
 // round-r frame from a peer that reached round r, and can only start
 // round r+1 after draining every round-r frame), so adjacent shards
-// skew by at most one round — the α-synchronization argument of the
-// free-running scheduler — and Barrier is a no-op: unlike in-process
+// skew by at most one round — the classic α-synchronizer — and Barrier
+// is a no-op: unlike in-process
 // zero-copy handover, frames are copied at Exchange time, so there is
 // no shared buffer to protect.
 //

@@ -2,25 +2,23 @@
 // message-passing runtime: per-round batched record delivery plus the
 // round synchronization that keeps the flooding protocol in lockstep.
 //
-// The dist scheduler's sharded layout always had this edge — cur
-// batches handed over cross-shard channel ports, rounds aligned by a
-// barrier — but it was welded to one process. Transport names the edge
-// so two implementations can stand behind it: InProc (shared-memory
-// mailboxes and gates, the zero-serialization default) and TCP
-// (length-prefixed binary frames between worker processes, one
-// connection per shard pair, per-round batch coalescing). The paper's
-// message complexity — every cut edge carries one batch per round —
-// becomes measured bytes on the wire without the round semantics
-// changing, which is what keeps verdicts identical to core.Check.
+// dist.Shard.Run, the repository's one round loop, hands every cut
+// edge's batch to a Transport, so two implementations stand behind the
+// same loop: InProc (shared-memory inboxes and gates, the
+// zero-serialization in-process default) and TCP (length-prefixed
+// binary frames between worker processes, one connection per shard
+// pair, per-round batch coalescing). The paper's message complexity —
+// every cut edge carries one batch per round — becomes measured bytes
+// on the wire without the round semantics changing, which is what
+// keeps verdicts identical to core.Check.
 //
-// A round over a Transport has exactly the shape of the in-process
-// scheduler's four phases (see dist/shard.go): freeze and stage the
-// outgoing batches (Send), exchange one coalesced frame with every
-// peer (Exchange — the delivery barrier), merge, then close the round
-// (Barrier — the reuse barrier that licenses buffer rewinding). TCP
-// needs no explicit barrier: frames are copied at staging time and
-// per-peer message counting bounds round skew by one, exactly the
-// α-synchronization argument of the free-running scheduler.
+// A round over a Transport has four phases (see dist/transportrun.go):
+// freeze and stage the outgoing batches (Send), exchange one coalesced
+// frame with every peer (Exchange — the delivery barrier), merge, then
+// close the round (Barrier — the reuse barrier that licenses buffer
+// rewinding). TCP needs no explicit barrier: frames are copied at
+// staging time and per-peer message counting bounds round skew by
+// one, the classic α-synchronizer.
 package transport
 
 import (

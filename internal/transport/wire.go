@@ -33,7 +33,7 @@ package transport
 // them. A group always names at least one destination.
 //
 // Records are self-contained (the same property the in-process
-// scheduler relies on for multi-hop forwarding), so decoding never
+// runtime relies on for multi-hop forwarding), so decoding never
 // needs the instance — only the automata that merge the records do.
 
 import (

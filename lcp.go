@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"lcp/internal/core"
-	"lcp/internal/dist"
 	"lcp/internal/engine"
 	"lcp/internal/graph"
 	"lcp/internal/partition"
@@ -132,28 +131,13 @@ func Check(in *Instance, p Proof, v Verifier) *Result {
 	return rep.Result()
 }
 
-// CheckDistributed runs the verifier on the goroutine-per-node LOCAL
-// runtime: each node collects its radius-r view by flooding and decides.
-//
-// Deprecated: use NewChecker with WithBackend(BackendDist).
-func CheckDistributed(in *Instance, p Proof, v Verifier) (*Result, error) {
-	return CheckDistributedWith(in, p, v, DistOptions{})
-}
-
-// DistOptions tunes the message-passing runtime's scheduler: sharded
-// execution (nodes batched onto O(GOMAXPROCS) shared goroutines with
-// direct same-shard delivery), the node→shard partitioner, round
-// synchronization (lockstep barrier vs free-running α-synchronization),
-// decision fan-out, and port buffering.
-type DistOptions = dist.Options
-
-// Partitioner computes a node→shard assignment for the sharded
-// schedulers: the dist runtime's shard layout (DistOptions.Partitioner)
-// and the engine's distributed halo cut (EngineOptions.Partitioner).
-// Cross-shard edges are what sharded execution pays for — channels,
-// per-round message traffic, duplicated halo carriers — so a
-// partitioner that follows graph topology instead of identifier order
-// cuts the simulation's real cost without moving a single verdict.
+// Partitioner computes a node→shard assignment for the distributed
+// backends: the dist runtime's shard layout and the dist-tcp worker
+// cut (WithPartitioner). Cross-shard edges are what sharded execution
+// pays for — per-round message traffic, and on dist-tcp wire bytes —
+// so a partitioner that follows graph topology instead of identifier
+// order cuts the simulation's real cost without moving a single
+// verdict.
 type Partitioner = partition.Partitioner
 
 // ContiguousPartitioner assigns near-equal contiguous identifier ranges
@@ -177,30 +161,6 @@ func GreedyBalancedPartitioner() Partitioner { return partition.GreedyBalanced{}
 // "partitioner" request option.
 func PartitionerByName(name string) (Partitioner, error) { return partition.ByName(name) }
 
-// CheckDistributedWith is CheckDistributed with an explicit scheduler
-// configuration. DistOptions{Sharded: true} selects the sharded layout,
-// which closes most of the gap to the sequential runner once the node
-// count dwarfs GOMAXPROCS while staying verdict-identical (see the
-// performance guide in README.md).
-//
-// Deprecated: use NewChecker with WithBackend(BackendDist) plus
-// WithSharded/WithShards/WithFreeRunning/WithPartitioner — and keep the
-// Checker around: it reuses its wiring across proofs, which this
-// one-shot wrapper cannot.
-func CheckDistributedWith(in *Instance, p Proof, v Verifier, opt DistOptions) (*Result, error) {
-	c, err := NewChecker(in, WithVerifier(v), WithBackend(BackendDist), withDistOptions(opt))
-	if err != nil {
-		return nil, err
-	}
-	defer c.(*checker).close()
-	//lint:ignore ctxflow deprecated ctx-less wrapper kept for compatibility; new callers use Checker.Check with their own ctx
-	rep, err := c.Check(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Result(), nil
-}
-
 // ProveAndCheck proves and then verifies everywhere, failing loudly on
 // completeness violations.
 func ProveAndCheck(in *Instance, s Scheme) (Proof, *Result, error) {
@@ -208,18 +168,14 @@ func ProveAndCheck(in *Instance, s Scheme) (Proof, *Result, error) {
 }
 
 // The long-lived verification engine: build once per instance, verify
-// many proofs. Check and CheckDistributed rebuild every radius-r view
-// per call; the Engine caches them (per radius, shared across proofs)
-// and serves CheckProof / CheckBatch / CheckStream / CheckDistributed
-// at a fraction of the per-proof cost. Prefer it whenever the same
+// many proofs. Check rebuilds every radius-r view per call; the Engine
+// caches them (per radius, shared across proofs) and serves CheckProof
+// / CheckBatch / CheckStream at a fraction of the per-proof cost. Prefer it whenever the same
 // instance meets more than a handful of proofs — tampering sweeps,
 // adversary searches, or a verification service's request stream.
 type (
 	// Engine is the amortized verification service for one instance.
 	Engine = engine.Engine
-	// EngineOptions tunes workers, message-passing shards, the halo
-	// partitioner, and the sharded runtimes' scheduler.
-	EngineOptions = engine.Options
 	// Verdict is one node's decision as streamed by Engine.CheckStream.
 	Verdict = engine.Verdict
 	// ColumnsOptions tunes one Engine.CheckBatchColumnsWith call: the
@@ -230,17 +186,8 @@ type (
 
 // NewEngine builds a default-configured engine for the instance. Pair
 // it with NewChecker's WithEngine option when several checkers (one per
-// scheme, say) should share one set of cached views and runtimes.
+// scheme, say) should share one set of cached views.
 func NewEngine(in *Instance) *Engine { return engine.New(in, engine.Options{}) }
-
-// NewEngineWith builds an engine with an explicit configuration.
-//
-// Deprecated: use NewChecker with WithBackend(BackendEngine) or
-// WithBackend(BackendEngineDist) plus WithWorkers/WithRuntimes/
-// WithPartitioner — the same knobs, compiled through the shared Config
-// — and WithEngine(NewEngine(in)) where an explicit engine must be
-// shared.
-func NewEngineWith(in *Instance, opt EngineOptions) *Engine { return engine.New(in, opt) }
 
 // Built-in schemes (Table 1 of the paper). Each constructor returns a
 // ready-to-use Scheme.
