@@ -63,11 +63,14 @@ load-smoke:
 # testdata/fuzz/ run as plain tests in `make test` already; this step
 # buys a little fresh exploration on every check, so a parser panic or
 # a columns/core divergence surfaces in CI, not in production traffic.
-# The transport and remote targets fuzz the two binary codecs that parse
-# bytes from other processes: data frames and packed check frames.
+# The transport and remote targets fuzz what parses bytes from other
+# processes: the frame and hello readers every accepted connection runs
+# first, data frames, and packed check frames.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTextioRoundTrip -fuzztime=10s ./internal/textio/
 	$(GO) test -run=NONE -fuzz=FuzzBatchColumnsEquivalence -fuzztime=10s ./internal/engine/
+	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
+	$(GO) test -run=NONE -fuzz=FuzzReadHello -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeData -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzCheckFrame -fuzztime=10s ./internal/remote/
 

@@ -48,7 +48,7 @@ func benchExperiment(b *testing.B, exp lcp.Experiment, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !lcp.Check(in, p, v).Accepted() {
+		if !coreCheck(b, in, p, v).Accepted() {
 			b.Fatalf("%s: rejected", exp.ID)
 		}
 	}
@@ -280,7 +280,7 @@ func BenchmarkXM1M2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !lcp.Check(in, p, v).Accepted() {
+		if !coreCheck(b, in, p, v).Accepted() {
 			b.Fatal("rejected")
 		}
 	}
@@ -297,7 +297,7 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 	v := lcp.OddNScheme().Verifier()
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, proof, v).Accepted() {
+			if !coreCheck(b, in, proof, v).Accepted() {
 				b.Fatal("rejected")
 			}
 		}
@@ -345,7 +345,7 @@ func BenchmarkEngineAmortized(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			for _, p := range proofs {
-				if lcp.Check(in, p, v) == nil {
+				if coreCheck(b, in, p, v) == nil {
 					b.Fatal("nil result")
 				}
 			}
@@ -488,7 +488,7 @@ func BenchmarkAblationSymmetricWitness(b *testing.B) {
 	}
 	b.Run("witnessed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, pw, witnessed.Verifier()).Accepted() {
+			if !coreCheck(b, in, pw, witnessed.Verifier()).Accepted() {
 				b.Fatal("rejected")
 			}
 		}
@@ -496,7 +496,7 @@ func BenchmarkAblationSymmetricWitness(b *testing.B) {
 	})
 	b.Run("unwitnessed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, pu, unwitnessed.Verifier()).Accepted() {
+			if !coreCheck(b, in, pu, unwitnessed.Verifier()).Accepted() {
 				b.Fatal("rejected")
 			}
 		}
@@ -555,7 +555,7 @@ func BenchmarkAblationViewConstruction(b *testing.B) {
 	v := scheme.Verifier()
 	b.Run("sequential-bfs-views", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !lcp.Check(in, proof, v).Accepted() {
+			if !coreCheck(b, in, proof, v).Accepted() {
 				b.Fatal("rejected")
 			}
 		}

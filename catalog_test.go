@@ -62,7 +62,7 @@ func TestCatalogSoundness(t *testing.T) {
 			for _, bits := range []int{0, 4, 24} {
 				for seed := int64(0); seed < 2; seed++ {
 					p := core.RandomProof(in, bits, seed+int64(bits))
-					if Check(in, p, v).Accepted() {
+					if core.Check(in, p, v).Accepted() {
 						t.Errorf("%s: random %d-bit proof accepted", exp.ID, bits)
 					}
 				}

@@ -43,9 +43,6 @@ const (
 	// cached per instance, checks served by a WithWorkers-bounded pool.
 	// This is the default backend.
 	BackendEngine = string(config.BackendEngine)
-	// BackendEngineDist is an alias of BackendDist, kept so existing
-	// callers keep compiling; checkers built with it report "dist".
-	BackendEngineDist = string(config.BackendEngineDist)
 	// BackendDistTCP: the multi-process scale-out — the instance is
 	// partitioned across external lcpworker processes (WithWorkerAddrs),
 	// each flooding its shard over TCP, with this process acting as the
@@ -346,7 +343,9 @@ func (c *checker) network() (*dist.Network, error) {
 
 // coordinator dials the worker fleet and registers the instance on
 // first use — the expensive part of the dist-tcp path (halo cutting,
-// instance shipping), paid once per checker, not once per proof.
+// instance shipping, the data mesh), paid once per checker, not once
+// per proof. It is also the only recovery path: a failed check drops
+// the coordinator, and the next check dials and registers afresh.
 func (c *checker) coordinator(ctx context.Context) (*remote.Coordinator, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,8 +358,7 @@ func (c *checker) coordinator(ctx context.Context) (*remote.Coordinator, error) 
 		return nil, err
 	}
 	if err := coord.Register(ctx, c.in, c.schemeName); err != nil {
-		_ = coord.Close() // registration failed; the dial error above is what matters
-		return nil, err
+		return nil, err // a failed Register has closed the coordinator
 	}
 	c.coord = coord
 	return coord, nil
@@ -377,7 +375,7 @@ func (c *checker) close() {
 		c.net = nil
 	}
 	if c.coord != nil {
-		_ = c.coord.Close() // best effort: the fleet reaps abandoned instances
+		_ = c.coord.Close() // closing the control connections is the deregistration
 		c.coord = nil
 	}
 }
@@ -428,7 +426,15 @@ func (c *checker) Check(ctx context.Context, p Proof) (*Report, error) {
 		var coord *remote.Coordinator
 		coord, err = c.coordinator(ctx)
 		if err == nil {
-			res, _, err = coord.Check(ctx, p)
+			if res, _, err = coord.Check(ctx, p); err != nil {
+				// The failure closed the coordinator; forget it, unless a
+				// concurrent check already replaced it.
+				c.mu.Lock()
+				if c.coord == coord {
+					c.coord = nil
+				}
+				c.mu.Unlock()
+			}
 		}
 	default:
 		err = fmt.Errorf("lcp: unknown backend %q", c.backend())

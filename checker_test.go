@@ -83,9 +83,9 @@ func backendMatrix() []backendCase {
 		{"engine-batch-loop", []lcp.CheckerOption{
 			lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3), lcp.WithBatchColumns(false),
 		}},
-		// The engine-dist name is an alias of dist.
-		{"engine-dist", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendEngineDist), lcp.WithShards(3),
+		// The greedy partitioner cuts the dist shards differently again.
+		{"dist-greedy", []lcp.CheckerOption{
+			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3),
 			lcp.WithPartitioner(lcp.GreedyBalancedPartitioner()),
 		}},
 		// The multi-process path: real lcpworker fleet on loopback TCP,
@@ -191,8 +191,7 @@ func TestCheckerBackendEquivalenceMatrix(t *testing.T) {
 }
 
 // TestCheckerReportBackendLabel pins the Report.Backend label to the
-// selected backend name on every path; the engine-dist alias reports
-// the backend it resolves to.
+// selected backend name on every in-process path.
 func TestCheckerReportBackendLabel(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(8))
 	scheme := lcp.BipartiteScheme()
@@ -201,10 +200,9 @@ func TestCheckerReportBackendLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, label := range map[string]string{
-		lcp.BackendCore:       lcp.BackendCore,
-		lcp.BackendDist:       lcp.BackendDist,
-		lcp.BackendEngine:     lcp.BackendEngine,
-		lcp.BackendEngineDist: lcp.BackendDist,
+		lcp.BackendCore:   lcp.BackendCore,
+		lcp.BackendDist:   lcp.BackendDist,
+		lcp.BackendEngine: lcp.BackendEngine,
 	} {
 		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(name))
 		if err != nil {
@@ -254,9 +252,12 @@ func TestCheckerDefaultsAndErrors(t *testing.T) {
 		lcp.WithEngine(lcp.NewEngine(in))); err == nil {
 		t.Fatal("WithEngine accepted on the core backend")
 	}
-	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendEngineDist),
+	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(lcp.BackendDist),
 		lcp.WithEngine(lcp.NewEngine(in))); err == nil {
-		t.Fatal("WithEngine accepted on the engine-dist alias of dist")
+		t.Fatal("WithEngine accepted on the dist backend")
+	}
+	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend("engine-dist")); err == nil {
+		t.Fatal("the removed engine-dist alias accepted")
 	}
 	other := lcp.NewInstance(lcp.Cycle(4))
 	if _, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithEngine(lcp.NewEngine(other))); err == nil {
@@ -384,22 +385,19 @@ func TestCheckerBatchColumnsCancelMidway(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersDelegate: the deprecated free function still
-// answers exactly like the façade.
-func TestLegacyWrappersDelegate(t *testing.T) {
-	in := lcp.NewInstance(lcp.Cycle(10))
-	scheme := lcp.BipartiteScheme()
-	p, err := lcp.Prove(scheme, in)
+// coreCheck verifies p on every node through the façade's sequential
+// reference backend, failing tb on a checker error. It skips
+// tb.Helper so that benchmarks timing it measure only the check.
+func coreCheck(tb testing.TB, in *lcp.Instance, p lcp.Proof, v lcp.Verifier) *lcp.Result {
+	chk, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithBackend(lcp.BackendCore))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tampered := core.FlipBit(p, 3)
-	for _, proof := range []core.Proof{p, tampered} {
-		want := core.Check(in, proof, scheme.Verifier())
-		if got := lcp.Check(in, proof, scheme.Verifier()); !reflect.DeepEqual(got.Outputs, want.Outputs) {
-			t.Fatalf("lcp.Check diverged: %v vs %v", got.Outputs, want.Outputs)
-		}
+	rep, err := chk.Check(context.Background(), p)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return rep.Result()
 }
 
 // TestCheckerReportStages: every backend attaches a per-stage timing
@@ -413,10 +411,9 @@ func TestCheckerReportStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStages := map[string][]string{
-		lcp.BackendCore:       {"core.check"},
-		lcp.BackendDist:       {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
-		lcp.BackendEngine:     {"engine.views", "engine.verify"},
-		lcp.BackendEngineDist: {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
+		lcp.BackendCore:   {"core.check"},
+		lcp.BackendDist:   {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
+		lcp.BackendEngine: {"engine.views", "engine.verify"},
 	}
 	for backend, want := range wantStages {
 		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(backend))

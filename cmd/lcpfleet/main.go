@@ -192,11 +192,21 @@ func checkFleet(ctx context.Context, addrs []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: checker: %v", scheme.Name(), err)
 		}
+		ref, err := lcp.NewChecker(in, lcp.WithBackend(lcp.BackendCore), lcp.WithScheme(scheme))
+		if err != nil {
+			lcp.CloseChecker(chk)
+			return fmt.Errorf("%s: reference checker: %v", scheme.Name(), err)
+		}
 		for name, p := range map[string]core.Proof{
 			"honest":  good,
 			"flipped": core.FlipBit(good, 3),
 		} {
-			want := lcp.Check(in, p, scheme.Verifier()).Accepted()
+			wantRep, err := ref.Check(ctx, p)
+			if err != nil {
+				lcp.CloseChecker(chk)
+				return fmt.Errorf("%s/%s: reference check: %v", scheme.Name(), name, err)
+			}
+			want := wantRep.Accepted()
 			rep, err := chk.Check(ctx, p)
 			if err != nil {
 				lcp.CloseChecker(chk)

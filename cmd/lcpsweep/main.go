@@ -275,7 +275,7 @@ type gridCell struct {
 // automata, which is what makes partitioner/shards meaningful and the
 // per-node cost high enough to cap n.
 func distBackend(b string) bool {
-	return b == lcp.BackendDist || b == lcp.BackendEngineDist
+	return b == lcp.BackendDist
 }
 
 // expandGrid crosses the parameter lists. Shared-memory backends take

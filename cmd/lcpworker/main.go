@@ -9,13 +9,16 @@
 //	lcpworker -addr 127.0.0.1:9102
 //	lcpserve -addr :8080 -worker-addrs 127.0.0.1:9101,127.0.0.1:9102
 //
-// The worker is stateless across checks: a coordinator registers an
-// instance (shipping this worker its radius-1 halo), fires any number
-// of checks at it, and deregisters; several coordinators can hold
-// disjoint instances on one worker at once. Killing a worker aborts
-// in-flight checks on the whole fleet within the round timeout, and
-// the survivors accept fresh registrations immediately — failure is
-// bounded, not sticky.
+// A coordinator registers an instance (shipping this worker its
+// radius-1 halo and having it connect one data connection to each
+// peer shard), fires any number of checks at it over those
+// connections, and closes its control connection; the registration
+// lives exactly as long as that connection, so a coordinator that dies
+// leaves nothing behind. Several coordinators can hold disjoint
+// instances on one worker at once. Any failure — a killed worker, a
+// cancelled check — ends the registration on the whole fleet within
+// one round timeout, and the survivors accept fresh registrations
+// immediately: failure is bounded, not sticky.
 //
 // The scheme registry served is the full built-in set plus the
 // experiment catalog's derived schemes, matching what coordinators can

@@ -75,13 +75,13 @@ func TestCatalogCSRBuilderEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: prove: %v", exp.ID, err)
 			}
-			want := lcp.Check(in, p, exp.Scheme.Verifier())
+			want := coreCheck(t, in, p, exp.Scheme.Verifier())
 			in2 := lcp.NewInstance(viaCSR)
 			in2.NodeLabel = in.NodeLabel
 			in2.EdgeLabel = in.EdgeLabel
 			in2.Weights = in.Weights
 			in2.Global = in.Global
-			got := lcp.Check(in2, p, exp.Scheme.Verifier())
+			got := coreCheck(t, in2, p, exp.Scheme.Verifier())
 			if got.Accepted() != want.Accepted() || !reflect.DeepEqual(got.Outputs, want.Outputs) {
 				t.Fatalf("%s: verdicts differ between representations", exp.ID)
 			}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -82,7 +83,7 @@ func main() {
 	if _, err := scheme.Prove(tampered); err != nil {
 		fmt.Printf("  platform cannot certify it: %v\n", err)
 	}
-	res = lcp.Check(tampered, cert, scheme.Verifier())
+	res = check(tampered, cert, scheme.Verifier())
 	fmt.Printf("  old certificate on tampered assignment: %s (alarms: %v)\n\n",
 		res, res.Rejectors())
 
@@ -90,6 +91,20 @@ func main() {
 	// certificates break tightness somewhere.
 	fmt.Println("attack: platform inflates a dual value to hide a bad assignment…")
 	forged := core.FlipBit(cert, 5)
-	res = lcp.Check(in, forged, scheme.Verifier())
+	res = check(in, forged, scheme.Verifier())
 	fmt.Printf("  forged certificate: %s (alarms: %v)\n", res, res.Rejectors())
+}
+
+// check verifies p on every node with the façade's sequential
+// reference backend.
+func check(in *lcp.Instance, p lcp.Proof, v lcp.Verifier) *lcp.Result {
+	chk, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithBackend(lcp.BackendCore))
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := chk.Check(context.Background(), p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep.Result()
 }

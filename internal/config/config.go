@@ -34,10 +34,6 @@ const (
 	// BackendEngine is the amortized shared-memory engine: radius-r view
 	// skeletons cached per instance, checks served by a worker pool.
 	BackendEngine Backend = "engine"
-	// BackendEngineDist is an alias of BackendDist, accepted so existing
-	// configurations keep working: ParseBackend and ResolvedBackend turn
-	// it into BackendDist.
-	BackendEngineDist Backend = "engine-dist"
 	// BackendDistTCP is the multi-process scale-out: the instance is
 	// partitioned across external lcpworker processes (WorkerAddrs), each
 	// flooding its shard over TCP, with the local checker acting as the
@@ -46,18 +42,14 @@ const (
 	BackendDistTCP Backend = "dist-tcp"
 )
 
-// Backends lists the backend names, in documentation order. The
-// "engine-dist" alias is accepted by ParseBackend but not listed.
+// Backends lists the backend names, in documentation order.
 func Backends() []string {
 	return []string{string(BackendCore), string(BackendDist), string(BackendEngine), string(BackendDistTCP)}
 }
 
-// ParseBackend resolves a backend name; "engine-dist" resolves to
-// BackendDist.
+// ParseBackend resolves a backend name.
 func ParseBackend(name string) (Backend, error) {
 	switch Backend(name) {
-	case BackendEngineDist:
-		return BackendDist, nil
 	case BackendCore, BackendDist, BackendEngine, BackendDistTCP:
 		return Backend(name), nil
 	}
@@ -141,14 +133,10 @@ func (m BatchColumnsMode) String() string {
 	}
 }
 
-// ResolvedBackend is Backend with the zero value defaulted and the
-// engine-dist alias resolved.
+// ResolvedBackend is Backend with the zero value defaulted.
 func (c Config) ResolvedBackend() Backend {
-	switch c.Backend {
-	case "":
+	if c.Backend == "" {
 		return BackendEngine
-	case BackendEngineDist:
-		return BackendDist
 	}
 	return c.Backend
 }
@@ -210,10 +198,8 @@ func Options() []Option {
 	}
 }
 
-// Set applies one textual option to the config. It accepts every key in
-// Options plus "distributed", the HTTP request alias that serve has
-// always spoken: "distributed=true" selects the dist backend,
-// "distributed=false" the engine backend.
+// Set applies one textual option to the config. It accepts exactly the
+// keys in Options.
 func (c *Config) Set(key, value string) error {
 	fail := func(err error) error { return fmt.Errorf("option %q: %v", key, err) }
 	switch key {
@@ -223,16 +209,6 @@ func (c *Config) Set(key, value string) error {
 			return fail(err)
 		}
 		c.Backend = b
-	case "distributed":
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(err)
-		}
-		if on {
-			c.Backend = BackendDist
-		} else {
-			c.Backend = BackendEngine
-		}
 	case "workers":
 		n, err := nonNegativeInt(value)
 		if err != nil {

@@ -8,12 +8,12 @@ import (
 )
 
 // TestSetResolvesEveryKey walks the resolver through every option of
-// the key table plus the "distributed" alias, and checks the derived
-// dist/engine options carry the values to the right fields.
+// the key table, and checks the derived dist/engine options carry the
+// values to the right fields.
 func TestSetResolvesEveryKey(t *testing.T) {
 	var c Config
 	for _, kv := range [][2]string{
-		{"backend", "engine-dist"},
+		{"backend", "dist"},
 		{"workers", "5"},
 		{"partitioner", "bfs"},
 		{"shards", "4"},
@@ -37,24 +37,6 @@ func TestSetResolvesEveryKey(t *testing.T) {
 	if do.Shards != 4 || do.Partitioner.Name() != "bfs" {
 		t.Fatalf("DistOptions wrong: %+v", do)
 	}
-
-	var d Config
-	if err := d.Set("distributed", "true"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Backend != BackendDist {
-		t.Fatalf("distributed=true resolved to %q", d.Backend)
-	}
-	if err := d.Set("distributed", "false"); err != nil {
-		t.Fatal(err)
-	}
-	if d.Backend != BackendEngine {
-		t.Fatalf("distributed=false resolved to %q", d.Backend)
-	}
-	// The alias also resolves when assigned to the field directly.
-	if got := (Config{Backend: BackendEngineDist}).ResolvedBackend(); got != BackendDist {
-		t.Fatalf("engine-dist field resolves to %q", got)
-	}
 }
 
 func TestSetRejectsBadValues(t *testing.T) {
@@ -65,7 +47,9 @@ func TestSetRejectsBadValues(t *testing.T) {
 		{"workers", "many"},
 		{"shards", "-2"},
 		{"partitioner", "psychic"},
-		{"distributed", "sometimes"},
+		// Removed aliases of the dist backend.
+		{"backend", "engine-dist"},
+		{"distributed", "true"},
 		{"batch-columns", "often"},
 		{"worker-addrs", " , "},
 		{"warp", "9"},

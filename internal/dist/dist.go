@@ -53,15 +53,6 @@ func (o Options) shardCount(n int) int {
 	return min(o.Shards, n)
 }
 
-// partitioner resolves the shard partitioner: the configured one, or
-// the contiguous id-range default.
-func (o Options) partitioner() partition.Partitioner {
-	if o.Partitioner != nil {
-		return o.Partitioner
-	}
-	return partition.Contiguous{}
-}
-
 // Check runs the verifier on the message-passing runtime: every node
 // floods for Radius() rounds, assembles its view, and decides. The
 // result is verdict-for-verdict identical to core.Check. The error is

@@ -83,8 +83,30 @@ func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
 	if len(ids) == 0 {
 		return nw, nil
 	}
-	shards := opt.shardCount(len(ids))
-	pt := opt.partitioner()
+	plans, err := PlanShards(in, opt.shardCount(len(ids)), opt.Partitioner)
+	if err != nil {
+		return nil, err
+	}
+	nw.plans = plans
+	w, err := nw.wire()
+	if err != nil {
+		return nil, err
+	}
+	nw.idle = append(nw.idle, w)
+	return nw, nil
+}
+
+// PlanShards partitions the instance into shards ≥ 1 shard plans with
+// the partitioner (nil means partition.Contiguous{}). Every plan reads
+// the full instance and shares the full node→shard assignment; plan i
+// owns the nodes assigned to shard i, in ascending g.Nodes() order, and
+// may own none. NewNetwork wires the plans in process; the dist-tcp
+// coordinator cuts each plan's radius-1 halo for the worker running it.
+func PlanShards(in *core.Instance, shards int, pt partition.Partitioner) ([]ShardPlan, error) {
+	if pt == nil {
+		pt = partition.Contiguous{}
+	}
+	ids := in.G.Nodes()
 	assign := pt.Assign(in.G, shards)
 	if err := partition.Validate(assign, len(ids), shards); err != nil {
 		return nil, fmt.Errorf("dist: partitioner %q: %v", pt.Name(), err)
@@ -93,15 +115,12 @@ func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
 	for i, id := range ids {
 		byID[id] = assign[i]
 	}
-	for _, owned := range partition.Groups(in.G, assign, shards) {
-		nw.plans = append(nw.plans, ShardPlan{In: in, Owned: owned, Assign: byID})
+	groups := partition.Groups(in.G, assign, shards)
+	plans := make([]ShardPlan, len(groups))
+	for i, owned := range groups {
+		plans[i] = ShardPlan{In: in, Owned: owned, Assign: byID}
 	}
-	w, err := nw.wire()
-	if err != nil {
-		return nil, err
-	}
-	nw.idle = append(nw.idle, w)
-	return nw, nil
+	return plans, nil
 }
 
 // wire builds one wiring from the network's partition.

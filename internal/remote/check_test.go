@@ -2,9 +2,9 @@ package remote_test
 
 // The check-frame contract of a worker-resident shard: a registration is
 // validated (and the shard wired) once, at register time; a cancelled
-// check leaves the shard reusable; a verdict bitmap that does not fit
-// the registration is an error, not a panic; and a peer speaking
-// another protocol version is turned away.
+// check ends the registration and the façade recovers from it; a
+// verdict bitmap that does not fit the registration is an error, not a
+// panic; and a peer speaking another protocol version is turned away.
 
 import (
 	"bufio"
@@ -13,13 +13,11 @@ import (
 	"errors"
 	"io"
 	"net"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"lcp/internal/bitstr"
 	"lcp/internal/core"
 	"lcp/internal/remote"
 	"lcp/internal/textio"
@@ -52,24 +50,40 @@ func properColoring(w *core.View) bool {
 }
 
 // TestCancelledCheckLeavesShardReusable cancels a check of an honest
-// proof mid-flood and then checks a tampered one on the same
-// registration: the shard the workers built at register time must come
-// back with exactly core.Check's verdicts, none of the abandoned
-// check's knowledge. The workers drain the abandoned flood before
-// serving the next request, so the radius of the cancelled check is
-// long enough to be mid-flood at the cancel, short enough to drain in
-// seconds.
+// proof mid-flood and then checks a tampered one on the same façade
+// checker: the cancel ends the registration, and the next check
+// registers afresh and comes back with exactly core.Check's verdicts,
+// none of the abandoned check's knowledge. A raw Coordinator has no
+// such recovery: after a failed check it is closed.
 func TestCancelledCheckLeavesShardReusable(t *testing.T) {
 	radius := new(atomic.Int64)
+	radius.Store(2)
 	scheme := tunableScheme{radius: radius}
 	addrs, _ := startFleet(t, 2, map[string]core.Scheme{scheme.Name(): scheme})
 	in := pathInstance(16)
-	honest := core.Proof{}
-	for i := 1; i <= 16; i++ {
-		honest[i] = bitstr.FromBools(i%2 == 0)
+	honest, p := pathColoring(16)
+	chk := tunableChecker(t, addrs, 16, scheme)
+	checkMatchesCore(t, chk, in, honest, scheme.Verifier())
+
+	cancelMidFlood := func(check func(context.Context) error) {
+		t.Helper()
+		radius.Store(40000)
+		defer radius.Store(2)
+		cctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(50*time.Millisecond, cancel)
+		if err := check(cctx); err == nil {
+			t.Fatal("check cancelled mid-flood succeeded")
+		}
 	}
-	p := honest.Clone()
-	p[5] = bitstr.FromBools(true) // nodes 4, 5 and 6 reject
+	cancelMidFlood(func(ctx context.Context) error {
+		_, err := chk.Check(ctx, honest)
+		return err
+	})
+	if core.Check(in, p, scheme.Verifier()).Accepted() {
+		t.Fatal("fixture proof should be rejected somewhere")
+	}
+	checkMatchesCore(t, chk, in, p, scheme.Verifier())
+
 	ctx := context.Background()
 	coord, err := remote.DialCoordinator(ctx, "cancel-then-check", addrs, remote.Options{})
 	if err != nil {
@@ -79,25 +93,12 @@ func TestCancelledCheckLeavesShardReusable(t *testing.T) {
 	if err := coord.Register(ctx, in, scheme.Name()); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-
-	radius.Store(40000)
-	cctx, cancel := context.WithCancel(ctx)
-	time.AfterFunc(50*time.Millisecond, cancel)
-	if _, _, err := coord.Check(cctx, honest); err == nil {
-		t.Fatal("check cancelled mid-flood succeeded")
-	}
-
-	radius.Store(2)
-	want := core.Check(in, p, scheme.Verifier())
-	if want.Accepted() {
-		t.Fatal("fixture proof should be rejected somewhere")
-	}
-	got, _, err := coord.Check(ctx, p)
-	if err != nil {
-		t.Fatalf("check after a cancelled one: %v", err)
-	}
-	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-		t.Fatalf("outputs differ after a cancelled check:\n got %v\nwant %v", got.Outputs, want.Outputs)
+	cancelMidFlood(func(ctx context.Context) error {
+		_, _, err := coord.Check(ctx, honest)
+		return err
+	})
+	if _, _, err := coord.Check(ctx, p); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("raw coordinator check after a cancelled one = %v, want a closed coordinator", err)
 	}
 }
 

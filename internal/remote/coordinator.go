@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lcp/internal/core"
+	"lcp/internal/dist"
 	"lcp/internal/engine"
 	"lcp/internal/obs"
 	"lcp/internal/partition"
@@ -66,31 +67,25 @@ func (o Options) roundTimeout() time.Duration {
 	return o.RoundTimeout
 }
 
-func (o Options) partitioner() partition.Partitioner {
-	if o.Partitioner == nil {
-		return partition.Contiguous{}
-	}
-	return o.Partitioner
-}
-
 // Coordinator drives one instance's checks across a fleet of workers:
-// Register ships each worker its radius-1 halo shard, Check fans a
-// proof out and merges the per-shard verdicts. It holds one persistent
-// control connection per worker; the per-check data connections are the
-// workers' own business. Methods serialize — a coordinator is one
-// checking session, not a pool.
+// Register ships each worker its radius-1 halo shard and builds the
+// shard-pair data mesh, Check fans a proof out and merges the per-shard
+// verdicts. It holds one persistent control connection per worker, and
+// the workers hold the registration exactly as long as those
+// connections live. Any failure closes the coordinator; recovery is a
+// new DialCoordinator and Register. Methods serialize — a coordinator
+// is one checking session, not a pool.
 type Coordinator struct {
 	instance string
 	addrs    []string
 	opts     Options
 
-	mu         sync.Mutex
-	conns      []*controlConn
-	seq        uint64
-	registered bool
-	n          int     // nodes in the registered instance
-	owned      [][]int // node ids per worker, from Register's partition
-	closed     bool
+	mu     sync.Mutex
+	conns  []*controlConn
+	seq    uint64
+	n      int     // nodes in the registered instance
+	owned  [][]int // node ids per worker, from Register's partition; nil before Register
+	closed bool
 }
 
 // controlConn is one worker's persistent control connection with its
@@ -132,61 +127,52 @@ func DialCoordinator(ctx context.Context, instance string, addrs []string, opts 
 }
 
 // Register partitions the instance across the workers and installs each
-// worker's shard: its radius-1 halo (serialized through textio), the
+// worker's shard — its radius-1 halo (serialized through textio), the
 // nodes it decides, the assignment that routes its cut edges, and the
-// full fleet's addresses. It must be called once before Check; calling
-// it again replaces the registration fleet-wide.
+// full fleet's addresses — then has the workers connect the shard-pair
+// mesh every check reuses. The OpRegister fan-out completes before any
+// OpConnect is sent, so every worker holds the instance before a peer's
+// dial reaches it. It must be called before Check; calling it again
+// replaces the registration fleet-wide. A failed Register closes the
+// coordinator.
 func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeName string) error {
-	if schemeName == "" {
-		return fmt.Errorf("remote: empty scheme name")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("remote: coordinator closed")
+		return errClosed
+	}
+	if schemeName == "" {
+		return c.fail(fmt.Errorf("remote: empty scheme name"))
 	}
 	tl := obs.TimelineFrom(ctx)
 	defer tl.Start("remote.register")()
-	ids := in.G.Nodes()
-	workers := len(c.conns)
-	shards := workers
-	if shards > len(ids) {
-		shards = len(ids)
+	n := in.G.N()
+	plans, err := dist.PlanShards(in, max(1, min(len(c.conns), n)), c.opts.Partitioner)
+	if err != nil {
+		return c.fail(fmt.Errorf("remote: %w", err))
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	pt := c.opts.partitioner()
-	assign := pt.Assign(in.G, shards)
-	if err := partition.Validate(assign, len(ids), shards); err != nil {
-		return fmt.Errorf("remote: partitioner %q: %v", pt.Name(), err)
-	}
-	groups := partition.Groups(in.G, assign, shards)
-	assignByID := make(map[int]int, len(ids))
-	for i, id := range ids {
-		assignByID[id] = assign[i]
-	}
-	owned := make([][]int, workers)
-	copy(owned, groups)
+	owned := make([][]int, len(c.conns))
 	c.seq++
-	seq := c.seq
-	reqs := make([]*Request, workers)
-	for i := 0; i < workers; i++ {
+	regs := make([]*Request, len(c.conns))
+	for i := range c.conns {
+		if i < len(plans) {
+			owned[i] = plans[i].Owned
+		}
 		halo := in
-		if len(owned[i]) < len(ids) {
+		if len(owned[i]) < n {
 			halo = engine.HaloInstance(in, owned[i], 1)
 		}
 		var sb strings.Builder
 		if err := textio.Write(&sb, &textio.Document{Instance: halo}); err != nil {
-			return fmt.Errorf("remote: serialize shard %d: %w", i, err)
+			return c.fail(fmt.Errorf("remote: serialize shard %d: %w", i, err))
 		}
-		haloAssign := make(map[int]int)
+		haloAssign := make(map[int]int, halo.G.N())
 		for _, id := range halo.G.Nodes() {
-			haloAssign[id] = assignByID[id]
+			haloAssign[id] = plans[0].Assign[id]
 		}
-		reqs[i] = &Request{
+		regs[i] = &Request{
 			Op:             OpRegister,
-			Seq:            seq,
+			Seq:            c.seq,
 			Instance:       c.instance,
 			Scheme:         schemeName,
 			Doc:            sb.String(),
@@ -200,11 +186,18 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 			RoundTimeoutMS: c.opts.roundTimeout().Milliseconds(),
 		}
 	}
-	if err := c.fanOut(ctx, reqs, nil, nil); err != nil {
-		return err
+	if err := c.fanOut(ctx, regs, nil, nil); err != nil {
+		return c.fail(err)
 	}
-	c.registered = true
-	c.n = len(ids)
+	c.seq++
+	connects := make([]*Request, len(c.conns))
+	for i := range connects {
+		connects[i] = &Request{Op: OpConnect, Seq: c.seq, Instance: c.instance}
+	}
+	if err := c.fanOut(ctx, connects, nil, nil); err != nil {
+		return c.fail(err)
+	}
+	c.n = n
 	c.owned = owned
 	return nil
 }
@@ -212,31 +205,30 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 // Check fans one proof out to the fleet and merges the verdicts into a
 // result indistinguishable from core.Check on the full instance. The
 // returned stats sum the fleet's data-plane traffic for this check. A
-// worker failure — network, process death, shard error — surfaces as an
-// error within the configured timeouts; the coordinator stays usable
-// for further checks (the data plane is per-check, so nothing durable
-// is poisoned).
+// worker failure — network, process death, shard error — or a
+// cancelled context surfaces as an error within the configured
+// timeouts and closes the coordinator, which drops the registration on
+// every worker.
 func (c *Coordinator) Check(ctx context.Context, p core.Proof) (*core.Result, transport.Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var stats transport.Stats
 	if c.closed {
-		return nil, stats, fmt.Errorf("remote: coordinator closed")
+		return nil, stats, errClosed
 	}
-	if !c.registered {
+	if c.owned == nil {
 		return nil, stats, fmt.Errorf("remote: no instance registered")
 	}
 	tl := obs.TimelineFrom(ctx)
 	defer tl.Start("remote.fanout")()
 	c.seq++
-	seq := c.seq
 	reqs := make([]*Request, len(c.conns))
 	for i := range c.conns {
 		// Restrict the proof to the worker's owned nodes, packed in the
 		// registered order with entry presence exact (an explicit ε
 		// entry stays an entry). Remote nodes' proofs reach the worker
 		// over the data plane, inside flooded records.
-		reqs[i] = &Request{Op: OpCheck, Instance: c.instance, Seq: seq, Proofs: appendProofs(nil, c.owned[i], p)}
+		reqs[i] = &Request{Op: OpCheck, Instance: c.instance, Seq: c.seq, Proofs: appendProofs(nil, c.owned[i], p)}
 	}
 	res := &core.Result{Outputs: make(map[int]bool, c.n)}
 	var mergeMu sync.Mutex
@@ -252,12 +244,24 @@ func (c *Coordinator) Check(ctx context.Context, p core.Proof) (*core.Result, tr
 		}
 		return nil
 	}); err != nil {
-		return nil, stats, err
+		return nil, stats, c.fail(err)
 	}
 	if len(res.Outputs) != c.n {
-		return nil, stats, fmt.Errorf("remote: merged %d verdicts, want %d", len(res.Outputs), c.n)
+		return nil, stats, c.fail(fmt.Errorf("remote: merged %d verdicts, want %d", len(res.Outputs), c.n))
 	}
 	return res, stats, nil
+}
+
+// errClosed is the error of every request on a closed coordinator.
+var errClosed = errors.New("remote: coordinator closed")
+
+// fail ends the registration after a failure: the control connections
+// close, so every worker drops the instance and stops any check in
+// flight on it. Caller holds c.mu. It returns err.
+func (c *Coordinator) fail(err error) error {
+	c.closed = true
+	_ = c.closeConns() // the failure is the error worth reporting
+	return err
 }
 
 // fanOut sends one request per worker concurrently and collects the
@@ -315,41 +319,35 @@ func (c *Coordinator) fanOut(ctx context.Context, reqs []*Request, stats *transp
 }
 
 // roundTrip sends one request on a control connection and reads its
-// response, skipping stale responses of earlier, timed-out requests
-// (matched by sequence number). Bounded by the check timeout; a
-// cancelled context yanks the connection deadline to now.
+// response. The protocol never pipelines requests, so a response for
+// any other sequence number is a protocol error. Bounded by the check
+// timeout; a cancelled context yanks the connection deadline to now.
 func (c *Coordinator) roundTrip(ctx context.Context, cc *controlConn, req *Request) (*Response, error) {
 	deadline := time.Now().Add(c.opts.checkTimeout())
 	stop := context.AfterFunc(ctx, func() {
 		_ = cc.conn.SetDeadline(time.Now()) // best effort: the point is to interrupt blocked I/O
 	})
 	defer stop()
-	if err := writeJSONFrame(cc.conn, cc.w, transport.FrameRequest, req, deadline); err != nil {
+	var resp Response
+	err := writeJSONFrame(cc.conn, cc.w, transport.FrameRequest, req, deadline)
+	if err == nil {
+		err = readJSONFrame(cc.conn, cc.r, transport.FrameResponse, &resp, deadline)
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
 		return nil, err
 	}
-	for {
-		var resp Response
-		if err := readJSONFrame(cc.conn, cc.r, transport.FrameResponse, &resp, deadline); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return nil, err
-		}
-		switch {
-		case resp.Seq == req.Seq:
-			return &resp, nil
-		case resp.Seq < req.Seq:
-			// A stale response to a request that timed out earlier;
-			// drain and keep waiting for ours.
-		default:
-			return nil, fmt.Errorf("remote: response for future seq %d, want %d", resp.Seq, req.Seq)
-		}
+	if resp.Seq != req.Seq {
+		return nil, fmt.Errorf("remote: response for seq %d, want %d", resp.Seq, req.Seq)
 	}
+	return &resp, nil
 }
 
-// Close tells every worker to forget the instance (best effort, short
-// deadline) and closes the control connections. The coordinator is
-// unusable afterwards.
+// Close closes the control connections, which ends the registration on
+// every worker. The coordinator is unusable afterwards; closing twice is
+// a no-op.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -357,18 +355,6 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.registered {
-		deadline := time.Now().Add(c.opts.dialTimeout())
-		c.seq++
-		for _, cc := range c.conns {
-			req := &Request{Op: OpClose, Instance: c.instance, Seq: c.seq}
-			if err := writeJSONFrame(cc.conn, cc.w, transport.FrameRequest, req, deadline); err != nil {
-				continue // best effort: the conn is closing anyway
-			}
-			var resp Response
-			_ = readJSONFrame(cc.conn, cc.r, transport.FrameResponse, &resp, deadline) // best effort
-		}
-	}
 	return c.closeConns()
 }
 

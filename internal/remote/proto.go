@@ -7,29 +7,38 @@
 // connection per coordinator/worker pair (length-prefixed framing from
 // internal/transport, which also supplies the binary data plane the
 // workers speak among themselves — see transport/wire.go for the frame
-// layout). Registration does the expensive work once: the worker
-// parses its radius-1 halo and wires a dist.Shard (automata, base
-// records, same-shard links, cut-edge routing), rejecting a malformed
-// plan there. A check then carries only packed proof bits in the
-// registered owned order and returns a verdict bitmap in the same
-// order (see appendProofs and appendVerdicts):
+// layout). A registration lives exactly as long as those control
+// connections. Register does the expensive work once, in two fan-outs:
+// OpRegister ships each worker its radius-1 halo, from which it wires a
+// dist.Shard (automata, base records, same-shard links, cut-edge
+// routing), rejecting a malformed plan there; OpConnect then builds the
+// shard-pair mesh, one TCP data connection per pair of shards sharing a
+// cut edge, which every check of the registration reuses. A check
+// carries only packed proof bits in the registered owned order and
+// returns a verdict bitmap in the same order (see appendProofs and
+// appendVerdicts):
 //
-//	coordinator              worker i                worker j
+//	coordinator              worker i                worker j (j < i)
 //	  |-- register(halo_i) ----->| wire shard_i          |
 //	  |-- register(halo_j) ----------------------------->| wire shard_j
+//	  |-- connect -------------->|== dial data(seq) ====>| (mesh, kept)
+//	  |-- connect -------------------------------------->|
 //	  |-- check(seq, bits_i) --->|                       |
 //	  |-- check(seq, bits_j) --------------------------->|
-//	  |                          |<= data conns (seq) ==>|
+//	  |                          |<= frames on mesh ====>|
 //	  |                          | seed, flood, decide   | (same)
 //	  |<-- bitmap_i, stats ------|                       |
 //	  |<-- bitmap_j, stats ------------------------------|
 //	  merge; every node decided exactly once
 //
-// Failure is bounded everywhere: every request, handshake, and flood
-// round runs under a deadline, a worker death surfaces as a transport
-// error within it, and a failed check poisons nothing durable — the
-// next check reseeds the shard and opens fresh data connections under
-// a fresh sequence number.
+// Failure is bounded everywhere, and any failure ends the
+// registration: every request, handshake, and flood round runs under a
+// deadline, and a worker error, an I/O error, or a cancelled or timed
+// out context makes the coordinator close its control connections. A
+// worker drops an instance — its shard and its mesh — the moment the
+// control connection that registered it closes, and a check in flight
+// on it stops within one round deadline. Recovery is a new coordinator
+// and a new registration.
 package remote
 
 import (
@@ -49,19 +58,21 @@ import (
 const (
 	// OpRegister installs an instance shard on a worker.
 	OpRegister = "register"
+	// OpConnect builds a registered shard's data mesh: the worker dials
+	// every peer shard below its own and waits until every peer
+	// connection is present, bounded by the round timeout.
+	OpConnect = "connect"
 	// OpCheck runs one proof over a registered instance shard.
 	OpCheck = "check"
-	// OpClose forgets a registered instance shard.
-	OpClose = "close"
 )
 
 // Request is one control-plane request from coordinator to worker.
 type Request struct {
-	// Op selects the operation (OpRegister, OpCheck, OpClose).
+	// Op selects the operation (OpRegister, OpConnect, OpCheck).
 	Op string `json:"op"`
-	// Seq numbers the request; the response echoes it, and data-plane
-	// frames of a check carry it so traffic of an abandoned check can
-	// never be mistaken for the current one.
+	// Seq numbers the request; the response echoes it. The mesh's data
+	// connections carry the registration's Seq in their Hello, and a
+	// check's data frames carry the check's Seq.
 	Seq uint64 `json:"seq"`
 	// Instance names the registered instance the request addresses.
 	Instance string `json:"instance"`

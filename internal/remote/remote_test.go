@@ -26,17 +26,26 @@ import (
 // startFleet launches n in-process workers on loopback listeners
 // speaking the given scheme registry, torn down with the test.
 func startFleet(t testing.TB, n int, schemes map[string]core.Scheme) ([]string, []*remote.Worker) {
+	addrs, workers, _ := startLoggedFleet(t, n, schemes)
+	return addrs, workers
+}
+
+// startLoggedFleet is startFleet with every worker's listener wrapped
+// in a connLog, so a test can count and sever the accepted connections.
+func startLoggedFleet(t testing.TB, n int, schemes map[string]core.Scheme) ([]string, []*remote.Worker, []*connLog) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	addrs := make([]string, n)
 	workers := make([]*remote.Worker, n)
+	logs := make([]*connLog, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
 		}
-		w := remote.NewWorker(ln, schemes)
+		logs[i] = &connLog{Listener: ln}
+		w := remote.NewWorker(logs[i], schemes)
 		workers[i] = w
 		addrs[i] = w.Addr()
 		go func() {
@@ -44,7 +53,7 @@ func startFleet(t testing.TB, n int, schemes map[string]core.Scheme) ([]string, 
 		}()
 		t.Cleanup(func() { _ = w.Close() })
 	}
-	return addrs, workers
+	return addrs, workers, logs
 }
 
 // catalogSchemes is every built-in scheme plus the catalog's extras
@@ -230,7 +239,7 @@ func pathInstance(n int) *core.Instance {
 // many-thousand-round check is mid-flood: the coordinator must return a
 // transport error well within its timeouts (no hang), and the
 // surviving workers must serve a fresh session afterwards — a failed
-// check's poison dies with its per-check data plane.
+// check's poison dies with the registration it ends.
 func TestWorkerDeathMidRound(t *testing.T) {
 	schemes := map[string]core.Scheme{
 		"test-ping":       pingScheme{r: 200000},
@@ -271,9 +280,8 @@ func TestWorkerDeathMidRound(t *testing.T) {
 	}
 
 	// The survivors are not poisoned: a fresh session over the two
-	// remaining workers registers and checks cleanly, because both the
-	// data plane (per-check connections) and the failed run's transport
-	// state died with the killed session.
+	// remaining workers registers and checks cleanly, because the failed
+	// registration's mesh and transport state died with it.
 	coord2, err := remote.DialCoordinator(ctx, "death-aftermath", []string{addrs[0], addrs[1]}, remote.Options{})
 	if err != nil {
 		t.Fatalf("dial survivors: %v", err)

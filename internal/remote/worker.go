@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -24,49 +25,81 @@ const (
 	helloTimeout = 10 * time.Second
 	// controlWriteTimeout bounds one control-plane response write.
 	controlWriteTimeout = 30 * time.Second
-	// dataConnTTL bounds how long an accepted data connection waits to
-	// be claimed by its check before the worker reaps it — the check
-	// it belongs to either never started or already failed.
-	dataConnTTL = 2 * time.Minute
 )
 
 // Worker serves one shard of registered instances: it accepts control
-// connections from coordinators (register / check / close requests) and
-// data connections from peer workers (one per shard pair per check),
-// wires a dist.Shard per registered instance, and runs it for every
-// check. One worker process can hold shards of many instances at once;
-// checks on the same instance serialize, checks on different instances
-// run concurrently.
+// connections from coordinators (register / connect / check requests)
+// and data connections from peer workers (one per shard pair per
+// registration), wires a dist.Shard per registered instance, and runs
+// it over the instance's data mesh for every check. A registration
+// lives exactly as long as the control connection that made it: when
+// that connection closes, for any reason, the worker drops the
+// instance and closes its mesh. One worker process can hold shards of
+// many instances at once; checks on different instances run
+// concurrently.
 type Worker struct {
 	ln      net.Listener
 	schemes map[string]core.Scheme
 
-	mu      sync.Mutex
-	insts   map[string]*workerInstance
-	pending map[dataKey]chan net.Conn
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	insts  map[string]*workerInstance // by name, for routing peers' data connections
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // workerInstance is one registered shard: the automata wired at
-// registration, and the routing the check phase needs.
+// registration, the routing the check phase needs, and its data mesh —
+// one connection per peer shard it shares a cut edge with, built by
+// OpConnect and reused by every check. Only the control connection
+// that registered it runs requests on it, one at a time, so the shard
+// and the proof need no lock; mu guards the mesh, which peers' dials
+// fill concurrently.
 type workerInstance struct {
-	mu      sync.Mutex  // serializes checks on this instance
-	shard   *dist.Shard // guarded by mu: every check reseeds and floods it
-	proof   core.Proof  // guarded by mu: the check's decoded proofs, reused
+	name    string
+	seq     uint64 // the registration's sequence number; the mesh's Hellos carry it
+	shard   *dist.Shard
+	proof   core.Proof // the check's decoded proofs, reused
 	scheme  core.Scheme
 	me      int
 	workers []string
 	timeout time.Duration
+
+	mu      sync.Mutex
+	mesh    map[int]net.Conn // by peer shard; complete, and no longer written, once ready is closed
+	ready   chan struct{}    // closed when every peer connection is present
+	dropped bool             // the mesh is closed; no connection joins it any more
 }
 
-// dataKey routes an accepted data connection to the check it belongs
-// to.
-type dataKey struct {
-	instance string
-	seq      uint64
-	src      int
+// addPeer installs peer p's mesh connection. A duplicate, or any
+// connection after the mesh closed, is refused.
+func (inst *workerInstance) addPeer(p int, conn net.Conn) error {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	switch {
+	case inst.dropped:
+		return fmt.Errorf("remote: registration %q dropped", inst.name)
+	case inst.mesh[p] != nil:
+		return fmt.Errorf("remote: duplicate data connection for shard %d", p)
+	}
+	inst.mesh[p] = conn
+	if len(inst.mesh) == len(inst.shard.Peers()) {
+		close(inst.ready)
+	}
+	return nil
+}
+
+// closeMesh severs every mesh connection, so peers blocked on one fail
+// at once. Idempotent.
+func (inst *workerInstance) closeMesh(w *Worker) {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	if !inst.dropped {
+		inst.dropped = true
+		for _, c := range inst.mesh {
+			w.release(c)
+		}
+	}
 }
 
 // NewWorker wraps a listener as a worker speaking the given scheme
@@ -78,7 +111,6 @@ func NewWorker(ln net.Listener, schemes map[string]core.Scheme) *Worker {
 		ln:      ln,
 		schemes: schemes,
 		insts:   make(map[string]*workerInstance),
-		pending: make(map[dataKey]chan net.Conn),
 		conns:   make(map[net.Conn]struct{}),
 	}
 }
@@ -117,10 +149,10 @@ func (w *Worker) Serve(ctx context.Context) error {
 }
 
 // Close stops the worker like a process death: the listener closes
-// (unblocking Serve), every tracked connection — control, in-flight
-// data, parked data — is severed, so peers mid-round fail their reads
-// immediately instead of draining a deadline. This is exactly the
-// "kill a worker mid-round" failure the fault tests exercise.
+// (unblocking Serve), every tracked connection — control and data — is
+// severed, so peers mid-round fail their reads immediately instead of
+// draining a deadline. This is exactly the "kill a worker mid-round"
+// failure the fault tests exercise.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -128,8 +160,6 @@ func (w *Worker) Close() error {
 		return nil
 	}
 	w.closed = true
-	pending := w.pending
-	w.pending = make(map[dataKey]chan net.Conn)
 	conns := make([]net.Conn, 0, len(w.conns))
 	for c := range w.conns {
 		conns = append(conns, c)
@@ -138,13 +168,6 @@ func (w *Worker) Close() error {
 	err := w.ln.Close()
 	for _, c := range conns {
 		_ = c.Close() // severing a live session; peers see the reset
-	}
-	for _, ch := range pending {
-		select {
-		case conn := <-ch:
-			_ = conn.Close() // reaping a parked socket; nobody reads the result
-		default:
-		}
 	}
 	return err
 }
@@ -190,96 +213,47 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 		w.serveControl(ctx, conn)
 		w.untrack(conn)
 	case transport.RoleData:
-		w.parkData(h, conn)
+		if err := w.acceptData(h, conn); err != nil {
+			w.release(conn) // no registration awaits it; the dialer sees the close
+		}
 	default:
 		w.release(conn) // unknown role: drop, same as a bad handshake
 	}
 }
 
-// parkData stashes a peer's data connection until the local check
-// claims it, bounded by dataConnTTL.
-func (w *Worker) parkData(h transport.Hello, conn net.Conn) {
-	key := dataKey{instance: h.Instance, seq: h.Seq, src: h.Src}
-	ch := w.pendingChan(key)
-	if ch == nil {
-		w.release(conn) // worker closed; dialer sees the reset
-		return
-	}
-	select {
-	case ch <- conn:
-	default:
-		w.release(conn) // duplicate handshake for the same edge; keep the first
-		return
-	}
-	time.AfterFunc(dataConnTTL, func() { w.expireData(key) })
-}
-
-// pendingChan returns the parking channel for key, creating it if
-// needed; nil after Close.
-func (w *Worker) pendingChan(key dataKey) chan net.Conn {
+// acceptData routes a peer's data connection straight into the mesh of
+// the registration its Hello names. Only a higher shard dials a lower
+// one; an unknown instance, another registration's seq, a shard sharing
+// no cut edge, or a duplicate is refused.
+func (w *Worker) acceptData(h transport.Hello, conn net.Conn) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	ch, ok := w.pending[key]
-	if !ok {
-		ch = make(chan net.Conn, 1)
-		w.pending[key] = ch
-	}
-	return ch
-}
-
-// expireData reaps a parked data connection nobody claimed in time.
-func (w *Worker) expireData(key dataKey) {
-	w.mu.Lock()
-	ch, ok := w.pending[key]
-	if ok {
-		delete(w.pending, key)
-	}
+	inst := w.insts[h.Instance]
 	w.mu.Unlock()
-	if !ok {
-		return
+	if inst == nil || inst.seq != h.Seq {
+		return fmt.Errorf("remote: no registration %q with seq %d", h.Instance, h.Seq)
 	}
-	select {
-	case conn := <-ch:
-		w.release(conn) // reaping an expired socket; the check it served is long gone
-	default:
+	if _, ok := slices.BinarySearch(inst.shard.Peers(), h.Src); !ok || h.Src < inst.me {
+		return fmt.Errorf("remote: shard %d does not dial shard %d", h.Src, inst.me)
 	}
-}
-
-// claimData waits for the peer's data connection for the given check,
-// bounded by the timeout and the context.
-func (w *Worker) claimData(ctx context.Context, key dataKey, timeout time.Duration) (net.Conn, error) {
-	ch := w.pendingChan(key)
-	if ch == nil {
-		return nil, fmt.Errorf("remote: worker closed")
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case conn := <-ch:
-		w.mu.Lock()
-		delete(w.pending, key)
-		w.mu.Unlock()
-		return conn, nil
-	case <-timer.C:
-		return nil, fmt.Errorf("remote: no data connection from shard %d within %v", key.src, timeout)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return inst.addPeer(h.Src, conn)
 }
 
 // serveControl runs one coordinator's request loop. The connection
 // idles without a read deadline between requests — teardown happens by
 // closing it, which the worker's Close and the serve context both do.
+// When the loop ends, for any reason, every registration this
+// connection made is dropped.
 func (w *Worker) serveControl(ctx context.Context, conn net.Conn) {
 	stop := context.AfterFunc(ctx, func() {
 		_ = conn.Close() // teardown: unblock the idle read below
 	})
 	defer stop()
+	mine := make(map[string]*workerInstance)
 	defer func() {
 		_ = conn.Close() // loop exit: request stream is done either way
+		for name, inst := range mine {
+			w.drop(name, inst)
+		}
 	}()
 	r := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -288,17 +262,14 @@ func (w *Worker) serveControl(ctx context.Context, conn net.Conn) {
 			return
 		}
 		typ, payload, _, err := transport.ReadFrame(r)
-		if err != nil {
-			return
-		}
-		if typ != transport.FrameRequest {
+		if err != nil || typ != transport.FrameRequest {
 			return
 		}
 		var req Request
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
-		resp := w.dispatch(ctx, &req)
+		resp := w.dispatchWatched(ctx, conn, r, &req, mine)
 		resp.Seq = req.Seq
 		if err := writeJSONFrame(conn, bw, transport.FrameResponse, resp, time.Now().Add(controlWriteTimeout)); err != nil {
 			return
@@ -306,21 +277,57 @@ func (w *Worker) serveControl(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// dispatch executes one control request and shapes its response.
-// Failures are responses, not connection teardown: the coordinator
-// decides what a failed register or check means for the run.
-func (w *Worker) dispatch(ctx context.Context, req *Request) *Response {
+// dispatchWatched runs one request while watching its control
+// connection. The protocol never pipelines requests, so EOF or any byte
+// arriving before the response means the coordinator gave up: the
+// request's context is cancelled, and a check in flight stops within
+// one round deadline instead of flooding to its end.
+func (w *Worker) dispatchWatched(ctx context.Context, conn net.Conn, r *bufio.Reader, req *Request, mine map[string]*workerInstance) *Response {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		// Returns on EOF, on a byte, or on the deadline yank below; a
+		// byte stays buffered for the next request read.
+		_, _ = r.Peek(1)
+		cancel()
+	}()
+	resp := w.dispatch(ctx, req, mine)
+	_ = conn.SetReadDeadline(time.Now()) // end the watch; the next request read clears the deadline
+	<-watched
+	return resp
+}
+
+// dispatch executes one control request and shapes its response. mine
+// holds the registrations of the requesting control connection, the
+// only one that may connect or check them. Failures are responses; a
+// failed connect or check also ends the registration, closing its mesh
+// so peers blocked on this shard fail at once.
+func (w *Worker) dispatch(ctx context.Context, req *Request, mine map[string]*workerInstance) *Response {
 	var err error
 	resp := &Response{OK: true}
 	switch req.Op {
 	case OpRegister:
-		err = w.register(req)
-	case OpCheck:
-		resp.Verdicts, resp.Stats, err = w.check(ctx, req)
-	case OpClose:
-		w.mu.Lock()
-		delete(w.insts, req.Instance)
-		w.mu.Unlock()
+		var inst *workerInstance
+		if inst, err = w.register(req, mine[req.Instance]); err == nil {
+			mine[req.Instance] = inst
+		}
+	case OpConnect, OpCheck:
+		inst := mine[req.Instance]
+		if inst == nil {
+			err = fmt.Errorf("remote: instance %q not registered", req.Instance)
+			break
+		}
+		if req.Op == OpConnect {
+			err = w.connect(ctx, inst)
+		} else {
+			resp.Verdicts, resp.Stats, err = inst.check(ctx, req)
+		}
+		if err != nil {
+			delete(mine, req.Instance)
+			w.drop(req.Instance, inst)
+		}
 	default:
 		err = fmt.Errorf("remote: unknown op %q", req.Op)
 	}
@@ -330,16 +337,28 @@ func (w *Worker) dispatch(ctx context.Context, req *Request) *Response {
 	return resp
 }
 
+// drop ends one registration: the instance leaves the registry if it is
+// still the one registered under its name, and its mesh closes.
+func (w *Worker) drop(name string, inst *workerInstance) {
+	w.mu.Lock()
+	if w.insts[name] == inst {
+		delete(w.insts, name)
+	}
+	w.mu.Unlock()
+	inst.closeMesh(w)
+}
+
 // register parses one instance shard, wires its automata, and installs
-// it.
-func (w *Worker) register(req *Request) error {
+// it with an empty mesh. prev is the requesting connection's current
+// registration under the same name, which this one replaces.
+func (w *Worker) register(req *Request, prev *workerInstance) (*workerInstance, error) {
 	scheme, ok := w.schemes[req.Scheme]
 	if !ok {
-		return fmt.Errorf("remote: unknown scheme %q", req.Scheme)
+		return nil, fmt.Errorf("remote: unknown scheme %q", req.Scheme)
 	}
 	doc, err := textio.Parse(strings.NewReader(req.Doc))
 	if err != nil {
-		return fmt.Errorf("remote: bad instance doc: %w", err)
+		return nil, fmt.Errorf("remote: bad instance doc: %w", err)
 	}
 	in := doc.Instance
 	// Restore the full instance's nil-map conventions: this worker's
@@ -361,11 +380,11 @@ func (w *Worker) register(req *Request) error {
 	// every check afterwards only seeds, floods, and decides.
 	shard, err := dist.NewShard(dist.ShardPlan{In: in, Owned: req.Owned, Assign: req.Assign}, req.Me)
 	if err != nil {
-		return fmt.Errorf("remote: register: %w", err)
+		return nil, fmt.Errorf("remote: register: %w", err)
 	}
 	for _, p := range shard.Peers() {
 		if p < 0 || p >= len(req.Workers) {
-			return fmt.Errorf("remote: assignment names shard %d but only %d workers", p, len(req.Workers))
+			return nil, fmt.Errorf("remote: assignment names shard %d but only %d workers", p, len(req.Workers))
 		}
 	}
 	timeout := time.Duration(req.RoundTimeoutMS) * time.Millisecond
@@ -373,66 +392,83 @@ func (w *Worker) register(req *Request) error {
 		timeout = transport.DefaultRoundTimeout
 	}
 	inst := &workerInstance{
+		name:    req.Instance,
+		seq:     req.Seq,
 		shard:   shard,
 		proof:   make(core.Proof, len(req.Owned)),
 		scheme:  scheme,
 		me:      req.Me,
 		workers: req.Workers,
 		timeout: timeout,
+		mesh:    make(map[int]net.Conn, len(shard.Peers())),
+		ready:   make(chan struct{}),
+	}
+	if len(shard.Peers()) == 0 {
+		close(inst.ready)
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("remote: worker closed")
+		w.mu.Unlock()
+		return nil, fmt.Errorf("remote: worker closed")
 	}
 	w.insts[req.Instance] = inst
-	return nil
+	w.mu.Unlock()
+	if prev != nil {
+		w.drop(req.Instance, prev) // replaced: only its mesh is left to close
+	}
+	return inst, nil
 }
 
-// check runs one proof over a registered shard: establish the data
-// edges for this sequence (dial lower peers, claim connections accepted
-// from higher ones), run the shard, report the verdict bitmap and
-// traffic.
-func (w *Worker) check(ctx context.Context, req *Request) ([]byte, transport.Stats, error) {
-	w.mu.Lock()
-	inst := w.insts[req.Instance]
-	w.mu.Unlock()
-	if inst == nil {
-		return nil, transport.Stats{}, fmt.Errorf("remote: instance %q not registered", req.Instance)
+// connect builds the instance's mesh: it dials every lower peer shard
+// with the registration's Hello, then waits until every higher peer's
+// dial has been accepted, bounded by the round timeout. Coordinators
+// send OpConnect only after every worker acknowledged OpRegister, so
+// every dial finds its instance registered.
+func (w *Worker) connect(ctx context.Context, inst *workerInstance) error {
+	for _, p := range inst.shard.Peers() {
+		if p > inst.me {
+			break // Peers is ascending; higher shards dial this one
+		}
+		conn, err := transport.DialData(ctx, inst.workers[p], transport.Hello{
+			Instance: inst.name, Seq: inst.seq, Src: inst.me,
+		}, inst.timeout)
+		if err != nil {
+			return fmt.Errorf("remote: shard %d -> %d: %w", inst.me, p, err)
+		}
+		if !w.track(conn) {
+			return fmt.Errorf("remote: worker closed")
+		}
+		if err := inst.addPeer(p, conn); err != nil {
+			w.release(conn) // refused by our own mesh: it closed meanwhile
+			return err
+		}
 	}
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
+	timer := time.NewTimer(inst.timeout)
+	defer timer.Stop()
+	select {
+	case <-inst.ready:
+		return nil
+	case <-timer.C:
+		return fmt.Errorf("remote: shard %d: peer data connections still missing after %v", inst.me, inst.timeout)
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// check runs one proof over the registered shard and its mesh, and
+// reports the verdict bitmap and the check's traffic. Every round is
+// lockstep, so a successful check leaves no bytes in flight on the
+// mesh, and the next check can read it through fresh buffers.
+func (inst *workerInstance) check(ctx context.Context, req *Request) ([]byte, transport.Stats, error) {
+	select {
+	case <-inst.ready:
+	default:
+		return nil, transport.Stats{}, fmt.Errorf("remote: instance %q: data mesh not connected", inst.name)
+	}
 	if err := decodeProofs(req.Proofs, inst.shard.Owned(), inst.proof); err != nil {
 		return nil, transport.Stats{}, err
 	}
-	peers := inst.shard.Peers()
-	conns := make(map[int]net.Conn, len(peers))
-	releaseAll := func() {
-		for _, c := range conns {
-			w.release(c) // unwinding a failed or finished session
-		}
-	}
-	for _, p := range peers {
-		var conn net.Conn
-		var err error
-		if p < inst.me {
-			conn, err = transport.DialData(ctx, inst.workers[p], transport.Hello{
-				Instance: req.Instance, Seq: req.Seq, Src: inst.me,
-			}, inst.timeout)
-			if err == nil && !w.track(conn) {
-				err = fmt.Errorf("worker closed")
-			}
-		} else {
-			conn, err = w.claimData(ctx, dataKey{instance: req.Instance, seq: req.Seq, src: p}, inst.timeout)
-		}
-		if err != nil {
-			releaseAll()
-			return nil, transport.Stats{}, fmt.Errorf("remote: shard %d <-> %d: %w", inst.me, p, err)
-		}
-		conns[p] = conn
-	}
-	tr := transport.NewTCP(inst.me, req.Seq, conns, inst.timeout)
-	defer releaseAll() // session conns are per-check; stats were read before
+	tr := transport.NewTCP(inst.me, req.Seq, inst.mesh, inst.timeout)
 	verdicts, err := inst.shard.Run(ctx, tr, inst.proof, inst.scheme.Verifier())
 	stats := tr.Stats()
 	if err != nil {

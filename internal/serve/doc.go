@@ -26,8 +26,9 @@
 // Check requests address a registered instance by id, or carry a
 // one-shot textio document inline; the scheme defaults to the
 // document's "scheme" directive and the proof to its "proof" lines.
-// Setting "distributed": true routes a check through the engine's
-// message-passing path. The proofs of a distributed batch run
+// Setting "backend": "dist" routes a check through the message-passing
+// runtime, and "dist-tcp" through the worker fleet named by
+// -worker-addrs. The proofs of a "dist" batch run
 // concurrently — each draws its own wirings from the instance's
 // reusable dist networks — so one /check/batch request saturates the
 // machine instead of flooding one proof at a time; docs/ARCHITECTURE.md

@@ -30,9 +30,7 @@ func TestServeBackendOption(t *testing.T) {
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
 	tampered := core.FlipBit(p, 2)
 	wantTampered := core.Check(in, tampered, scheme.Verifier())
-	// engine-dist is an alias of dist: it answers as dist.
-	label := map[string]string{"core": "core", "dist": "dist", "engine": "engine", "engine-dist": "dist"}
-	for _, backend := range []string{"core", "dist", "engine", "engine-dist"} {
+	for _, backend := range []string{"core", "dist", "engine"} {
 		var verdict struct {
 			Accepted bool   `json:"accepted"`
 			Backend  string `json:"backend"`
@@ -49,8 +47,8 @@ func TestServeBackendOption(t *testing.T) {
 		if !verdict.Accepted {
 			t.Fatalf("backend %q rejected the honest proof", backend)
 		}
-		if verdict.Backend != label[backend] {
-			t.Fatalf("backend %q: response says %q, want %q", backend, verdict.Backend, label[backend])
+		if verdict.Backend != backend {
+			t.Fatalf("backend %q: response says %q", backend, verdict.Backend)
 		}
 
 		var rej struct {
@@ -101,9 +99,10 @@ func TestServeBackendGuards(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(8))
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
 	for name, req := range map[string]map[string]any{
-		"unknown backend":          {"instance": id, "backend": "quantum"},
-		"backend plus distributed": {"instance": id, "backend": "engine", "distributed": true},
-		"partitioner on engine":    {"instance": id, "backend": "engine", "partitioner": "bfs"},
+		"unknown backend":       {"instance": id, "backend": "quantum"},
+		"removed engine-dist":   {"instance": id, "backend": "engine-dist"},
+		"removed distributed":   {"instance": id, "distributed": true},
+		"partitioner on engine": {"instance": id, "backend": "engine", "partitioner": "bfs"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/check", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -112,10 +111,10 @@ func TestServeBackendGuards(t *testing.T) {
 	}
 	// Distributed backends cannot stream.
 	resp, body := postJSON(t, ts.URL+"/check/stream", map[string]any{
-		"instance": id, "backend": "engine-dist",
+		"instance": id, "backend": "dist",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("stream on engine-dist: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("stream on dist: status %d: %s", resp.StatusCode, body)
 	}
 	// But the shared-memory backends can.
 	resp, _ = postJSON(t, ts.URL+"/check/stream", map[string]any{
@@ -175,7 +174,7 @@ func TestServeBatchColumnsOption(t *testing.T) {
 	// Misdirected or malformed strategy options fail the request.
 	for name, req := range map[string]map[string]any{
 		"non-engine backend": {"instance": id, "proofs": proofs, "backend": "dist", "batch_columns": "true"},
-		"distributed engine": {"instance": id, "proofs": proofs, "backend": "engine-dist", "batch_columns": "true"},
+		"core backend":       {"instance": id, "proofs": proofs, "backend": "core", "batch_columns": "true"},
 		"bogus value":        {"instance": id, "proofs": proofs, "backend": "engine", "batch_columns": "sideways"},
 	} {
 		resp, body := postJSON(t, ts.URL+"/check/batch", req)
@@ -191,7 +190,7 @@ func TestServeBatchColumnsOption(t *testing.T) {
 // server's own default backend.
 func TestServeDefaultBackendFlag(t *testing.T) {
 	var base config.Config
-	if err := base.Set("backend", "engine-dist"); err != nil {
+	if err := base.Set("backend", "dist"); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(serve.New(lcp.BuiltinSchemes(), base))
@@ -219,7 +218,7 @@ func TestServeDefaultBackendFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !out.Accepted || out.Backend != "dist" {
-			t.Fatalf("%v: accepted=%v backend=%q, want accepted on dist (engine-dist is its alias)", req, out.Accepted, out.Backend)
+			t.Fatalf("%v: accepted=%v backend=%q, want accepted on dist", req, out.Accepted, out.Backend)
 		}
 	}
 	// The explicit per-request override back to a shared-memory backend

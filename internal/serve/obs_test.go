@@ -270,7 +270,6 @@ func TestServeMetricsExposition(t *testing.T) {
 		}
 	}
 	check(string(config.BackendEngine))
-	check(string(config.BackendEngineDist))
 	check(string(config.BackendDist))
 
 	first := scrapeMetrics(t, ts)

@@ -125,8 +125,8 @@ var latencyBoundsSeconds = obs.LatencyBoundsSeconds()
 
 // New builds a server over the given scheme registry (normally
 // lcp.BuiltinSchemes()). The base config applies to every instance the
-// server wires; per-request options ("backend", "distributed",
-// "partitioner") override it through the same config.Set resolver the
+// server wires; per-request options ("backend", "partitioner",
+// "batch_columns") override it through the same config.Set resolver the
 // lcpserve flags go through.
 func New(schemes map[string]core.Scheme, base config.Config) *Server {
 	return NewWith(schemes, base, Config{})
@@ -331,15 +331,11 @@ type checkRequest struct {
 	// Proofs is the batch variant (POST /check/batch only).
 	Proofs []map[string]string `json:"proofs,omitempty"`
 	// Backend overrides the execution path for this request: "core",
-	// "dist", "engine", or "dist-tcp" ("engine-dist" is an alias of
-	// "dist"). It resolves through the same
+	// "dist", "engine", or "dist-tcp". It resolves through the same
 	// config.Set resolver as the lcpserve flags, so the names (and the
 	// semantics) are identical on the command line and on the wire.
 	// Empty means the server's configured default backend.
 	Backend string `json:"backend,omitempty"`
-	// Distributed is the legacy alias for Backend: true selects
-	// "dist". Set either Distributed or Backend, not both.
-	Distributed bool `json:"distributed,omitempty"`
 	// Partitioner overrides how the distributed backends assign nodes
 	// to shards for this request: "contiguous", "bfs", or "greedy" (see
 	// internal/partition). Requires a distributed backend. Empty means
@@ -365,8 +361,8 @@ type checkResponse struct {
 	ProofBits int   `json:"proof_bits"`
 	Rejectors []int `json:"rejectors,omitempty"`
 	// Backend reports the execution path that produced the verdict —
-	// the resolved value of the request's "backend"/"distributed"
-	// options over the server default.
+	// the resolved value of the request's "backend" option over the
+	// server default.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -441,9 +437,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 	if req.StopOnReject && endpoint != "/check/stream" {
 		return bad("stop_on_reject")
 	}
-	if req.Distributed && (endpoint == "/prove" || endpoint == "/check/stream") {
-		return bad("distributed")
-	}
 	if req.Backend != "" {
 		if endpoint == "/prove" {
 			return bad("backend")
@@ -454,10 +447,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 		if endpoint == "/check/stream" &&
 			req.Backend != string(config.BackendCore) && req.Backend != string(config.BackendEngine) {
 			return bad("backend")
-		}
-		if req.Distributed {
-			writeError(w, http.StatusBadRequest, "set either %q or %q, not both", "backend", "distributed")
-			return false
 		}
 	}
 	if req.Partitioner != "" && (endpoint == "/prove" || endpoint == "/check/stream") {
@@ -599,17 +588,12 @@ func (s *Server) resolve(req *checkRequest) (*instanceEntry, core.Scheme, error)
 // requestConfig resolves one request's execution configuration: the
 // server's base config with the request-level overrides applied through
 // config.Set — the same resolver the lcpserve flags feed, so "backend",
-// "distributed" and "partitioner" mean exactly the same thing on the
+// "partitioner" and "batch_columns" mean exactly the same thing on the
 // wire as on the command line.
 func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 	cfg := s.base
 	if req.Backend != "" {
 		if err := cfg.Set("backend", req.Backend); err != nil {
-			return cfg, err
-		}
-	}
-	if req.Distributed {
-		if err := cfg.Set("distributed", "true"); err != nil {
 			return cfg, err
 		}
 	}
@@ -849,33 +833,68 @@ func toResponse(nodes int, p core.Proof, rep *lcp.Report) checkResponse {
 	}
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	var req checkRequest
-	if !decodeJSON(w, r, &req) || !rejectFields(w, &req, "/check") {
-		return
+// checkCall is one check request resolved down to the checker that
+// runs it.
+type checkCall struct {
+	req   checkRequest
+	entry *instanceEntry
+	cfg   config.Config
+	chk   lcp.Checker
+}
+
+// prepareCheck is the preamble every check endpoint shares: decode the
+// body, reject the fields the endpoint would ignore, resolve the
+// instance and scheme, resolve the request's configuration, and build
+// its checker. On failure it writes the error response and returns
+// nil; otherwise the caller must call done when the request ends.
+func (s *Server) prepareCheck(w http.ResponseWriter, r *http.Request, endpoint string) *checkCall {
+	c := &checkCall{}
+	if !decodeJSON(w, r, &c.req) || !rejectFields(w, &c.req, endpoint) {
+		return nil
 	}
-	entry, scheme, err := s.resolve(&req)
+	entry, scheme, err := s.resolve(&c.req)
 	if err != nil {
 		writeResolveError(w, err)
-		return
+		return nil
 	}
-	cfg, err := s.requestConfig(&req)
+	cfg, err := s.requestConfig(&c.req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
+	}
+	// A server whose default backend is distributed still streams on
+	// the engine: streaming exists for early verdicts, which only the
+	// shared-memory backends can deliver (rejectFields guards the
+	// explicit request-level override the same way).
+	if b := cfg.ResolvedBackend(); endpoint == "/check/stream" && b != config.BackendCore && b != config.BackendEngine {
+		cfg.Backend = config.BackendEngine
 	}
 	chk, err := s.checkerFor(entry, cfg, scheme)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	c.entry, c.cfg, c.chk = entry, cfg, chk
+	return c
+}
+
+// done releases an inline one-shot entry's checkers: nothing caches
+// the entry, so a dist-tcp checker must leave the fleet when the
+// request ends (a dist checker just drops its wirings).
+func (c *checkCall) done() {
+	if c.entry.elem == nil {
+		c.entry.closeDist()
+	}
+}
+
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	c := s.prepareCheck(w, r, "/check")
+	if c == nil {
 		return
 	}
-	if entry.elem == nil {
-		// Inline one-shot entry: nothing caches it, so a dist-tcp
-		// checker must deregister from the fleet when the request ends
-		// (a dist checker just drops its wirings).
-		defer entry.closeDist()
-	}
-	p, err := requestProof(entry.Doc.Instance, entry.Doc, &req)
+	defer c.done()
+	in := c.entry.Doc.Instance
+	p, err := requestProof(in, c.entry.Doc, &c.req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -884,14 +903,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// up mid-check stops the work at the backend's next cancellation
 	// point (between rounds, nodes, or proofs) instead of burning
 	// goroutines on an answer nobody reads.
-	rep, err := chk.Check(r.Context(), p)
+	rep, err := c.chk.Check(r.Context(), p)
 	if err != nil {
-		note(w, string(cfg.ResolvedBackend()), "")
+		note(w, string(c.cfg.ResolvedBackend()), "")
 		writeError(w, http.StatusInternalServerError, "check: %v", err)
 		return
 	}
 	note(w, rep.Backend, verdictWord(rep.Accepted()))
-	writeJSON(w, http.StatusOK, toResponse(entry.Doc.Instance.G.N(), p, rep))
+	writeJSON(w, http.StatusOK, toResponse(in.G.N(), p, rep))
 }
 
 // verdictWord renders a check's outcome for log lines.
@@ -903,38 +922,19 @@ func verdictWord(accepted bool) string {
 }
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
-	var req checkRequest
-	if !decodeJSON(w, r, &req) || !rejectFields(w, &req, "/check/batch") {
+	c := s.prepareCheck(w, r, "/check/batch")
+	if c == nil {
 		return
 	}
-	entry, scheme, err := s.resolve(&req)
-	if err != nil {
-		writeResolveError(w, err)
-		return
-	}
-	cfg, err := s.requestConfig(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	chk, err := s.checkerFor(entry, cfg, scheme)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if entry.elem == nil {
-		// Inline one-shot entry: nothing caches it, so a dist-tcp
-		// checker must deregister from the fleet when the request ends
-		// (a dist checker just drops its wirings).
-		defer entry.closeDist()
-	}
-	if len(req.Proofs) == 0 {
+	defer c.done()
+	if len(c.req.Proofs) == 0 {
 		writeError(w, http.StatusBadRequest, "batch request needs a \"proofs\" array")
 		return
 	}
-	proofs := make([]core.Proof, len(req.Proofs))
-	for i, m := range req.Proofs {
-		p, err := parseProof(entry.Doc.Instance, m)
+	in := c.entry.Doc.Instance
+	proofs := make([]core.Proof, len(c.req.Proofs))
+	for i, m := range c.req.Proofs {
+		p, err := parseProof(in, m)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "proofs[%d]: %v", i, err)
 			return
@@ -948,7 +948,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	// time). The request context cancels between proofs and between
 	// communication rounds, so a client hang-up stops burning shard
 	// goroutines mid-batch.
-	reports, err := chk.CheckBatch(r.Context(), proofs)
+	reports, err := c.chk.CheckBatch(r.Context(), proofs)
 	if err != nil {
 		var be *lcp.BatchError
 		if errors.As(err, &be) {
@@ -960,14 +960,13 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]checkResponse, len(reports))
 	accepted := 0
-	nodes := entry.Doc.Instance.G.N()
 	for i, rep := range reports {
-		out[i] = toResponse(nodes, proofs[i], rep)
+		out[i] = toResponse(in.G.N(), proofs[i], rep)
 		if rep.Accepted() {
 			accepted++
 		}
 	}
-	note(w, string(cfg.ResolvedBackend()), fmt.Sprintf("accepted=%d/%d", accepted, len(out)))
+	note(w, string(c.cfg.ResolvedBackend()), fmt.Sprintf("accepted=%d/%d", accepted, len(out)))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"results":  out,
 		"accepted": accepted,
@@ -991,42 +990,13 @@ type summaryLine struct {
 }
 
 func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
-	var req checkRequest
-	if !decodeJSON(w, r, &req) || !rejectFields(w, &req, "/check/stream") {
+	c := s.prepareCheck(w, r, "/check/stream")
+	if c == nil {
 		return
 	}
-	entry, scheme, err := s.resolve(&req)
-	if err != nil {
-		writeResolveError(w, err)
-		return
-	}
-	cfg, err := s.requestConfig(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// A server whose default backend is distributed still streams on
-	// the engine: streaming exists for early verdicts, which only the
-	// shared-memory backends can deliver (rejectFields guards the
-	// explicit request-level override the same way).
-	if b := cfg.ResolvedBackend(); b != config.BackendCore && b != config.BackendEngine {
-		if err := cfg.Set("backend", string(config.BackendEngine)); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	chk, err := s.checkerFor(entry, cfg, scheme)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if entry.elem == nil {
-		// Inline one-shot entry: nothing caches it, so a dist-tcp
-		// checker must deregister from the fleet when the request ends
-		// (a dist checker just drops its wirings).
-		defer entry.closeDist()
-	}
-	p, err := requestProof(entry.Doc.Instance, entry.Doc, &req)
+	defer c.done()
+	in := c.entry.Doc.Instance
+	p, err := requestProof(in, c.entry.Doc, &c.req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1035,7 +1005,7 @@ func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
 	// stop_on_reject additionally cancels it on the first rejection.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	stream, err := chk.CheckStream(ctx, p)
+	stream, err := c.chk.CheckStream(ctx, p)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "stream: %v", err)
 		return
@@ -1056,15 +1026,15 @@ func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if !verdict.Accept && req.StopOnReject {
+		if !verdict.Accept && c.req.StopOnReject {
 			stopped = true
 			cancel()
 			break
 		}
 	}
 	// Drain: the stream's workers exit on the cancelled context.
-	nodes := entry.Doc.Instance.G.N()
-	note(w, string(cfg.ResolvedBackend()), verdictWord(accepted && checked == nodes))
+	nodes := in.G.N()
+	note(w, string(c.cfg.ResolvedBackend()), verdictWord(accepted && checked == nodes))
 	_ = enc.Encode(summaryLine{
 		Done:         true,
 		Accepted:     accepted && checked == nodes,

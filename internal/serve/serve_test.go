@@ -90,7 +90,7 @@ func proofWire(p core.Proof) map[string]string {
 
 // TestServeDistributedBatchConcurrentShards is the -race stress test of
 // concurrent shard checks inside a single serve request: one
-// /check/batch with distributed=true fans its proofs out over the
+// /check/batch with backend "dist" fans its proofs out over the
 // instance's dist network concurrently (each proof's shards also flood
 // in parallel), so the whole wiring pool and the round gates are
 // exercised under contention. Verdicts must match the sequential
@@ -123,9 +123,9 @@ func TestServeDistributedBatchConcurrentShards(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.URL+"/check/batch", map[string]any{
-		"instance":    id,
-		"proofs":      proofs,
-		"distributed": true,
+		"instance": id,
+		"proofs":   proofs,
+		"backend":  "dist",
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -159,14 +159,14 @@ func TestServeCheckRegisteredInstance(t *testing.T) {
 	}
 	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
 
-	for _, distributed := range []bool{false, true} {
+	for _, backend := range []string{"engine", "dist"} {
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
-			"instance":    id,
-			"proof":       proofWire(p),
-			"distributed": distributed,
+			"instance": id,
+			"proof":    proofWire(p),
+			"backend":  backend,
 		})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("distributed=%v: status %d: %s", distributed, resp.StatusCode, body)
+			t.Fatalf("backend=%s: status %d: %s", backend, resp.StatusCode, body)
 		}
 		var out struct {
 			Accepted  bool  `json:"accepted"`
@@ -178,7 +178,7 @@ func TestServeCheckRegisteredInstance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !out.Accepted || out.Nodes != 16 || out.ProofBits != 1 || len(out.Rejectors) != 0 {
-			t.Fatalf("distributed=%v: unexpected verdict %+v", distributed, out)
+			t.Fatalf("backend=%s: unexpected verdict %+v", backend, out)
 		}
 	}
 
@@ -420,13 +420,13 @@ func TestServeRejectsMisdirectedFields(t *testing.T) {
 		endpoint string
 		req      map[string]any
 	}{
-		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "distributed": true}},
+		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "backend": "dist"}},
 		{"/check", map[string]any{"instance": id, "proofs": []map[string]string{{}}}},
 		{"/check", map[string]any{"instance": id, "proof": map[string]string{}, "stop_on_reject": true}},
 		{"/check/batch", map[string]any{"instance": id, "proof": map[string]string{}, "proofs": []map[string]string{{}}}},
 		{"/check/stream", map[string]any{"instance": id, "proofs": []map[string]string{{}}}},
 		{"/prove", map[string]any{"instance": id, "proof": map[string]string{}}},
-		{"/prove", map[string]any{"instance": id, "distributed": true}},
+		{"/prove", map[string]any{"instance": id, "backend": "dist"}},
 		{"/check", map[string]any{"instance": id, "proof": map[string]string{}, "batch_columns": "true"}},
 		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "batch_columns": "auto"}},
 		{"/prove", map[string]any{"instance": id, "batch_columns": "true"}},

@@ -167,8 +167,8 @@ func TestServeStats(t *testing.T) {
 
 // TestServePartitionerOption: distributed checks accept a per-request
 // partitioner override, verdicts agree across all of them, junk names
-// are rejected, and the option without distributed=true is a client
-// error.
+// are rejected, and the option without a distributed backend is a
+// client error.
 func TestServePartitionerOption(t *testing.T) {
 	ts := newTestServer(t)
 	in := lcp.NewInstance(lcp.Grid(5, 5))
@@ -181,7 +181,7 @@ func TestServePartitionerOption(t *testing.T) {
 
 	want := core.Check(in, p, scheme.Verifier()).Accepted()
 	for _, name := range []string{"", "contiguous", "bfs", "greedy"} {
-		reqBody := map[string]any{"instance": id, "proof": proofWire(p), "distributed": true}
+		reqBody := map[string]any{"instance": id, "proof": proofWire(p), "backend": "dist"}
 		if name != "" {
 			reqBody["partitioner"] = name
 		}
@@ -202,7 +202,7 @@ func TestServePartitionerOption(t *testing.T) {
 
 	// Batch path takes the override too.
 	resp, body := postJSON(t, ts.URL+"/check/batch", map[string]any{
-		"instance": id, "distributed": true, "partitioner": "bfs",
+		"instance": id, "backend": "dist", "partitioner": "bfs",
 		"proofs": []map[string]string{proofWire(p), proofWire(core.FlipBit(p, 1))},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -210,9 +210,9 @@ func TestServePartitionerOption(t *testing.T) {
 	}
 
 	for name, reqBody := range map[string]map[string]any{
-		"junk-name":       {"instance": id, "proof": proofWire(p), "distributed": true, "partitioner": "quantum"},
+		"junk-name":       {"instance": id, "proof": proofWire(p), "backend": "dist", "partitioner": "quantum"},
 		"not-distributed": {"instance": id, "proof": proofWire(p), "partitioner": "bfs"},
-		"on-prove":        {"instance": id, "distributed": true, "partitioner": "bfs"},
+		"on-prove":        {"instance": id, "backend": "dist", "partitioner": "bfs"},
 	} {
 		url := ts.URL + "/check"
 		if name == "on-prove" {
@@ -246,7 +246,7 @@ func TestServePartitionerEnginesAmortize(t *testing.T) {
 			wantAccept = core.Check(in, proof, scheme.Verifier()).Accepted()
 		}
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
-			"instance": id, "proof": proofWire(proof), "distributed": true, "partitioner": "greedy",
+			"instance": id, "proof": proofWire(proof), "backend": "dist", "partitioner": "greedy",
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, body)
@@ -264,8 +264,8 @@ func TestServePartitionerEnginesAmortize(t *testing.T) {
 }
 
 // TestServeDistWiresOnce: the entry caches its dist checker, so two dist
-// requests on one instance — one spelled with the engine-dist alias —
-// wire the instance's shards once, not once per request.
+// requests on one instance wire the instance's shards once, not once
+// per request.
 func TestServeDistWiresOnce(t *testing.T) {
 	ts := newTestServer(t)
 	in := lcp.NewInstance(lcp.Cycle(15))
@@ -276,12 +276,12 @@ func TestServeDistWiresOnce(t *testing.T) {
 	}
 	id := registerInstance(t, ts, docText(t, in, "odd-n", nil))
 	before := dist.Metrics().Wirings
-	for _, backend := range []string{"dist", "engine-dist"} {
+	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/check", map[string]any{
-			"instance": id, "proof": proofWire(p), "backend": backend,
+			"instance": id, "proof": proofWire(p), "backend": "dist",
 		})
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", backend, resp.StatusCode, body)
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
 		}
 	}
 	if got := dist.Metrics().Wirings - before; got != 1 {

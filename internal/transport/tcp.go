@@ -253,20 +253,23 @@ func (t *TCP) Close() error {
 // ProtoVersion is the handshake protocol version in Hello frames.
 // Version 2 packs check requests and responses (proof bits and verdict
 // bitmaps in the registered owned order) and groups data frames by
-// batch; a version-1 peer cannot parse either.
-const ProtoVersion = 2
+// batch; a version-1 peer cannot parse either. Version 3 builds the
+// data connections once per registration (the connect request) instead
+// of once per check, so a data Hello names a registration, not a check.
+const ProtoVersion = 3
 
 // Connection roles named in Hello frames.
 const (
 	// RoleControl marks a coordinator's control-plane connection.
 	RoleControl = "control"
-	// RoleData marks a shard-pair data connection for one check.
+	// RoleData marks a shard-pair data connection of one registration.
 	RoleData = "data"
 )
 
 // Hello is the JSON payload of the handshake frame that opens every
 // connection, telling the accepting side what the connection is for: a
-// coordinator's control plane, or one check's data edge from shard Src.
+// coordinator's control plane, or a registration's data edge from shard
+// Src.
 type Hello struct {
 	// Proto is the protocol version (ProtoVersion).
 	Proto int `json:"proto"`
@@ -274,7 +277,11 @@ type Hello struct {
 	Role string `json:"role"`
 	// Instance names the registered instance (data connections).
 	Instance string `json:"instance,omitempty"`
-	// Seq is the check sequence the data connection serves.
+	// Seq is the sequence number of the registration whose mesh the
+	// data connection joins (the coordinator's register request). The
+	// accepting worker refuses a Seq other than its registration's, so
+	// a dial left over from a replaced registration never joins the
+	// current mesh. Checks are told apart by DataHeader.Seq instead.
 	Seq uint64 `json:"seq,omitempty"`
 	// Src is the dialing shard (data connections).
 	Src int `json:"src,omitempty"`
@@ -318,8 +325,8 @@ func ReadHello(conn net.Conn, timeout time.Duration) (Hello, error) {
 }
 
 // DialData dials a peer's listener and opens a data connection for one
-// check session. The context bounds the dial; the timeout bounds the
-// handshake write.
+// registration's mesh. The context bounds the dial; the timeout bounds
+// the handshake write.
 func DialData(ctx context.Context, addr string, h Hello, timeout time.Duration) (net.Conn, error) {
 	d := net.Dialer{Timeout: timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)

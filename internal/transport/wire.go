@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"lcp/internal/bitstr"
 	"lcp/internal/graph"
@@ -79,7 +80,14 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) (int, error) {
 	return len(hdr) + len(payload), nil
 }
 
+// frameChunk is the most ReadFrame allocates ahead of payload bytes that
+// have actually arrived.
+const frameChunk = 64 << 10
+
 // ReadFrame reads one frame and reports the bytes taken off the wire.
+// The payload buffer grows only as its bytes arrive, so a peer that
+// announces MaxFrame and sends nothing costs one frameChunk, not
+// MaxFrame.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -89,9 +97,16 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, n int, err error) {
 	if size == 0 || size > MaxFrame {
 		return 0, nil, 0, fmt.Errorf("transport: bad frame length %d", size)
 	}
-	payload = make([]byte, size-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, 0, fmt.Errorf("transport: short frame: %w", err)
+	want := int(size - 1)
+	payload = make([]byte, 0, min(want, frameChunk))
+	for len(payload) < want {
+		// Double the buffer, capped at the announced length, and fill it.
+		read := len(payload)
+		grow := min(want-read, max(read, frameChunk))
+		payload = slices.Grow(payload, grow)[:read+grow]
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			return 0, nil, 0, fmt.Errorf("transport: short frame: %w", err)
+		}
 	}
 	return hdr[4], payload, len(hdr) + len(payload), nil
 }

@@ -23,9 +23,6 @@
 package lcp
 
 import (
-	"context"
-	"fmt"
-
 	"lcp/internal/core"
 	"lcp/internal/engine"
 	"lcp/internal/graph"
@@ -112,25 +109,6 @@ func NewInstance(g *Graph) *Instance { return core.NewInstance(g) }
 // Prove runs a scheme's prover.
 func Prove(s Scheme, in *Instance) (Proof, error) { return s.Prove(in) }
 
-// Check runs the verifier sequentially on every node, through the
-// façade's core backend.
-//
-// Deprecated: use NewChecker with WithBackend(BackendCore). The façade
-// adds context cancellation, batching, streaming, and the unified
-// Report; this wrapper survives so existing callers keep compiling.
-func Check(in *Instance, p Proof, v Verifier) *Result {
-	c, err := NewChecker(in, WithVerifier(v), WithBackend(BackendCore))
-	if err != nil {
-		panic(fmt.Sprintf("lcp.Check: %v", err))
-	}
-	//lint:ignore ctxflow deprecated ctx-less wrapper kept for compatibility; new callers use Checker.Check with their own ctx
-	rep, err := c.Check(context.Background(), p)
-	if err != nil {
-		panic(fmt.Sprintf("lcp.Check: %v", err))
-	}
-	return rep.Result()
-}
-
 // Partitioner computes a node→shard assignment for the distributed
 // backends: the dist runtime's shard layout and the dist-tcp worker
 // cut (WithPartitioner). Cross-shard edges are what sharded execution
@@ -168,11 +146,12 @@ func ProveAndCheck(in *Instance, s Scheme) (Proof, *Result, error) {
 }
 
 // The long-lived verification engine: build once per instance, verify
-// many proofs. Check rebuilds every radius-r view per call; the Engine
-// caches them (per radius, shared across proofs) and serves CheckProof
-// / CheckBatch / CheckStream at a fraction of the per-proof cost. Prefer it whenever the same
-// instance meets more than a handful of proofs — tampering sweeps,
-// adversary searches, or a verification service's request stream.
+// many proofs. The core backend rebuilds every radius-r view per call;
+// the Engine caches them (per radius, shared across proofs) and serves
+// CheckProof / CheckBatch / CheckStream at a fraction of the per-proof
+// cost. Prefer it whenever the same instance meets more than a handful
+// of proofs — tampering sweeps, adversary searches, or a verification
+// service's request stream.
 type (
 	// Engine is the amortized verification service for one instance.
 	Engine = engine.Engine
