@@ -34,7 +34,7 @@ race:
 	$(GO) test -race -short ./...
 
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkAblationViewConstruction|BenchmarkDistributedRuntime|BenchmarkEngineAmortized' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkAblationViewConstruction|BenchmarkDistributedRuntime|BenchmarkEngineAmortized|BenchmarkEngineBatchColumns' -benchmem .
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/dist/
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/partition/
 

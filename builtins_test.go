@@ -7,6 +7,7 @@ package lcp_test
 // be a name that dies on first use.
 
 import (
+	"context"
 	"testing"
 
 	"lcp"
@@ -97,7 +98,11 @@ func TestBuiltinSchemesRoundTripOnYesInstances(t *testing.T) {
 			// The verifier must also accept through the amortized
 			// engine — the registry serves lcpserve, which only runs
 			// engine paths.
-			if eres := lcp.NewEngine(in).CheckProof(proof, scheme.Verifier()); !eres.Accepted() {
+			eres, err := lcp.NewEngine(in).CheckProofCtx(context.Background(), proof, scheme.Verifier())
+			if err != nil {
+				t.Fatalf("engine check: %v", err)
+			}
+			if !eres.Accepted() {
 				t.Fatalf("engine rejected the honest proof: %s", eres)
 			}
 		})

@@ -57,14 +57,13 @@ const (
 // it. Implementations are safe for concurrent use and amortize whatever
 // their backend can (cached views, prewired shards) across calls.
 //
-// Context cancellation is uniform but backend-granular: the core
-// backend aborts between nodes, the engine backend between proofs of a
-// batch, and the message-passing backends between communication
-// rounds. A
-// verifier that panics is converted to an error on the message-passing
-// backends; on the shared-memory backends it propagates to the caller
-// of Check/CheckBatch and must be recovered around CheckStream's
-// channel (internal/serve wraps untrusted verifiers accordingly).
+// Context cancellation is uniform but backend-granular: the core and
+// engine backends abort between nodes, and the message-passing
+// backends between communication rounds. A verifier that panics is
+// converted to an error on the message-passing backends; on the
+// shared-memory backends it propagates to the caller of
+// Check/CheckBatch and must be recovered around CheckStream's channel
+// (internal/serve wraps untrusted verifiers accordingly).
 type Checker interface {
 	// Check verifies one proof on every node.
 	Check(ctx context.Context, p Proof) (*Report, error)
@@ -97,7 +96,9 @@ type Report struct {
 	// ("core.check"; "dist.wire"/"dist.seed"/"dist.flood"/"dist.run";
 	// "engine.views"/"engine.verify"). Stages recorded by concurrent
 	// workers sum their wall time, so a stage's Total can exceed
-	// Elapsed; Count says how many observations merged.
+	// Elapsed; Count says how many observations merged. An engine
+	// CheckBatch runs one walk for all its proofs, so each of its
+	// reports carries the whole batch's Elapsed and Stages.
 	Stages []Stage
 }
 
@@ -233,24 +234,6 @@ func WithShards(n int) CheckerOption {
 // shard layout and the dist-tcp worker cut.
 func WithPartitioner(p Partitioner) CheckerOption {
 	return func(cc *checkerConfig) { cc.cfg.Partitioner = p }
-}
-
-// WithBatchColumns forces the engine backend's CheckBatch strategy: on
-// routes every batch through the column-wise path (one ball walk per
-// node feeding all k proofs, identical ball restrictions deduplicated),
-// off always runs the per-proof loop. Without this option the checker
-// auto-engages the columns path for batches of
-// config.BatchColumnsAutoThreshold proofs or more. The textual spelling
-// is config.Set("batch-columns", "auto"|"true"|"false"), the same knob
-// lcpserve flags and /check/batch request options resolve.
-func WithBatchColumns(on bool) CheckerOption {
-	return func(cc *checkerConfig) {
-		if on {
-			cc.cfg.BatchColumns = config.BatchColumnsOn
-		} else {
-			cc.cfg.BatchColumns = config.BatchColumnsOff
-		}
-	}
 }
 
 // WithEngine backs the engine backend with an existing Engine instead
@@ -495,9 +478,7 @@ func (c *checker) CheckBatch(ctx context.Context, proofs []Proof) ([]*Report, er
 		// one proof at a time.
 		return c.checkBatchConcurrent(ctx, proofs)
 	case config.BackendEngine:
-		if c.cfg.BatchColumns.Engaged(len(proofs)) {
-			return c.checkBatchColumns(ctx, proofs)
-		}
+		return c.checkBatchWalk(ctx, proofs)
 	}
 	reports := make([]*Report, 0, len(proofs))
 	for i, p := range proofs {
@@ -510,18 +491,18 @@ func (c *checker) CheckBatch(ctx context.Context, proofs []Proof) ([]*Report, er
 	return reports, nil
 }
 
-// checkBatchColumns serves the batch through the engine's column-wise
-// path: one walk over the cached skeletons feeds every proof, so the
-// batch shares a single timeline and wall clock — each Report carries
-// the batch's Elapsed and Stages, not a per-proof slice of them. The
-// walk fails (or is cancelled) as a unit: no column has a complete
-// verdict until it finishes, so the BatchError of a failed batch points
-// at index 0, the first proof without a report.
-func (c *checker) checkBatchColumns(ctx context.Context, proofs []Proof) ([]*Report, error) {
+// checkBatchWalk serves the batch through the engine's column walk:
+// one walk over the cached skeletons feeds every proof, so the batch
+// shares a single timeline and wall clock — each Report carries the
+// batch's Elapsed and Stages, not a per-proof slice of them. The walk
+// fails (or is cancelled) as a unit: no column has a complete verdict
+// until it finishes, so the BatchError of a failed batch points at
+// index 0, the first proof without a report.
+func (c *checker) checkBatchWalk(ctx context.Context, proofs []Proof) ([]*Report, error) {
 	start := time.Now()
 	tl := obs.NewTimeline()
 	ctx = obs.ContextWithTimeline(ctx, tl)
-	results, err := c.eng.CheckBatchColumnsCtx(ctx, proofs, c.v)
+	results, err := c.eng.CheckBatchCtx(ctx, proofs, c.v)
 	c.recordStages(tl)
 	if err != nil {
 		c.recordOutcome(nil, err)

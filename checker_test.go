@@ -56,38 +56,33 @@ func tcpFleetAddrs() []string {
 type backendCase struct {
 	name string
 	opts []lcp.CheckerOption
+	// batches lists the CheckBatch sizes the matrix runs; nil means one
+	// batch of the four base proofs.
+	batches []int
 }
 
 func backendMatrix() []backendCase {
 	return []backendCase{
-		{"core", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendCore)}},
-		{"dist", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist)}},
-		{"dist-sharded", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3)}},
+		{"core", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendCore)}, nil},
+		{"dist", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist)}, nil},
+		{"dist-sharded", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3)}, nil},
 		{"dist-bfs", []lcp.CheckerOption{
 			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3),
 			lcp.WithPartitioner(lcp.BFSChunksPartitioner()),
-		}},
+		}, nil},
 		// One shard per node: the shard count is capped at n.
-		{"dist-per-node", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(1 << 20)}},
-		{"engine", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3)}},
-		// Forcing the column-wise batch strategy routes CheckBatch
-		// through ProofColumns + ball-restriction dedup whatever the
-		// batch size; Check and CheckStream stay on the per-proof paths,
-		// so the whole surface is exercised against the same reference.
-		{"engine-columns", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3), lcp.WithBatchColumns(true),
-		}},
-		// ...and forcing it off keeps the per-proof batch loop covered,
-		// since the plain "engine" case auto-engages columns at the
-		// matrix's four-proof batch size.
-		{"engine-batch-loop", []lcp.CheckerOption{
-			lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3), lcp.WithBatchColumns(false),
-		}},
+		{"dist-per-node", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendDist), lcp.WithShards(1 << 20)}, nil},
+		// Every engine check is the column walk: Check is one column,
+		// CheckBatch k of them with ball-restriction dedup. The small
+		// sizes pin the walk where a one-column table and few
+		// representatives per node are the whole cost; 16 is the size
+		// the benchmark's serve phase sends.
+		{"engine", []lcp.CheckerOption{lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(3)}, []int{1, 2, 3, 16}},
 		// The greedy partitioner cuts the dist shards differently again.
 		{"dist-greedy", []lcp.CheckerOption{
 			lcp.WithBackend(lcp.BackendDist), lcp.WithShards(3),
 			lcp.WithPartitioner(lcp.GreedyBalancedPartitioner()),
-		}},
+		}, nil},
 		// The multi-process path: real lcpworker fleet on loopback TCP,
 		// the checker acting as fan-out coordinator. Same matrix, same
 		// reference — the verdicts cross process boundaries and come
@@ -96,7 +91,7 @@ func backendMatrix() []backendCase {
 			lcp.WithBackend(lcp.BackendDistTCP),
 			lcp.WithWorkerAddrs(tcpFleetAddrs()...),
 			lcp.WithPartitioner(lcp.BFSChunksPartitioner()),
-		}},
+		}, nil},
 	}
 }
 
@@ -141,6 +136,13 @@ func TestCheckerBackendEquivalenceMatrix(t *testing.T) {
 			}
 			proofs := []core.Proof{honest, core.FlipBit(honest, 0), core.FlipBit(honest, 1), honest.Truncated(1)}
 			labels := []string{"honest", "tampered-0", "tampered-1", "truncated"}
+			// The larger batches extend the base proofs with more
+			// single-bit tamperings, so one batch mixes columns that
+			// deduplicate with columns that do not.
+			for seed := int64(2); len(proofs) < 16; seed++ {
+				proofs = append(proofs, core.FlipBit(honest, seed))
+				labels = append(labels, fmt.Sprintf("tampered-%d", seed))
+			}
 			v := exp.Scheme.Verifier()
 			wants := make([]*core.Result, len(proofs))
 			for i, p := range proofs {
@@ -151,7 +153,7 @@ func TestCheckerBackendEquivalenceMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: NewChecker: %v", bc.name, err)
 				}
-				for i, p := range proofs {
+				for i, p := range proofs[:4] {
 					rep, err := chk.Check(ctx, p)
 					if err != nil {
 						t.Fatalf("%s/%s: Check: %v", bc.name, labels[i], err)
@@ -161,15 +163,21 @@ func TestCheckerBackendEquivalenceMatrix(t *testing.T) {
 					}
 					reportMatches(t, fmt.Sprintf("%s/%s [check]", bc.name, labels[i]), rep, wants[i])
 				}
-				reps, err := chk.CheckBatch(ctx, proofs)
-				if err != nil {
-					t.Fatalf("%s: CheckBatch: %v", bc.name, err)
+				batches := bc.batches
+				if batches == nil {
+					batches = []int{4}
 				}
-				if len(reps) != len(proofs) {
-					t.Fatalf("%s: CheckBatch returned %d reports for %d proofs", bc.name, len(reps), len(proofs))
-				}
-				for i, rep := range reps {
-					reportMatches(t, fmt.Sprintf("%s/%s [batch]", bc.name, labels[i]), rep, wants[i])
+				for _, k := range batches {
+					reps, err := chk.CheckBatch(ctx, proofs[:k])
+					if err != nil {
+						t.Fatalf("%s: CheckBatch k=%d: %v", bc.name, k, err)
+					}
+					if len(reps) != k {
+						t.Fatalf("%s: CheckBatch returned %d reports for %d proofs", bc.name, len(reps), k)
+					}
+					for i, rep := range reps {
+						reportMatches(t, fmt.Sprintf("%s/%s [batch k=%d]", bc.name, labels[i], k), rep, wants[i])
+					}
 				}
 				stream, err := chk.CheckStream(ctx, proofs[1])
 				if err != nil {
@@ -265,9 +273,9 @@ func TestCheckerDefaultsAndErrors(t *testing.T) {
 	}
 }
 
-// TestCheckerSharedEngine: two checkers over one engine — with
-// different batch strategies — answer identically (and exercise the
-// serve wiring pattern).
+// TestCheckerSharedEngine: two checkers over one engine answer
+// identically, one proof at a time and in a batch (the serve wiring
+// pattern).
 func TestCheckerSharedEngine(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(16))
 	scheme := lcp.BipartiteScheme()
@@ -280,18 +288,25 @@ func TestCheckerSharedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedLoop, err := lcp.NewChecker(in, lcp.WithScheme(scheme),
-		lcp.WithBatchColumns(false), lcp.WithEngine(eng))
+	second, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithEngine(eng))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tampered := core.FlipBit(p, 3)
 	want := core.Check(in, p, scheme.Verifier())
-	for name, chk := range map[string]lcp.Checker{"engine": shared, "engine-batch-loop": sharedLoop} {
+	wantTampered := core.Check(in, tampered, scheme.Verifier())
+	for name, chk := range map[string]lcp.Checker{"engine": shared, "engine-second": second} {
 		rep, err := chk.Check(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		reportMatches(t, name, rep, want)
+		reps, err := chk.CheckBatch(context.Background(), []core.Proof{p, tampered})
+		if err != nil {
+			t.Fatalf("%s batch: %v", name, err)
+		}
+		reportMatches(t, name+" [batch honest]", reps[0], want)
+		reportMatches(t, name+" [batch tampered]", reps[1], wantTampered)
 	}
 }
 
@@ -325,18 +340,22 @@ func TestCheckerCancelledContext(t *testing.T) {
 	}
 }
 
-// TestCheckerBatchCancelMidway: on the sequential engine backend a
-// context cancelled while proof 0 is being verified aborts the batch at
-// the next proof boundary with the failing index in the BatchError.
+// TestCheckerBatchCancelMidway: the core backend's per-proof batch
+// loop, cancelled while proof 0's last node is being verified, lets
+// proof 0 finish and aborts at the next proof boundary with the failing
+// index in the BatchError.
 func TestCheckerBatchCancelMidway(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(12))
+	nodes := in.G.Nodes()
+	last := nodes[len(nodes)-1]
 	ctx, cancel := context.WithCancel(context.Background())
 	v := core.VerifierFunc{R: 1, F: func(w *core.View) bool {
-		cancel() // fires during proof 0; later proofs must not start
+		if w.Center == last {
+			cancel() // fires at proof 0's last node; later proofs must not start
+		}
 		return true
 	}}
-	chk, err := lcp.NewChecker(in, lcp.WithVerifier(v),
-		lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(1))
+	chk, err := lcp.NewChecker(in, lcp.WithVerifier(v), lcp.WithBackend(lcp.BackendCore))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,10 +372,11 @@ func TestCheckerBatchCancelMidway(t *testing.T) {
 	}
 }
 
-// TestCheckerBatchColumnsCancelMidway: the column-wise path fails the
-// batch as a unit — no column has a complete verdict until the walk
-// finishes — so a cancellation mid-walk reports BatchError.Index 0 (the
-// first proof without a report) and still unwraps to context.Canceled.
+// TestCheckerBatchColumnsCancelMidway: the engine's column walk fails
+// the batch as a unit — no column has a complete verdict until the
+// walk finishes — so a cancellation mid-walk reports BatchError.Index 0
+// (the first proof without a report) and still unwraps to
+// context.Canceled.
 func TestCheckerBatchColumnsCancelMidway(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(12))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -365,7 +385,7 @@ func TestCheckerBatchColumnsCancelMidway(t *testing.T) {
 		return true
 	}}
 	chk, err := lcp.NewChecker(in, lcp.WithVerifier(v),
-		lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(1), lcp.WithBatchColumns(true))
+		lcp.WithBackend(lcp.BackendEngine), lcp.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

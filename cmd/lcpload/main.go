@@ -51,16 +51,15 @@ func main() {
 	batch := flag.Int("batch", 16, "proofs per /check/batch request")
 	backend := flag.String("backend", "", "request-level backend override: "+fmt.Sprint(config.Backends()))
 	partitioner := flag.String("partitioner", "", "request-level partitioner override (requires a distributed backend)")
-	batchColumns := flag.String("batch-columns", "", "batch strategy override for /check/batch: auto, true, or false (requires the engine backend)")
 	flag.Parse()
 
-	if err := run(*url, *duration, *concurrency, *nodes, *batch, *backend, *partitioner, *batchColumns); err != nil {
+	if err := run(*url, *duration, *concurrency, *nodes, *batch, *backend, *partitioner); err != nil {
 		fmt.Fprintln(os.Stderr, "lcpload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(url string, duration time.Duration, concurrency, nodes, batch int, backend, partitioner, batchColumns string) error {
+func run(url string, duration time.Duration, concurrency, nodes, batch int, backend, partitioner string) error {
 	if concurrency < 1 || nodes < 4 || batch < 1 {
 		return fmt.Errorf("bad flags: concurrency, batch >= 1 and nodes >= 4 required")
 	}
@@ -116,18 +115,7 @@ func run(url string, duration time.Duration, concurrency, nodes, batch int, back
 	for i := range proofs {
 		proofs[i] = proofWire
 	}
-	// batch_columns only exists on /check/batch; sending it to /check
-	// would be rejected, so it extends a batch-only copy of the common
-	// fields.
-	batchCommon := common
-	if batchColumns != "" {
-		batchCommon = make(map[string]any, len(common)+1)
-		for k, v := range common {
-			batchCommon[k] = v
-		}
-		batchCommon["batch_columns"] = batchColumns
-	}
-	batchBody, err := body(batchCommon, "proofs", proofs)
+	batchBody, err := body(common, "proofs", proofs)
 	if err != nil {
 		return err
 	}

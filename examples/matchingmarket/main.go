@@ -75,11 +75,9 @@ func main() {
 	// force — the local checks catch the now-suboptimal assignment.
 	fmt.Println("attack: delete one matched pair (making the assignment suboptimal)…")
 	tampered := in.Clone()
-	for e := range assignment {
-		delete(tampered.EdgeLabel, e)
-		fmt.Printf("  removed pair %d–%d (value %d)\n", e.U, e.V, values[e])
-		break
-	}
+	e := in.MarkedEdges()[0] // sorted, so every run removes the same pair
+	delete(tampered.EdgeLabel, e)
+	fmt.Printf("  removed pair %d–%d (value %d)\n", e.U, e.V, values[e])
 	if _, err := scheme.Prove(tampered); err != nil {
 		fmt.Printf("  platform cannot certify it: %v\n", err)
 	}

@@ -76,61 +76,10 @@ type Config struct {
 	// Shards is the dist backend's shard goroutine count per check
 	// (0 = GOMAXPROCS; the node count gives one goroutine per node).
 	Shards int
-	// BatchColumns selects whether CheckBatch on the engine backend
-	// takes the column-wise batch path (one ball walk feeding all k
-	// proofs). The zero value auto-engages it at
-	// BatchColumnsAutoThreshold proofs and above.
-	BatchColumns BatchColumnsMode
 	// WorkerAddrs lists the lcpworker control addresses
 	// (host:port) the dist-tcp backend fans out to, one shard per
 	// worker. Required by — and only meaningful on — that backend.
 	WorkerAddrs []string
-}
-
-// BatchColumnsMode is the tri-state batch-strategy knob behind the
-// "batch-columns" option key: auto (columns for large enough batches),
-// forced on, or forced off (the per-proof loop).
-type BatchColumnsMode int
-
-const (
-	// BatchColumnsAuto engages the columns path for batches of
-	// BatchColumnsAutoThreshold proofs or more.
-	BatchColumnsAuto BatchColumnsMode = iota
-	// BatchColumnsOn always takes the columns path on the engine
-	// backend, whatever the batch size.
-	BatchColumnsOn
-	// BatchColumnsOff always takes the per-proof loop.
-	BatchColumnsOff
-)
-
-// BatchColumnsAutoThreshold is the smallest batch the auto mode routes
-// through the columns path. Below it the table load and column
-// bookkeeping outweigh the shared ball walk.
-const BatchColumnsAutoThreshold = 4
-
-// Engaged reports whether a k-proof batch takes the columns path under
-// this mode.
-func (m BatchColumnsMode) Engaged(k int) bool {
-	switch m {
-	case BatchColumnsOn:
-		return k > 0
-	case BatchColumnsOff:
-		return false
-	default:
-		return k >= BatchColumnsAutoThreshold
-	}
-}
-
-// String renders the mode in the vocabulary Set accepts.
-func (m BatchColumnsMode) String() string {
-	switch m {
-	case BatchColumnsOn:
-		return "true"
-	case BatchColumnsOff:
-		return "false"
-	default:
-		return "auto"
-	}
 }
 
 // ResolvedBackend is Backend with the zero value defaulted.
@@ -193,7 +142,6 @@ func Options() []Option {
 		{Key: "workers", Usage: "engine worker pool size (0 = GOMAXPROCS)"},
 		{Key: "partitioner", Usage: "node->shard partitioner: " + strings.Join(partition.Names(), ", ") + " (applied to the dist shard layout and the dist-tcp worker cut)"},
 		{Key: "shards", Usage: "shard goroutines per dist check (0 = GOMAXPROCS; the node count gives one goroutine per node)"},
-		{Key: "batch-columns", Usage: fmt.Sprintf("engine-backend batch strategy: auto (column-wise for batches of >= %d proofs), true (always column-wise), false (per-proof loop)", BatchColumnsAutoThreshold)},
 		{Key: "worker-addrs", Usage: "comma-separated lcpworker control addresses (host:port,...) for the dist-tcp backend, one shard per worker"},
 	}
 }
@@ -240,20 +188,6 @@ func (c *Config) Set(key, value string) error {
 			return fail(fmt.Errorf("no addresses in %q", value))
 		}
 		c.WorkerAddrs = addrs
-	case "batch-columns":
-		if value == "auto" {
-			c.BatchColumns = BatchColumnsAuto
-			break
-		}
-		on, err := strconv.ParseBool(value)
-		if err != nil {
-			return fail(fmt.Errorf("want auto, true, or false: %v", err))
-		}
-		if on {
-			c.BatchColumns = BatchColumnsOn
-		} else {
-			c.BatchColumns = BatchColumnsOff
-		}
 	default:
 		return fmt.Errorf("unknown option %q", key)
 	}

@@ -17,14 +17,13 @@ func TestSetResolvesEveryKey(t *testing.T) {
 		{"workers", "5"},
 		{"partitioner", "bfs"},
 		{"shards", "4"},
-		{"batch-columns", "true"},
 		{"worker-addrs", "a:1, b:2"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err != nil {
 			t.Fatalf("Set(%q, %q): %v", kv[0], kv[1], err)
 		}
 	}
-	if c.Backend != BackendDist || c.Workers != 5 || c.BatchColumns != BatchColumnsOn || len(c.WorkerAddrs) != 2 {
+	if c.Backend != BackendDist || c.Workers != 5 || len(c.WorkerAddrs) != 2 {
 		t.Fatalf("top-level fields wrong: %+v", c)
 	}
 	if c.Partitioner == nil || c.Partitioner.Name() != "bfs" {
@@ -50,13 +49,15 @@ func TestSetRejectsBadValues(t *testing.T) {
 		// Removed aliases of the dist backend.
 		{"backend", "engine-dist"},
 		{"distributed", "true"},
-		{"batch-columns", "often"},
 		{"worker-addrs", " , "},
 		{"warp", "9"},
 		// Retired keys: the layout knob is "shards" alone.
 		{"runtimes", "2"},
 		{"sharded", "true"},
 		{"free-running", "true"},
+		// Retired batch-strategy knob: every engine batch takes the
+		// column walk.
+		{"batch-columns", "true"},
 	} {
 		if err := c.Set(kv[0], kv[1]); err == nil {
 			t.Fatalf("Set(%q, %q) accepted", kv[0], kv[1])

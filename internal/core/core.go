@@ -405,6 +405,13 @@ func (w *View) Restrict(r int, proof Proof) *View {
 
 // Verifier is a local verifier: Radius is its local horizon r, and Verify
 // computes the output of View.Center from the view alone.
+//
+// The *View is valid only for the duration of the Verify call: the
+// engine copies each node's cached skeleton into one View per worker
+// and reuses it for the next node and proof, and the proof table behind
+// View.Flat goes back to a pool when the check ends. A verifier must
+// not keep the pointer, or anything read through it that a later check
+// may overwrite, after Verify returns.
 type Verifier interface {
 	Radius() int
 	Verify(*View) bool

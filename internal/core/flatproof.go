@@ -25,8 +25,9 @@ import (
 // have built, entry-for-entry, not just string-for-string.
 //
 // A FlatProof is mutable via Load and therefore owned by a single check
-// at a time (internal/engine recycles them through a pool); the Views it
-// is attached to must not outlive the check.
+// at a time; the Views it is attached to must not outlive the check.
+// The engine reads its proofs through column views of a pooled
+// ProofColumns table (a single check is a one-column table).
 //
 // A FlatProof may also be a strided column view into a ProofColumns
 // table: stride > 1 means node index i lives at slot i*stride+off of a

@@ -14,15 +14,16 @@ import (
 // restriction, a ProofColumns lets one ball walk feed k verdicts: the
 // engine visits node i once and evaluates every column against the same
 // skeleton before moving on, comparing the k adjacent entries to
-// deduplicate identical ball restrictions.
+// deduplicate identical ball restrictions. The engine loads every check
+// into one; a single proof is a one-column table.
 //
 // Each column is addressable as a strided *FlatProof (see Column), so
 // verifiers consume a column through the exact same View accessors as a
 // dense table; no verifier knows whether it is reading a batch.
 //
 // Like FlatProof, a ProofColumns is mutable via Load and owned by a
-// single batch check at a time (internal/engine recycles them through a
-// pool); column views must not outlive the batch.
+// single check at a time (internal/engine recycles them through a pool,
+// for one proof as for k); column views must not outlive the check.
 type ProofColumns struct {
 	g    *graph.Graph
 	k    int

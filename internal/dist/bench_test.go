@@ -111,22 +111,3 @@ func BenchmarkNetworkReuse(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkParallelViewsWorkers(b *testing.B) {
-	in := lcp.NewInstance(lcp.Cycle(255))
-	scheme := lcp.OddNScheme()
-	proof, err := scheme.Prove(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := scheme.Verifier()
-	for _, workers := range []int{1, 2, 4, 0 /* GOMAXPROCS */} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !dist.CheckParallelViewsWith(in, proof, v, dist.Options{Workers: workers}).Accepted() {
-					b.Fatal("rejected")
-				}
-			}
-		})
-	}
-}

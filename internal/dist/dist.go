@@ -4,16 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"lcp/internal/core"
 	"lcp/internal/partition"
 )
 
 // Options configures the runtime. The zero value is the default used
-// by Check, Collect and CheckParallelViews: GOMAXPROCS shards cut by
-// the contiguous partitioner.
+// by Check and Collect: GOMAXPROCS shards cut by the contiguous
+// partitioner.
 type Options struct {
 	// Sharded has no effect: Shards alone picks the layout. The field is
 	// kept so existing callers keep compiling.
@@ -32,16 +30,6 @@ type Options struct {
 	// graphs whose identifiers do not follow topology. Verdicts are
 	// identical under every assignment.
 	Partitioner partition.Partitioner
-	// Workers sizes the CheckParallelViews worker pool. 0 means
-	// GOMAXPROCS.
-	Workers int
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // shardCount resolves the shard count for a network of n ≥ 1 nodes:
@@ -116,45 +104,4 @@ func CollectWith(in *core.Instance, p core.Proof, center, radius int, opt Option
 		panic(err)
 	}
 	return view
-}
-
-// CheckParallelViews is the shared-memory fast path: a worker pool sized
-// by GOMAXPROCS builds BFS views and verifies them in parallel. It
-// returns the same result as core.Check without message passing —
-// benchmark foil for the full runtime.
-func CheckParallelViews(in *core.Instance, p core.Proof, v core.Verifier) *core.Result {
-	return CheckParallelViewsWith(in, p, v, Options{})
-}
-
-// CheckParallelViewsWith is CheckParallelViews with an explicit worker
-// pool size.
-func CheckParallelViewsWith(in *core.Instance, p core.Proof, v core.Verifier, opt Options) *core.Result {
-	nodes := in.G.Nodes()
-	outs := make([]bool, len(nodes))
-	workers := opt.workers()
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	radius := v.Radius()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(nodes) {
-					return
-				}
-				outs[i] = v.Verify(core.BuildView(in, p, nodes[i], radius))
-			}
-		}()
-	}
-	wg.Wait()
-	res := &core.Result{Outputs: make(map[int]bool, len(nodes))}
-	for i, id := range nodes {
-		res.Outputs[id] = outs[i]
-	}
-	return res
 }

@@ -6,10 +6,10 @@ package dist_test
 //  1. dist.Collect produces views identical to core.BuildView on random
 //     trees, cycles, regular graphs and directed graphs, across radii;
 //  2. dist.CheckWith — at every shard count and partitioner of the
-//     layouts sweep — and dist.CheckParallelViews agree with core.Check
-//     verdict-for-verdict (Outputs and Rejectors) across every scheme in
-//     the root catalog, on yes-instances, no-instances with adversarial
-//     proofs, and tampered and truncated honest proofs.
+//     layouts sweep — agrees with core.Check verdict-for-verdict
+//     (Outputs and Rejectors) across every scheme in the root catalog,
+//     on yes-instances, no-instances with adversarial proofs, and
+//     tampered and truncated honest proofs.
 
 import (
 	"fmt"
@@ -176,11 +176,10 @@ func resultsEqual(t *testing.T, ctx string, got, want *core.Result) {
 	}
 }
 
-// checkAllRunners runs every execution strategy — the sequential
-// reference, the message-passing runtime under every layout of the
-// layouts sweep (so arbitrary node→shard assignments are exercised
-// catalog-wide), and the parallel shared-view pool — and demands
-// identical results.
+// checkAllRunners runs the message-passing runtime under every layout
+// of the layouts sweep (so arbitrary node→shard assignments are
+// exercised catalog-wide) and demands results identical to the
+// sequential reference.
 func checkAllRunners(t *testing.T, ctx string, in *core.Instance, p core.Proof, v core.Verifier) {
 	t.Helper()
 	want := core.Check(in, p, v)
@@ -191,7 +190,6 @@ func checkAllRunners(t *testing.T, ctx string, in *core.Instance, p core.Proof, 
 		}
 		resultsEqual(t, fmt.Sprintf("%s [%s]", ctx, layoutName(opt)), got, want)
 	}
-	resultsEqual(t, ctx+" [parallel-views]", dist.CheckParallelViews(in, p, v), want)
 }
 
 // TestCheckAgreesWithCoreAcrossCatalog sweeps every scheme in the root
@@ -233,7 +231,7 @@ func TestCheckAgreesWithCoreAcrossCatalog(t *testing.T) {
 }
 
 // TestCheckSchedulerVariants: the verdict map is invariant under every
-// layout and worker-pool size, on an instance where some nodes reject.
+// layout, on an instance where some nodes reject.
 func TestCheckSchedulerVariants(t *testing.T) {
 	in := core.NewInstance(lcp.Cycle(16)) // even cycle
 	v := lcp.OddNScheme().Verifier()      // odd-n verifier: must reject somewhere
@@ -242,14 +240,13 @@ func TestCheckSchedulerVariants(t *testing.T) {
 	if want.Accepted() {
 		t.Fatal("setup: random odd-n proof unexpectedly accepted on even cycle")
 	}
-	opts := append(layouts(in.G.N()), dist.Options{}, dist.Options{Shards: 5}, dist.Options{Workers: 1}, dist.Options{Workers: 3})
+	opts := append(layouts(in.G.N()), dist.Options{}, dist.Options{Shards: 5})
 	for _, opt := range opts {
 		got, err := dist.CheckWith(in, p, v, opt)
 		if err != nil {
 			t.Fatalf("opts=%+v: %v", opt, err)
 		}
 		resultsEqual(t, fmt.Sprintf("opts=%+v", opt), got, want)
-		resultsEqual(t, fmt.Sprintf("pv opts=%+v", opt), dist.CheckParallelViewsWith(in, p, v, opt), want)
 	}
 }
 

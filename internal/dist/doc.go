@@ -27,10 +27,9 @@
 //   - the dist-tcp workers of internal/remote run one Shard each over
 //     transport.TCP.
 //
-// CheckParallelViews is the shared-memory foil that sidesteps message
-// passing entirely: a worker pool over BFS views, sized by GOMAXPROCS.
-// The root benchmarks (BenchmarkAblationViewConstruction) compare it
-// with the sequential reference and the message-passing runtime.
+// The in-process parallel check that sidesteps message passing is the
+// cached-view engine (internal/engine); core.Check stays the sequential
+// reference.
 //
 // Each node assembles its view incrementally: the induced edges of the
 // ball are collected as records arrive (see node.learn) and the ball

@@ -1,6 +1,6 @@
 package engine_test
 
-// Context-cancellation tests for the engine's batch paths (the façade
+// Context-cancellation tests for the engine's column walk (the façade
 // relies on them behaving uniformly).
 
 import (
@@ -14,32 +14,41 @@ import (
 	"lcp/internal/engine"
 )
 
-// TestCheckBatchCtxAbortsBetweenProofs: a context cancelled during
-// proof 0's verification stops the batch at the next proof boundary,
-// returning the completed prefix plus the context's error.
-func TestCheckBatchCtxAbortsBetweenProofs(t *testing.T) {
+// TestCheckBatchCtxFailsAsAUnit: a context cancelled while the walk is
+// at its first node stops it at the next node boundary. No column has a
+// complete verdict yet, so the whole batch fails: nil results and the
+// context's error, and the verifier ran at no later node.
+func TestCheckBatchCtxFailsAsAUnit(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(10))
 	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
 	v := core.VerifierFunc{R: 1, F: func(w *core.View) bool {
+		calls++
 		cancel()
-		return true
+		return w.ProofOf(w.Center).Len() == 0
 	}}
 	e := engine.New(in, engine.Options{Workers: 1})
-	results, err := e.CheckBatchCtx(ctx, []core.Proof{{}, {}, {}}, v)
+	// Two distinct columns at every node (the third repeats the first):
+	// the first node runs the verifier twice before the walk reaches a
+	// boundary.
+	results, err := e.CheckBatchCtx(ctx, []core.Proof{{}, core.RandomProof(in, 1, 1), {}}, v)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
-	if len(results) != 1 {
-		t.Fatalf("completed %d proofs before aborting, want 1", len(results))
+	if results != nil {
+		t.Fatalf("cancelled walk returned %d results, want none", len(results))
 	}
-	if !results[0].Accepted() {
-		t.Fatal("proof 0's result corrupted by the abort")
+	if calls != 2 {
+		t.Fatalf("verifier ran %d times, want 2 (both distinct columns of the first node, then the abort)", calls)
+	}
+	if _, err := e.CheckProofCtx(ctx, core.Proof{}, v); !errors.Is(err, context.Canceled) {
+		t.Fatalf("single check on a done context: error = %v, want context.Canceled", err)
 	}
 }
 
-// TestCheckBatchCtxBackgroundMatchesCheckBatch: without cancellation
-// the ctx variant is CheckBatch.
-func TestCheckBatchCtxBackgroundMatchesCheckBatch(t *testing.T) {
+// TestCheckBatchCtxMatchesCheckProofCtx: without cancellation every
+// column of a walk is exactly the one-column walk of its proof.
+func TestCheckBatchCtxMatchesCheckProofCtx(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(12))
 	scheme := lcp.BipartiteScheme()
 	p, err := scheme.Prove(in)
@@ -48,16 +57,20 @@ func TestCheckBatchCtxBackgroundMatchesCheckBatch(t *testing.T) {
 	}
 	proofs := []core.Proof{p, core.FlipBit(p, 1), p.Truncated(1)}
 	e := engine.New(in, engine.Options{})
-	got, err := e.CheckBatchCtx(context.Background(), proofs, scheme.Verifier())
+	ctx := context.Background()
+	got, err := e.CheckBatchCtx(ctx, proofs, scheme.Verifier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.CheckBatch(proofs, scheme.Verifier())
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch: %d vs %d", len(got), len(want))
+	if len(got) != len(proofs) {
+		t.Fatalf("length mismatch: %d vs %d", len(got), len(proofs))
 	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i].Outputs, want[i].Outputs) {
+	for i, proof := range proofs {
+		want, err := e.CheckProofCtx(ctx, proof, scheme.Verifier())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i].Outputs, want.Outputs) {
 			t.Fatalf("proof %d diverged", i)
 		}
 	}

@@ -2,35 +2,27 @@ package engine
 
 import (
 	"context"
-	"sync/atomic"
 
 	"lcp/internal/core"
 	"lcp/internal/obs"
 )
 
-// ColumnsOptions tunes one column-wise batch check.
-type ColumnsOptions struct {
-	// StopOnReject stops evaluating a column as soon as any node has
-	// rejected it: later nodes skip the column entirely, so its Result
-	// carries verdicts only for the nodes visited before (and including)
-	// the first rejection each worker observed. The batch verdict per
-	// proof (Accepted — every node present and accepting) is unchanged;
-	// only the completeness of rejected columns' output maps is traded
-	// for speed. Leave it false to get output maps identical to
-	// core.Check for every column.
-	StopOnReject bool
+// CheckProofCtx verifies one proof on the cached views: the column walk
+// of CheckBatchCtx with a single column. Verdict-for-verdict identical
+// to core.Check(in, p, v), at a fraction of the per-proof cost once the
+// radius is warm. A context already done fails fast with ctx.Err(), and
+// one cancelled mid-walk stops it at the next node boundary; either way
+// the result is nil. A context-carried obs.Timeline receives the
+// per-stage breakdown ("engine.views", "engine.verify").
+func (e *Engine) CheckProofCtx(ctx context.Context, p core.Proof, v core.Verifier) (*core.Result, error) {
+	out, err := e.CheckBatchCtx(ctx, []core.Proof{p}, v)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// Per-node, per-column verdict states of the column walk. Zero means
-// the column was skipped at this node (possible only under
-// StopOnReject, after the column has already rejected elsewhere).
-const (
-	colSkipped uint8 = iota
-	colAccept
-	colReject
-)
-
-// CheckBatchColumns verifies many proofs in one pass over the cached
+// CheckBatchCtx verifies many proofs in one pass over the cached
 // skeletons: the batch is loaded into a node-major core.ProofColumns
 // table and each node is visited once, evaluating all k columns against
 // the same skeleton before moving on. Results are one per proof in
@@ -45,28 +37,16 @@ const (
 // verdict there — so the engine verifies one representative per group
 // of identical ball restrictions and copies the verdict to the rest. A
 // tampering sweep (k near-identical proofs) collapses to roughly one
-// verification per node plus cheap column compares.
+// verification per node plus cheap column compares. The dedup assumes
+// verifiers are deterministic and read the proof only through
+// View.ProofOf/BallProof — both already part of the Verifier contract.
 //
-// The dedup assumes verifiers are deterministic and read the proof only
-// through View.ProofOf/BallProof — both already part of the Verifier
-// contract.
-func (e *Engine) CheckBatchColumns(proofs []core.Proof, v core.Verifier) []*core.Result {
-	//lint:ignore ctxflow ctx-less CheckBatchColumns is the documented uncancellable entry point; CheckBatchColumnsCtx is the threaded variant
-	out, _ := e.CheckBatchColumnsCtx(context.Background(), proofs, v)
-	return out
-}
-
-// CheckBatchColumnsCtx is CheckBatchColumns with context cancellation:
-// the walk aborts at the next node boundary once the context is done.
-// Unlike CheckBatchCtx (whose unit of work is a whole proof), no column
-// has a complete verdict until the walk finishes, so cancellation
-// returns nil results together with ctx.Err().
-func (e *Engine) CheckBatchColumnsCtx(ctx context.Context, proofs []core.Proof, v core.Verifier) ([]*core.Result, error) {
-	return e.CheckBatchColumnsWith(ctx, proofs, v, ColumnsOptions{})
-}
-
-// CheckBatchColumnsWith is CheckBatchColumnsCtx with per-batch options.
-func (e *Engine) CheckBatchColumnsWith(ctx context.Context, proofs []core.Proof, v core.Verifier, opt ColumnsOptions) ([]*core.Result, error) {
+// The walk aborts at the next node boundary once the context is done.
+// No column has a complete verdict until the walk finishes, so the
+// batch fails as a unit: cancellation returns nil results together
+// with ctx.Err(). A context-carried obs.Timeline receives the
+// "engine.views" and "engine.verify" stages, once for the whole batch.
+func (e *Engine) CheckBatchCtx(ctx context.Context, proofs []core.Proof, v core.Verifier) ([]*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -77,23 +57,18 @@ func (e *Engine) CheckBatchColumnsWith(ctx context.Context, proofs []core.Proof,
 	tl := obs.TimelineFrom(ctx)
 	cache := e.cacheFor(v.Radius(), tl)
 	views := cache.views
-	balls := cache.ballIndexes(e.in.G)
+	var balls [][]int32
+	if k > 1 {
+		balls = cache.ballIndexes(e.in.G)
+	}
 	pc := e.columnsFor(proofs)
 	defer e.releaseColumns(pc)
 	nodes := e.in.G.Nodes()
-	// One node-major tri-state cell per (node, column); each cell is
-	// written by exactly one range worker (the one owning the node), so
-	// the slice needs no synchronization.
-	outs := make([]uint8, len(nodes)*k)
-	// Under StopOnReject the rejected flags are shared across workers —
-	// a rejection observed in one range should spare every range the
-	// column's remaining nodes — hence the atomics.
-	var rejected []atomic.Bool
-	if opt.StopOnReject {
-		rejected = make([]atomic.Bool, k)
-	}
-	engineBatchColumns.Add(float64(k))
-	stop := tl.Start("engine.batch")
+	// One node-major cell per (node, column); each cell is written by
+	// exactly one range worker (the one owning the node), so the slice
+	// needs no synchronization.
+	outs := make([]bool, len(nodes)*k)
+	stop := tl.Start("engine.verify")
 	done := ctx.Done()
 	forEachRange(len(nodes), e.opt.workers(), func(lo, hi int) {
 		// reps holds, per node, one column index per distinct ball
@@ -101,37 +76,25 @@ func (e *Engine) CheckBatchColumnsWith(ctx context.Context, proofs []core.Proof,
 		reps := make([]int32, 0, 16)
 		var w core.View
 		for i := lo; i < hi; i++ {
-			if done != nil && ctx.Err() != nil {
+			select {
+			case <-done:
 				return
+			default:
 			}
 			base := i * k
-			ball := balls[i]
 			w = *views[i]
 			reps = reps[:0]
+		columns:
 			for j := 0; j < k; j++ {
-				if rejected != nil && rejected[j].Load() {
-					continue
-				}
-				verdict := colSkipped
 				for _, r := range reps {
-					if sameOnBall(pc, ball, j, int(r)) {
-						verdict = outs[base+int(r)]
-						break
+					if sameOnBall(pc, balls[i], j, int(r)) {
+						outs[base+j] = outs[base+int(r)]
+						continue columns
 					}
 				}
-				if verdict == colSkipped {
-					reps = append(reps, int32(j))
-					w.Flat = pc.Column(j)
-					if v.Verify(&w) {
-						verdict = colAccept
-					} else {
-						verdict = colReject
-					}
-				}
-				outs[base+j] = verdict
-				if rejected != nil && verdict == colReject {
-					rejected[j].Store(true)
-				}
+				reps = append(reps, int32(j))
+				w.Flat = pc.Column(j)
+				outs[base+j] = v.Verify(&w)
 			}
 		}
 	})
@@ -140,19 +103,20 @@ func (e *Engine) CheckBatchColumnsWith(ctx context.Context, proofs []core.Proof,
 		return nil, err
 	}
 	results := make([]*core.Result, k)
-	for j := 0; j < k; j++ {
+	for j := range results {
 		m := make(map[int]bool, len(nodes))
 		for i, id := range nodes {
-			switch outs[i*k+j] {
-			case colAccept:
-				m[id] = true
-			case colReject:
-				m[id] = false
-			}
+			m[id] = outs[i*k+j]
 		}
 		results[j] = &core.Result{Outputs: m}
 	}
 	return results, nil
+}
+
+// CheckBatchColumnsCtx is CheckBatchCtx under its older name, kept for
+// the benchmark's layer probes (perfbench/layers_serve.go).
+func (e *Engine) CheckBatchColumnsCtx(ctx context.Context, proofs []core.Proof, v core.Verifier) ([]*core.Result, error) {
+	return e.CheckBatchCtx(ctx, proofs, v)
 }
 
 // sameOnBall reports whether columns j and r agree on every ball member
@@ -166,11 +130,11 @@ func sameOnBall(pc *core.ProofColumns, ball []int32, j, r int) bool {
 	return true
 }
 
-// columnsFor draws a pooled batch table and loads the proofs into it.
-// The table is owned by one batch check; return it with releaseColumns
-// once the walk is done.
+// columnsFor draws a pooled proof table and loads the proofs into it.
+// The table is owned by one check; return it with releaseColumns once
+// its walk is done.
 func (e *Engine) columnsFor(proofs []core.Proof) *core.ProofColumns {
-	//lint:ignore poolput ownership transfer: the batch check that called columnsFor returns the table via releaseColumns once its walk finishes
+	//lint:ignore poolput ownership transfer: the check that called columnsFor returns the table via releaseColumns once its walk finishes
 	pc, ok := e.columns.Get().(*core.ProofColumns)
 	if !ok {
 		pc = core.NewProofColumns(e.in.G)

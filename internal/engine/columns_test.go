@@ -1,8 +1,8 @@
 package engine_test
 
-// Tests for the column-wise batch path: concurrent batches against one
-// shared Engine (the serve /check/batch fan-out, run under -race),
-// degenerate batch shapes, and cancellation semantics. The catalog-wide
+// Tests for the column walk: concurrent walks of every width against
+// one shared Engine (the serve /check and /check/batch fan-out, run
+// under -race), degenerate batch shapes, and cancellation semantics. The catalog-wide
 // equivalence lives in the checker matrix and the fuzz target; these
 // pin the concurrency and edge-shape behaviour.
 
@@ -46,12 +46,12 @@ func columnsFixture(t *testing.T, n, k int) (*core.Instance, []core.Proof, core.
 	return in, proofs, scheme.Verifier()
 }
 
-// TestCheckBatchColumnsConcurrentStress mirrors serve's batch fan-out:
-// many goroutines firing CheckBatchColumns at one shared Engine on one
-// instance, full-output and stop-on-reject interleaved. Run under
-// -race this pins that the pooled ProofColumns tables, the lazily built
-// ball-index cache, and the shared skeletons never alias across
-// concurrent batches.
+// TestCheckBatchColumnsConcurrentStress mirrors serve's fan-out: many
+// goroutines firing walks at one shared Engine on one instance, whole
+// batches and single checks interleaved, so pooled tables of different
+// widths are drawn and returned concurrently. Run under -race this pins
+// that the pooled ProofColumns tables, the lazily built ball-index
+// cache, and the shared skeletons never alias across concurrent walks.
 func TestCheckBatchColumnsConcurrentStress(t *testing.T) {
 	const (
 		goroutines = 8
@@ -71,7 +71,7 @@ func TestCheckBatchColumnsConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iterations; it++ {
 				if g%2 == 0 {
-					got, err := eng.CheckBatchColumnsCtx(context.Background(), proofs, v)
+					got, err := eng.CheckBatchCtx(context.Background(), proofs, v)
 					if err != nil {
 						errs <- err
 						return
@@ -83,16 +83,15 @@ func TestCheckBatchColumnsConcurrentStress(t *testing.T) {
 						}
 					}
 				} else {
-					got, err := eng.CheckBatchColumnsWith(context.Background(), proofs, v, engine.ColumnsOptions{StopOnReject: true})
+					j := (g + it) % len(proofs)
+					got, err := eng.CheckProofCtx(context.Background(), proofs[j], v)
 					if err != nil {
 						errs <- err
 						return
 					}
-					for j := range got {
-						if got[j].Accepted() != want[j].Accepted() {
-							t.Errorf("goroutine %d iter %d proof %d: stop-on-reject verdict diverged", g, it, j)
-							return
-						}
+					if !reflect.DeepEqual(got.Outputs, want[j].Outputs) {
+						t.Errorf("goroutine %d iter %d single check of proof %d: outputs diverged", g, it, j)
+						return
 					}
 				}
 			}
@@ -106,14 +105,14 @@ func TestCheckBatchColumnsConcurrentStress(t *testing.T) {
 }
 
 // TestCheckBatchColumnsShapes sweeps the degenerate batch shapes: the
-// empty batch, a single column, more columns than nodes, and a batch
-// where every column rejects under stop-on-reject.
+// empty batch, a single column, more columns than nodes, a batch where
+// every column rejects, and a cancelled context.
 func TestCheckBatchColumnsShapes(t *testing.T) {
 	t.Run("empty-batch", func(t *testing.T) {
 		in, _, v := columnsFixture(t, 9, 1)
 		eng := engine.New(in, engine.Options{})
 		for _, proofs := range [][]core.Proof{nil, {}} {
-			got, err := eng.CheckBatchColumnsCtx(context.Background(), proofs, v)
+			got, err := eng.CheckBatchCtx(context.Background(), proofs, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +124,7 @@ func TestCheckBatchColumnsShapes(t *testing.T) {
 	t.Run("single-column", func(t *testing.T) {
 		in, proofs, v := columnsFixture(t, 9, 1)
 		eng := engine.New(in, engine.Options{})
-		got, err := eng.CheckBatchColumnsCtx(context.Background(), proofs, v)
+		got, err := eng.CheckBatchCtx(context.Background(), proofs, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func TestCheckBatchColumnsShapes(t *testing.T) {
 	t.Run("more-columns-than-nodes", func(t *testing.T) {
 		in, proofs, v := columnsFixture(t, 5, 23)
 		eng := engine.New(in, engine.Options{Workers: 3})
-		got, err := eng.CheckBatchColumnsCtx(context.Background(), proofs, v)
+		got, err := eng.CheckBatchCtx(context.Background(), proofs, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,30 +147,25 @@ func TestCheckBatchColumnsShapes(t *testing.T) {
 			}
 		}
 	})
-	t.Run("all-rejecting-stop-on-reject", func(t *testing.T) {
+	t.Run("all-rejecting", func(t *testing.T) {
 		in, proofs, v := columnsFixture(t, 9, 6)
 		for j := range proofs {
 			proofs[j] = core.FlipBit(proofs[j], int64(100+j))
 		}
 		eng := engine.New(in, engine.Options{Workers: 2})
-		got, err := eng.CheckBatchColumnsWith(context.Background(), proofs, v, engine.ColumnsOptions{StopOnReject: true})
+		got, err := eng.CheckBatchCtx(context.Background(), proofs, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, p := range proofs {
 			want := core.Check(in, p, v)
 			if want.Accepted() {
-				// A flipped spanning-tree certificate must reject
-				// somewhere; if not, the fixture is too weak to test.
+				// A flipped parity certificate must reject somewhere;
+				// if not, the fixture is too weak to test.
 				t.Fatalf("fixture proof %d unexpectedly accepted", j)
 			}
-			if got[j].Accepted() {
-				t.Fatalf("proof %d accepted under stop-on-reject, reference rejects", j)
-			}
-			for node, out := range got[j].Outputs {
-				if wantOut, ok := want.Outputs[node]; !ok || out != wantOut {
-					t.Fatalf("proof %d node %d: reported %v, reference %v", j, node, out, wantOut)
-				}
+			if !reflect.DeepEqual(got[j].Outputs, want.Outputs) {
+				t.Fatalf("proof %d outputs differ:\n got %v\nwant %v", j, got[j].Outputs, want.Outputs)
 			}
 		}
 	})
@@ -180,7 +174,7 @@ func TestCheckBatchColumnsShapes(t *testing.T) {
 		eng := engine.New(in, engine.Options{})
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		got, err := eng.CheckBatchColumnsCtx(ctx, proofs, v)
+		got, err := eng.CheckBatchCtx(ctx, proofs, v)
 		if err == nil || got != nil {
 			t.Fatalf("cancelled batch returned (%v, %v), want (nil, ctx error)", got, err)
 		}

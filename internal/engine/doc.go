@@ -15,22 +15,21 @@
 //
 // Proofs take the flat path on the cached routes: instead of restricting
 // the map-backed core.Proof into a fresh per-ball map for every node of
-// every proof, a check loads the proof once into a pooled core.FlatProof
-// — a node-indexed slice aligned with the instance's node order — and
-// every node's shallow-copied skeleton shares it read-only, with ball
+// every proof, a check loads its proofs once into a pooled node-major
+// core.ProofColumns table, and every node's skeleton, copied into one
+// reused View per range worker, reads a column of it, with ball
 // restriction enforced by View.ProofOf against the skeleton's distance
-// map. The per-proof cost is one O(n) load plus the verifier's own work.
+// map. The per-proof cost is one O(n) load plus the verifier's own
+// work.
 //
-// Three serving shapes are exposed:
+// Two serving shapes are exposed:
 //
-//   - CheckProof / CheckBatch: sharded over a bounded worker pool
-//     (contiguous node ranges, the shared-memory path);
-//   - CheckBatchColumns: the column-wise batch path — the k proofs of
-//     one batch load into a node-major core.ProofColumns table and a
-//     single walk over the cached skeletons evaluates all k columns per
-//     node, copying verdicts between columns whose ball-restrictions
-//     agree (sound by the locality contract) instead of re-running the
-//     verifier;
+//   - the column walk (CheckProofCtx for one proof, CheckBatchCtx for
+//     k): contiguous node ranges sharded over a bounded worker pool,
+//     each node visited once and every column evaluated against its
+//     skeleton, with verdicts copied between columns whose ball
+//     restrictions agree (sound by the locality contract) instead of
+//     re-running the verifier. It returns complete results or none;
 //   - CheckStream: verdicts stream over a channel as each node decides,
 //     with early exit on context cancellation — callers stop paying the
 //     moment the first rejection arrives.

@@ -15,9 +15,9 @@ import (
 // Options configures an Engine. The zero value serves with GOMAXPROCS
 // workers.
 type Options struct {
-	// Workers bounds the worker pool of the check paths (CheckProof,
-	// CheckBatch, CheckStream) and of skeleton construction. 0 means
-	// GOMAXPROCS.
+	// Workers bounds the worker pool of the check paths
+	// (CheckProofCtx, CheckBatchCtx, CheckStream) and of skeleton
+	// construction. 0 means GOMAXPROCS.
 	Workers int
 }
 
@@ -47,14 +47,11 @@ type Engine struct {
 	mu    sync.Mutex
 	views map[int]*viewCache // radius -> proof-free skeletons, aligned with in.G.Nodes()
 
-	// flats recycles the dense proof tables of the cached-view paths:
-	// one table per in-flight check, loaded in O(n) from the map-backed
-	// proof and then shared read-only by every node's view. Pooling them
-	// keeps the per-check allocation at one Load instead of one table.
-	flats sync.Pool // *core.FlatProof aligned with in.G
-
-	// columns recycles the node-major batch tables of the column-wise
-	// path (CheckBatchColumns), one table per in-flight batch.
+	// columns recycles the node-major proof tables of the column walk
+	// and the stream: one table per in-flight check, loaded in O(nk)
+	// from the map-backed proofs and then shared read-only by every
+	// node's view. Pooling them keeps the per-check allocation at one
+	// Load instead of one table.
 	columns sync.Pool // *core.ProofColumns aligned with in.G
 }
 
@@ -63,9 +60,9 @@ type viewCache struct {
 	views []*core.View
 
 	// balls is the per-node ball membership as sorted graph indices,
-	// derived lazily from the skeletons' distance maps for the
-	// column-wise batch path (it compares proof columns over exactly
-	// the entries a verifier can observe). Built once per radius.
+	// derived lazily for walks of two or more proofs (they compare
+	// proof columns over exactly the entries a verifier can observe; a
+	// single proof has nothing to compare). Built once per radius.
 	ballsOnce sync.Once
 	balls     [][]int32
 }
@@ -127,21 +124,15 @@ func (e *Engine) InvalidateRadius(radius int) {
 	delete(e.views, radius)
 }
 
-// viewsFor returns the per-node skeletons for the radius, building and
-// caching them on first use. Skeletons are core.Views with a nil Proof;
-// checks shallow-copy them and attach the check's flat proof table, so
-// the maps inside are shared read-only across all concurrent checks and
-// no per-ball proof restriction is ever materialized.
+// cacheFor returns the per-radius cache, building its skeletons on
+// first use. Skeletons are core.Views with a nil Proof; checks copy one
+// into a per-worker View and attach a column of the check's proof
+// table, so the maps inside are shared read-only across all concurrent
+// checks and no per-ball proof restriction is ever materialized.
 //
 // tl, when non-nil, receives the time spent in this call as the
 // "engine.views" stage — near zero on a warm cache, the whole skeleton
 // build on a miss (or the wait for a concurrent builder).
-func (e *Engine) viewsFor(radius int, tl *obs.Timeline) []*core.View {
-	return e.cacheFor(radius, tl).views
-}
-
-// cacheFor is viewsFor returning the whole per-radius cache, for paths
-// that also need the derived ball-index lists (CheckBatchColumns).
 func (e *Engine) cacheFor(radius int, tl *obs.Timeline) *viewCache {
 	e.mu.Lock()
 	c, ok := e.views[radius]
@@ -175,127 +166,38 @@ func (e *Engine) cacheFor(radius int, tl *obs.Timeline) *viewCache {
 	return c
 }
 
-// flatFor draws a pooled dense proof table and loads the proof into it.
-// The table is owned by one check; return it with releaseFlat once every
-// view that references it has been verified.
-func (e *Engine) flatFor(p core.Proof) *core.FlatProof {
-	//lint:ignore poolput ownership transfer: the check that called flatFor returns the table via releaseFlat once its views are verified
-	fp, ok := e.flats.Get().(*core.FlatProof)
-	if !ok {
-		fp = core.NewFlatProof(e.in.G)
-	}
-	fp.Load(p)
-	return fp
-}
-
-func (e *Engine) releaseFlat(fp *core.FlatProof) { e.flats.Put(fp) }
-
-// verifyOnSkeleton runs the verifier on a cached skeleton against the
-// check's shared flat proof table. The skeleton is shallow-copied; no
-// per-ball proof map is built — View.ProofOf restricts the table to the
-// ball through the skeleton's distance map.
-func verifyOnSkeleton(skel *core.View, fp *core.FlatProof, v core.Verifier) bool {
-	w := *skel
-	w.Flat = fp
-	return v.Verify(&w)
-}
-
-// CheckProof verifies one proof on the cached views, sharding the node
-// set across the worker pool. Verdict-for-verdict identical to
-// core.Check(in, p, v), at a fraction of the per-proof cost once the
-// radius is warm.
-func (e *Engine) CheckProof(p core.Proof, v core.Verifier) *core.Result {
-	return e.checkProof(nil, p, v)
-}
-
-// CheckProofCtx is CheckProof with the context conventions of the other
-// Ctx entry points: a context already done fails fast with ctx.Err()
-// (a single proof remains the unit of work — once started, the check
-// runs to completion), and a context-carried obs.Timeline receives the
-// per-stage breakdown ("engine.views", "engine.verify").
-func (e *Engine) CheckProofCtx(ctx context.Context, p core.Proof, v core.Verifier) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.checkProof(obs.TimelineFrom(ctx), p, v), nil
-}
-
-func (e *Engine) checkProof(tl *obs.Timeline, p core.Proof, v core.Verifier) *core.Result {
-	views := e.viewsFor(v.Radius(), tl)
-	nodes := e.in.G.Nodes()
-	outs := make([]bool, len(nodes))
-	fp := e.flatFor(p)
-	defer e.releaseFlat(fp)
-	stop := tl.Start("engine.verify")
-	forEachRange(len(nodes), e.opt.workers(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			outs[i] = verifyOnSkeleton(views[i], fp, v)
-		}
-	})
-	stop()
-	res := &core.Result{Outputs: make(map[int]bool, len(nodes))}
-	for i, id := range nodes {
-		res.Outputs[id] = outs[i]
-	}
-	return res
-}
-
-// CheckBatch verifies many proofs against the same cached views,
-// returning one result per proof in order.
-func (e *Engine) CheckBatch(proofs []core.Proof, v core.Verifier) []*core.Result {
-	//lint:ignore ctxflow ctx-less CheckBatch is the documented uncancellable entry point; CheckBatchCtx is the threaded variant
-	out, _ := e.CheckBatchCtx(context.Background(), proofs, v)
-	return out
-}
-
-// CheckBatchCtx is CheckBatch with context cancellation: the batch
-// aborts between proofs once the context is done, returning the results
-// completed so far together with ctx.Err(). A single proof is the unit
-// of work — an individual CheckProof runs to completion — so a cancelled
-// HTTP request stops costing at the next proof boundary instead of
-// after the whole batch.
-func (e *Engine) CheckBatchCtx(ctx context.Context, proofs []core.Proof, v core.Verifier) ([]*core.Result, error) {
-	tl := obs.TimelineFrom(ctx)
-	if len(proofs) > 0 {
-		e.viewsFor(v.Radius(), tl) // warm once, outside the per-proof loop
-	}
-	out := make([]*core.Result, 0, len(proofs))
-	for _, p := range proofs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		out = append(out, e.checkProof(tl, p, v))
-	}
-	return out, nil
-}
-
 // CheckStream verifies the proof and streams each node's verdict as it
 // is decided. The channel closes when every node has reported or the
 // context is cancelled — cancel on the first rejected Verdict to stop
 // paying for the rest of the graph. Verdict order is whatever the
 // worker pool produces; the Node field identifies the decider.
 //
-// Unlike CheckProof, stream workers cannot re-raise a verifier panic on
-// the consumer's goroutine; an untrusted verifier should be wrapped in
-// its own recover before streaming (internal/serve does this).
+// Unlike CheckProofCtx, stream workers cannot re-raise a verifier
+// panic on the consumer's goroutine; an untrusted verifier should be
+// wrapped in its own recover before streaming (internal/serve does
+// this).
 func (e *Engine) CheckStream(ctx context.Context, p core.Proof, v core.Verifier) <-chan Verdict {
 	out := make(chan Verdict)
 	go func() {
 		defer close(out)
-		views := e.viewsFor(v.Radius(), obs.TimelineFrom(ctx))
+		views := e.cacheFor(v.Radius(), obs.TimelineFrom(ctx)).views
 		nodes := e.in.G.Nodes()
-		fp := e.flatFor(p)
-		defer e.releaseFlat(fp)
+		pc := e.columnsFor([]core.Proof{p})
+		defer e.releaseColumns(pc)
+		col := pc.Column(0)
 		var wg sync.WaitGroup
 		for _, r := range partition.SplitRanges(len(nodes), e.opt.workers()) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
+				var w core.View
 				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
 						return
 					}
-					verdict := Verdict{Node: nodes[i], Accept: verifyOnSkeleton(views[i], fp, v)}
+					w = *views[i]
+					w.Flat = col
+					verdict := Verdict{Node: nodes[i], Accept: v.Verify(&w)}
 					select {
 					case out <- verdict:
 					case <-ctx.Done():
@@ -307,21 +209,6 @@ func (e *Engine) CheckStream(ctx context.Context, p core.Proof, v core.Verifier)
 		wg.Wait()
 	}()
 	return out
-}
-
-// CheckFirstReject streams internally and returns the first rejecting
-// node, cancelling the remaining work as soon as it is found. ok
-// reports whether a rejection exists; on fully accepting proofs it is
-// false and the whole graph was checked.
-func (e *Engine) CheckFirstReject(ctx context.Context, p core.Proof, v core.Verifier) (node int, ok bool) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	for verdict := range e.CheckStream(ctx, p, v) {
-		if !verdict.Accept {
-			return verdict.Node, true
-		}
-	}
-	return 0, false
 }
 
 // forEachRange runs fn over the range partition on one goroutine per

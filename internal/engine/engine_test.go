@@ -30,12 +30,29 @@ func resultsEqual(t *testing.T, ctx string, got, want *core.Result) {
 	}
 }
 
-// checkAllPaths runs one proof through every engine path and demands
+// checkProof runs one uncancellable CheckProofCtx, failing t on an
+// error.
+func checkProof(t *testing.T, e *engine.Engine, p core.Proof, v core.Verifier) *core.Result {
+	t.Helper()
+	res, err := e.CheckProofCtx(context.Background(), p, v)
+	if err != nil {
+		t.Fatalf("CheckProofCtx: %v", err)
+	}
+	return res
+}
+
+// checkAllPaths runs one proof through every engine path — a single
+// check, column 1 of a two-column walk, and the stream — and demands
 // agreement with the sequential reference.
 func checkAllPaths(t *testing.T, ctx string, e *engine.Engine, in *core.Instance, p core.Proof, v core.Verifier) {
 	t.Helper()
 	want := core.Check(in, p, v)
-	resultsEqual(t, ctx+" [check-proof]", e.CheckProof(p, v), want)
+	resultsEqual(t, ctx+" [check-proof]", checkProof(t, e, p, v), want)
+	pair, err := e.CheckBatchCtx(context.Background(), []core.Proof{{}, p}, v)
+	if err != nil {
+		t.Fatalf("%s: CheckBatchCtx: %v", ctx, err)
+	}
+	resultsEqual(t, ctx+" [batch column 1]", pair[1], want)
 
 	stream := &core.Result{Outputs: make(map[int]bool, in.G.N())}
 	for verdict := range e.CheckStream(context.Background(), p, v) {
@@ -119,7 +136,7 @@ func TestEngineCachedViewsSurviveManyProofs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		proof := core.FlipBit(p, int64(i))
 		want := core.Check(in, proof, v)
-		resultsEqual(t, fmt.Sprintf("proof %d", i), e.CheckProof(proof, v), want)
+		resultsEqual(t, fmt.Sprintf("proof %d", i), checkProof(t, e, proof, v), want)
 	}
 }
 
@@ -129,7 +146,7 @@ func TestEngineStreamEarlyExit(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(64)) // even cycle: odd-n must reject
 	v := lcp.OddNScheme().Verifier()
 	e := engine.New(in, engine.Options{})
-	node, found := e.CheckFirstReject(context.Background(), core.Proof{}, v)
+	node, found := firstReject(e, core.Proof{}, v)
 	if !found {
 		t.Fatal("odd-n on even cycle with empty proof: expected a rejection")
 	}
@@ -142,9 +159,22 @@ func TestEngineStreamEarlyExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if node, found := engine.New(yes, engine.Options{}).CheckFirstReject(context.Background(), p, v); found {
+	if node, found := firstReject(engine.New(yes, engine.Options{}), p, v); found {
 		t.Fatalf("honest proof: unexpected rejection at %d", node)
 	}
+}
+
+// firstReject streams the proof's verdicts and returns the first
+// rejecting node, cancelling the rest of the stream once it arrives.
+func firstReject(e *engine.Engine, p core.Proof, v core.Verifier) (node int, ok bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for verdict := range e.CheckStream(ctx, p, v) {
+		if !verdict.Accept {
+			return verdict.Node, true
+		}
+	}
+	return 0, false
 }
 
 // TestEngineStreamCancelledContext: a cancelled context closes the
@@ -180,7 +210,10 @@ func TestEngineCheckBatch(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		proofs = append(proofs, core.FlipBit(p, seed))
 	}
-	results := engine.New(in, engine.Options{}).CheckBatch(proofs, v)
+	results, err := engine.New(in, engine.Options{}).CheckBatchCtx(context.Background(), proofs, v)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(proofs) {
 		t.Fatalf("got %d results for %d proofs", len(results), len(proofs))
 	}
@@ -213,7 +246,12 @@ func TestEngineConcurrentChecks(t *testing.T) {
 			var got *core.Result
 			switch i % 3 {
 			case 0:
-				got = e.CheckProof(proof, v)
+				batch, err := e.CheckBatchCtx(context.Background(), []core.Proof{proof, p}, v)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got = batch[0]
 			case 1:
 				var err error
 				got, err = e.CheckProofCtx(context.Background(), proof, v)
@@ -251,11 +289,11 @@ func TestEngineInvalidate(t *testing.T) {
 	v := scheme.Verifier()
 	e := engine.New(in, engine.Options{})
 	want := core.Check(in, p, v)
-	resultsEqual(t, "warm", e.CheckProof(p, v), want)
+	resultsEqual(t, "warm", checkProof(t, e, p, v), want)
 	e.InvalidateRadius(v.Radius())
-	resultsEqual(t, "after radius invalidate", e.CheckProof(p, v), want)
+	resultsEqual(t, "after radius invalidate", checkProof(t, e, p, v), want)
 	e.Invalidate()
-	resultsEqual(t, "after full invalidate", e.CheckProof(p, v), want)
+	resultsEqual(t, "after full invalidate", checkProof(t, e, p, v), want)
 }
 
 // TestEngineMultipleRadiiShareInstance: verifiers with different
@@ -268,7 +306,7 @@ func TestEngineMultipleRadiiShareInstance(t *testing.T) {
 		v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
 			return w.Radius == r && len(w.Dist) == w.G.N()
 		}}
-		resultsEqual(t, fmt.Sprintf("radius %d", r), e.CheckProof(p, v), core.Check(in, p, v))
+		resultsEqual(t, fmt.Sprintf("radius %d", r), checkProof(t, e, p, v), core.Check(in, p, v))
 	}
 }
 
@@ -276,8 +314,8 @@ func TestEngineMultipleRadiiShareInstance(t *testing.T) {
 func TestEngineEmptyGraph(t *testing.T) {
 	e := engine.New(lcp.NewInstance(lcp.NewBuilder().Graph()), engine.Options{})
 	v := lcp.BipartiteScheme().Verifier()
-	if res := e.CheckProof(core.Proof{}, v); len(res.Outputs) != 0 || !res.Accepted() {
-		t.Errorf("empty graph CheckProof: %v", res)
+	if res := checkProof(t, e, core.Proof{}, v); len(res.Outputs) != 0 || !res.Accepted() {
+		t.Errorf("empty graph CheckProofCtx: %v", res)
 	}
 	for range e.CheckStream(context.Background(), core.Proof{}, v) {
 		t.Error("empty graph stream delivered a verdict")
@@ -285,8 +323,8 @@ func TestEngineEmptyGraph(t *testing.T) {
 }
 
 // TestEngineCheckProofRepanicsOnCallerGoroutine: a verifier panic in a
-// pool worker surfaces as a panic of CheckProof itself (recoverable by
-// the caller), not a process-killing panic in a bare goroutine.
+// pool worker surfaces as a panic of CheckProofCtx itself (recoverable
+// by the caller), not a process-killing panic in a bare goroutine.
 func TestEngineCheckProofRepanicsOnCallerGoroutine(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(16))
 	v := core.VerifierFunc{R: 1, F: func(w *core.View) bool {
@@ -303,7 +341,7 @@ func TestEngineCheckProofRepanicsOnCallerGoroutine(t *testing.T) {
 					t.Errorf("workers=%d: want verifier panic to reach the caller", workers)
 				}
 			}()
-			e.CheckProof(core.Proof{}, v)
+			_, _ = e.CheckProofCtx(context.Background(), core.Proof{}, v)
 		}()
 	}
 }
@@ -405,4 +443,31 @@ func TestEngineDirectedInstances(t *testing.T) {
 	}}
 	e := engine.New(in, engine.Options{Workers: 3})
 	checkAllPaths(t, "directed", e, in, p, v)
+}
+
+// TestEngineWarmCheckAllocs pins the allocation budget of a warm single
+// check: the walk reuses one View per range worker and a pooled proof
+// table, so what remains is the result map and a few per-check slices
+// and goroutines — not one allocation per node. The instance is the
+// benchmark's 64×64 scrambled grid under the bipartite scheme.
+func TestEngineWarmCheckAllocs(t *testing.T) {
+	in := lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(64, 64), 1))
+	scheme := lcp.BipartiteScheme()
+	p, err := scheme.Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := scheme.Verifier()
+	e := engine.New(in, engine.Options{})
+	ctx := context.Background()
+	checkProof(t, e, p, v) // warm the radius cache and the table pool
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.CheckProofCtx(ctx, p, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op = %.0f", allocs)
+	if allocs > 64 {
+		t.Fatalf("warm CheckProofCtx on %d nodes: %.0f allocs/op, want at most 64", in.G.N(), allocs)
+	}
 }

@@ -9,7 +9,4 @@ var (
 	engineViewHits   = obs.Default().Counter("lcp_engine_cache_hits_total", "Checks that found their radius's view-skeleton cache already built.")
 	engineViewMisses = obs.Default().Counter("lcp_engine_cache_misses_total", "Checks that built their radius's view-skeleton cache.")
 	engineSkeletons  = obs.Default().Counter("lcp_engine_skeletons_built_total", "Proof-free view skeletons constructed by cache builds.")
-	// engineBatchColumns counts proofs served by the column-wise batch
-	// path, the unit the ≥2× ns/proof target is measured in.
-	engineBatchColumns = obs.Default().Counter("lcp_engine_batch_columns_total", "Proofs verified through the column-wise batch path (CheckBatchColumns).")
 )

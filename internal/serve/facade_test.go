@@ -132,58 +132,6 @@ func TestServeBackendGuards(t *testing.T) {
 	}
 }
 
-// TestServeBatchColumnsOption: the "batch_columns" batch-strategy
-// option forces (or forbids) the column-wise engine path per request,
-// yields the same per-proof verdicts either way, and is guarded the
-// same way the partitioner is — it only makes sense on the engine
-// backend.
-func TestServeBatchColumnsOption(t *testing.T) {
-	ts := newTestServer(t)
-	in := lcp.NewInstance(lcp.Cycle(12))
-	scheme := lcp.BipartiteScheme()
-	p, err := scheme.Prove(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
-	proofs := []map[string]string{proofWire(p), proofWire(core.FlipBit(p, 2)), proofWire(p)}
-	for _, mode := range []string{"auto", "true", "false"} {
-		resp, body := postJSON(t, ts.URL+"/check/batch", map[string]any{
-			"instance": id, "proofs": proofs, "backend": "engine", "batch_columns": mode,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch_columns=%q: status %d: %s", mode, resp.StatusCode, body)
-		}
-		var out struct {
-			Results []struct {
-				Accepted bool `json:"accepted"`
-			} `json:"results"`
-			Accepted int `json:"accepted"`
-			Checked  int `json:"checked"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Checked != 3 || out.Accepted != 2 {
-			t.Fatalf("batch_columns=%q: %d/%d accepted, want 2/3", mode, out.Accepted, out.Checked)
-		}
-		if !out.Results[0].Accepted || out.Results[1].Accepted || !out.Results[2].Accepted {
-			t.Fatalf("batch_columns=%q: per-proof verdicts %v wrong", mode, out.Results)
-		}
-	}
-	// Misdirected or malformed strategy options fail the request.
-	for name, req := range map[string]map[string]any{
-		"non-engine backend": {"instance": id, "proofs": proofs, "backend": "dist", "batch_columns": "true"},
-		"core backend":       {"instance": id, "proofs": proofs, "backend": "core", "batch_columns": "true"},
-		"bogus value":        {"instance": id, "proofs": proofs, "backend": "engine", "batch_columns": "sideways"},
-	} {
-		resp, body := postJSON(t, ts.URL+"/check/batch", req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
-		}
-	}
-}
-
 // TestServeDefaultBackendFlag: a server whose configured default
 // backend is distributed runs plain /check requests distributed — and
 // honors a partitioner-only override without the client repeating the

@@ -125,9 +125,9 @@ var latencyBoundsSeconds = obs.LatencyBoundsSeconds()
 
 // New builds a server over the given scheme registry (normally
 // lcp.BuiltinSchemes()). The base config applies to every instance the
-// server wires; per-request options ("backend", "partitioner",
-// "batch_columns") override it through the same config.Set resolver the
-// lcpserve flags go through.
+// server wires; per-request options ("backend", "partitioner")
+// override it through the same config.Set resolver the lcpserve flags
+// go through.
 func New(schemes map[string]core.Scheme, base config.Config) *Server {
 	return NewWith(schemes, base, Config{})
 }
@@ -346,13 +346,6 @@ type checkRequest struct {
 	// StopOnReject makes /check/stream cancel remaining work as soon
 	// as the first rejection streams out.
 	StopOnReject bool `json:"stop_on_reject,omitempty"`
-	// BatchColumns overrides the engine backend's batch strategy for
-	// this request (/check/batch only): "auto", "true" (always take the
-	// column-wise path), or "false" (per-proof loop). It resolves
-	// through config.Set like every other option, so the spelling
-	// matches lcpserve's -batch-columns flag. Requires the engine
-	// backend. Empty means the server's configured default.
-	BatchColumns string `json:"batch_columns,omitempty"`
 }
 
 type checkResponse struct {
@@ -451,9 +444,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 	}
 	if req.Partitioner != "" && (endpoint == "/prove" || endpoint == "/check/stream") {
 		return bad("partitioner")
-	}
-	if req.BatchColumns != "" && endpoint != "/check/batch" {
-		return bad("batch_columns")
 	}
 	// Whether a partitioner override is honored depends on the
 	// *resolved* backend (the server default counts, not just the
@@ -587,9 +577,9 @@ func (s *Server) resolve(req *checkRequest) (*instanceEntry, core.Scheme, error)
 
 // requestConfig resolves one request's execution configuration: the
 // server's base config with the request-level overrides applied through
-// config.Set — the same resolver the lcpserve flags feed, so "backend",
-// "partitioner" and "batch_columns" mean exactly the same thing on the
-// wire as on the command line.
+// config.Set — the same resolver the lcpserve flags feed, so "backend"
+// and "partitioner" mean exactly the same thing on the wire as on the
+// command line.
 func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 	cfg := s.base
 	if req.Backend != "" {
@@ -608,18 +598,6 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 				"partitioner", config.BackendDist, config.BackendDistTCP, b)
 		}
 		if err := cfg.Set("partitioner", req.Partitioner); err != nil {
-			return cfg, err
-		}
-	}
-	if req.BatchColumns != "" {
-		// The columns path is the engine backend's batch strategy; on
-		// every other backend the knob would be silently ignored, the
-		// same client bug the partitioner guard catches.
-		if b := cfg.ResolvedBackend(); b != config.BackendEngine {
-			return cfg, fmt.Errorf("%q requires the %q backend, resolved backend is %q",
-				"batch_columns", config.BackendEngine, b)
-		}
-		if err := cfg.Set("batch-columns", req.BatchColumns); err != nil {
 			return cfg, err
 		}
 	}
@@ -647,15 +625,6 @@ func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core
 	}
 	if cfg.ResolvedBackend() == config.BackendEngine {
 		opts = append(opts, lcp.WithEngine(entry.Engine))
-		// The batch strategy rides the config, not the shared engine:
-		// auto is the checker default, so only a forced mode needs an
-		// option.
-		switch cfg.BatchColumns {
-		case config.BatchColumnsOn:
-			opts = append(opts, lcp.WithBatchColumns(true))
-		case config.BatchColumnsOff:
-			opts = append(opts, lcp.WithBatchColumns(false))
-		}
 	}
 	return lcp.NewChecker(entry.Doc.Instance, opts...)
 }

@@ -427,9 +427,9 @@ func TestServeRejectsMisdirectedFields(t *testing.T) {
 		{"/check/stream", map[string]any{"instance": id, "proofs": []map[string]string{{}}}},
 		{"/prove", map[string]any{"instance": id, "proof": map[string]string{}}},
 		{"/prove", map[string]any{"instance": id, "backend": "dist"}},
-		{"/check", map[string]any{"instance": id, "proof": map[string]string{}, "batch_columns": "true"}},
-		{"/check/stream", map[string]any{"instance": id, "proof": map[string]string{}, "batch_columns": "auto"}},
-		{"/prove", map[string]any{"instance": id, "batch_columns": "true"}},
+		// The retired batch-strategy field is unknown everywhere, even on
+		// the engine batch it used to steer.
+		{"/check/batch", map[string]any{"instance": id, "proofs": []map[string]string{{}}, "backend": "engine", "batch_columns": "true"}},
 	} {
 		resp, body := postJSON(t, ts.URL+tc.endpoint, tc.req)
 		if resp.StatusCode != http.StatusBadRequest {

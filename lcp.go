@@ -148,8 +148,8 @@ func ProveAndCheck(in *Instance, s Scheme) (Proof, *Result, error) {
 // The long-lived verification engine: build once per instance, verify
 // many proofs. The core backend rebuilds every radius-r view per call;
 // the Engine caches them (per radius, shared across proofs) and serves
-// CheckProof / CheckBatch / CheckStream at a fraction of the per-proof
-// cost. Prefer it whenever the same instance meets more than a handful
+// CheckProofCtx / CheckBatchCtx / CheckStream at a fraction of the
+// per-proof cost. Prefer it whenever the same instance meets more than a handful
 // of proofs — tampering sweeps, adversary searches, or a verification
 // service's request stream.
 type (
@@ -157,10 +157,6 @@ type (
 	Engine = engine.Engine
 	// Verdict is one node's decision as streamed by Engine.CheckStream.
 	Verdict = engine.Verdict
-	// ColumnsOptions tunes one Engine.CheckBatchColumnsWith call: the
-	// column-wise batch path that walks each cached skeleton once while
-	// evaluating all k proofs of a batch against it.
-	ColumnsOptions = engine.ColumnsOptions
 )
 
 // NewEngine builds a default-configured engine for the instance. Pair
