@@ -34,7 +34,7 @@ race:
 	$(GO) test -race -short ./...
 
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkAblationViewConstruction|BenchmarkDistributedRuntime|BenchmarkEngineAmortized|BenchmarkEngineBatchColumns' -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkAblationViewConstruction|BenchmarkDistributedRuntime|BenchmarkEngineAmortized|BenchmarkEngineBatchColumns|BenchmarkViewWalk' -benchmem .
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/dist/
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/partition/
 
@@ -68,6 +68,7 @@ load-smoke:
 # first, data frames, and packed check frames.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTextioRoundTrip -fuzztime=10s ./internal/textio/
+	$(GO) test -run=NONE -fuzz=FuzzReaderMatchesBitwise -fuzztime=10s ./internal/bitstr/
 	$(GO) test -run=NONE -fuzz=FuzzBatchColumnsEquivalence -fuzztime=10s ./internal/engine/
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzReadHello -fuzztime=10s ./internal/transport/

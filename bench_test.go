@@ -19,6 +19,8 @@ import (
 	"lcp"
 	"lcp/internal/core"
 	"lcp/internal/dist"
+	"lcp/internal/engine"
+	"lcp/internal/graph"
 	"lcp/internal/lowerbound"
 	"lcp/internal/ports"
 	"lcp/internal/schemes"
@@ -530,6 +532,78 @@ func BenchmarkAblationConnectivityCompression(b *testing.B) {
 			}
 			b.ReportMetric(float64(p.Size()), "bits/node")
 		})
+	}
+}
+
+// BenchmarkViewWalk times one honest check per op on every path that
+// builds views: core's sequential walk (one reused View over a pooled
+// proof table), a cold engine (slab ball index built, then the walk), a
+// warm engine (the walk alone) and a reused dist.Network (flooding, and
+// each node's view assembled over its ball instance). The instances are
+// the benchmark workloads' shapes at a unit-test size: a scrambled
+// 128×128 grid under bipartiteness (tiny balls), a 16384-node
+// power-law graph under leader election (hub balls), and the line graph
+// of a 4096-cycle under the radius-5 line-graph verifier, which asks
+// every view for its induced graph. ns/node and allocs/op are the
+// figures BENCH_engine.json records.
+func BenchmarkViewWalk(b *testing.B) {
+	leader := lcp.NewInstance(lcp.PowerLaw(16384, 4, 1)).SetNodeLabel(1, core.LabelLeader)
+	for _, tc := range []struct {
+		name   string
+		in     *core.Instance
+		scheme core.Scheme
+	}{
+		{"grid-128", lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(128, 128), 1)), lcp.BipartiteScheme()},
+		{"powerlaw-16384", leader, lcp.LeaderElectionScheme()},
+		{"linegraph-4096", lcp.NewInstance(lcp.LineGraphOf(lcp.Cycle(4096))), lcp.LineGraphScheme()},
+	} {
+		p, err := tc.scheme.Prove(tc.in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		v := tc.scheme.Verifier()
+		ctx := context.Background()
+		n := tc.in.G.N()
+		accepted := func(b *testing.B, res *core.Result, err error) {
+			if err != nil || !res.Accepted() {
+				b.Fatalf("honest proof: %v, %v", res, err)
+			}
+		}
+		run := func(name string, check func(b *testing.B)) {
+			b.Run(tc.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				start := time.Now()
+				for i := 0; i < b.N; i++ {
+					check(b)
+				}
+				b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*n), "ns/node")
+			})
+		}
+		run("core", func(b *testing.B) {
+			res, err := core.CheckCtx(ctx, tc.in, p, v)
+			accepted(b, res, err)
+		})
+		run("engine-cold", func(b *testing.B) {
+			res, err := engine.New(tc.in, engine.Options{}).CheckProofCtx(ctx, p, v)
+			accepted(b, res, err)
+		})
+		warm := engine.New(tc.in, engine.Options{})
+		if _, err := warm.CheckProofCtx(ctx, p, v); err != nil {
+			b.Fatal(err)
+		}
+		run("engine-warm", func(b *testing.B) {
+			res, err := warm.CheckProofCtx(ctx, p, v)
+			accepted(b, res, err)
+		})
+		nw, err := dist.NewNetwork(tc.in, dist.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		run("dist", func(b *testing.B) {
+			res, err := nw.CheckCtx(ctx, p, v)
+			accepted(b, res, err)
+		})
+		nw.Close()
 	}
 }
 

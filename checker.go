@@ -39,8 +39,9 @@ const (
 	// grouped onto WithShards shards by WithPartitioner, flood their
 	// radius-r balls round by round.
 	BackendDist = string(config.BackendDist)
-	// BackendEngine: the amortized engine — radius-r view skeletons
-	// cached per instance, checks served by a WithWorkers-bounded pool.
+	// BackendEngine: the amortized engine — every node's radius-r ball
+	// indexed once per instance, checks served by a WithWorkers-bounded
+	// pool.
 	// This is the default backend.
 	BackendEngine = string(config.BackendEngine)
 	// BackendDistTCP: the multi-process scale-out — the instance is
@@ -492,7 +493,7 @@ func (c *checker) CheckBatch(ctx context.Context, proofs []Proof) ([]*Report, er
 }
 
 // checkBatchWalk serves the batch through the engine's column walk:
-// one walk over the cached skeletons feeds every proof, so the batch
+// one walk over the cached ball index feeds every proof, so the batch
 // shares a single timeline and wall clock — each Report carries the
 // batch's Elapsed and Stages, not a per-proof slice of them. The walk
 // fails (or is cancelled) as a unit: no column has a complete verdict
@@ -588,18 +589,16 @@ func (c *checker) CheckStream(ctx context.Context, p Proof) (<-chan Verdict, err
 		out := make(chan Verdict)
 		go func() {
 			defer close(out)
-			radius := c.v.Radius()
-			for _, node := range c.in.G.Nodes() {
-				if ctx.Err() != nil {
-					return
-				}
-				verdict := Verdict{Node: node, Accept: c.v.Verify(core.BuildView(c.in, p, node, radius))}
+			// A cancelled walk only ends the stream early: the
+			// consumer owns ctx and sees its error there.
+			_ = core.Walk(ctx, c.in, p, c.v.Radius(), func(w *core.View) bool {
 				select {
-				case out <- verdict:
+				case out <- Verdict{Node: w.Center, Accept: c.v.Verify(w)}:
+					return true
 				case <-ctx.Done():
-					return
+					return false
 				}
-			}
+			})
 		}()
 		return out, nil
 	default:

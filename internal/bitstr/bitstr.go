@@ -240,17 +240,50 @@ func (r *Reader) ReadBit() bool {
 }
 
 // ReadUint reads a width-bit unsigned integer (MSB first). On underflow it
-// returns 0 and sets Err.
+// returns 0, moves to the end and sets Err; once Err is set, every later
+// read returns 0. A width above 64 keeps the low 64 bits read.
 func (r *Reader) ReadUint(width int) uint64 {
+	if width <= 0 {
+		return 0
+	}
+	if width > r.s.n-r.pos {
+		r.pos = r.s.n
+		r.err = true
+		return 0
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		if r.ReadBit() {
-			v |= 1
+	if width <= 64 {
+		v = r.s.uintAt(r.pos, width)
+		r.pos += width
+	} else {
+		for i := 0; i < width; i++ {
+			v = v<<1 | uint64(r.s.data[r.pos>>3]>>(7-uint(r.pos&7))&1)
+			r.pos++
 		}
 	}
 	if r.err {
 		return 0
+	}
+	return v
+}
+
+// uintAt returns the width bits (1 ≤ width ≤ 64) starting at bit pos,
+// MSB first, reading whole bytes: the first byte masked to its unread
+// tail, then full bytes, then the head of the last one. The caller
+// guarantees pos+width ≤ s.n.
+func (s String) uintAt(pos, width int) uint64 {
+	i := pos >> 3
+	have := 8 - pos&7
+	v := uint64(s.data[i] & (0xFF >> uint(pos&7)))
+	if have >= width {
+		return v >> uint(have-width)
+	}
+	for i++; have+8 <= width; i++ {
+		v = v<<8 | uint64(s.data[i])
+		have += 8
+	}
+	if need := width - have; need > 0 {
+		v = v<<uint(need) | uint64(s.data[i]>>uint(8-need))
 	}
 	return v
 }

@@ -31,8 +31,9 @@ const (
 	// grouped onto shards, flood their radius-r balls for Radius()
 	// rounds. The Dist tunables (shard count, partitioner) apply here.
 	BackendDist Backend = "dist"
-	// BackendEngine is the amortized shared-memory engine: radius-r view
-	// skeletons cached per instance, checks served by a worker pool.
+	// BackendEngine is the amortized shared-memory engine: every node's
+	// radius-r ball indexed once per instance, checks served by a worker
+	// pool.
 	BackendEngine Backend = "engine"
 	// BackendDistTCP is the multi-process scale-out: the instance is
 	// partitioned across external lcpworker processes (WorkerAddrs), each

@@ -223,195 +223,17 @@ func (p Proof) Truncated(bits int) Proof {
 	return out
 }
 
-// View is the radius-r neighbourhood (G[v,r], P[v,r], v) a verifier sees.
-//
-// Verifiers must read proof bits through ProofOf (or BallProof when the
-// restriction is needed as a whole) — never the Proof field directly:
-// the field is nil on the engine's cached flat-proof views, where the
-// restriction lives in Flat instead, and a direct read silently sees an
-// empty proof there. The two accessors are identical under both
-// representations; the raw fields are exported for runtimes and tests
-// that construct views, not for verifier logic.
-type View struct {
-	Center    int
-	Radius    int
-	G         *graph.Graph // the induced subgraph G[v,r]
-	Dist      map[int]int  // distance from Center within the ball
-	Proof     Proof        // restricted to the ball; nil when Flat is set — use ProofOf/BallProof
-	NodeLabel map[int]string
-	EdgeLabel map[graph.Edge]string
-	Weights   map[graph.Edge]int64
-	Global    Global
-	// Flat, when non-nil, is an array-backed proof table for the WHOLE
-	// instance, shared read-only by every view of one check; ProofOf
-	// restricts it to the ball through Dist. Exactly one of Proof and
-	// Flat is set. The engine's cached-skeleton path uses Flat so that
-	// no per-ball proof map is built per node per proof; one-shot views
-	// (BuildView, dist.Collect) carry the restricted map.
-	Flat *FlatProof
-}
-
-// ProofOf returns the proof string of a node in the view (ε if the node
-// carries no proof or lies outside the ball).
-func (w *View) ProofOf(v int) bitstr.String {
-	if w.Flat != nil {
-		if _, inBall := w.Dist[v]; inBall {
-			return w.Flat.At(v)
-		}
-		return bitstr.String{}
-	}
-	return w.Proof[v]
-}
-
-// BallProof returns the view's proof restriction as a map-backed Proof,
-// whichever representation the view carries, entry-for-entry identical
-// to what BuildView materializes (explicit ε entries included).
-// Verifiers that need the restriction as a value — to re-address it, or
-// to hand it to Restrict for an inner verifier (the §7.1 M2 translation
-// does both) — must use this instead of reading the Proof field, which
-// is nil on the engine's flat-proof views. The result must be treated
-// as read-only: on the map path it aliases the view's own restriction.
-func (w *View) BallProof() Proof {
-	if w.Flat == nil {
-		return w.Proof
-	}
-	p := make(Proof, len(w.Dist))
-	for v := range w.Dist {
-		if s, ok := w.Flat.Entry(v); ok {
-			p[v] = s
-		}
-	}
-	return p
-}
-
-// Label returns the input label of a node in the view.
-func (w *View) Label(v int) string { return w.NodeLabel[v] }
-
-// EdgeMarked reports whether the (undirected) edge is part of the solution.
-func (w *View) EdgeMarked(u, v int) bool {
-	return w.EdgeLabel[graph.NormEdge(u, v)] == EdgeInSolution
-}
-
-// Weight returns the weight of edge (u, v) in the view.
-func (w *View) Weight(u, v int) int64 { return w.Weights[graph.NormEdge(u, v)] }
-
-// KnowsFully reports whether the full neighbourhood of node v is visible
-// in the view: true iff dist(center, v) < radius. Verifiers must only
-// reason about the complete adjacency of such nodes.
-func (w *View) KnowsFully(v int) bool { return w.Dist[v] < w.Radius }
-
-// Neighbors lists v's neighbours within the view.
-func (w *View) Neighbors(v int) []int { return w.G.Neighbors(v) }
-
-// Degree returns v's degree within the view (its true degree iff
-// KnowsFully(v)).
-func (w *View) Degree(v int) int { return w.G.Degree(v) }
-
-// BuildView extracts the radius-r view of center from an instance and
-// proof. This is the sequential reference implementation; dist.Collect
-// produces identical views via message passing (a property test asserts
-// agreement).
-func BuildView(in *Instance, p Proof, center, radius int) *View {
-	// One fused pass: the BFS and the induced-subgraph assembly share a
-	// pooled epoch-stamped scratch (graph.InducedBall), so the only maps
-	// built here are the ones the View API itself carries.
-	ball, nodes, dist := in.G.InducedBall(center, radius)
-	w := &View{
-		Center: center,
-		Radius: radius,
-		G:      ball,
-		Dist:   dist,
-		Proof:  make(Proof, len(nodes)),
-		Global: in.Global,
-	}
-	for _, v := range nodes {
-		if s, ok := p[v]; ok {
-			w.Proof[v] = s
-		}
-	}
-	if in.NodeLabel != nil {
-		w.NodeLabel = make(map[int]string)
-		for _, v := range nodes {
-			if l, ok := in.NodeLabel[v]; ok {
-				w.NodeLabel[v] = l
-			}
-		}
-	}
-	if in.EdgeLabel != nil || in.Weights != nil {
-		w.EdgeLabel = make(map[graph.Edge]string)
-		w.Weights = make(map[graph.Edge]int64)
-		for _, e := range ball.Edges() {
-			if l, ok := in.EdgeLabel[e]; ok {
-				w.EdgeLabel[e] = l
-			}
-			if wt, ok := in.Weights[e]; ok {
-				w.Weights[e] = wt
-			}
-		}
-	}
-	return w
-}
-
-// Restrict returns the sub-view of radius r ≤ w.Radius around the same
-// center. Because balls nest, the result equals the radius-r view built
-// directly from the full instance; wrappers use it to simulate an inner
-// verifier with a smaller horizon (§7.3). The proof is NOT inherited:
-// pass the proof the inner verifier should see.
-func (w *View) Restrict(r int, proof Proof) *View {
-	var keep []int
-	dist := make(map[int]int)
-	for v, d := range w.Dist {
-		if d <= r {
-			keep = append(keep, v)
-			dist[v] = d
-		}
-	}
-	sort.Ints(keep)
-	sub := &View{
-		Center: w.Center,
-		Radius: r,
-		G:      w.G.Induced(keep),
-		Dist:   dist,
-		Proof:  make(Proof),
-		Global: w.Global,
-	}
-	for _, v := range keep {
-		if s, ok := proof[v]; ok {
-			sub.Proof[v] = s
-		}
-	}
-	if w.NodeLabel != nil {
-		sub.NodeLabel = make(map[int]string)
-		for _, v := range keep {
-			if l, ok := w.NodeLabel[v]; ok {
-				sub.NodeLabel[v] = l
-			}
-		}
-	}
-	if w.EdgeLabel != nil || w.Weights != nil {
-		sub.EdgeLabel = make(map[graph.Edge]string)
-		sub.Weights = make(map[graph.Edge]int64)
-		for _, e := range sub.G.Edges() {
-			if l, ok := w.EdgeLabel[e]; ok {
-				sub.EdgeLabel[e] = l
-			}
-			if wt, ok := w.Weights[e]; ok {
-				sub.Weights[e] = wt
-			}
-		}
-	}
-	return sub
-}
-
 // Verifier is a local verifier: Radius is its local horizon r, and Verify
 // computes the output of View.Center from the view alone.
 //
-// The *View is valid only for the duration of the Verify call: the
-// engine copies each node's cached skeleton into one View per worker
-// and reuses it for the next node and proof, and the proof table behind
-// View.Flat goes back to a pool when the check ends. A verifier must
-// not keep the pointer, or anything read through it that a later check
-// may overwrite, after Verify returns.
+// The *View is valid only for the duration of the Verify call: every
+// walk (core.CheckCtx, the engine, the façade's stream) refills one
+// View per worker from the next node's ball and reuses it, and the
+// proof table behind it goes back to a pool when the check ends. A
+// verifier must not keep the pointer, or anything read through it
+// (Nodes, Neighbors, Graph), after Verify returns. Views returned by
+// BuildView and dist.Collect are the exception: they own their state
+// and stay valid for as long as the caller holds them.
 type Verifier interface {
 	Radius() int
 	Verify(*View) bool
@@ -494,26 +316,6 @@ func Check(in *Instance, p Proof, v Verifier) *Result {
 	//lint:ignore ctxflow ctx-less Check is the documented uncancellable entry point; CheckCtx is the threaded variant
 	res, _ := CheckCtx(context.Background(), in, p, v)
 	return res
-}
-
-// CheckCtx is Check with context cancellation: the sequential sweep
-// aborts between nodes once the context is done and returns the partial
-// result together with ctx.Err(). One node's view construction and
-// verifier call is the unit of work. A background context adds no
-// per-node cost (its Done channel is nil and the check is skipped).
-func CheckCtx(ctx context.Context, in *Instance, p Proof, v Verifier) (*Result, error) {
-	res := &Result{Outputs: make(map[int]bool, in.G.N())}
-	radius := v.Radius()
-	done := ctx.Done()
-	for _, node := range in.G.Nodes() {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-		}
-		res.Outputs[node] = v.Verify(BuildView(in, p, node, radius))
-	}
-	return res, nil
 }
 
 // ProveAndCheck is the end-to-end happy path: prove, then verify

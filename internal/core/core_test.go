@@ -31,11 +31,14 @@ var twoColorVerifier = VerifierFunc{R: 1, F: func(w *View) bool {
 func TestBuildViewBall(t *testing.T) {
 	in := NewInstance(graph.Path(9))
 	w := BuildView(in, nil, 5, 2)
-	if w.G.N() != 5 {
-		t.Fatalf("ball size %d, want 5", w.G.N())
+	if len(w.Nodes()) != 5 {
+		t.Fatalf("ball size %d, want 5", len(w.Nodes()))
 	}
-	if w.Dist[3] != 2 || w.Dist[5] != 0 {
-		t.Errorf("distances wrong: %v", w.Dist)
+	if d3, _ := w.Dist(3); d3 != 2 {
+		t.Errorf("dist(3) = %d, want 2", d3)
+	}
+	if d5, ok := w.Dist(5); d5 != 0 || !ok {
+		t.Errorf("dist(5) = %d, %v, want 0, true", d5, ok)
 	}
 	if !w.KnowsFully(4) || w.KnowsFully(3) {
 		t.Error("KnowsFully boundary wrong")
@@ -47,7 +50,7 @@ func TestBuildViewIncludesBoundaryEdges(t *testing.T) {
 	// 1; the induced view contains no 2–4 edge (there is none), but in C3
 	// radius 1 from node 1 includes edge 2–3.
 	w := BuildView(NewInstance(graph.Cycle(3)), nil, 1, 1)
-	if !w.G.HasEdge(2, 3) {
+	if !w.HasEdge(2, 3) || !w.Graph().HasEdge(2, 3) {
 		t.Error("induced boundary edge 2–3 missing")
 	}
 }

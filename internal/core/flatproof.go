@@ -6,28 +6,28 @@ import (
 	"lcp/internal/graph"
 )
 
-// FlatProof is a dense, array-backed proof representation: the bit
-// string of node id lives at position g.Index(id) of a flat slice,
-// aligned with g.Nodes().
+// FlatProof is a dense, array-backed proof table: the bit string of
+// node id lives at position g.Index(id) of a flat slice, aligned with
+// g.Nodes(). It is the one proof form a View reads.
 //
 // The map-backed Proof is the right shape for provers and adversaries
-// (sparse edits, relabelling, splicing), but the engine's hot path — one
-// proof checked at every node of a cached skeleton — used to restrict
-// the map into a fresh per-ball map for every node of every proof:
-// O(Σ|ball(v)|) allocations and map inserts per check. A FlatProof is
-// loaded once per check in O(n) and then shared read-only by every
-// node's view; the per-node restriction disappears entirely, with ball
-// membership enforced by View.ProofOf against the view's distance map.
+// (sparse edits, relabelling, splicing), but a check reads it at every
+// node of every ball. A FlatProof is loaded once per check in O(n) and
+// then shared read-only by every node's view, which restricts it to its
+// ball by membership; no per-ball proof map is ever built. Owned views
+// (BuildView, Restrict, dist.Collect) carry a ball-sized table instead,
+// indexed by member rank.
 //
 // Presence is tracked separately from the bits so that an explicit ε
 // entry (a node assigned the empty string) survives the representation
-// change: View.BallProof must reproduce exactly the map BuildView would
-// have built, entry-for-entry, not just string-for-string.
+// change: View.BallProof reproduces the map restriction entry for entry,
+// not just string for string.
 //
 // A FlatProof is mutable via Load and therefore owned by a single check
 // at a time; the Views it is attached to must not outlive the check.
-// The engine reads its proofs through column views of a pooled
-// ProofColumns table (a single check is a one-column table).
+// core.CheckCtx draws its table from a pool; the engine reads its proofs
+// through column views of a pooled ProofColumns table (a single check is
+// a one-column table).
 //
 // A FlatProof may also be a strided column view into a ProofColumns
 // table: stride > 1 means node index i lives at slot i*stride+off of a
@@ -59,6 +59,31 @@ func NewFlatProof(g *graph.Graph) *FlatProof {
 	return &FlatProof{g: g, bits: make([]bitstr.String, g.N()), has: make([]bool, g.N())}
 }
 
+// reset sizes the table for g (nil: drops the strings it holds, for
+// pooling); Load fills it.
+func (fp *FlatProof) reset(g *graph.Graph) {
+	fp.g, fp.stride, fp.off = g, 0, 0
+	if g == nil {
+		clear(fp.bits)
+		return
+	}
+	n := g.N()
+	if cap(fp.bits) < n {
+		fp.bits = make([]bitstr.String, n)
+		fp.has = make([]bool, n)
+	} else {
+		fp.bits = fp.bits[:n]
+		fp.has = fp.has[:n]
+	}
+}
+
+// entryAt returns the entry at node index i (or member rank, for the
+// ball-sized tables of owned views) and whether it is present.
+func (fp *FlatProof) entryAt(i int) (bitstr.String, bool) {
+	k := fp.slot(i)
+	return fp.bits[k], fp.has[k]
+}
+
 // Load replaces the table contents with p, clearing previous entries.
 // Proof entries addressing nodes outside the graph are ignored, exactly
 // as BuildView ignores them when restricting a map-backed proof.
@@ -74,23 +99,4 @@ func (fp *FlatProof) Load(p Proof) {
 			fp.has[i] = true
 		}
 	}
-}
-
-// At returns the proof string of node id (ε for nodes without an entry
-// or outside the graph).
-func (fp *FlatProof) At(id int) bitstr.String {
-	if i, ok := fp.g.Lookup(id); ok {
-		return fp.bits[fp.slot(i)]
-	}
-	return bitstr.String{}
-}
-
-// Entry returns the proof string of node id and whether the proof
-// explicitly assigns one — the flat analogue of a map lookup's comma-ok,
-// distinguishing "assigned ε" from "no entry".
-func (fp *FlatProof) Entry(id int) (bitstr.String, bool) {
-	if i, ok := fp.g.Lookup(id); ok && fp.has[fp.slot(i)] {
-		return fp.bits[fp.slot(i)], true
-	}
-	return bitstr.String{}, false
 }

@@ -10,10 +10,10 @@ import (
 // for one graph at once: the entry of proof j at node index i lives at
 // slot i*k+j, so all k proof strings for one node are adjacent in
 // memory. It is the batch counterpart of FlatProof — where a FlatProof
-// lets one check walk the cached skeletons without per-node map
-// restriction, a ProofColumns lets one ball walk feed k verdicts: the
-// engine visits node i once and evaluates every column against the same
-// skeleton before moving on, comparing the k adjacent entries to
+// lets one check walk every ball without per-node map restriction, a
+// ProofColumns lets one ball walk feed k verdicts: the engine visits
+// node i once and evaluates every column against the same ball before
+// moving on, comparing the k adjacent entries to
 // deduplicate identical ball restrictions. The engine loads every check
 // into one; a single proof is a one-column table.
 //

@@ -18,21 +18,21 @@ func TestViewRestrictMatchesDirectBuild(t *testing.T) {
 		for r := 0; r <= 3; r++ {
 			sub := big.Restrict(r, p)
 			direct := BuildView(in, p, center, r)
-			if !graph.Equal(sub.G, direct.G) {
+			if !graph.Equal(sub.Graph(), direct.Graph()) {
 				t.Fatalf("center %d r=%d: restricted ball differs", center, r)
 			}
-			for _, v := range direct.G.Nodes() {
+			for _, v := range direct.Nodes() {
 				if !sub.ProofOf(v).Equal(direct.ProofOf(v)) {
 					t.Fatalf("center %d r=%d: proof of %d differs", center, r, v)
 				}
 				if sub.Label(v) != direct.Label(v) {
 					t.Fatalf("center %d r=%d: label of %d differs", center, r, v)
 				}
-				if sub.Dist[v] != direct.Dist[v] {
+				if ds, _ := sub.Dist(v); ds != mustDist(t, direct, v) {
 					t.Fatalf("center %d r=%d: dist of %d differs", center, r, v)
 				}
 			}
-			for _, e := range direct.G.Edges() {
+			for _, e := range direct.Graph().Edges() {
 				if sub.EdgeMarked(e.U, e.V) != direct.EdgeMarked(e.U, e.V) {
 					t.Fatalf("center %d r=%d: mark of %v differs", center, r, e)
 				}
@@ -49,7 +49,7 @@ func TestViewRestrictSubstitutesProof(t *testing.T) {
 	p := RandomProof(in, 4, 1)
 	big := BuildView(in, p, 3, 2)
 	empty := big.Restrict(1, Proof{})
-	for _, v := range empty.G.Nodes() {
+	for _, v := range empty.Nodes() {
 		if empty.ProofOf(v).Len() != 0 {
 			t.Fatalf("node %d kept proof bits after substitution", v)
 		}
@@ -71,6 +71,15 @@ func TestViewHelpers(t *testing.T) {
 	}
 	if got := w.ProofOf(99); got.Len() != 0 {
 		t.Error("unknown node proof not ε")
+	}
+	if !w.KnowsFully(2) || w.KnowsFully(1) {
+		t.Error("KnowsFully wrong inside the ball")
+	}
+	if w.KnowsFully(4) || w.KnowsFully(99) {
+		t.Error("KnowsFully true for a node outside the ball")
+	}
+	if _, ok := w.Dist(4); ok {
+		t.Error("Dist reports a node outside the ball")
 	}
 }
 
@@ -156,10 +165,20 @@ func TestFlipBitOnEmptyProof(t *testing.T) {
 func TestBuildViewRadiusZero(t *testing.T) {
 	in := NewInstance(graph.Cycle(5)).SetNodeLabel(2, "z")
 	w := BuildView(in, Proof{2: bitstr.Parse("1")}, 2, 0)
-	if w.G.N() != 1 || w.G.M() != 0 {
-		t.Errorf("radius-0 view: %v", w.G)
+	if g := w.Graph(); g.N() != 1 || g.M() != 0 {
+		t.Errorf("radius-0 view: %v", g)
 	}
 	if w.Label(2) != "z" || w.ProofOf(2).Len() != 1 {
 		t.Error("radius-0 view lost center data")
 	}
+}
+
+// mustDist is the distance of a ball member, failing t for a non-member.
+func mustDist(t *testing.T, w *View, v int) int {
+	t.Helper()
+	d, ok := w.Dist(v)
+	if !ok {
+		t.Fatalf("node %d is not in the view of %d", v, w.Center)
+	}
+	return d
 }

@@ -24,33 +24,23 @@ import (
 	"lcp/internal/partition"
 )
 
-// viewsEqual compares every observable field of two views.
+// viewsEqual fails t unless core.ViewsEqual holds, reporting both views.
 func viewsEqual(t *testing.T, ctx string, got, want *core.View) {
 	t.Helper()
-	if got.Center != want.Center || got.Radius != want.Radius {
-		t.Fatalf("%s: center/radius (%d,%d) != (%d,%d)", ctx, got.Center, got.Radius, want.Center, want.Radius)
+	if !core.ViewsEqual(got, want) {
+		t.Fatalf("%s: views differ:\n got %s\nwant %s", ctx, describeView(got), describeView(want))
 	}
-	if !graph.Equal(got.G, want.G) {
-		t.Fatalf("%s: ball graphs differ: %v vs %v", ctx, got.G, want.G)
+}
+
+// describeView renders what a verifier sees of a view, for failure
+// reports.
+func describeView(w *core.View) string {
+	dist := make(map[int]int)
+	for _, v := range w.Nodes() {
+		dist[v], _ = w.Dist(v)
 	}
-	if !reflect.DeepEqual(got.Dist, want.Dist) {
-		t.Fatalf("%s: distance maps differ: %v vs %v", ctx, got.Dist, want.Dist)
-	}
-	if !reflect.DeepEqual(got.Proof, want.Proof) {
-		t.Fatalf("%s: proof restrictions differ: %v vs %v", ctx, got.Proof, want.Proof)
-	}
-	if !reflect.DeepEqual(got.NodeLabel, want.NodeLabel) {
-		t.Fatalf("%s: node labels differ: %v vs %v", ctx, got.NodeLabel, want.NodeLabel)
-	}
-	if !reflect.DeepEqual(got.EdgeLabel, want.EdgeLabel) {
-		t.Fatalf("%s: edge labels differ: %v vs %v", ctx, got.EdgeLabel, want.EdgeLabel)
-	}
-	if !reflect.DeepEqual(got.Weights, want.Weights) {
-		t.Fatalf("%s: weights differ: %v vs %v", ctx, got.Weights, want.Weights)
-	}
-	if !reflect.DeepEqual(got.Global, want.Global) {
-		t.Fatalf("%s: globals differ: %v vs %v", ctx, got.Global, want.Global)
-	}
+	return fmt.Sprintf("center=%d radius=%d graph=%v dist=%v proof=%v global=%v",
+		w.Center, w.Radius, w.Graph(), dist, w.BallProof(), w.Global)
 }
 
 // collectEqualsBuildViewEverywhere floods each radius once per node and
@@ -259,8 +249,9 @@ func TestLargeBallsMatchCore(t *testing.T) {
 	// Sensitive to the ball's size, its edges and the proof, so a lost
 	// or stale record flips some verdict.
 	v := core.VerifierFunc{R: 3, F: func(w *core.View) bool {
-		sum := 31*w.G.N() + 17*w.G.M() + w.ProofOf(w.Center).Len()
-		for _, d := range w.Dist {
+		sum := 31*len(w.Nodes()) + 17*w.Graph().M() + w.ProofOf(w.Center).Len()
+		for _, v := range w.Nodes() {
+			d, _ := w.Dist(v)
 			sum += 7 * d
 		}
 		return sum%3 != 0

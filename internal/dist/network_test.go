@@ -56,7 +56,7 @@ func TestNetworkReusedAcrossVerifierRadii(t *testing.T) {
 	defer nw.Close()
 	for _, r := range []int{0, 1, 3, 2, 0, 5} {
 		v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
-			return w.Radius == r && w.G.N() == len(w.Dist)
+			return w.Radius == r && w.Graph().N() == len(w.Nodes())
 		}}
 		want := core.Check(in, p, v)
 		got, err := nw.Check(p, v)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lcp/internal/bitstr"
 	"lcp/internal/core"
 	"lcp/internal/graph"
 	"lcp/internal/transport"
@@ -190,16 +191,15 @@ func (nd *node) learn(rec record, round int) {
 	}
 }
 
-// assemble reconstructs the radius-r view from flooded knowledge. The
-// instance is consulted only for model-level conventions that every node
-// knows a priori: the graph kind, the globally shared input in.Global,
-// and whether the instance carries node/edge labellings at all (the
-// nil-map conventions BuildView mirrors into the view). The ball graph
-// is frozen through graph.FromParts — the sorted id list plus the
-// incrementally collected induced edges — instead of a Builder, so the
-// per-node rebuild pays for no node/edge dedupe maps. scratch is the
-// caller's reusable edge buffer: FromParts sorts it in place and keeps
-// none of it.
+// assemble reconstructs the radius-r view from flooded knowledge: it
+// builds the ball instance — the ball graph, frozen through
+// graph.FromParts from the sorted id list plus the incrementally
+// collected induced edges, with the labels and weights the records
+// carry — and the view over it with core.BallView, the distances and
+// proof strings aligned with the ball's sorted members. The instance is
+// consulted only for what every node knows a priori: the graph kind and
+// the globally shared input in.Global. scratch is the caller's reusable
+// edge buffer: FromParts sorts it in place and keeps none of it.
 func (nd *node) assemble(in *core.Instance, radius int, scratch *[]graph.Edge) *core.View {
 	ids := make([]int, len(nd.ball))
 	for i := range nd.ball {
@@ -213,42 +213,39 @@ func (nd *node) assemble(in *core.Instance, radius int, scratch *[]graph.Edge) *
 	}
 	*scratch = edges
 
-	w := &core.View{
-		Center: nd.id,
-		Radius: radius,
-		G:      graph.FromParts(in.G.Kind(), ids, edges),
-		Dist:   make(map[int]int, len(ids)),
-		Proof:  make(core.Proof, len(ids)),
-		Global: in.Global,
-	}
+	ball := core.Instance{G: graph.FromParts(in.G.Kind(), ids, edges), Global: in.Global}
+	dist := make([]int32, len(ids))
+	bits := make([]bitstr.String, len(ids))
+	has := make([]bool, len(ids))
 	for i := range nd.ball {
-		k := &nd.ball[i]
-		w.Dist[k.rec.ID] = k.dist
-		if k.rec.HasProof {
-			w.Proof[k.rec.ID] = k.rec.Proof
+		rec := &nd.ball[i].rec
+		j := ball.G.Index(rec.ID)
+		dist[j] = int32(nd.ball[i].dist)
+		if rec.HasProof {
+			bits[j], has[j] = rec.Proof, true
+		}
+		if rec.HasLabel {
+			if ball.NodeLabel == nil {
+				ball.NodeLabel = make(map[int]string)
+			}
+			ball.NodeLabel[rec.ID] = rec.Label
 		}
 	}
-	if in.NodeLabel != nil {
-		w.NodeLabel = make(map[int]string)
-		for i := range nd.ball {
-			if rec := &nd.ball[i].rec; rec.HasLabel {
-				w.NodeLabel[rec.ID] = rec.Label
+	for _, er := range nd.indEdges {
+		if er.HasLabel {
+			if ball.EdgeLabel == nil {
+				ball.EdgeLabel = make(map[graph.Edge]string)
 			}
+			ball.EdgeLabel[er.E] = er.Label
+		}
+		if er.HasWeight {
+			if ball.Weights == nil {
+				ball.Weights = make(map[graph.Edge]int64)
+			}
+			ball.Weights[er.E] = er.Weight
 		}
 	}
-	if in.EdgeLabel != nil || in.Weights != nil {
-		w.EdgeLabel = make(map[graph.Edge]string)
-		w.Weights = make(map[graph.Edge]int64)
-		for _, er := range nd.indEdges {
-			if er.HasLabel {
-				w.EdgeLabel[er.E] = er.Label
-			}
-			if er.HasWeight {
-				w.Weights[er.E] = er.Weight
-			}
-		}
-	}
-	return w
+	return core.BallView(ball, nd.id, radius, dist, bits, has)
 }
 
 // decide assembles one node's view and runs the verifier, converting a

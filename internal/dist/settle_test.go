@@ -57,7 +57,7 @@ func settle(t *testing.T, label string, base int) {
 func TestNetworkSettlesAfterCancelAndPanic(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(32))
 	const radius = 6
-	v := core.VerifierFunc{R: radius, F: func(w *core.View) bool { return w.G.N() == 2*radius+1 }}
+	v := core.VerifierFunc{R: radius, F: func(w *core.View) bool { return len(w.Nodes()) == 2*radius+1 }}
 	bomb := core.VerifierFunc{R: radius, F: func(w *core.View) bool {
 		if w.Center == 7 {
 			panic("node 7 misbehaves")

@@ -72,9 +72,9 @@ func TestShardedIsolatedNodes(t *testing.T) {
 		// A degree-0 center must see a singleton ball: any record leaking
 		// into an isolated node's view flips its verdict to reject.
 		if w.Degree(w.Center) == 0 {
-			return w.G.N() == 1
+			return len(w.Nodes()) == 1
 		}
-		return w.G.N() >= 2
+		return len(w.Nodes()) >= 2
 	}}
 	want := core.Check(in, p, v)
 	for _, shards := range []int{1, 2, 3, 6, 10} {
@@ -236,7 +236,7 @@ func TestShardedPartitionersAcrossTopologies(t *testing.T) {
 		in := core.NewInstance(g)
 		p := core.RandomProof(in, 6, 7)
 		v := core.VerifierFunc{R: 2, F: func(w *core.View) bool {
-			return w.G.N()%2 == 0 || w.ProofOf(w.Center).Len() > 3
+			return len(w.Nodes())%2 == 0 || w.ProofOf(w.Center).Len() > 3
 		}}
 		want := core.Check(in, p, v)
 		for _, pname := range partition.Names() {

@@ -44,9 +44,9 @@ type ShardPlan struct {
 	// knowledge from. It must contain every owned node with all of its
 	// incident edges and their endpoints — the radius-1 halo a
 	// coordinator ships (engine.HaloInstance), or simply the full
-	// instance in process. Model-level conventions (graph kind, Global,
-	// the nil-map labelling conventions) must match the full instance,
-	// since view assembly consults them.
+	// instance in process. Model-level conventions (graph kind,
+	// Global) must match the full instance, since view assembly
+	// consults them.
 	In *core.Instance
 	// Owned lists the node ids this shard runs automata (and decides)
 	// for.

@@ -22,14 +22,14 @@ func (e *Engine) CheckProofCtx(ctx context.Context, p core.Proof, v core.Verifie
 	return out[0], nil
 }
 
-// CheckBatchCtx verifies many proofs in one pass over the cached
-// skeletons: the batch is loaded into a node-major core.ProofColumns
-// table and each node is visited once, evaluating all k columns against
-// the same skeleton before moving on. Results are one per proof in
+// CheckBatchCtx verifies many proofs in one pass over the cached ball
+// index: the batch is loaded into a node-major core.ProofColumns table
+// and each node is visited once, evaluating all k columns against the
+// same slab row before moving on. Results are one per proof in
 // order, verdict-for-verdict identical to core.Check.
 //
 // Two things make this cheaper than k independent walks. The ball walk
-// itself — skeleton fetch, view copy, locality bookkeeping — is paid
+// itself — slab row fetch, view fill, locality bookkeeping — is paid
 // once per node instead of once per (node, proof). And because a
 // verifier's output at v is a function of the radius-r view alone (the
 // model's locality definition, see the core package comment), columns
@@ -55,12 +55,8 @@ func (e *Engine) CheckBatchCtx(ctx context.Context, proofs []core.Proof, v core.
 		return []*core.Result{}, nil
 	}
 	tl := obs.TimelineFrom(ctx)
-	cache := e.cacheFor(v.Radius(), tl)
-	views := cache.views
-	var balls [][]int32
-	if k > 1 {
-		balls = cache.ballIndexes(e.in.G)
-	}
+	radius := v.Radius()
+	balls := e.ballsFor(radius, tl)
 	pc := e.columnsFor(proofs)
 	defer e.releaseColumns(pc)
 	nodes := e.in.G.Nodes()
@@ -82,18 +78,22 @@ func (e *Engine) CheckBatchCtx(ctx context.Context, proofs []core.Proof, v core.
 			default:
 			}
 			base := i * k
-			w = *views[i]
+			pos, dist := balls.row(i)
+			// Column 0 is always verified, so the ball is filled once
+			// per node; each verified column only swaps the proof, and
+			// an induced graph a verifier built carries across columns.
+			w.SetBall(e.in, nodes[i], radius, pos, dist, nil)
 			reps = reps[:0]
 		columns:
 			for j := 0; j < k; j++ {
 				for _, r := range reps {
-					if sameOnBall(pc, balls[i], j, int(r)) {
+					if sameOnBall(pc, pos, j, int(r)) {
 						outs[base+j] = outs[base+int(r)]
 						continue columns
 					}
 				}
 				reps = append(reps, int32(j))
-				w.Flat = pc.Column(j)
+				w.SetProof(pc.Column(j))
 				outs[base+j] = v.Verify(&w)
 			}
 		}

@@ -50,8 +50,8 @@ func columnsFixture(t *testing.T, n, k int) (*core.Instance, []core.Proof, core.
 // goroutines firing walks at one shared Engine on one instance, whole
 // batches and single checks interleaved, so pooled tables of different
 // widths are drawn and returned concurrently. Run under -race this pins
-// that the pooled ProofColumns tables, the lazily built ball-index
-// cache, and the shared skeletons never alias across concurrent walks.
+// that the pooled ProofColumns tables and the lazily built, shared ball
+// index never alias across concurrent walks.
 func TestCheckBatchColumnsConcurrentStress(t *testing.T) {
 	const (
 		goroutines = 8

@@ -2,8 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"lcp/internal/core"
@@ -16,7 +17,7 @@ import (
 // workers.
 type Options struct {
 	// Workers bounds the worker pool of the check paths
-	// (CheckProofCtx, CheckBatchCtx, CheckStream) and of skeleton
+	// (CheckProofCtx, CheckBatchCtx, CheckStream) and of ball-index
 	// construction. 0 means GOMAXPROCS.
 	Workers int
 }
@@ -36,16 +37,16 @@ type Verdict struct {
 
 // Engine is a long-lived verification service for a single instance.
 // It is safe for concurrent use; the first check at a given radius
-// builds that radius's caches, later checks reuse them.
+// builds that radius's ball index, later checks reuse it.
 type Engine struct {
 	in  *core.Instance
 	opt Options
 
-	// Caches are per radius, each behind its own build guard so a cold
-	// build at one radius never blocks warm checks at another (or a
-	// second caller at the same radius from doubling the work).
+	// Ball indexes are per radius, each behind its own build guard so a
+	// cold build at one radius never blocks warm checks at another (or
+	// a second caller at the same radius from doubling the work).
 	mu    sync.Mutex
-	views map[int]*viewCache // radius -> proof-free skeletons, aligned with in.G.Nodes()
+	balls map[int]*ballIndex // radius -> every node's ball, aligned with in.G.Nodes()
 
 	// columns recycles the node-major proof tables of the column walk
 	// and the stream: one table per in-flight check, loaded in O(nk)
@@ -55,40 +56,53 @@ type Engine struct {
 	columns sync.Pool // *core.ProofColumns aligned with in.G
 }
 
-type viewCache struct {
-	once  sync.Once
-	views []*core.View
-
-	// balls is the per-node ball membership as sorted graph indices,
-	// derived lazily for walks of two or more proofs (they compare
-	// proof columns over exactly the entries a verifier can observe; a
-	// single proof has nothing to compare). Built once per radius.
-	ballsOnce sync.Once
-	balls     [][]int32
+// ballIndex is one radius's slab of balls: node index i's ball is
+// pos[off[i]:off[i+1]] (ascending graph positions of its members) with
+// distances dist[off[i]:off[i+1]]. Three flat arrays for the whole
+// instance — no per-node view, map or induced graph.
+type ballIndex struct {
+	once sync.Once
+	off  []int32
+	pos  []int32
+	dist []int32
 }
 
-// ballIndexes returns, for each node index, the graph indices of its
-// radius-r ball members in ascending order. Must be called after the
-// cache's views are built. Membership is re-walked with the pooled
-// ball scratch (one reused id buffer, no per-node map iteration); the
-// result is identical to the skeletons' distance maps because both
-// come from the same BFS.
-func (c *viewCache) ballIndexes(g *graph.Graph) [][]int32 {
-	c.ballsOnce.Do(func() {
-		balls := make([][]int32, len(c.views))
-		var ids []int
-		for i, w := range c.views {
-			ids = g.AppendBallIDs(ids[:0], w.Center, w.Radius)
-			bi := make([]int32, len(ids))
-			for j, v := range ids {
-				bi[j] = int32(g.Index(v))
-			}
-			slices.Sort(bi)
-			balls[i] = bi
+// row returns node index i's ball.
+func (b *ballIndex) row(i int) (pos, dist []int32) {
+	lo, hi := b.off[i], b.off[i+1]
+	return b.pos[lo:hi:hi], b.dist[lo:hi:hi]
+}
+
+// build fills the slab in two parallel passes over the nodes: the
+// first sizes every ball, the second walks each ball straight into its
+// row. Walking twice costs one more BFS per node and spares a second
+// copy of the slab.
+func (b *ballIndex) build(g *graph.Graph, radius, workers int) {
+	nodes := g.Nodes()
+	b.off = make([]int32, len(nodes)+1)
+	forEachRange(len(nodes), workers, func(lo, hi int) {
+		var pos, dist []int32
+		for i := lo; i < hi; i++ {
+			pos, dist = g.AppendBall(pos[:0], dist[:0], nodes[i], radius)
+			b.off[i+1] = int32(len(pos))
 		}
-		c.balls = balls
 	})
-	return c.balls
+	total := 0
+	for i := range nodes {
+		total += int(b.off[i+1])
+		if total > math.MaxInt32 {
+			panic(fmt.Sprintf("engine: radius-%d balls hold more than %d members, past the slab's int32 offsets", radius, math.MaxInt32))
+		}
+		b.off[i+1] = int32(total)
+	}
+	b.pos = make([]int32, total)
+	b.dist = make([]int32, total)
+	forEachRange(len(nodes), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pos, dist := b.row(i)
+			g.AppendBall(pos[:0], dist[:0], nodes[i], radius)
+		}
+	})
 }
 
 // New builds an engine for the instance. The instance (graph, labels,
@@ -101,19 +115,19 @@ func New(in *core.Instance, opt Options) *Engine {
 	return &Engine{
 		in:    in,
 		opt:   opt,
-		views: make(map[int]*viewCache),
+		balls: make(map[int]*ballIndex),
 	}
 }
 
 // Instance returns the instance the engine serves.
 func (e *Engine) Instance() *core.Instance { return e.in }
 
-// Invalidate drops every cached view skeleton. Checks already in
+// Invalidate drops every cached ball index. Checks already in
 // flight keep using the caches they resolved; new checks rebuild.
 func (e *Engine) Invalidate() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.views = make(map[int]*viewCache)
+	e.balls = make(map[int]*ballIndex)
 }
 
 // InvalidateRadius drops the caches of a single radius, leaving other
@@ -121,41 +135,31 @@ func (e *Engine) Invalidate() {
 func (e *Engine) InvalidateRadius(radius int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	delete(e.views, radius)
+	delete(e.balls, radius)
 }
 
-// cacheFor returns the per-radius cache, building its skeletons on
-// first use. Skeletons are core.Views with a nil Proof; checks copy one
-// into a per-worker View and attach a column of the check's proof
-// table, so the maps inside are shared read-only across all concurrent
-// checks and no per-ball proof restriction is ever materialized.
+// ballsFor returns the per-radius ball index, building it on first
+// use. Checks fill one reused View per worker from a slab row and
+// attach a column of the check's proof table, so the slab is shared
+// read-only across all concurrent checks.
 //
 // tl, when non-nil, receives the time spent in this call as the
-// "engine.views" stage — near zero on a warm cache, the whole skeleton
-// build on a miss (or the wait for a concurrent builder).
-func (e *Engine) cacheFor(radius int, tl *obs.Timeline) *viewCache {
+// "engine.views" stage — near zero on a warm index, the whole build on
+// a miss (or the wait for a concurrent builder).
+func (e *Engine) ballsFor(radius int, tl *obs.Timeline) *ballIndex {
 	e.mu.Lock()
-	c, ok := e.views[radius]
+	b, ok := e.balls[radius]
 	if !ok {
-		c = &viewCache{}
-		e.views[radius] = c
+		b = &ballIndex{}
+		e.balls[radius] = b
 	}
 	e.mu.Unlock()
 	stop := tl.Start("engine.views")
 	built := false
-	c.once.Do(func() {
+	b.once.Do(func() {
 		built = true
-		nodes := e.in.G.Nodes()
-		vs := make([]*core.View, len(nodes))
-		forEachRange(len(nodes), e.opt.workers(), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				w := core.BuildView(e.in, nil, nodes[i], radius)
-				w.Proof = nil
-				vs[i] = w
-			}
-		})
-		c.views = vs
-		engineSkeletons.Add(float64(len(nodes)))
+		b.build(e.in.G, radius, e.opt.workers())
+		engineSkeletons.Add(float64(e.in.G.N()))
 	})
 	stop()
 	if built {
@@ -163,7 +167,7 @@ func (e *Engine) cacheFor(radius int, tl *obs.Timeline) *viewCache {
 	} else {
 		engineViewHits.Inc()
 	}
-	return c
+	return b
 }
 
 // CheckStream verifies the proof and streams each node's verdict as it
@@ -180,7 +184,8 @@ func (e *Engine) CheckStream(ctx context.Context, p core.Proof, v core.Verifier)
 	out := make(chan Verdict)
 	go func() {
 		defer close(out)
-		views := e.cacheFor(v.Radius(), obs.TimelineFrom(ctx)).views
+		radius := v.Radius()
+		balls := e.ballsFor(radius, obs.TimelineFrom(ctx))
 		nodes := e.in.G.Nodes()
 		pc := e.columnsFor([]core.Proof{p})
 		defer e.releaseColumns(pc)
@@ -195,8 +200,8 @@ func (e *Engine) CheckStream(ctx context.Context, p core.Proof, v core.Verifier)
 					if ctx.Err() != nil {
 						return
 					}
-					w = *views[i]
-					w.Flat = col
+					pos, dist := balls.row(i)
+					w.SetBall(e.in, nodes[i], radius, pos, dist, col)
 					verdict := Verdict{Node: nodes[i], Accept: v.Verify(&w)}
 					select {
 					case out <- verdict:

@@ -304,7 +304,7 @@ func TestEngineMultipleRadiiShareInstance(t *testing.T) {
 	e := engine.New(in, engine.Options{})
 	for _, r := range []int{0, 2, 1, 2, 0} {
 		v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
-			return w.Radius == r && len(w.Dist) == w.G.N()
+			return w.Radius == r && len(w.Nodes()) == w.Graph().N()
 		}}
 		resultsEqual(t, fmt.Sprintf("radius %d", r), checkProof(t, e, p, v), core.Check(in, p, v))
 	}
@@ -402,7 +402,7 @@ func TestEngineHaloShrinksWithLocalityPartitioner(t *testing.T) {
 	in := lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(16, 16), 7))
 	const radius, shards = 2, 4
 	p := core.RandomProof(in, 3, 2)
-	v := core.VerifierFunc{R: radius, F: func(w *core.View) bool { return w.G.N() > 6 }}
+	v := core.VerifierFunc{R: radius, F: func(w *core.View) bool { return len(w.Nodes()) > 6 }}
 	want := core.Check(in, p, v)
 	sum := func(pt partition.Partitioner) int {
 		groups := partition.Groups(in.G, pt.Assign(in.G, shards), shards)
@@ -439,35 +439,48 @@ func TestEngineDirectedInstances(t *testing.T) {
 	v := core.VerifierFunc{R: 2, F: func(w *core.View) bool {
 		// Depends on arcs, labels and proofs in the view, so any ball
 		// clipping bug flips verdicts somewhere.
-		return w.G.M()%2 == 0 || w.ProofOf(w.Center).Len() > 0 || w.Label(w.Center) != ""
+		return w.Graph().M()%2 == 0 || w.ProofOf(w.Center).Len() > 0 || w.Label(w.Center) != ""
 	}}
 	e := engine.New(in, engine.Options{Workers: 3})
 	checkAllPaths(t, "directed", e, in, p, v)
 }
 
 // TestEngineWarmCheckAllocs pins the allocation budget of a warm single
-// check: the walk reuses one View per range worker and a pooled proof
-// table, so what remains is the result map and a few per-check slices
-// and goroutines — not one allocation per node. The instance is the
-// benchmark's 64×64 scrambled grid under the bipartite scheme.
+// check: the walk fills one reused View per range worker from the slab
+// ball index and reads a pooled proof table, so what remains is the
+// result map and a few per-check slices and goroutines — not one
+// allocation per node. The instances are the benchmark's 64×64
+// scrambled grid under the bipartite scheme and a 4096-node power-law
+// graph under leader election (hub balls, whose tree labels decode
+// with a value Reader).
 func TestEngineWarmCheckAllocs(t *testing.T) {
-	in := lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(64, 64), 1))
-	scheme := lcp.BipartiteScheme()
-	p, err := scheme.Prove(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := scheme.Verifier()
-	e := engine.New(in, engine.Options{})
-	ctx := context.Background()
-	checkProof(t, e, p, v) // warm the radius cache and the table pool
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.CheckProofCtx(ctx, p, v); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("allocs/op = %.0f", allocs)
-	if allocs > 64 {
-		t.Fatalf("warm CheckProofCtx on %d nodes: %.0f allocs/op, want at most 64", in.G.N(), allocs)
+	leader := lcp.NewInstance(lcp.PowerLaw(4096, 4, 1)).SetNodeLabel(1, core.LabelLeader)
+	for _, tc := range []struct {
+		name   string
+		in     *core.Instance
+		scheme core.Scheme
+	}{
+		{"grid-64", lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(64, 64), 1)), lcp.BipartiteScheme()},
+		{"powerlaw-4096", leader, lcp.LeaderElectionScheme()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.scheme.Prove(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := tc.scheme.Verifier()
+			e := engine.New(tc.in, engine.Options{})
+			ctx := context.Background()
+			checkProof(t, e, p, v) // warm the radius cache and the table pool
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := e.CheckProofCtx(ctx, p, v); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("allocs/op = %.0f", allocs)
+			if allocs > 64 {
+				t.Fatalf("warm CheckProofCtx on %d nodes: %.0f allocs/op, want at most 64", tc.in.G.N(), allocs)
+			}
+		})
 	}
 }

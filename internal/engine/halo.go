@@ -9,8 +9,7 @@ import "lcp/internal/core"
 // exactly the round-0 knowledge a dist.Shard needs (everything deeper
 // arrives over the wire). The graph is induced on the halo; the
 // labelling maps are shared with the parent (records only ever read
-// entries of member nodes, and the nil-map conventions must match the
-// full instance for verdict equivalence).
+// entries of member nodes).
 func HaloInstance(in *core.Instance, owned []int, radius int) *core.Instance {
 	seen := make(map[int]bool, len(owned))
 	frontier := make([]int, 0, len(owned))

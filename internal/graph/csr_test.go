@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -200,9 +201,16 @@ func TestBallAroundMatchesMapBaseline(t *testing.T) {
 				if !reflect.DeepEqual(gotDist, wantDist) {
 					t.Fatalf("%s r=%d center=%d: dist %v != %v", name, radius, v, gotDist, wantDist)
 				}
-				ids := g.AppendBallIDs(nil, v, radius)
-				if !sameIntSet(ids, wantNodes) {
-					t.Fatalf("%s r=%d center=%d: AppendBallIDs %v != %v", name, radius, v, ids, wantNodes)
+				pos, dist := g.AppendBall(nil, nil, v, radius)
+				ids := make([]int, len(pos))
+				for j, i := range pos {
+					ids[j] = g.Nodes()[i]
+					if int(dist[j]) != wantDist[ids[j]] {
+						t.Fatalf("%s r=%d center=%d: AppendBall dist of %d = %d, want %d", name, radius, v, ids[j], dist[j], wantDist[ids[j]])
+					}
+				}
+				if !slices.IsSorted(ids) || !sameIntSet(ids, wantNodes) {
+					t.Fatalf("%s r=%d center=%d: AppendBall %v != %v", name, radius, v, ids, wantNodes)
 				}
 			}
 		}
@@ -316,8 +324,8 @@ func connectedBFS(g *Graph) bool {
 		return true
 	}
 	start := g.Nodes()[0]
-	ids := g.AppendBallIDs(nil, start, g.N())
-	return len(ids) == g.N()
+	pos, _ := g.AppendBall(nil, nil, start, g.N())
+	return len(pos) == g.N()
 }
 
 // TestScaleGeneratorsDeterministic: a fixed seed pins the exact graph;
@@ -414,8 +422,8 @@ func TestRoadNetworkShape(t *testing.T) {
 
 // TestBallConstructionAllocs pins the tentpole's allocation win: the
 // pooled-scratch ball walk allocates at least 5x less than the
-// historical map-based BFS on Grid(100,100). AppendBallIDs with a
-// reused destination is the hot-loop form (steady-state zero allocs);
+// historical map-based BFS on Grid(100,100). AppendBall with reused
+// destinations is the hot-loop form (steady-state zero allocs);
 // the compat BallAround still allocates its result map but nothing else.
 func TestBallConstructionAllocs(t *testing.T) {
 	g := Grid(100, 100)
@@ -424,17 +432,17 @@ func TestBallConstructionAllocs(t *testing.T) {
 	baseline := testing.AllocsPerRun(50, func() {
 		ballAroundMapBaseline(g, center, radius)
 	})
-	var dst []int
+	var pos, dist []int32
 	scratch := testing.AllocsPerRun(50, func() {
-		dst = g.AppendBallIDs(dst[:0], center, radius)
+		pos, dist = g.AppendBall(pos[:0], dist[:0], center, radius)
 	})
 	compat := testing.AllocsPerRun(50, func() {
 		g.BallAround(center, radius)
 	})
 
-	t.Logf("allocs/op: map-baseline %.0f, AppendBallIDs %.0f, BallAround %.0f", baseline, scratch, compat)
+	t.Logf("allocs/op: map-baseline %.0f, AppendBall %.0f, BallAround %.0f", baseline, scratch, compat)
 	if scratch*5 > baseline {
-		t.Errorf("AppendBallIDs %.0f allocs/op, want <= %.0f (5x under the %.0f baseline)", scratch, baseline/5, baseline)
+		t.Errorf("AppendBall %.0f allocs/op, want <= %.0f (5x under the %.0f baseline)", scratch, baseline/5, baseline)
 	}
 	if compat >= baseline {
 		t.Errorf("BallAround %.0f allocs/op, baseline %.0f: compat wrapper should still win", compat, baseline)
@@ -443,7 +451,7 @@ func TestBallConstructionAllocs(t *testing.T) {
 
 // BenchmarkBallConstruction compares ball construction on Grid(100,100):
 // the historical map-based BFS, the compat BallAround (pooled scratch,
-// map only at the result boundary), and the hot-loop AppendBallIDs form.
+// map only at the result boundary), and the hot-loop AppendBall form.
 // Baselined in BENCH_graph.json.
 func BenchmarkBallConstruction(b *testing.B) {
 	g := Grid(100, 100)
@@ -460,11 +468,11 @@ func BenchmarkBallConstruction(b *testing.B) {
 			g.BallAround(center, radius)
 		}
 	})
-	b.Run("append-ball-ids", func(b *testing.B) {
+	b.Run("append-ball", func(b *testing.B) {
 		b.ReportAllocs()
-		var dst []int
+		var pos, dist []int32
 		for i := 0; i < b.N; i++ {
-			dst = g.AppendBallIDs(dst[:0], center, radius)
+			pos, dist = g.AppendBall(pos[:0], dist[:0], center, radius)
 		}
 	})
 }

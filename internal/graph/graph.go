@@ -305,6 +305,19 @@ func (g *Graph) InNeighbors(id int) []int {
 	return g.inRow(g.mustIndex(id))
 }
 
+// NeighborsAt is Neighbors of the node at position i of Nodes(), for
+// callers that already hold positions (core's views); it skips the
+// identifier lookup.
+func (g *Graph) NeighborsAt(i int) []int { return g.row(i) }
+
+// InNeighborsAt is InNeighbors of the node at position i of Nodes().
+func (g *Graph) InNeighborsAt(i int) []int {
+	if g.kind != Directed {
+		return g.row(i)
+	}
+	return g.inRow(i)
+}
+
 // Degree returns the degree of id (out-degree for directed graphs).
 func (g *Graph) Degree(id int) int { return len(g.Neighbors(id)) }
 

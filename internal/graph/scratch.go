@@ -110,21 +110,38 @@ func (g *Graph) BallAround(center int, radius int) (nodes []int, dist map[int]in
 	return nodes, dist
 }
 
-// AppendBallIDs appends the identifiers within distance radius of center
-// to dst and returns the extended slice, sorted ascending. It is the
-// map-free variant of BallAround for callers that only need the
-// membership — with a reused dst, repeated calls do not allocate beyond
-// slice growth.
-func (g *Graph) AppendBallIDs(dst []int, center, radius int) []int {
+// AppendBall appends the radius-r ball of center to pos and dist and
+// returns the extended slices: pos receives the members' positions in
+// Nodes() in ascending order (so their identifiers ascend too), dist
+// each member's distance from center, aligned with pos. It is the
+// map-free, graph-free ball of core's flat views — with reused slices,
+// repeated calls do not allocate beyond slice growth.
+func (g *Graph) AppendBall(pos, dist []int32, center, radius int) ([]int32, []int32) {
 	s := getScratch(len(g.ids))
 	defer putScratch(s)
 	g.ballBFS(g.mustIndex(center), radius, s)
-	base := len(dst)
-	for _, i := range s.queue {
-		dst = append(dst, g.ids[i])
+	base := len(pos)
+	pos = append(pos, s.queue...)
+	slices.Sort(pos[base:])
+	for _, i := range pos[base:] {
+		dist = append(dist, s.dist[i])
 	}
-	slices.Sort(dst[base:])
-	return dst
+	return pos, dist
+}
+
+// InducedAt returns the subgraph induced by the nodes at the given
+// positions of Nodes(), which must be ascending and distinct: the
+// Induced of a ball already held as positions (AppendBall's output),
+// without the identifier lookups.
+func (g *Graph) InducedAt(pos []int32) *Graph {
+	s := getScratch(len(g.ids))
+	defer putScratch(s)
+	ids := make([]int, len(pos))
+	for j, i := range pos {
+		s.stamp[i] = s.epoch
+		ids[j] = g.ids[i]
+	}
+	return g.inducedFromStamped(ids, pos, s)
 }
 
 // InducedBall builds the radius-r ball around center together with its
@@ -134,9 +151,10 @@ func (g *Graph) AppendBallIDs(dst []int, center, radius int) []int {
 // ascending and aliases ball.Nodes(); dist carries the distance of every
 // ball member from center.
 //
-// This is what core.BuildView (and through it the engine's skeleton
-// builder) runs per node; BallAround followed by Induced gives the same
-// ball and graph at roughly twice the traversal cost plus the map churn.
+// It serves callers that need the ball graph up front, such as the
+// line-graph check; core's views hold AppendBall's ball instead and
+// induce lazily, through InducedAt. BallAround followed by Induced gives the same ball and graph
+// at roughly twice the traversal cost plus the map churn.
 func (g *Graph) InducedBall(center, radius int) (ball *Graph, nodes []int, dist map[int]int) {
 	s := getScratch(len(g.ids))
 	defer putScratch(s)

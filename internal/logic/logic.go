@@ -53,7 +53,7 @@ func Adj(a, b string) Formula { return adj{a, b} }
 func (f adj) Eval(m *Model, env Env) bool {
 	u, okU := env[f.a]
 	v, okV := env[f.b]
-	return okU && okV && m.View.G.HasEdge(u, v)
+	return okU && okV && m.View.HasEdge(u, v)
 }
 func (f adj) Radius() int    { return 0 }
 func (f adj) String() string { return fmt.Sprintf("%s~%s", f.a, f.b) }
@@ -113,7 +113,7 @@ type witnessWithin struct{ r int }
 func WitnessWithin(r int) Formula { return witnessWithin{r} }
 
 func (f witnessWithin) Eval(m *Model, env Env) bool {
-	d, ok := m.View.Dist[m.Witness]
+	d, ok := m.View.Dist(m.Witness)
 	return ok && d <= f.r
 }
 func (f witnessWithin) Radius() int    { return f.r }
@@ -178,8 +178,8 @@ type exists struct {
 func ExistsNear(v string, r int, body Formula) Formula { return exists{v, r, body} }
 
 func (f exists) Eval(m *Model, env Env) bool {
-	for _, node := range m.View.G.Nodes() {
-		if m.View.Dist[node] > f.r {
+	for _, node := range m.View.Nodes() {
+		if d, _ := m.View.Dist(node); d > f.r {
 			continue
 		}
 		env2 := cloneEnv(env)
@@ -206,8 +206,8 @@ type forall struct {
 func ForallNear(v string, r int, body Formula) Formula { return forall{v, r, body} }
 
 func (f forall) Eval(m *Model, env Env) bool {
-	for _, node := range m.View.G.Nodes() {
-		if m.View.Dist[node] > f.r {
+	for _, node := range m.View.Nodes() {
+		if d, _ := m.View.Dist(node); d > f.r {
 			continue
 		}
 		env2 := cloneEnv(env)

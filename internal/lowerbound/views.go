@@ -1,9 +1,6 @@
 package lowerbound
 
-import (
-	"lcp/internal/core"
-	"lcp/internal/graph"
-)
+import "lcp/internal/core"
 
 // View-identity checking: the formal core of every fooling argument. A
 // no-instance with inherited proofs fools *any* verifier of the scheme if
@@ -20,38 +17,6 @@ type yesRun struct {
 	proof core.Proof
 }
 
-// viewsEqual compares two views field by field.
-func viewsEqual(a, b *core.View) bool {
-	if a.Center != b.Center || !graph.Equal(a.G, b.G) {
-		return false
-	}
-	if len(a.Dist) != len(b.Dist) {
-		return false
-	}
-	for v, d := range a.Dist {
-		if b.Dist[v] != d {
-			return false
-		}
-	}
-	for _, v := range a.G.Nodes() {
-		if !a.Proof[v].Equal(b.Proof[v]) {
-			return false
-		}
-		if a.NodeLabel[v] != b.NodeLabel[v] {
-			return false
-		}
-	}
-	for _, e := range a.G.Edges() {
-		if a.EdgeLabel[e] != b.EdgeLabel[e] {
-			return false
-		}
-		if a.Weights[e] != b.Weights[e] {
-			return false
-		}
-	}
-	return true
-}
-
 // allViewsCovered reports whether every node of the fooling instance has
 // a view identical to its view in one of the yes-runs.
 func allViewsCovered(fooled *core.Instance, proof core.Proof, yes []yesRun, radius int) bool {
@@ -62,7 +27,7 @@ func allViewsCovered(fooled *core.Instance, proof core.Proof, yes []yesRun, radi
 			if !yr.in.G.Has(v) {
 				continue
 			}
-			if viewsEqual(fv, core.BuildView(yr.in, yr.proof, v, radius)) {
+			if core.ViewsEqual(fv, core.BuildView(yr.in, yr.proof, v, radius)) {
 				matched = true
 				break
 			}

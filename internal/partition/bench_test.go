@@ -47,7 +47,7 @@ func BenchmarkPartitioners(b *testing.B) {
 	for _, fam := range benchFamilies() {
 		in := core.NewInstance(fam.g)
 		p := core.RandomProof(in, 4, 7)
-		v := core.VerifierFunc{R: 2, F: func(w *core.View) bool { return w.G.N() > 0 }}
+		v := core.VerifierFunc{R: 2, F: func(w *core.View) bool { return len(w.Nodes()) > 0 }}
 		for _, name := range partition.Names() {
 			pt, err := partition.ByName(name)
 			if err != nil {

@@ -42,7 +42,12 @@ func PortOf(g *graph.Graph, v, u int) int {
 
 // NeighborAtPort resolves port p (1-based) of node v.
 func NeighborAtPort(g *graph.Graph, v, p int) (int, bool) {
-	nbrs := g.Neighbors(v)
+	return atPort(g.Neighbors(v), p)
+}
+
+// atPort resolves port p (1-based) of a node whose ascending neighbour
+// list is nbrs.
+func atPort(nbrs []int, p int) (int, bool) {
 	if p < 1 || p > len(nbrs) {
 		return 0, false
 	}
@@ -143,7 +148,7 @@ func (m M2Scheme) Verifier() core.Verifier {
 		// the view radius is ≥ 2.
 		var parent int
 		if !l.IsRoot {
-			p, ok := NeighborAtPort(w.G, me, int(l.ParentPort))
+			p, ok := atPort(w.Neighbors(me), int(l.ParentPort))
 			if !ok {
 				return false
 			}
@@ -167,7 +172,7 @@ func (m M2Scheme) Verifier() core.Verifier {
 			if lu.IsRoot {
 				continue
 			}
-			back, okB := NeighborAtPort(w.G, u, int(lu.ParentPort))
+			back, okB := atPort(w.Neighbors(u), int(lu.ParentPort))
 			if !okB {
 				return false
 			}
@@ -200,12 +205,14 @@ func (m M2Scheme) Verifier() core.Verifier {
 }
 
 // virtualView relabels the (sub-)view with virtual identifiers x(v)+1
-// drawn from the proofs, attaching the inner proof parts.
+// drawn from the proofs: the ball becomes a virtual instance, and the
+// inner verifier's view is built over it with its inner proof parts.
 func virtualView(w *core.View, radius int, keepLeader bool) (*core.View, bool) {
 	sub := w.Restrict(radius, w.BallProof())
-	m := make(map[int]int, sub.G.N())
+	nodes := sub.Nodes()
+	m := make(map[int]int, len(nodes))
 	inner := core.Proof{}
-	for _, v := range sub.G.Nodes() {
+	for _, v := range nodes {
 		lv, ok := decodeM2Label(sub.ProofOf(v))
 		if !ok {
 			return nil, false
@@ -223,38 +230,31 @@ func virtualView(w *core.View, radius int, keepLeader bool) (*core.View, bool) {
 		}
 		seen[vid] = true
 	}
-	vg := sub.G.Relabel(m)
-	out := &core.View{
-		Center: m[sub.Center],
-		Radius: radius,
-		G:      vg,
-		Dist:   map[int]int{},
-		Proof:  inner,
-		Global: sub.Global,
+	g := sub.Graph()
+	vin := &core.Instance{G: g.Relabel(m), Global: sub.Global}
+	for _, v := range nodes {
+		lab := sub.Label(v)
+		if lab == "" || (lab == core.LabelLeader && !keepLeader) {
+			continue // the leader mark is an M2 artefact
+		}
+		vin.SetNodeLabel(m[v], lab)
 	}
-	for v, d := range sub.Dist {
-		out.Dist[m[v]] = d
-	}
-	if sub.NodeLabel != nil {
-		out.NodeLabel = map[int]string{}
-		for v, lab := range sub.NodeLabel {
-			if lab == core.LabelLeader && !keepLeader {
-				continue // the leader mark is an M2 artefact
+	for _, e := range g.Edges() {
+		ve := graph.NormEdge(m[e.U], m[e.V])
+		if lab := sub.EdgeLabel(e.U, e.V); lab != "" {
+			if vin.EdgeLabel == nil {
+				vin.EdgeLabel = map[graph.Edge]string{}
 			}
-			out.NodeLabel[m[v]] = lab
+			vin.EdgeLabel[ve] = lab
+		}
+		if wt := sub.Weight(e.U, e.V); wt != 0 {
+			if vin.Weights == nil {
+				vin.Weights = map[graph.Edge]int64{}
+			}
+			vin.Weights[ve] = wt
 		}
 	}
-	if sub.EdgeLabel != nil || sub.Weights != nil {
-		out.EdgeLabel = map[graph.Edge]string{}
-		out.Weights = map[graph.Edge]int64{}
-		for e, lab := range sub.EdgeLabel {
-			out.EdgeLabel[graph.NormEdge(m[e.U], m[e.V])] = lab
-		}
-		for e, wt := range sub.Weights {
-			out.Weights[graph.NormEdge(m[e.U], m[e.V])] = wt
-		}
-	}
-	return out, true
+	return core.BuildView(vin, inner, m[sub.Center], radius), true
 }
 
 // Prove implements core.Scheme: construct the DFS tree from the leader,

@@ -72,7 +72,7 @@ func nextHopOf(w *core.View, v int, l dirReachLabel) (int, bool) {
 	if !l.HasNext {
 		return 0, false
 	}
-	outs := w.G.Neighbors(v)
+	outs := w.Neighbors(v)
 	if int(l.NextIdx) >= len(outs) {
 		return 0, false
 	}
@@ -114,7 +114,7 @@ func (DirectedReachability) Verifier() core.Verifier {
 		// In-pointer discipline: count marked in-neighbours whose pointer
 		// resolves to me.
 		inPtrs := 0
-		for _, u := range w.G.InNeighbors(me) {
+		for _, u := range w.InNeighbors(me) {
 			lu, okU := decodeDirReachLabel(w.ProofOf(u))
 			if !okU {
 				return false

@@ -200,7 +200,7 @@ func (HamiltonianProperty) Verifier() core.Verifier {
 			}
 		}
 		// Claimed cycle neighbours must be real, distinct neighbours.
-		if l.Pred == l.Succ || !w.G.HasEdge(me, l.Pred) || !w.G.HasEdge(me, l.Succ) {
+		if l.Pred == l.Succ || !w.HasEdge(me, l.Pred) || !w.HasEdge(me, l.Succ) {
 			return false
 		}
 		lp, _ := decodeHamLabel(w.ProofOf(l.Pred))

@@ -59,10 +59,11 @@ func (l treeLabel) encode() bitstr.String {
 }
 
 // decodeTreeLabel reads a treeLabel from the beginning of s, returning the
-// remaining reader so schemes can append their own fields after the tree
-// certificate. ok is false on any malformed input.
-func decodeTreeLabel(s bitstr.String) (l treeLabel, r *bitstr.Reader, ok bool) {
-	r = bitstr.NewReader(s)
+// remaining reader — by value, so that decoding allocates nothing —
+// so schemes can append their own fields after the tree certificate
+// (they pass &r on). ok is false on any malformed input.
+func decodeTreeLabel(s bitstr.String) (l treeLabel, r bitstr.Reader, ok bool) {
+	r = *bitstr.NewReader(s)
 	idW := int(r.ReadUint(widthField))
 	l.Root = int(r.ReadUint(idW))
 	l.Parent = int(r.ReadUint(idW))
@@ -108,7 +109,7 @@ type treeOpts struct {
 }
 
 // labelOf decodes the tree label of node v inside the view.
-func labelOf(w *core.View, v int) (treeLabel, *bitstr.Reader, bool) {
+func labelOf(w *core.View, v int) (treeLabel, bitstr.Reader, bool) {
 	return decodeTreeLabel(w.ProofOf(v))
 }
 
@@ -158,7 +159,7 @@ func checkTreeLabel(w *core.View, opts treeOpts) (treeLabel, bool) {
 			return treeLabel{}, false
 		}
 	} else {
-		if l.Parent == me || !w.G.HasEdge(me, l.Parent) {
+		if l.Parent == me || !w.HasEdge(me, l.Parent) {
 			return treeLabel{}, false
 		}
 		lp, _, okP := labelOf(w, l.Parent)

@@ -54,7 +54,7 @@ func (LineGraph) Name() string { return "line-graph" }
 // Verifier implements core.Scheme; radius 5 = BeinekeBound − 1.
 func (LineGraph) Verifier() core.Verifier {
 	return core.VerifierFunc{R: graphalg.BeinekeBound - 1, F: func(w *core.View) bool {
-		return graphalg.LineGraphLocalCheck(w.G, w.Center)
+		return graphalg.LineGraphLocalCheck(w.Graph(), w.Center)
 	}}
 }
 

@@ -71,7 +71,7 @@ func (NonBipartite) Verifier() core.Verifier {
 			return false
 		}
 		_, r, _ := labelOf(w, me)
-		c, ok := readCycleFields(r)
+		c, ok := readCycleFields(&r)
 		if !ok {
 			return false
 		}
@@ -92,14 +92,14 @@ func (NonBipartite) Verifier() core.Verifier {
 			return false // the closed walk must be odd
 		}
 		// Successor checks.
-		if !w.G.HasEdge(me, c.Succ) {
+		if !w.HasEdge(me, c.Succ) {
 			return false
 		}
 		lu, ru, okU := labelOf(w, c.Succ)
 		if !okU {
 			return false
 		}
-		cu, okU := readCycleFields(ru)
+		cu, okU := readCycleFields(&ru)
 		if !okU || !cu.OnCycle || cu.Len != c.Len {
 			return false
 		}

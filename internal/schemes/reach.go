@@ -123,7 +123,7 @@ func (Unreachability) Verifier() core.Verifier {
 		if inS(me) {
 			// No edge from S may leave S. For undirected graphs all
 			// incident edges count; for directed graphs only out-edges.
-			for _, u := range w.G.Neighbors(me) {
+			for _, u := range w.Neighbors(me) {
 				if w.ProofOf(u).Len() != 1 {
 					return false
 				}

@@ -44,7 +44,7 @@ func (s Sigma11) Verifier() core.Verifier {
 		for i := range rel {
 			rel[i] = map[int]bool{}
 		}
-		for _, v := range w.G.Nodes() {
+		for _, v := range w.Nodes() {
 			lv, rv, okV := labelOf(w, v)
 			if !okV || lv.Root != l.Root {
 				return false

@@ -36,7 +36,7 @@ const maxBodyBytes = 16 << 20
 type Config struct {
 	// MaxInstances bounds the in-memory instance store. When a new
 	// registration would exceed it, the least-recently-used instance is
-	// evicted: its engine (and every cached view skeleton and wiring
+	// evicted: its engine (and every cached ball index and wiring
 	// inside) becomes garbage once in-flight checks drain, and later
 	// requests naming it get a 404 with code "evicted" so clients can
 	// distinguish "never existed" from "aged out, re-register it".
