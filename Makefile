@@ -65,7 +65,8 @@ load-smoke:
 # a columns/core divergence surfaces in CI, not in production traffic.
 # The transport and remote targets fuzz what parses bytes from other
 # processes: the frame and hello readers every accepted connection runs
-# first, data frames, and packed check frames.
+# first, data frames, packed check frames, and the records a worker is
+# registered with, through to a wired shard.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTextioRoundTrip -fuzztime=10s ./internal/textio/
 	$(GO) test -run=NONE -fuzz=FuzzReaderMatchesBitwise -fuzztime=10s ./internal/bitstr/
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadHello -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeData -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzCheckFrame -fuzztime=10s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzRegisterShard -fuzztime=10s ./internal/remote/
 
 # scale-smoke runs one n=10^5 sweep cell per backend through cmd/lcpsweep
 # — the full generate -> textio write -> parse -> prove -> check pipeline

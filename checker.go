@@ -326,10 +326,11 @@ func (c *checker) network() (*dist.Network, error) {
 }
 
 // coordinator dials the worker fleet and registers the instance on
-// first use — the expensive part of the dist-tcp path (halo cutting,
-// instance shipping, the data mesh), paid once per checker, not once
-// per proof. It is also the only recovery path: a failed check drops
-// the coordinator, and the next check dials and registers afresh.
+// first use — the expensive part of the dist-tcp path (shipping each
+// worker its nodes' round-0 records, wiring the shards, building the
+// data mesh), paid once per checker, not once per proof. It is also
+// the only recovery path: a failed check drops the coordinator, and
+// the next check dials and registers afresh.
 func (c *checker) coordinator(ctx context.Context) (*remote.Coordinator, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

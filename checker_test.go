@@ -36,6 +36,7 @@ func tcpFleetAddrs() []string {
 		for _, exp := range lcp.Catalog() {
 			schemes[exp.Scheme.Name()] = exp.Scheme
 		}
+		schemes[inputScheme{}.Name()] = inputScheme{}
 		for i := 0; i < 3; i++ {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -200,6 +201,79 @@ func TestCheckerBackendEquivalenceMatrix(t *testing.T) {
 
 // TestCheckerReportBackendLabel pins the Report.Backend label to the
 // selected backend name on every in-process path.
+// inputScheme's radius-1 verifier rejects any input it sees in its
+// view: a node label, an edge label, a weight, a global. A backend that
+// drops or alters an input shows it as a verdict.
+type inputScheme struct{}
+
+func (inputScheme) Name() string { return "test-input" }
+func (inputScheme) Verifier() lcp.Verifier {
+	return lcp.VerifierFunc{R: 1, F: func(w *lcp.View) bool {
+		if len(w.Global) > 0 {
+			return false
+		}
+		for _, u := range w.Nodes() {
+			if w.Label(u) != "" {
+				return false
+			}
+			for _, x := range w.Neighbors(u) {
+				if w.EdgeLabel(u, x) != "" || w.Weight(u, x) != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}}
+}
+func (inputScheme) Prove(*lcp.Instance) (lcp.Proof, error) { return lcp.Proof{}, nil }
+
+// TestCheckerBackendsKeepEveryInput: every backend agrees with core.Check
+// on 8-cycles carrying one input each that only some nodes see — among
+// them inputs a text document cannot hold (an edge label other than the
+// solution mark, node labels with '#' or whitespace), a weight, a global
+// and a directed instance.
+func TestCheckerBackendsKeepEveryInput(t *testing.T) {
+	cycle := func() *lcp.Instance { return lcp.NewInstance(lcp.Cycle(8)) }
+	edgeLabel := cycle()
+	edgeLabel.EdgeLabel = map[lcp.Edge]string{{U: 1, V: 2}: "x"}
+	weight := cycle()
+	weight.Weights = map[lcp.Edge]int64{{U: 5, V: 6}: 4}
+	global := cycle()
+	global.Global = lcp.Global{"k": 1}
+	b := lcp.NewDirectedBuilder()
+	for v := 1; v <= 8; v++ {
+		b.AddEdge(v, v%8+1)
+	}
+	directed := lcp.NewInstance(b.Graph()).SetNodeLabel(3, "a b").MarkEdge(6, 7)
+	directed.Weights = map[lcp.Edge]int64{{U: 1, V: 2}: -3}
+	cases := map[string]*lcp.Instance{
+		"edge-label":  edgeLabel,
+		"label-hash":  cycle().SetNodeLabel(3, "#"),
+		"label-space": cycle().SetNodeLabel(3, "a b"),
+		"weight":      weight,
+		"global":      global,
+		"directed":    directed,
+	}
+	ctx := context.Background()
+	for name, in := range cases {
+		want := core.Check(in, lcp.Proof{}, inputScheme{}.Verifier())
+		if want.Accepted() {
+			t.Fatalf("%s: no node sees the input", name)
+		}
+		for _, bc := range backendMatrix() {
+			chk, err := lcp.NewChecker(in, append([]lcp.CheckerOption{lcp.WithScheme(inputScheme{})}, bc.opts...)...)
+			if err != nil {
+				t.Fatalf("%s/%s: NewChecker: %v", name, bc.name, err)
+			}
+			rep, err := chk.Check(ctx, lcp.Proof{})
+			if err != nil {
+				t.Fatalf("%s/%s: Check: %v", name, bc.name, err)
+			}
+			reportMatches(t, name+"/"+bc.name, rep, want)
+		}
+	}
+}
+
 func TestCheckerReportBackendLabel(t *testing.T) {
 	in := lcp.NewInstance(lcp.Cycle(8))
 	scheme := lcp.BipartiteScheme()

@@ -9,9 +9,9 @@
 //	lcpworker -addr 127.0.0.1:9102
 //	lcpserve -addr :8080 -worker-addrs 127.0.0.1:9101,127.0.0.1:9102
 //
-// A coordinator registers an instance (shipping this worker its
-// radius-1 halo and having it connect one data connection to each
-// peer shard), fires any number of checks at it over those
+// A coordinator registers an instance (shipping this worker the
+// round-0 records of the nodes it decides and having it connect one
+// data connection to each peer shard), fires any number of checks at it over those
 // connections, and closes its control connection; the registration
 // lives exactly as long as that connection, so a coordinator that dies
 // leaves nothing behind. Several coordinators can hold disjoint

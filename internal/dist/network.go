@@ -101,7 +101,7 @@ func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
 // the full instance and shares the full node→shard assignment; plan i
 // owns the nodes assigned to shard i, in ascending g.Nodes() order, and
 // may own none. NewNetwork wires the plans in process; the dist-tcp
-// coordinator cuts each plan's radius-1 halo for the worker running it.
+// coordinator registers each plan's Records with the worker running it.
 func PlanShards(in *core.Instance, shards int, pt partition.Partitioner) ([]ShardPlan, error) {
 	if pt == nil {
 		pt = partition.Contiguous{}

@@ -15,51 +15,24 @@ import (
 // core.BuildView — views are reconstructed purely from what arrived
 // over the links (plus the globally known input, which the model hands
 // to every node up front). Shard.Run steps a shard's automata through
-// the rounds; this file holds what one automaton knows and does.
-
-// record is the unit of knowledge flooded through the network: everything
-// a single node knows at round 0 — its identifier, proof string, input
-// label, and incident edges with their labels and weights. Records are
+// the rounds; this file holds what one automaton knows and does. What
+// it knows is transport.Records, the wire format's unit, so handing a
+// batch to a Transport needs no conversion or copy; records are
 // immutable once built, so forwarding shares them freely across links.
-//
-// The type lives in internal/transport — it is also what the wire
-// format of the multi-process transports serializes — and the runtime
-// aliases it, so handing a batch to a Transport is free: no conversion,
-// no copy.
-type record = transport.Record
-
-// edgeRec is one incident edge as the owning node sees it: the edge key
-// exactly as the frozen graph stores it (normalized for undirected
-// graphs, the ordered arc for directed ones) plus its input labelling.
-type edgeRec = transport.EdgeRec
-
-// batch is the per-round message payload on one link: the records the
-// sender learned in the previous round.
-type batch = transport.Batch
-
-// degree is the number of incident edge records initialRecord builds
-// for v.
-func degree(in *core.Instance, v int) int {
-	d := len(in.G.Neighbors(v))
-	if in.G.Directed() {
-		d += len(in.G.InNeighbors(v))
-	}
-	return d
-}
 
 // initialRecord builds node v's round-0 knowledge from the instance,
 // except for the proof string, which changes between checks of a wired
 // shard and is injected by node.seed. The edge records are appended
 // onto buf, and the record's Edges is the appended tail capped at its
-// length, so a shard wires every automaton's edges into one slab.
-func initialRecord(in *core.Instance, v int, buf []edgeRec) (record, []edgeRec) {
+// length, so Records builds every owned node's edges into one slab.
+func initialRecord(in *core.Instance, v int, buf []transport.EdgeRec) (transport.Record, []transport.EdgeRec) {
 	start := len(buf)
-	rec := record{ID: v}
+	rec := transport.Record{ID: v}
 	if l, ok := in.NodeLabel[v]; ok {
 		rec.Label, rec.HasLabel = l, true
 	}
 	addEdge := func(e graph.Edge) {
-		er := edgeRec{E: e}
+		er := transport.EdgeRec{E: e}
 		if l, ok := in.EdgeLabel[e]; ok {
 			er.Label, er.HasLabel = l, true
 		}
@@ -87,7 +60,7 @@ func initialRecord(in *core.Instance, v int, buf []edgeRec) (record, []edgeRec) 
 // learned is one entry of an automaton's knowledge: a flooded record
 // and the round it first arrived in (= its BFS distance).
 type learned struct {
-	rec  record
+	rec  transport.Record
 	dist int
 }
 
@@ -100,8 +73,8 @@ const smallBall = 16
 // node is the per-automaton state, one entry of a shard's work list.
 type node struct {
 	id    int
-	base  record  // round-0 knowledge minus the proof (constant across checks)
-	local []*node // same-shard neighbours, merged into directly
+	base  *transport.Record // round-0 knowledge; its proof is ignored (each check seeds its own)
+	local []*node           // same-shard neighbours, merged into directly
 	// ball is everything learned so far, in arrival order: the node's
 	// own record, then each round's first arrivals.
 	ball []learned
@@ -114,22 +87,20 @@ type node struct {
 	// endpoint merges (both endpoints report every incident edge, so the
 	// later arrival finds the earlier one in the ball). assemble
 	// therefore never rescans the ball for edges.
-	indEdges []edgeRec
+	indEdges []transport.EdgeRec
 	// cur is the batch to send this round (learned last round); next
 	// accumulates this round's discoveries. The two swap every round so
 	// message buffers are reused instead of reallocated (safe because a
 	// round's batches are fully merged before its Barrier returns).
-	cur, next batch
+	cur, next transport.Batch
 }
 
 // seed resets the automaton for a fresh check with the given proof: the
 // ball shrinks back to the node's own record (now carrying its proof
 // string) and the message buffers rewind without reallocating.
 func (nd *node) seed(p core.Proof) {
-	rec := nd.base
-	if s, ok := p[nd.id]; ok {
-		rec.Proof, rec.HasProof = s, true
-	}
+	rec := *nd.base
+	rec.Proof, rec.HasProof = p[nd.id]
 	clear(nd.ball) // drop the last check's records for the GC
 	nd.ball = append(nd.ball[:0], learned{rec: rec})
 	if nd.index != nil {
@@ -158,7 +129,7 @@ func (nd *node) knows(id int) bool {
 // merge folds one received batch into the automaton: first arrivals are
 // learned, duplicates (the same record racing in over several links)
 // are dropped.
-func (nd *node) merge(b batch, round int) {
+func (nd *node) merge(b transport.Batch, round int) {
 	for _, rec := range b {
 		if !nd.knows(rec.ID) {
 			nd.learn(rec, round)
@@ -171,7 +142,7 @@ func (nd *node) merge(b batch, round int) {
 // already known joins the induced edge list. Each induced edge is
 // reported by both endpoints and arrivals are sequential per automaton,
 // so exactly the second endpoint's merge appends it — no dedupe map.
-func (nd *node) learn(rec record, round int) {
+func (nd *node) learn(rec transport.Record, round int) {
 	nd.ball = append(nd.ball, learned{rec: rec, dist: round})
 	switch {
 	case nd.index != nil:
@@ -196,11 +167,11 @@ func (nd *node) learn(rec record, round int) {
 // graph.FromParts from the sorted id list plus the incrementally
 // collected induced edges, with the labels and weights the records
 // carry — and the view over it with core.BallView, the distances and
-// proof strings aligned with the ball's sorted members. The instance is
-// consulted only for what every node knows a priori: the graph kind and
-// the globally shared input in.Global. scratch is the caller's reusable
-// edge buffer: FromParts sorts it in place and keeps none of it.
-func (nd *node) assemble(in *core.Instance, radius int, scratch *[]graph.Edge) *core.View {
+// proof strings aligned with the ball's sorted members. Beyond the
+// records, it uses only what every node knows a priori: the graph kind
+// and the global input. scratch is the caller's reusable edge buffer:
+// FromParts sorts it in place and keeps none of it.
+func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, scratch *[]graph.Edge) *core.View {
 	ids := make([]int, len(nd.ball))
 	for i := range nd.ball {
 		ids[i] = nd.ball[i].rec.ID
@@ -213,7 +184,7 @@ func (nd *node) assemble(in *core.Instance, radius int, scratch *[]graph.Edge) *
 	}
 	*scratch = edges
 
-	ball := core.Instance{G: graph.FromParts(in.G.Kind(), ids, edges), Global: in.Global}
+	ball := core.Instance{G: graph.FromParts(kind, ids, edges), Global: global}
 	dist := make([]int32, len(ids))
 	bits := make([]bitstr.String, len(ids))
 	has := make([]bool, len(ids))
@@ -250,11 +221,11 @@ func (nd *node) assemble(in *core.Instance, radius int, scratch *[]graph.Edge) *
 
 // decide assembles one node's view and runs the verifier, converting a
 // verifier panic into an error instead of killing the process.
-func decide(nd *node, in *core.Instance, radius int, v core.Verifier, scratch *[]graph.Edge) (ok bool, err error) {
+func decide(nd *node, kind graph.Kind, global core.Global, radius int, v core.Verifier, scratch *[]graph.Edge) (ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dist: verifier panicked at node %d: %v", nd.id, r)
 		}
 	}()
-	return v.Verify(nd.assemble(in, radius, scratch)), nil
+	return v.Verify(nd.assemble(kind, global, radius, scratch)), nil
 }

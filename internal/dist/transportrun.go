@@ -40,13 +40,10 @@ import (
 // instance it can see, the nodes it runs automata for, and the
 // node→shard assignment that routes its cut edges.
 type ShardPlan struct {
-	// In is the instance the shard's automata read their round-0
-	// knowledge from. It must contain every owned node with all of its
-	// incident edges and their endpoints — the radius-1 halo a
-	// coordinator ships (engine.HaloInstance), or simply the full
-	// instance in process. Model-level conventions (graph kind,
-	// Global) must match the full instance, since view assembly
-	// consults them.
+	// In is the instance the owned nodes' round-0 records are read from
+	// (Records): it must contain every owned node with all of its
+	// incident edges. In process it is simply the full instance; only
+	// its graph kind and Global reach the wired shard.
 	In *core.Instance
 	// Owned lists the node ids this shard runs automata (and decides)
 	// for.
@@ -64,79 +61,122 @@ type remoteLink struct {
 	dst  int
 }
 
-// Shard is one shard's automata, wired once from a ShardPlan and reused
-// by every check: the node automata with their round-0 base records,
-// the same-shard direct-merge links, and the cut-edge links routed by
-// the assignment. A check only seeds, floods, and decides — seeding
-// rewinds each automaton's ball and batch buffers in place, so
-// a long-lived shard (a worker's registered instance, a Network's
+// Shard is one shard's automata, wired once from its owned nodes'
+// round-0 records and reused by every check: the node automata, the
+// same-shard direct-merge links, and the cut-edge links routed by the
+// assignment. A check only seeds, floods, and decides — seeding
+// rewinds each automaton's ball and batch buffers in place, so a
+// long-lived shard (a worker's registered instance, a Network's
 // wiring) stops paying for wiring and map growth on every check.
 //
 // A Shard is not safe for concurrent runs; callers serialize them. It
 // keeps the previous check's flooded knowledge until the next check
 // rewinds it.
 type Shard struct {
-	in      *core.Instance
+	kind    graph.Kind  // beyond the records, all a node knows up front:
+	global  core.Global // the graph kind and the global input
 	me      int
 	owned   []int
-	nodes   []node // in Owned order
+	nodes   []node // in owned order
 	byID    map[int]*node
 	remotes []remoteLink // grouped by sender, so a node's batch to one peer stages back to back
 	peers   []int        // shards sharing a cut edge with this one, ascending
 	links   int          // directed same-shard merge links
 }
 
-// NewShard wires shard me of the plan. It fails — before any check —
-// when an owned node is absent from the plan's instance, a neighbor of
-// an owned node has no assignment, or a neighbor assigned to me is not
-// owned. The automata and their buffers are carved from a few slabs,
-// so wiring costs a constant number of allocations per shard, not per
-// node.
-func NewShard(plan ShardPlan, me int) (*Shard, error) {
-	s := &Shard{
-		in:    plan.In,
-		me:    me,
-		owned: plan.Owned,
-		nodes: make([]node, len(plan.Owned)),
-		byID:  make(map[int]*node, len(plan.Owned)),
+// Records returns the round-0 records of the plan's owned nodes, in
+// Owned order and without proofs: what NewShard wires in process, and
+// what the dist-tcp coordinator registers a worker with. Every owned
+// node must be a node of In, as in every plan PlanShards makes.
+func (plan ShardPlan) Records() []transport.Record {
+	g, edges := plan.In.G, 0
+	for _, id := range plan.Owned {
+		edges += len(g.Neighbors(id))
+		if g.Directed() {
+			edges += len(g.InNeighbors(id))
+		}
 	}
-	// Beyond the round-0 edge records, each automaton's buffers start
-	// in slabs sized for a radius-1 check — a ball of degree+1 records,
-	// up to degree+1 records per round's batch, degree induced edges —
-	// so wiring a shard costs a constant number of allocations, not a
-	// few per node. Larger radii grow the buffers past their slab share.
-	edges, balls := 0, 0
+	slab := make([]transport.EdgeRec, 0, edges)
+	recs := make([]transport.Record, len(plan.Owned))
+	for i, id := range plan.Owned {
+		recs[i], slab = initialRecord(plan.In, id, slab)
+	}
+	return recs
+}
+
+// NewShard wires shard me of the plan from its Records, as a dist-tcp
+// worker wires the records it was registered with. It fails when an
+// owned node is absent from the plan's instance, or as WireRecords does.
+func NewShard(plan ShardPlan, me int) (*Shard, error) {
 	for _, id := range plan.Owned {
 		if !plan.In.G.Has(id) {
 			return nil, fmt.Errorf("dist: shard %d owns node %d, absent from its instance", me, id)
 		}
-		d := degree(plan.In, id)
-		edges += d
-		balls += min(d+1, smallBall+1)
 	}
-	recs := make([]edgeRec, 0, 2*edges)
+	return WireRecords(me, plan.In.G.Kind(), plan.In.Global, plan.Records(), plan.Assign)
+}
+
+// WireRecords wires shard me from the round-0 records of the nodes it
+// owns, in the order Run reports their verdicts; it keeps the records
+// and ignores their proofs. A node's neighbours are the other endpoints
+// of its record's edges, ascending, each routed by assign: a
+// direct-merge link when assigned to me, a cut-edge link otherwise.
+// Wiring fails, before any check, on a duplicate record, an edge that
+// is not its node's (or a loop, or an unnormalized undirected edge), a
+// neighbour with no assignment, or one assigned to me but not owned.
+// The automata and buffers come from a few slabs: a constant number of
+// allocations per shard, not per node.
+func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.Record, assign map[int]int) (*Shard, error) {
+	s := &Shard{
+		kind:   kind,
+		global: global,
+		me:     me,
+		owned:  make([]int, len(recs)),
+		nodes:  make([]node, len(recs)),
+		byID:   make(map[int]*node, len(recs)),
+	}
+	// Each automaton's buffers start in slabs sized for a radius-1
+	// check — a ball of degree+1 records, up to degree+1 records per
+	// round's batch, degree induced edges; larger radii grow past them.
+	edges, balls := 0, 0
+	for i := range recs {
+		d := len(recs[i].Edges)
+		edges, balls = edges+d, balls+min(d+1, smallBall+1)
+	}
+	indSlab := make([]transport.EdgeRec, 0, edges)
 	ballSlab := make([]learned, 0, balls)
-	batches := make([]record, 0, 2*(edges+len(plan.Owned)))
-	for i, id := range plan.Owned {
-		nd := &s.nodes[i]
-		nd.id = id
-		nd.base, recs = initialRecord(plan.In, id, recs)
-		deg := len(nd.base.Edges)
-		nd.indEdges, recs = carve(recs, deg)
+	batches := make([]transport.Record, 0, 2*(edges+len(recs)))
+	for i := range recs {
+		rec, nd := &recs[i], &s.nodes[i]
+		if s.byID[rec.ID] != nil {
+			return nil, fmt.Errorf("dist: shard %d: duplicate record for node %d", me, rec.ID)
+		}
+		s.owned[i], s.byID[rec.ID] = rec.ID, nd
+		nd.id, nd.base = rec.ID, rec
+		deg := len(rec.Edges)
+		nd.indEdges, indSlab = carve(indSlab, deg)
 		nd.ball, ballSlab = carve(ballSlab, min(deg+1, smallBall+1))
 		nd.cur, batches = carve(batches, deg+1)
 		nd.next, batches = carve(batches, deg+1)
-		s.byID[id] = nd
 	}
 	// Wire after every automaton exists: same-shard neighbours get
 	// direct-merge links, cut edges get remote links routed by the
 	// assignment.
 	locals := make([]*node, 0, edges)
+	var nbs []int
 	for i := range s.nodes {
 		nd := &s.nodes[i]
+		nbs = nbs[:0]
+		for _, er := range nd.base.Edges {
+			if e := er.E; e.U == e.V || e.U != nd.id && e.V != nd.id || kind != graph.Directed && e.U > e.V {
+				return nil, fmt.Errorf("dist: shard %d: edge %v is not an edge of node %d", me, e, nd.id)
+			}
+			nbs = append(nbs, er.E.U+er.E.V-nd.id)
+		}
+		slices.Sort(nbs)
 		start := len(locals)
-		for _, w := range plan.In.G.UndirectedNeighbors(nd.id) {
-			owner, ok := plan.Assign[w]
+		for _, w := range slices.Compact(nbs) {
+			owner, ok := assign[w]
 			if !ok {
 				return nil, fmt.Errorf("dist: shard %d: neighbor %d of node %d has no shard assignment", me, w, nd.id)
 			}
@@ -264,7 +304,7 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 	verdicts := make([]bool, len(s.nodes))
 	var scratch []graph.Edge
 	for i := range s.nodes {
-		ok, err := decide(&s.nodes[i], s.in, radius, v, &scratch)
+		ok, err := decide(&s.nodes[i], s.kind, s.global, radius, v, &scratch)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,8 @@ package dist_test
 // per-shard plans and run over an in-process transport group are
 // verdict-identical to core.Check across the whole catalog — honest,
 // tampered, and truncated proofs, every partitioner, shard counts that
-// force real cut-edge traffic — including when each shard only sees the
-// radius-1 halo of its owned nodes, as a dist-tcp worker does; and a
+// force real cut-edge traffic — including when each shard is wired from
+// its nodes' decoded round-0 records, as a dist-tcp worker does; and a
 // failed check unblocks the whole group within bounded time instead of
 // deadlocking a gate.
 
@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,28 +22,35 @@ import (
 	"lcp"
 	"lcp/internal/core"
 	"lcp/internal/dist"
-	"lcp/internal/engine"
 	"lcp/internal/graph"
 	"lcp/internal/partition"
 	"lcp/internal/transport"
 )
 
-// haloShards wires the shards of a partitioned instance the way the
-// multi-process coordinator ships them: each shard's plan carries only
-// the radius-1 halo of its owned nodes.
-func haloShards(t *testing.T, in *core.Instance, shards int, pt partition.Partitioner) []*dist.Shard {
+// workerShards wires the shards of a partitioned instance the way a
+// dist-tcp worker does: from its plan's records after a trip through
+// the wire codec, under the assignment of just the nodes those records
+// name, knowing only the graph kind and Global besides.
+func workerShards(t *testing.T, in *core.Instance, shards int, pt partition.Partitioner) []*dist.Shard {
 	t.Helper()
-	assign := pt.Assign(in.G, shards)
-	groups := partition.Groups(in.G, assign, shards)
-	assignByID := map[int]int{}
-	for i, id := range in.G.Nodes() {
-		assignByID[id] = assign[i]
+	plans, err := dist.PlanShards(in, shards, pt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]*dist.Shard, shards)
-	for s, owned := range groups {
-		plan := dist.ShardPlan{In: engine.HaloInstance(in, owned, 1), Owned: owned, Assign: assignByID}
-		var err error
-		if out[s], err = dist.NewShard(plan, s); err != nil {
+	out := make([]*dist.Shard, len(plans))
+	for s, plan := range plans {
+		recs, assign := plan.Records(), map[int]int{}
+		for _, rec := range recs {
+			for _, er := range rec.Edges {
+				assign[er.E.U], assign[er.E.V] = plan.Assign[er.E.U], plan.Assign[er.E.V]
+			}
+			assign[rec.ID] = plan.Assign[rec.ID]
+		}
+		recs, err := transport.DecodeRecords(transport.AppendRecords(nil, recs))
+		if err != nil {
+			t.Fatalf("shard %d: decode records: %v", s, err)
+		}
+		if out[s], err = dist.WireRecords(s, in.G.Kind(), in.Global, recs, assign); err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
 	}
@@ -71,7 +79,7 @@ func TestCheckTransportMatchesCoreOnCatalog(t *testing.T) {
 			labels := []string{"honest", "tampered", "truncated"}
 			for _, shards := range []int{1, 3, 4} {
 				for _, pt := range partitioners {
-					wired := haloShards(t, in, shards, pt)
+					wired := workerShards(t, in, shards, pt)
 					for pi, p := range proofs {
 						want := core.Check(in, p, v)
 						got, err := runShards(ctx, wired, p, v, nil)
@@ -102,7 +110,7 @@ func TestCheckTransportCancellation(t *testing.T) {
 	cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := runShards(ctx, haloShards(t, in, 4, partition.BFSChunks{}), p, exp.Scheme.Verifier(), nil)
+		_, err := runShards(ctx, workerShards(t, in, 4, partition.BFSChunks{}), p, exp.Scheme.Verifier(), nil)
 		done <- err
 	}()
 	select {
@@ -286,6 +294,37 @@ func TestNewShardRejectsMalformedPlan(t *testing.T) {
 	} {
 		if _, err := dist.NewShard(tc.plan, 0); err == nil {
 			t.Fatalf("%s: NewShard accepted the plan", tc.name)
+		}
+	}
+}
+
+// TestWireRecordsRejectsMalformedRecords: records a worker cannot wire
+// — they repeat a node, or name an edge that is not the node's own —
+// fail at wiring, before any check; the well-formed list wires.
+func TestWireRecordsRejectsMalformedRecords(t *testing.T) {
+	edge := func(u, v int) transport.EdgeRec { return transport.EdgeRec{E: graph.Edge{U: u, V: v}} }
+	rec := func(id int, edges ...transport.EdgeRec) transport.Record {
+		return transport.Record{ID: id, Edges: edges}
+	}
+	assign := map[int]int{1: 0, 2: 0, 3: 1}
+	for _, tc := range []struct {
+		name string
+		kind graph.Kind
+		recs []transport.Record
+		want string
+	}{
+		{"well-formed", graph.Undirected, []transport.Record{rec(1, edge(1, 2)), rec(2, edge(1, 2), edge(2, 3))}, ""},
+		{"well-formed-directed", graph.Directed, []transport.Record{rec(1, edge(2, 1)), rec(2, edge(2, 1), edge(3, 2))}, ""},
+		{"duplicate-record", graph.Undirected, []transport.Record{rec(1, edge(1, 2)), rec(2, edge(1, 2)), rec(1)}, "duplicate"},
+		{"edge-not-incident", graph.Undirected, []transport.Record{rec(1, edge(2, 3))}, "not an edge of node 1"},
+		{"loop", graph.Directed, []transport.Record{rec(1, edge(1, 1))}, "not an edge of node 1"},
+		{"undirected-edge-not-normalized", graph.Undirected, []transport.Record{rec(2, edge(2, 1))}, "not an edge of node 2"},
+		{"neighbor-unassigned", graph.Undirected, []transport.Record{rec(3, edge(3, 4))}, "no shard assignment"},
+		{"neighbor-assigned-not-owned", graph.Undirected, []transport.Record{rec(1, edge(1, 2))}, "not owned"},
+	} {
+		_, err := dist.WireRecords(0, tc.kind, nil, tc.recs, assign)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Fatalf("%s: WireRecords error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -33,10 +33,6 @@
 //     with early exit on context cancellation — callers stop paying the
 //     moment the first rejection arrives.
 //
-// The message-passing runtime lives in internal/dist; the engine only
-// lends it HaloInstance, the radius-r halo cutter the multi-process
-// coordinator uses to ship each worker its shard.
-//
 // Verdicts are identical to core.Check on every path; the property
 // tests sweep the whole catalog, including tampered and truncated
 // proofs, to assert it.

@@ -16,7 +16,6 @@ import (
 	"lcp/internal/core"
 	"lcp/internal/engine"
 	"lcp/internal/graph"
-	"lcp/internal/partition"
 	"lcp/internal/ports"
 )
 
@@ -388,42 +387,6 @@ func TestEngineM2WrappedScheme(t *testing.T) {
 	e := engine.New(in, engine.Options{Workers: 2})
 	checkAllPaths(t, "m2-honest", e, in, p, v)
 	checkAllPaths(t, "m2-tampered", e, in, core.FlipBit(p, 5), v)
-}
-
-// TestEngineHaloShrinksWithLocalityPartitioner: HaloInstance cuts the
-// union of radius-r balls around an owned set, and every node it adds
-// beyond the owned ones is a duplicated carrier. On a scrambled grid
-// the contiguous owned sets are scattered — nearly every owned node
-// sits on a boundary and drags a radius-r ball of carriers in — while
-// BFS-chunked owned sets are tight regions with thin boundaries. The
-// halo must still see every owned node's full ball: core.Check on the
-// halo agrees with the full instance on every owned node.
-func TestEngineHaloShrinksWithLocalityPartitioner(t *testing.T) {
-	in := lcp.NewInstance(graph.RandomPermutationIDs(lcp.Grid(16, 16), 7))
-	const radius, shards = 2, 4
-	p := core.RandomProof(in, 3, 2)
-	v := core.VerifierFunc{R: radius, F: func(w *core.View) bool { return len(w.Nodes()) > 6 }}
-	want := core.Check(in, p, v)
-	sum := func(pt partition.Partitioner) int {
-		groups := partition.Groups(in.G, pt.Assign(in.G, shards), shards)
-		n := 0
-		for _, owned := range groups {
-			halo := engine.HaloInstance(in, owned, radius)
-			n += halo.G.N()
-			got := core.Check(halo, p, v)
-			for _, id := range owned {
-				if got.Outputs[id] != want.Outputs[id] {
-					t.Fatalf("%s: node %d decides %v on its halo, %v on the full instance", pt.Name(), id, got.Outputs[id], want.Outputs[id])
-				}
-			}
-		}
-		return n
-	}
-	contig, bfs := sum(partition.Contiguous{}), sum(partition.BFSChunks{})
-	sum(partition.GreedyBalanced{})
-	if bfs >= contig {
-		t.Errorf("summed halo sizes: bfs=%d contiguous=%d — want strictly smaller", bfs, contig)
-	}
 }
 
 // TestEngineDirectedInstances: the cached views follow undirected

@@ -327,8 +327,8 @@ func (g *Graph) Degree(id int) int { return len(g.Neighbors(id)) }
 // merge of the two ascending rows — no map, no sort). This is the
 // adjacency of the LOCAL model's communication graph (§2.1: views and
 // message passing follow undirected reachability even on directed
-// instances); BallAround, the dist runtime's port wiring, and the
-// engine's shard halos all derive from it.
+// instances): BallAround follows it, and so do the dist runtime's
+// links, which join the endpoints of each node's round-0 edge records.
 func (g *Graph) UndirectedNeighbors(id int) []int {
 	if g.kind != Directed {
 		return g.Neighbors(id)

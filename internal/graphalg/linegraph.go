@@ -137,12 +137,14 @@ func IsLineGraph(g *graph.Graph) bool {
 
 // LineGraphLocalCheck performs the per-node check of the LCP(0) verifier:
 // every connected induced subgraph with at most 6 vertices containing v is
-// a line graph. All such subgraphs live inside the radius-5 ball of v.
+// a line graph. All such subgraphs live inside the radius-5 ball of v, so
+// g may be the whole graph or any induced subgraph holding that ball —
+// the verifier passes its view's ball, IsLineGraph the whole graph — and
+// the enumeration walks g as it is.
 func LineGraphLocalCheck(g *graph.Graph, v int) bool {
-	ball, _, _ := g.InducedBall(v, BeinekeBound-1)
 	ok := true
-	connectedSubsetsThrough(ball, v, BeinekeBound, func(subset []int) bool {
-		h := ball.Induced(subset)
+	connectedSubsetsThrough(g, v, BeinekeBound, func(subset []int) bool {
+		h := g.Induced(subset)
 		if !IsSmallLineGraph(h) {
 			ok = false
 			return true // stop

@@ -4,8 +4,8 @@ package remote_test
 // coordinator fanning a bipartiteness check out to a 4-worker loopback
 // fleet on a scrambled Grid(32,32), once per partitioner. The
 // partitioner is the experiment: Contiguous on scrambled IDs cuts
-// almost every edge (the halos ship nearly the whole instance and every
-// round floods the full frontier across shards), while BFSChunks
+// almost every edge (every round floods the full frontier across
+// shards), while BFSChunks
 // recovers the grid's locality, so the same check moves a fraction of
 // the bytes. The custom columns — wire_bytes/op for the cut cost and
 // rounds/s for protocol throughput — come from the transport.Stats the
@@ -66,5 +66,30 @@ func BenchmarkTCPFanout(b *testing.B) {
 			b.ReportMetric(float64(total.FramesOut)/float64(b.N), "frames/op")
 			b.ReportMetric(float64(total.Rounds)/b.Elapsed().Seconds(), "rounds/s")
 		})
+	}
+}
+
+// BenchmarkRegister times one registration of a scrambled Grid(64,64)
+// on a 2-worker loopback fleet — dial, OpRegister (records out, shards
+// wired), OpConnect (mesh built), close — the set-up a dist-tcp checker
+// pays before its first check.
+func BenchmarkRegister(b *testing.B) {
+	in := lcp.NewInstance(graph.RandomPermutationIDs(graph.Grid(64, 64), 1))
+	addrs, _ := startFleet(b, 2, catalogSchemes())
+	ctx := context.Background()
+	opts := remote.Options{Partitioner: partition.BFSChunks{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coord, err := remote.DialCoordinator(ctx, fmt.Sprintf("bench-register-%d", i), addrs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := coord.Register(ctx, in, lcp.BipartiteScheme().Name()); err != nil {
+			b.Fatal(err)
+		}
+		if err := coord.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 	"time"
 
 	"lcp/internal/core"
+	"lcp/internal/dist"
+	"lcp/internal/graph"
 	"lcp/internal/remote"
-	"lcp/internal/textio"
 	"lcp/internal/transport"
 )
 
@@ -155,30 +156,33 @@ func (c *controlClient) roundTrip(t *testing.T, req *remote.Request) remote.Resp
 	return c.readResponse(t)
 }
 
-// TestRegisterRejectsMalformedShard: a shard whose plan cannot be wired
-// fails OpRegister itself — the worker builds the automata there — and
-// installs nothing, so a check on it finds no instance.
+// TestRegisterRejectsMalformedShard: a registration whose records
+// cannot be wired fails OpRegister itself — the worker builds the
+// automata there — and installs nothing, so a check on it finds no
+// instance.
 func TestRegisterRejectsMalformedShard(t *testing.T) {
 	addrs, _ := startFleet(t, 2, map[string]core.Scheme{"test-ping": pingScheme{r: 1}})
-	var doc strings.Builder
-	if err := textio.Write(&doc, &textio.Document{Instance: pathInstance(3)}); err != nil {
-		t.Fatal(err)
+	records := func(owned ...int) []byte {
+		return transport.AppendRecords(nil, dist.ShardPlan{In: pathInstance(3), Owned: owned}.Records())
 	}
+	stray := transport.AppendRecords(nil, []transport.Record{{ID: 1, Edges: []transport.EdgeRec{{E: graph.Edge{U: 2, V: 3}}}}})
 	cases := []struct {
-		name   string
-		owned  []int
-		assign map[int]int
-		want   string
+		name    string
+		records []byte
+		assign  map[int]int
+		want    string
 	}{
-		{"owned-node-missing-from-halo", []int{1, 2, 4}, map[int]int{1: 0, 2: 0, 3: 1, 4: 0}, "absent"},
-		{"neighbor-without-assignment", []int{1, 2}, map[int]int{1: 0, 2: 0}, "no shard assignment"},
-		{"neighbor-assigned-here-not-owned", []int{1}, map[int]int{1: 0, 2: 0, 3: 1}, "not owned"},
+		{"corrupt-records", records(1, 2)[:5], map[int]int{1: 0, 2: 0, 3: 1}, "corrupt"},
+		{"duplicate-record", records(1, 2, 1), map[int]int{1: 0, 2: 0, 3: 1}, "duplicate record"},
+		{"edge-not-incident", stray, map[int]int{1: 0, 2: 0, 3: 1}, "not an edge of node 1"},
+		{"neighbor-without-assignment", records(1, 2), map[int]int{1: 0, 2: 0}, "no shard assignment"},
+		{"neighbor-assigned-here-not-owned", records(1), map[int]int{1: 0, 2: 0, 3: 1}, "not owned"},
 	}
 	c := dialControl(t, addrs[0], transport.ProtoVersion)
 	for i, tc := range cases {
 		resp := c.roundTrip(t, &remote.Request{
 			Op: remote.OpRegister, Seq: uint64(2*i + 1), Instance: tc.name, Scheme: "test-ping",
-			Doc: doc.String(), Me: 0, Workers: addrs, Owned: tc.owned, Assign: tc.assign,
+			Records: tc.records, Me: 0, Workers: addrs, Assign: tc.assign,
 		})
 		if resp.OK || !strings.Contains(resp.Error, tc.want) {
 			t.Fatalf("%s: register response ok=%v error=%q, want a failure mentioning %q", tc.name, resp.OK, resp.Error, tc.want)

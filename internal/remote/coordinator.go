@@ -6,16 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"lcp/internal/core"
 	"lcp/internal/dist"
-	"lcp/internal/engine"
 	"lcp/internal/obs"
 	"lcp/internal/partition"
-	"lcp/internal/textio"
 	"lcp/internal/transport"
 )
 
@@ -46,29 +43,16 @@ type Options struct {
 	Partitioner partition.Partitioner
 }
 
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return DefaultDialTimeout
+// orDefault is d, or def when d is not positive.
+func orDefault(d, def time.Duration) time.Duration {
+	if d <= 0 {
+		return def
 	}
-	return o.DialTimeout
-}
-
-func (o Options) checkTimeout() time.Duration {
-	if o.CheckTimeout <= 0 {
-		return DefaultCheckTimeout
-	}
-	return o.CheckTimeout
-}
-
-func (o Options) roundTimeout() time.Duration {
-	if o.RoundTimeout <= 0 {
-		return transport.DefaultRoundTimeout
-	}
-	return o.RoundTimeout
+	return d
 }
 
 // Coordinator drives one instance's checks across a fleet of workers:
-// Register ships each worker its radius-1 halo shard and builds the
+// Register ships each worker its nodes' round-0 records and builds the
 // shard-pair data mesh, Check fans a proof out and merges the per-shard
 // verdicts. It holds one persistent control connection per worker, and
 // the workers hold the registration exactly as long as those
@@ -108,15 +92,16 @@ func DialCoordinator(ctx context.Context, instance string, addrs []string, opts 
 		return nil, fmt.Errorf("remote: no worker addresses")
 	}
 	c := &Coordinator{instance: instance, addrs: addrs, opts: opts}
+	dialTimeout := orDefault(opts.DialTimeout, DefaultDialTimeout)
 	for _, addr := range addrs {
-		d := net.Dialer{Timeout: opts.dialTimeout()}
+		d := net.Dialer{Timeout: dialTimeout}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			_ = c.closeConns() // the dial failure is the error worth reporting
 			return nil, fmt.Errorf("remote: dial worker %s: %w", addr, err)
 		}
 		h := transport.Hello{Proto: transport.ProtoVersion, Role: transport.RoleControl, Instance: instance}
-		if err := transport.WriteHello(conn, h, opts.dialTimeout()); err != nil {
+		if err := transport.WriteHello(conn, h, dialTimeout); err != nil {
 			_ = conn.Close() // the handshake failure is the error worth reporting
 			_ = c.closeConns()
 			return nil, fmt.Errorf("remote: handshake with worker %s: %w", addr, err)
@@ -127,9 +112,9 @@ func DialCoordinator(ctx context.Context, instance string, addrs []string, opts 
 }
 
 // Register partitions the instance across the workers and installs each
-// worker's shard — its radius-1 halo (serialized through textio), the
-// nodes it decides, the assignment that routes its cut edges, and the
-// full fleet's addresses — then has the workers connect the shard-pair
+// worker's shard — the round-0 records of the nodes it decides, the
+// assignment that routes its cut edges, and the full fleet's addresses
+// — then has the workers connect the shard-pair
 // mesh every check reuses. The OpRegister fan-out completes before any
 // OpConnect is sent, so every worker holds the instance before a peer's
 // dial reaches it. It must be called before Check; calling it again
@@ -155,35 +140,22 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 	c.seq++
 	regs := make([]*Request, len(c.conns))
 	for i := range c.conns {
+		var recs []transport.Record
 		if i < len(plans) {
-			owned[i] = plans[i].Owned
-		}
-		halo := in
-		if len(owned[i]) < n {
-			halo = engine.HaloInstance(in, owned[i], 1)
-		}
-		var sb strings.Builder
-		if err := textio.Write(&sb, &textio.Document{Instance: halo}); err != nil {
-			return c.fail(fmt.Errorf("remote: serialize shard %d: %w", i, err))
-		}
-		haloAssign := make(map[int]int, halo.G.N())
-		for _, id := range halo.G.Nodes() {
-			haloAssign[id] = plans[0].Assign[id]
+			owned[i], recs = plans[i].Owned, plans[i].Records()
 		}
 		regs[i] = &Request{
 			Op:             OpRegister,
 			Seq:            c.seq,
 			Instance:       c.instance,
 			Scheme:         schemeName,
-			Doc:            sb.String(),
+			Records:        transport.AppendRecords(nil, recs),
+			Directed:       in.G.Directed(),
+			Global:         in.Global,
+			Assign:         recordAssign(recs, plans[0].Assign),
 			Me:             i,
 			Workers:        c.addrs,
-			Owned:          owned[i],
-			Assign:         haloAssign,
-			HasNodeLabels:  in.NodeLabel != nil,
-			HasEdgeLabels:  in.EdgeLabel != nil,
-			HasWeights:     in.Weights != nil,
-			RoundTimeoutMS: c.opts.roundTimeout().Milliseconds(),
+			RoundTimeoutMS: c.opts.RoundTimeout.Milliseconds(), // the worker defaults a non-positive one
 		}
 	}
 	if err := c.fanOut(ctx, regs, nil, nil); err != nil {
@@ -200,6 +172,19 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 	c.n = n
 	c.owned = owned
 	return nil
+}
+
+// recordAssign restricts the assignment to the nodes the records name —
+// the owned nodes and their neighbors — which is all a worker routes.
+func recordAssign(recs []transport.Record, assign map[int]int) map[int]int {
+	out := make(map[int]int, len(recs))
+	for _, rec := range recs {
+		out[rec.ID] = assign[rec.ID]
+		for _, er := range rec.Edges {
+			out[er.E.U], out[er.E.V] = assign[er.E.U], assign[er.E.V]
+		}
+	}
+	return out
 }
 
 // Check fans one proof out to the fleet and merges the verdicts into a
@@ -323,7 +308,7 @@ func (c *Coordinator) fanOut(ctx context.Context, reqs []*Request, stats *transp
 // any other sequence number is a protocol error. Bounded by the check
 // timeout; a cancelled context yanks the connection deadline to now.
 func (c *Coordinator) roundTrip(ctx context.Context, cc *controlConn, req *Request) (*Response, error) {
-	deadline := time.Now().Add(c.opts.checkTimeout())
+	deadline := time.Now().Add(orDefault(c.opts.CheckTimeout, DefaultCheckTimeout))
 	stop := context.AfterFunc(ctx, func() {
 		_ = cc.conn.SetDeadline(time.Now()) // best effort: the point is to interrupt blocked I/O
 	})

@@ -9,18 +9,19 @@
 // workers speak among themselves — see transport/wire.go for the frame
 // layout). A registration lives exactly as long as those control
 // connections. Register does the expensive work once, in two fan-outs:
-// OpRegister ships each worker its radius-1 halo, from which it wires a
-// dist.Shard (automata, base records, same-shard links, cut-edge
-// routing), rejecting a malformed plan there; OpConnect then builds the
-// shard-pair mesh, one TCP data connection per pair of shards sharing a
-// cut edge, which every check of the registration reuses. A check
-// carries only packed proof bits in the registered owned order and
-// returns a verdict bitmap in the same order (see appendProofs and
-// appendVerdicts):
+// OpRegister ships each worker the round-0 records of the nodes it
+// decides (in the data plane's encoding), the graph kind, the global
+// input and the assignment of the records' nodes, from which it wires a
+// dist.Shard (automata, same-shard links, cut-edge routing), rejecting
+// malformed records there. OpConnect then builds the shard-pair mesh,
+// one TCP data connection per pair of shards sharing a cut edge, which
+// every check of the registration reuses. A check carries only packed
+// proof bits in the registered record order and returns a verdict
+// bitmap in the same order (see appendProofs and appendVerdicts):
 //
 //	coordinator              worker i                worker j (j < i)
-//	  |-- register(halo_i) ----->| wire shard_i          |
-//	  |-- register(halo_j) ----------------------------->| wire shard_j
+//	  |-- register(recs_i) ----->| wire shard_i          |
+//	  |-- register(recs_j) ----------------------------->| wire shard_j
 //	  |-- connect -------------->|== dial data(seq) ====>| (mesh, kept)
 //	  |-- connect -------------------------------------->|
 //	  |-- check(seq, bits_i) --->|                       |
@@ -80,33 +81,27 @@ type Request struct {
 	// Scheme names the verification scheme (register). The worker
 	// resolves it in its own registry — code does not travel.
 	Scheme string `json:"scheme,omitempty"`
-	// Doc is the textio-serialized radius-1 halo instance (register).
-	Doc string `json:"doc,omitempty"`
+	// Records carries the round-0 records of the nodes this worker
+	// decides (register; transport.AppendRecords), in the order checks
+	// pack proofs and verdicts in.
+	Records []byte `json:"records,omitempty"`
+	// Directed marks a directed instance (register).
+	Directed bool `json:"directed,omitempty"`
+	// Global is the instance's global input (register).
+	Global core.Global `json:"global,omitempty"`
+	// Assign maps node id -> owning shard for every node the records
+	// name: the owned nodes and their neighbors (register).
+	Assign map[int]int `json:"assign,omitempty"`
 	// Me is the shard index this worker owns (register).
 	Me int `json:"me,omitempty"`
 	// Workers lists every worker's data address, indexed by shard
 	// (register).
 	Workers []string `json:"workers,omitempty"`
-	// Owned lists the node ids this worker decides (register).
-	Owned []int `json:"owned,omitempty"`
-	// Assign maps node id -> owning shard for every halo node
-	// (register).
-	Assign map[int]int `json:"assign,omitempty"`
-	// HasNodeLabels, HasEdgeLabels, and HasWeights ship the full
-	// instance's nil-map conventions (register): a halo that happens to
-	// contain no labelled member must still assemble views with the
-	// labelling maps present, or flooded remote labels would be
-	// dropped and verdicts diverge from core.Check.
-	HasNodeLabels bool `json:"has_node_labels,omitempty"`
-	// HasEdgeLabels: see HasNodeLabels.
-	HasEdgeLabels bool `json:"has_edge_labels,omitempty"`
-	// HasWeights: see HasNodeLabels.
-	HasWeights bool `json:"has_weights,omitempty"`
 	// RoundTimeoutMS bounds each flood round's network wait (register).
 	RoundTimeoutMS int64 `json:"round_timeout_ms,omitempty"`
 
 	// Proofs carries the proof bits of this worker's owned nodes,
-	// packed in the registered Owned order (check; see appendProofs).
+	// packed in the registered record order (check; see appendProofs).
 	// Remote nodes' proofs ride the data plane inside their records.
 	Proofs []byte `json:"proofs,omitempty"`
 }
@@ -120,7 +115,7 @@ type Response struct {
 	// Error is the failure description when OK is false.
 	Error string `json:"error,omitempty"`
 	// Verdicts is the check's verdict bitmap, one bit per owned node in
-	// the registered Owned order (check; see appendVerdicts).
+	// the registered record order (check; see appendVerdicts).
 	Verdicts []byte `json:"verdicts,omitempty"`
 	// Stats reports the shard's data-plane traffic for the check.
 	Stats transport.Stats `json:"stats,omitempty"`
@@ -158,13 +153,14 @@ func readJSONFrame(conn net.Conn, r *bufio.Reader, wantTyp byte, v any, deadline
 	return json.Unmarshal(payload, v)
 }
 
-// The packed check frames. Registration fixes each worker's Owned
-// order, so a check names no node ids at all:
+// The packed check frames. Registration fixes each worker's owned
+// order — the order of its records — so a check names no node ids at
+// all:
 //
-//	proofs   := entry... (one per owned node, in Owned order)
+//	proofs   := entry... (one per owned node, in owned order)
 //	entry    := uvarint (bit-length + 1), 0 = no entry
 //	          | MSB-first packed bits
-//	verdicts := ⌈#owned/8⌉ bytes; bit i, MSB-first, is Owned[i]'s verdict
+//	verdicts := ⌈#owned/8⌉ bytes; bit i, MSB-first, is owned[i]'s verdict
 //
 // The +1 keeps entry presence exact — a missing entry (no proof) and
 // an explicit ε entry are different proofs to a verifier, as they are

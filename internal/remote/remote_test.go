@@ -133,7 +133,7 @@ func TestCoordinatorMatchesCoreOnCatalog(t *testing.T) {
 }
 
 // TestCoordinatorMoreWorkersThanNodes: extra workers get empty shards
-// — an empty halo document, no peers, no verdicts — and the merged
+// — an empty record list, no peers, no verdicts — and the merged
 // result still matches core.
 func TestCoordinatorMoreWorkersThanNodes(t *testing.T) {
 	schemes := map[string]core.Scheme{"test-ping": pingScheme{r: 2}}

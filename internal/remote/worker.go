@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
 	"lcp/internal/core"
 	"lcp/internal/dist"
 	"lcp/internal/graph"
-	"lcp/internal/textio"
 	"lcp/internal/transport"
 )
 
@@ -348,37 +346,25 @@ func (w *Worker) drop(name string, inst *workerInstance) {
 	inst.closeMesh(w)
 }
 
-// register parses one instance shard, wires its automata, and installs
-// it with an empty mesh. prev is the requesting connection's current
-// registration under the same name, which this one replaces.
+// register wires one shard from its records and installs it with an
+// empty mesh. A malformed registration fails here, before anything is
+// installed, and every check afterwards only seeds, floods, and
+// decides. prev is the requesting connection's current registration
+// under the same name, which this one replaces.
 func (w *Worker) register(req *Request, prev *workerInstance) (*workerInstance, error) {
 	scheme, ok := w.schemes[req.Scheme]
 	if !ok {
 		return nil, fmt.Errorf("remote: unknown scheme %q", req.Scheme)
 	}
-	doc, err := textio.Parse(strings.NewReader(req.Doc))
+	recs, err := transport.DecodeRecords(req.Records)
 	if err != nil {
-		return nil, fmt.Errorf("remote: bad instance doc: %w", err)
+		return nil, fmt.Errorf("remote: register: %w", err)
 	}
-	in := doc.Instance
-	// Restore the full instance's nil-map conventions: this worker's
-	// halo may have no labelled member, but view assembly keys the
-	// label maps' presence off the instance — a nil map here would drop
-	// remote labels flooded in over the wire and diverge from
-	// core.Check.
-	if req.HasNodeLabels && in.NodeLabel == nil {
-		in.NodeLabel = map[int]string{}
+	kind := graph.Undirected
+	if req.Directed {
+		kind = graph.Directed
 	}
-	if req.HasEdgeLabels && in.EdgeLabel == nil {
-		in.EdgeLabel = map[graph.Edge]string{}
-	}
-	if req.HasWeights && in.Weights == nil {
-		in.Weights = map[graph.Edge]int64{}
-	}
-	// Wire the shard now: a malformed registration (an owned node
-	// missing from the halo, an unassigned neighbor) fails here, and
-	// every check afterwards only seeds, floods, and decides.
-	shard, err := dist.NewShard(dist.ShardPlan{In: in, Owned: req.Owned, Assign: req.Assign}, req.Me)
+	shard, err := dist.WireRecords(req.Me, kind, req.Global, recs, req.Assign)
 	if err != nil {
 		return nil, fmt.Errorf("remote: register: %w", err)
 	}
@@ -387,15 +373,12 @@ func (w *Worker) register(req *Request, prev *workerInstance) (*workerInstance, 
 			return nil, fmt.Errorf("remote: assignment names shard %d but only %d workers", p, len(req.Workers))
 		}
 	}
-	timeout := time.Duration(req.RoundTimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = transport.DefaultRoundTimeout
-	}
+	timeout := orDefault(time.Duration(req.RoundTimeoutMS)*time.Millisecond, transport.DefaultRoundTimeout)
 	inst := &workerInstance{
 		name:    req.Instance,
 		seq:     req.Seq,
 		shard:   shard,
-		proof:   make(core.Proof, len(req.Owned)),
+		proof:   make(core.Proof, len(recs)),
 		scheme:  scheme,
 		me:      req.Me,
 		workers: req.Workers,

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"lcp/internal/bitstr"
 	"lcp/internal/core"
@@ -214,9 +215,14 @@ func parseBits(s string) (bitstr.String, error) {
 	return w.String(), nil
 }
 
-// Write renders a document in the same format Parse accepts.
+// Write renders a document in the same format Parse accepts. Input the
+// format cannot hold (see representable) fails before anything is
+// written, instead of writing a document that parses differently.
 func Write(w io.Writer, doc *Document) error {
 	in := doc.Instance
+	if err := representable(in); err != nil {
+		return err
+	}
 	kind := "undirected"
 	if in.G.Directed() {
 		kind = "directed"
@@ -236,10 +242,11 @@ func Write(w io.Writer, doc *Document) error {
 	}
 	for _, e := range in.G.Edges() {
 		line := fmt.Sprintf("edge %d %d", e.U, e.V)
-		if in.EdgeLabel[e] == core.EdgeInSolution {
+		key := graph.NormEdge(e.U, e.V) // as Parse keys labels and weights
+		if in.EdgeLabel[key] == core.EdgeInSolution {
 			line += " mark"
 		}
-		if wt, ok := in.Weights[e]; ok {
+		if wt, ok := in.Weights[key]; ok {
 			line += fmt.Sprintf(" weight=%d", wt)
 		}
 		fmt.Fprintln(w, line)
@@ -261,4 +268,32 @@ func Write(w io.Writer, doc *Document) error {
 		fmt.Fprintf(w, "proof %d %s\n", v, doc.Proof[v].String())
 	}
 	return nil
+}
+
+// representable reports input the format cannot hold: an edge label
+// other than the "mark" (an empty one reads as none), or a node label
+// or Global key that is not one token of a directive. An '=' is
+// harmless: Parse reads "label=a=b" as the label "a=b".
+func representable(in *core.Instance) error {
+	for e, l := range in.EdgeLabel {
+		if l != "" && l != core.EdgeInSolution {
+			return fmt.Errorf("textio: edge %d-%d: label %q cannot be written; only %q can", e.U, e.V, l, core.EdgeInSolution)
+		}
+	}
+	for v, l := range in.NodeLabel {
+		if !isToken(l) {
+			return fmt.Errorf("textio: node %d: label %q contains whitespace or '#'", v, l)
+		}
+	}
+	for k := range in.Global {
+		if !isToken(k) || k == "" {
+			return fmt.Errorf("textio: global key %q is empty or contains whitespace or '#'", k)
+		}
+	}
+	return nil
+}
+
+// isToken reports whether s reads back from a directive unchanged.
+func isToken(s string) bool {
+	return !strings.ContainsRune(s, '#') && !strings.ContainsFunc(s, unicode.IsSpace)
 }

@@ -181,3 +181,87 @@ func bipartiteVerifier() core.Verifier {
 		return true
 	}}
 }
+
+// TestWriteRefusesUnrepresentable: Write fails on what the format cannot
+// hold — an edge label other than the solution mark, a node label or
+// Global key that is not one token — instead of writing a document that
+// parses into a different instance. Parse never produces such
+// instances, so they are built directly. An '=' is one token's worth
+// ("label=a=b" reads back as "a=b"), so it writes.
+func TestWriteRefusesUnrepresentable(t *testing.T) {
+	base := func() *core.Instance { return core.NewInstance(graph.Cycle(4)) }
+	for _, tc := range []struct {
+		name string
+		in   *core.Instance
+		want string
+	}{
+		{"edge-label", func() *core.Instance {
+			in := base()
+			in.EdgeLabel = map[graph.Edge]string{{U: 1, V: 2}: "x"}
+			return in
+		}(), "edge 1-2"},
+		{"node-label-hash", base().SetNodeLabel(3, "#"), "node 3"},
+		{"node-label-space", base().SetNodeLabel(3, "a b"), "node 3"},
+		{"node-label-newline", base().SetNodeLabel(3, "a\nb"), "node 3"},
+		{"global-key-space", func() *core.Instance {
+			in := base()
+			in.Global = core.Global{"k 1": 3}
+			return in
+		}(), "global key"},
+		{"global-key-hash", func() *core.Instance {
+			in := base()
+			in.Global = core.Global{"#k": 3}
+			return in
+		}(), "global key"},
+		{"global-key-empty", func() *core.Instance {
+			in := base()
+			in.Global = core.Global{"": 3}
+			return in
+		}(), "global key"},
+	} {
+		var buf bytes.Buffer
+		err := Write(&buf, &Document{Instance: tc.in})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Write error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%s: Write wrote %q before failing", tc.name, buf.String())
+		}
+	}
+	// What the format holds still writes: the mark, token labels (an
+	// '=' included), an empty label, token keys.
+	in := base().SetNodeLabel(1, "s").SetNodeLabel(2, "").SetNodeLabel(3, "a=b").MarkEdge(1, 2)
+	in.Global = core.Global{"k=1": 3}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Document{Instance: in}); err != nil {
+		t.Fatalf("representable instance: %v", err)
+	}
+	doc, err := Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := doc.Instance
+	if got.NodeLabel[1] != "s" || got.NodeLabel[3] != "a=b" || got.EdgeLabel[graph.Edge{U: 1, V: 2}] != core.EdgeInSolution || got.Global["k=1"] != 3 {
+		t.Fatalf("round trip lost input: %+v", doc.Instance)
+	}
+}
+
+// TestRoundTripDirectedMarkOnReversedArc: labels and weights are keyed
+// by the normalized edge on directed graphs too, so an arc from the
+// larger to the smaller identifier keeps its mark and weight.
+func TestRoundTripDirectedMarkOnReversedArc(t *testing.T) {
+	in := core.NewInstance(graph.NewBuilder(graph.Directed).AddEdge(2, 1).Graph()).MarkEdge(2, 1)
+	in.Weights = map[graph.Edge]int64{graph.NormEdge(2, 1): 7}
+	var buf bytes.Buffer
+	if err := Write(&buf, &Document{Instance: in}); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Parse(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := graph.Edge{U: 1, V: 2}
+	if doc.Instance.EdgeLabel[key] != core.EdgeInSolution || doc.Instance.Weights[key] != 7 {
+		t.Fatalf("reversed arc lost its mark or weight: labels %v weights %v", doc.Instance.EdgeLabel, doc.Instance.Weights)
+	}
+}

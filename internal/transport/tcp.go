@@ -256,7 +256,9 @@ func (t *TCP) Close() error {
 // batch; a version-1 peer cannot parse either. Version 3 builds the
 // data connections once per registration (the connect request) instead
 // of once per check, so a data Hello names a registration, not a check.
-const ProtoVersion = 3
+// Version 4 registers a worker with its owned nodes' round-0 records
+// (AppendRecords) instead of a textio halo document.
+const ProtoVersion = 4
 
 // Connection roles named in Hello frames.
 const (

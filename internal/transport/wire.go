@@ -15,8 +15,8 @@ package transport
 //
 //	data payload := uvarint seq | uvarint round | uvarint src
 //	              | uvarint #groups | group...
-//	group        := uvarint #records | record...
-//	              | uvarint #dsts | uvarint dst...
+//	group        := records | uvarint #dsts | uvarint dst...
+//	records      := uvarint #records | record...
 //	record       := uvarint id | u8 flags(hasProof|hasLabel)
 //	              | [bits proof] | [string label]
 //	              | uvarint #edges | edge...
@@ -141,10 +141,7 @@ func AppendData(buf []byte, hdr DataHeader, dels []Delivery) []byte {
 		for j < len(dels) && sameBatch(dels[i].Recs, dels[j].Recs) {
 			j++
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(dels[i].Recs)))
-		for _, rec := range dels[i].Recs {
-			buf = appendRecord(buf, rec)
-		}
+		buf = AppendRecords(buf, dels[i].Recs)
 		buf = binary.AppendUvarint(buf, uint64(j-i))
 		for _, d := range dels[i:j] {
 			buf = binary.AppendUvarint(buf, uint64(d.Dst))
@@ -158,6 +155,29 @@ func AppendData(buf []byte, hdr DataHeader, dels []Delivery) []byte {
 // records in the same backing array. Empty batches are all alike.
 func sameBatch(a, b Batch) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// AppendRecords encodes a counted record list (the records production
+// above) onto buf. Every group of a data frame opens with one, and a
+// dist-tcp registration ships a worker its owned nodes' round-0 records
+// as one.
+func AppendRecords(buf []byte, recs []Record) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(recs)))
+	for _, rec := range recs {
+		buf = appendRecord(buf, rec)
+	}
+	return buf
+}
+
+// DecodeRecords decodes a payload produced by AppendRecords. As in
+// DecodeData, every presize is capped by the payload bytes left.
+func DecodeRecords(payload []byte) ([]Record, error) {
+	c := &cursor{buf: payload}
+	recs := c.records()
+	if err := c.end(); err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 func appendRecord(buf []byte, rec Record) []byte {
@@ -226,14 +246,7 @@ func DecodeData(payload []byte) (DataHeader, []Delivery, error) {
 		dels = make([]Delivery, 0, n)
 	}
 	for i := 0; i < ng && c.err == nil; i++ {
-		var recs Batch
-		nr := c.count("record count")
-		if n := c.capped(nr); n > 0 {
-			recs = make(Batch, 0, n)
-		}
-		for j := 0; j < nr && c.err == nil; j++ {
-			recs = append(recs, c.record())
-		}
+		recs := c.records()
 		nd := c.count("destination count")
 		if nd == 0 {
 			c.fail("destination count")
@@ -242,11 +255,8 @@ func DecodeData(payload []byte) (DataHeader, []Delivery, error) {
 			dels = append(dels, Delivery{Dst: c.count("dst"), Recs: recs})
 		}
 	}
-	if c.err == nil && c.off != len(payload) {
-		c.err = fmt.Errorf("transport: %d trailing bytes in data frame", len(payload)-c.off)
-	}
-	if c.err != nil {
-		return DataHeader{}, nil, c.err
+	if err := c.end(); err != nil {
+		return DataHeader{}, nil, err
 	}
 	return hdr, dels, nil
 }
@@ -278,6 +288,15 @@ func (c *cursor) uvarint() uint64 {
 	}
 	c.off += n
 	return v
+}
+
+// end returns the decode's error: the first failure, or bytes left
+// after a complete payload.
+func (c *cursor) end() error {
+	if c.err == nil && c.off != len(c.buf) {
+		c.err = fmt.Errorf("transport: %d trailing bytes", len(c.buf)-c.off)
+	}
+	return c.err
 }
 
 // count reads a uvarint that must fit an int and stay sane as a
@@ -356,6 +375,19 @@ func (c *cursor) bits() bitstr.String {
 	s := bitstr.FromPacked(c.buf[c.off:c.off+nbytes], n)
 	c.off += nbytes
 	return s
+}
+
+// records reads a counted record list.
+func (c *cursor) records() Batch {
+	var recs Batch
+	nr := c.count("record count")
+	if n := c.capped(nr); n > 0 {
+		recs = make(Batch, 0, n)
+	}
+	for j := 0; j < nr && c.err == nil; j++ {
+		recs = append(recs, c.record())
+	}
+	return recs
 }
 
 func (c *cursor) record() Record {

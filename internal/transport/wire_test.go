@@ -190,3 +190,25 @@ func TestDecodeDataRejectsEmptyGroup(t *testing.T) {
 		t.Fatal("group without destinations decoded")
 	}
 }
+
+// TestRecordsRoundTrip: a record list survives AppendRecords →
+// DecodeRecords with every field, an empty list included, and trailing
+// or missing bytes are an error.
+func TestRecordsRoundTrip(t *testing.T) {
+	for _, recs := range [][]Record{sampleDeliveries()[0].Recs, nil} {
+		payload := AppendRecords(nil, recs)
+		got, err := DecodeRecords(payload)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if len(got) != len(recs) || len(recs) > 0 && !reflect.DeepEqual(got, recs) {
+			t.Fatalf("records round-trip:\n got %+v\nwant %+v", got, recs)
+		}
+		if _, err := DecodeRecords(append(payload, 0)); err == nil {
+			t.Fatal("trailing byte decoded")
+		}
+		if _, err := DecodeRecords(payload[:len(payload)-1]); err == nil {
+			t.Fatal("truncated record list decoded")
+		}
+	}
+}
