@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt build vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep
+.PHONY: check fmt build vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep perfbench-check
 
-check: fmt build vet lint test fuzz-smoke scale-smoke
+check: fmt build vet lint test perfbench-check fuzz-smoke scale-smoke
 
 # fmt fails on any file gofmt would rewrite, listing them. The globs
 # skip dot-directories, so the benchmark's build cache is not scanned.
@@ -26,6 +26,14 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# perfbench-check vets and tests the benchmark's nested module, which
+# the root `go test ./...` skips. It compiles against the library's
+# internal API (remote.Options, dist.Options, engine and core entry
+# points), so an API change that breaks the benchmark's build fails
+# here, not in the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

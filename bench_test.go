@@ -628,7 +628,7 @@ func BenchmarkAblationViewConstruction(b *testing.B) {
 	})
 	b.Run("message-passing-sharded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := dist.Check(in, proof, v)
+			res, err := dist.CheckWithCtx(context.Background(), in, proof, v, dist.Options{})
 			if err != nil || !res.Accepted() {
 				b.Fatal("rejected")
 			}

@@ -95,9 +95,11 @@ type Report struct {
 	// Stages is the per-stage breakdown of Elapsed, in the order the
 	// stages first ran. Which stages appear depends on the backend
 	// ("core.check"; "dist.wire"/"dist.seed"/"dist.flood"/"dist.run";
-	// "engine.views"/"engine.verify"). Stages recorded by concurrent
-	// workers sum their wall time, so a stage's Total can exceed
-	// Elapsed; Count says how many observations merged. An engine
+	// "engine.views"/"engine.verify"; "remote.register"/"remote.fanout",
+	// the first only on the dist-tcp check that registers the instance
+	// on the fleet). Stages recorded by concurrent workers sum their
+	// wall time, so a stage's Total can exceed Elapsed; Count says how
+	// many observations merged. An engine
 	// CheckBatch runs one walk for all its proofs, so each of its
 	// reports carries the whole batch's Elapsed and Stages.
 	Stages []Stage
@@ -106,7 +108,7 @@ type Report struct {
 // Stage is one named phase of a check with its accumulated wall time.
 type Stage struct {
 	// Name identifies the phase, prefixed by the layer that ran it
-	// ("core.", "dist.", "engine.").
+	// ("core.", "dist.", "engine.", "remote.").
 	Name string
 	// Total is the accumulated wall time of every run of the stage.
 	Total time.Duration
@@ -282,15 +284,15 @@ func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 	if cc.verifier == nil {
 		return nil, fmt.Errorf("lcp: checker needs a verifier: pass WithScheme or WithVerifier")
 	}
+	if err := cc.cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("lcp: %v", err)
+	}
 	c := &checker{in: in, v: cc.verifier, cfg: cc.cfg, schemeName: cc.schemeName}
 	if cc.engine != nil && c.backend() != config.BackendEngine {
 		return nil, fmt.Errorf("lcp: WithEngine requires the engine backend, not %q", c.backend())
 	}
 	switch c.backend() {
 	case config.BackendDistTCP:
-		if len(c.cfg.WorkerAddrs) == 0 {
-			return nil, fmt.Errorf("lcp: %v", c.cfg.Validate())
-		}
 		if c.schemeName == "" {
 			return nil, fmt.Errorf("lcp: backend %q needs WithScheme (workers resolve the scheme by name; a bare WithVerifier cannot travel)", c.backend())
 		}

@@ -230,8 +230,9 @@ func (inputScheme) Prove(*lcp.Instance) (lcp.Proof, error) { return lcp.Proof{},
 // TestCheckerBackendsKeepEveryInput: every backend agrees with core.Check
 // on 8-cycles carrying one input each that only some nodes see — among
 // them inputs a text document cannot hold (an edge label other than the
-// solution mark, node labels with '#' or whitespace), a weight, a global
-// and a directed instance.
+// solution mark, node labels with '#' or whitespace), a weight, a global,
+// a directed instance, and directed instances whose only input sits on
+// an arc from a larger id to a smaller one.
 func TestCheckerBackendsKeepEveryInput(t *testing.T) {
 	cycle := func() *lcp.Instance { return lcp.NewInstance(lcp.Cycle(8)) }
 	edgeLabel := cycle()
@@ -246,13 +247,20 @@ func TestCheckerBackendsKeepEveryInput(t *testing.T) {
 	}
 	directed := lcp.NewInstance(b.Graph()).SetNodeLabel(3, "a b").MarkEdge(6, 7)
 	directed.Weights = map[lcp.Edge]int64{{U: 1, V: 2}: -3}
+	// The only input sits on arc 8→1, from the larger id to the smaller:
+	// it is keyed normalized, {1, 8}, which is not an arc.
+	reversedMark := lcp.NewInstance(b.Graph()).MarkEdge(8, 1)
+	reversedWeight := lcp.NewInstance(b.Graph())
+	reversedWeight.Weights = map[lcp.Edge]int64{{U: 1, V: 8}: 5}
 	cases := map[string]*lcp.Instance{
-		"edge-label":  edgeLabel,
-		"label-hash":  cycle().SetNodeLabel(3, "#"),
-		"label-space": cycle().SetNodeLabel(3, "a b"),
-		"weight":      weight,
-		"global":      global,
-		"directed":    directed,
+		"edge-label":          edgeLabel,
+		"label-hash":          cycle().SetNodeLabel(3, "#"),
+		"label-space":         cycle().SetNodeLabel(3, "a b"),
+		"weight":              weight,
+		"global":              global,
+		"directed":            directed,
+		"reversed-arc-mark":   reversedMark,
+		"reversed-arc-weight": reversedWeight,
 	}
 	ctx := context.Background()
 	for name, in := range cases {

@@ -111,7 +111,7 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Backend == BackendDistTCP && len(c.WorkerAddrs) == 0 {
-		return fmt.Errorf("backend %q needs worker addresses (the worker-addrs option: host:port,...); start lcpworker processes and list them", BackendDistTCP)
+		return fmt.Errorf("backend %q needs a worker fleet: start lcpworker processes and list their addresses in the worker-addrs option (lcpserve -worker-addrs host:port,...)", BackendDistTCP)
 	}
 	return nil
 }

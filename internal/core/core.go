@@ -45,7 +45,10 @@ const (
 // to all nodes") or the weight bound W of §2.3.
 type Global map[string]int64
 
-// Instance is a graph together with its input labelling.
+// Instance is a graph together with its input labelling. Edge labels
+// and weights are keyed by graph.NormEdge, as MarkEdge and textio.Parse
+// write them, on directed instances too: an arc u→v and its reverse
+// v→u share one label and one weight.
 type Instance struct {
 	G         *graph.Graph
 	NodeLabel map[int]string

@@ -164,34 +164,35 @@ func (w *View) Label(v int) string {
 }
 
 // EdgeLabel returns the input label of the (undirected) edge (u, v) in
-// the view ("" if it is not an edge of the ball). The edge is keyed
-// normalized, as MarkEdge stores it: on a directed instance it is the
-// arc from the smaller to the larger identifier.
+// the view ("" if it is not an edge of the ball). The label is keyed
+// normalized, as MarkEdge stores it, so on a directed instance the two
+// opposite arcs u→v and v→u share one label, and either one present in
+// the ball carries it.
 func (w *View) EdgeLabel(u, v int) string {
-	if w.src.EdgeLabel == nil {
+	if w.src.EdgeLabel == nil || !w.linked(u, v) {
 		return ""
 	}
-	e := graph.NormEdge(u, v)
-	if !w.HasEdge(e.U, e.V) {
-		return ""
-	}
-	return w.src.EdgeLabel[e]
+	return w.src.EdgeLabel[graph.NormEdge(u, v)]
 }
 
 // EdgeMarked reports whether the (undirected) edge is part of the solution.
 func (w *View) EdgeMarked(u, v int) bool { return w.EdgeLabel(u, v) == EdgeInSolution }
 
 // Weight returns the weight of edge (u, v) in the view (0 if it is not
-// an edge of the ball or carries no weight).
+// an edge of the ball or carries no weight). Like EdgeLabel, it is
+// keyed normalized: a directed instance's opposite arcs share one
+// weight.
 func (w *View) Weight(u, v int) int64 {
-	if w.src.Weights == nil {
+	if w.src.Weights == nil || !w.linked(u, v) {
 		return 0
 	}
-	e := graph.NormEdge(u, v)
-	if !w.HasEdge(e.U, e.V) {
-		return 0
-	}
-	return w.src.Weights[e]
+	return w.src.Weights[graph.NormEdge(u, v)]
+}
+
+// linked reports whether u and v are joined by an edge of the view: the
+// edge (u, v), or on a directed instance either arc between them.
+func (w *View) linked(u, v int) bool {
+	return w.HasEdge(u, v) || (w.src.G.Directed() && w.HasEdge(v, u))
 }
 
 // KnowsFully reports whether the full neighbourhood of node v is visible
@@ -357,10 +358,11 @@ func ViewsEqual(a, b *View) bool {
 	if !graph.Equal(ga, gb) {
 		return false
 	}
-	// Edge input is compared under each induced edge's own key (the
-	// ordered arc on directed instances), as the source stores it.
+	// Edge input is compared under each induced edge's normalized key,
+	// as the source stores it (an arc and its reverse share one key).
 	for _, e := range ga.Edges() {
-		if a.src.EdgeLabel[e] != b.src.EdgeLabel[e] || a.src.Weights[e] != b.src.Weights[e] {
+		k := graph.NormEdge(e.U, e.V)
+		if a.src.EdgeLabel[k] != b.src.EdgeLabel[k] || a.src.Weights[k] != b.src.Weights[k] {
 			return false
 		}
 	}

@@ -7,6 +7,7 @@ package dist_test
 // numbers look the way they do.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,7 +26,7 @@ func benchCheckWith(b *testing.B, in *core.Instance, opt dist.Options) {
 	v := scheme.Verifier()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dist.CheckWith(in, proof, v, opt)
+		res, err := dist.CheckWithCtx(context.Background(), in, proof, v, opt)
 		if err != nil || !res.Accepted() {
 			b.Fatalf("rejected: %v", err)
 		}
@@ -89,7 +90,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 	b.Run("one-shot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := dist.Check(in, proof, v)
+			res, err := dist.CheckWithCtx(context.Background(), in, proof, v, dist.Options{})
 			if err != nil || !res.Accepted() {
 				b.Fatalf("rejected: %v", err)
 			}
@@ -104,7 +105,7 @@ func BenchmarkNetworkReuse(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := nw.Check(proof, v)
+			res, err := nw.CheckCtx(context.Background(), proof, v)
 			if err != nil || !res.Accepted() {
 				b.Fatalf("rejected: %v", err)
 			}

@@ -98,7 +98,7 @@ func TestNetworkCheckCtx(t *testing.T) {
 		t.Fatalf("CheckCtx error = %v", err)
 	}
 
-	res, err = nw.Check(core.Proof{}, v)
+	res, err = nw.CheckCtx(context.Background(), core.Proof{}, v)
 	if err != nil {
 		t.Fatalf("Check after cancelled run: %v", err)
 	}

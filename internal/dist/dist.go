@@ -10,7 +10,7 @@ import (
 )
 
 // Options configures the runtime. The zero value is the default used
-// by Check and Collect: GOMAXPROCS shards cut by the contiguous
+// by Collect: GOMAXPROCS shards cut by the contiguous
 // partitioner.
 type Options struct {
 	// Sharded has no effect: Shards alone picks the layout. The field is
@@ -41,25 +41,14 @@ func (o Options) shardCount(n int) int {
 	return min(o.Shards, n)
 }
 
-// Check runs the verifier on the message-passing runtime: every node
-// floods for Radius() rounds, assembles its view, and decides. The
-// result is verdict-for-verdict identical to core.Check. The error is
-// non-nil only if the network could not run (nil arguments) or a
-// verifier panicked.
-func Check(in *core.Instance, p core.Proof, v core.Verifier) (*core.Result, error) {
-	return CheckWith(in, p, v, Options{})
-}
-
-// CheckWith is Check with an explicit layout.
-func CheckWith(in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
-	//lint:ignore ctxflow ctx-less CheckWith is the documented uncancellable entry point; CheckWithCtx is the threaded variant
-	return CheckWithCtx(context.Background(), in, p, v, opt)
-}
-
-// CheckWithCtx is CheckWith with context cancellation: the run aborts
-// between communication rounds and returns ctx.Err(). It wires a
-// Network for the one check; callers verifying many proofs should keep
-// a Network instead.
+// CheckWithCtx runs the verifier on the message-passing runtime: every
+// node floods for Radius() rounds, assembles its view, and decides. The
+// result is verdict-for-verdict identical to core.Check. The run aborts
+// between communication rounds once the context is done and returns
+// ctx.Err(); otherwise the error is non-nil only if the network could
+// not run (nil arguments) or a verifier panicked. It wires a Network for
+// the one check; callers verifying many proofs should keep a Network
+// instead.
 func CheckWithCtx(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
 	if v == nil {
 		return nil, fmt.Errorf("dist: nil verifier")
@@ -85,7 +74,7 @@ func Collect(in *core.Instance, p core.Proof, center, radius int) *core.View {
 	return CollectWith(in, p, center, radius, Options{})
 }
 
-// CollectWith is Collect with an explicit layout: a CheckWith whose
+// CollectWith is Collect with an explicit layout: a CheckWithCtx whose
 // verifier keeps the center's view. Like Collect it panics on
 // impossible inputs — an unknown center, or a custom Partitioner
 // returning an invalid assignment.
@@ -100,7 +89,8 @@ func CollectWith(in *core.Instance, p core.Proof, center, radius int, opt Option
 		}
 		return true
 	}}
-	if _, err := CheckWith(in, p, keep, opt); err != nil {
+	//lint:ignore ctxflow ctx-less Collect is the documented uncancellable view probe; CheckWithCtx is the threaded runner
+	if _, err := CheckWithCtx(context.Background(), in, p, keep, opt); err != nil {
 		panic(err)
 	}
 	return view

@@ -5,13 +5,14 @@ package dist_test
 //
 //  1. dist.Collect produces views identical to core.BuildView on random
 //     trees, cycles, regular graphs and directed graphs, across radii;
-//  2. dist.CheckWith — at every shard count and partitioner of the
+//  2. dist.CheckWithCtx — at every shard count and partitioner of the
 //     layouts sweep — agrees with core.Check verdict-for-verdict
 //     (Outputs and Rejectors) across every scheme in the root catalog,
 //     on yes-instances, no-instances with adversarial proofs, and
 //     tampered and truncated honest proofs.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -174,7 +175,7 @@ func checkAllRunners(t *testing.T, ctx string, in *core.Instance, p core.Proof, 
 	t.Helper()
 	want := core.Check(in, p, v)
 	for _, opt := range layouts(in.G.N()) {
-		got, err := dist.CheckWith(in, p, v, opt)
+		got, err := dist.CheckWithCtx(context.Background(), in, p, v, opt)
 		if err != nil {
 			t.Fatalf("%s [%s]: %v", ctx, layoutName(opt), err)
 		}
@@ -232,7 +233,7 @@ func TestCheckSchedulerVariants(t *testing.T) {
 	}
 	opts := append(layouts(in.G.N()), dist.Options{}, dist.Options{Shards: 5})
 	for _, opt := range opts {
-		got, err := dist.CheckWith(in, p, v, opt)
+		got, err := dist.CheckWithCtx(context.Background(), in, p, v, opt)
 		if err != nil {
 			t.Fatalf("opts=%+v: %v", opt, err)
 		}
@@ -267,7 +268,7 @@ func TestLargeBallsMatchCore(t *testing.T) {
 		}
 		for seed := int64(0); seed < 4; seed++ {
 			p := core.RandomProof(in, 5, seed)
-			got, err := nw.Check(p, v)
+			got, err := nw.CheckCtx(context.Background(), p, v)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", layoutName(opt), seed, err)
 			}
@@ -306,11 +307,11 @@ func TestCheckNegativeRadius(t *testing.T) {
 // TestCheckEmptyAndNilInputs: degenerate inputs must not wedge the
 // network.
 func TestCheckEmptyAndNilInputs(t *testing.T) {
-	if _, err := dist.Check(nil, nil, lcp.BipartiteScheme().Verifier()); err == nil {
+	if _, err := dist.CheckWithCtx(context.Background(), nil, nil, lcp.BipartiteScheme().Verifier(), dist.Options{}); err == nil {
 		t.Error("nil instance: want error")
 	}
 	in := core.NewInstance(lcp.Cycle(4))
-	if _, err := dist.Check(in, nil, nil); err == nil {
+	if _, err := dist.CheckWithCtx(context.Background(), in, nil, nil, dist.Options{}); err == nil {
 		t.Error("nil verifier: want error")
 	}
 	// Nil proof is the empty proof.
@@ -327,7 +328,7 @@ func TestCheckRecoversVerifierPanic(t *testing.T) {
 		}
 		return true
 	}}
-	if _, err := dist.Check(in, core.Proof{}, v); err == nil {
+	if _, err := dist.CheckWithCtx(context.Background(), in, core.Proof{}, v, dist.Options{}); err == nil {
 		t.Error("want panic surfaced as error")
 	}
 }

@@ -8,8 +8,8 @@
 // the previous round to all neighbours and merges what arrives; after r
 // rounds it has assembled exactly the radius-r view (G[v,r], P[v,r], v)
 // and decides locally. Collect is therefore observationally equivalent to
-// core.BuildView and Check to core.Check — a property the tests assert —
-// but the information only ever travels along edges.
+// core.BuildView and CheckWithCtx to core.Check — a property the tests
+// assert — but the information only ever travels along edges.
 //
 // There is one round runner over a Transport: Shard.Run. A Shard is a
 // group of node automata wired once (NewShard); each round it merges
@@ -17,7 +17,7 @@
 // transport.Transport, whose Exchange and Barrier keep all shards in
 // lockstep. Every distributed path is this runner:
 //
-//   - Network (and Check, CheckWith, Collect on top of it) partitions
+//   - Network (and CheckWithCtx, Collect on top of it) partitions
 //     the instance once into Options.Shards groups (GOMAXPROCS by
 //     default, cut by Options.Partitioner), keeps prewired shard sets,
 //     and runs each check as one goroutine per shard over a fresh

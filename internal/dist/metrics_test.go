@@ -11,6 +11,7 @@ package dist_test
 // t.Parallel, and Go runs non-parallel tests of a package sequentially).
 
 import (
+	"context"
 	"testing"
 
 	"lcp"
@@ -25,7 +26,7 @@ func TestMetricsPerNodeCycle(t *testing.T) {
 	v := core.VerifierFunc{R: r, F: func(*core.View) bool { return true }}
 
 	before := dist.Metrics()
-	if _, err := dist.CheckWith(in, nil, v, dist.Options{Shards: n}); err != nil {
+	if _, err := dist.CheckWithCtx(context.Background(), in, nil, v, dist.Options{Shards: n}); err != nil {
 		t.Fatal(err)
 	}
 	after := dist.Metrics()
@@ -54,7 +55,7 @@ func TestMetricsShardedCycle(t *testing.T) {
 	opt := dist.Options{Shards: 2, Partitioner: partition.Contiguous{}}
 
 	before := dist.Metrics()
-	if _, err := dist.CheckWith(in, nil, v, opt); err != nil {
+	if _, err := dist.CheckWithCtx(context.Background(), in, nil, v, opt); err != nil {
 		t.Fatal(err)
 	}
 	after := dist.Metrics()

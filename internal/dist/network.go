@@ -139,19 +139,13 @@ func (nw *Network) wire() (*wiring, error) {
 	return w, nil
 }
 
-// Check runs the verifier against the proof on a prewired network.
-// Verdicts are identical to a fresh dist.CheckWith under the same
+// CheckCtx runs the verifier against the proof on a prewired network.
+// Verdicts are identical to a fresh dist.CheckWithCtx under the same
 // options (and hence to core.Check). Concurrent calls do not serialize:
 // each run gets its own wiring, built on demand when the idle ones are
-// taken.
-func (nw *Network) Check(p core.Proof, v core.Verifier) (*core.Result, error) {
-	//lint:ignore ctxflow ctx-less Check is the documented uncancellable entry point; CheckCtx is the threaded variant
-	return nw.CheckCtx(context.Background(), p, v)
-}
-
-// CheckCtx is Check with context cancellation: the run aborts between
-// communication rounds (every shard stops, the wiring stays reusable)
-// and returns ctx.Err().
+// taken. The run aborts between communication rounds once the context
+// is done (every shard stops, the wiring stays reusable) and returns
+// ctx.Err().
 func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) (*core.Result, error) {
 	if v == nil {
 		return nil, fmt.Errorf("dist: nil verifier")

@@ -36,7 +36,7 @@ func TestNetworkReusedAcrossProofs(t *testing.T) {
 	}
 	for i, p := range proofs {
 		want := core.Check(in, p, v)
-		got, err := nw.Check(p, v)
+		got, err := nw.CheckCtx(context.Background(), p, v)
 		if err != nil {
 			t.Fatalf("proof %d: %v", i, err)
 		}
@@ -59,7 +59,7 @@ func TestNetworkReusedAcrossVerifierRadii(t *testing.T) {
 			return w.Radius == r && w.Graph().N() == len(w.Nodes())
 		}}
 		want := core.Check(in, p, v)
-		got, err := nw.Check(p, v)
+		got, err := nw.CheckCtx(context.Background(), p, v)
 		if err != nil {
 			t.Fatalf("radius %d: %v", r, err)
 		}
@@ -83,7 +83,7 @@ func TestNetworkSchedulerVariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for run := 0; run < 3; run++ {
-			got, err := nw.Check(p, v)
+			got, err := nw.CheckCtx(context.Background(), p, v)
 			if err != nil {
 				t.Fatalf("opts=%+v run %d: %v", opt, run, err)
 			}
@@ -149,15 +149,15 @@ func TestNetworkDegenerateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Check(core.Proof{}, lcp.BipartiteScheme().Verifier())
+	res, err := nw.CheckCtx(context.Background(), core.Proof{}, lcp.BipartiteScheme().Verifier())
 	if err != nil || len(res.Outputs) != 0 {
 		t.Errorf("empty graph: got %v, %v", res, err)
 	}
-	if _, err := nw.Check(nil, nil); err == nil {
+	if _, err := nw.CheckCtx(context.Background(), nil, nil); err == nil {
 		t.Error("nil verifier: want error")
 	}
 	nw.Close()
-	if _, err := nw.Check(core.Proof{}, lcp.BipartiteScheme().Verifier()); err != nil {
+	if _, err := nw.CheckCtx(context.Background(), core.Proof{}, lcp.BipartiteScheme().Verifier()); err != nil {
 		t.Errorf("closed empty network: empty result expected, got error %v", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestNetworkCheckAfterCloseErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Close()
-	if _, err := nw.Check(core.Proof{}, lcp.BipartiteScheme().Verifier()); err == nil {
+	if _, err := nw.CheckCtx(context.Background(), core.Proof{}, lcp.BipartiteScheme().Verifier()); err == nil {
 		t.Error("check after close: want error")
 	}
 }

@@ -33,10 +33,13 @@ func initialRecord(in *core.Instance, v int, buf []transport.EdgeRec) (transport
 	}
 	addEdge := func(e graph.Edge) {
 		er := transport.EdgeRec{E: e}
-		if l, ok := in.EdgeLabel[e]; ok {
+		// Edge inputs are keyed normalized (core.Instance): an arc
+		// carries its reverse's label and weight.
+		key := graph.NormEdge(e.U, e.V)
+		if l, ok := in.EdgeLabel[key]; ok {
 			er.Label, er.HasLabel = l, true
 		}
-		if w, ok := in.Weights[e]; ok {
+		if w, ok := in.Weights[key]; ok {
 			er.Weight, er.HasWeight = w, true
 		}
 		buf = append(buf, er)
@@ -203,17 +206,18 @@ func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, scratc
 		}
 	}
 	for _, er := range nd.indEdges {
+		key := graph.NormEdge(er.E.U, er.E.V) // as the instance keys it
 		if er.HasLabel {
 			if ball.EdgeLabel == nil {
 				ball.EdgeLabel = make(map[graph.Edge]string)
 			}
-			ball.EdgeLabel[er.E] = er.Label
+			ball.EdgeLabel[key] = er.Label
 		}
 		if er.HasWeight {
 			if ball.Weights == nil {
 				ball.Weights = make(map[graph.Edge]int64)
 			}
-			ball.Weights[er.E] = er.Weight
+			ball.Weights[key] = er.Weight
 		}
 	}
 	return core.BallView(ball, nd.id, radius, dist, bits, has)

@@ -94,12 +94,12 @@ func TestNetworkSettlesAfterCancelAndPanic(t *testing.T) {
 		}
 		settle(t, label+" after cancel", base)
 
-		if _, err := nw.Check(p, bomb); err == nil {
+		if _, err := nw.CheckCtx(context.Background(), p, bomb); err == nil {
 			t.Fatalf("%s: panicking verifier returned no error", label)
 		}
 		settle(t, label+" after panic", base)
 
-		got, err := nw.Check(p, v)
+		got, err := nw.CheckCtx(context.Background(), p, v)
 		if err != nil {
 			t.Fatalf("%s: check after failures: %v", label, err)
 		}

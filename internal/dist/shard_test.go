@@ -8,6 +8,7 @@ package dist_test
 // isolated nodes, empty link sets, and panic recovery inside a shard.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestShardedMoreShardsThanNodes(t *testing.T) {
 	v := scheme.Verifier()
 	want := core.Check(in, p, v)
 	for _, shards := range []int{5, 6, 99} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
+		got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -46,7 +47,7 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	p := core.RandomProof(in, 6, 3)
 	v := lcp.OddNScheme().Verifier()
 	want := core.Check(in, p, v)
-	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 1})
+	got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestShardedIsolatedNodes(t *testing.T) {
 	}}
 	want := core.Check(in, p, v)
 	for _, shards := range []int{1, 2, 3, 6, 10} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
+		got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -91,7 +92,7 @@ func TestShardedIsolatedNodes(t *testing.T) {
 	}
 	iso := core.NewInstance(b2.Graph())
 	want = core.Check(iso, nil, v)
-	got, err := dist.CheckWith(iso, nil, v, dist.Options{Shards: 4})
+	got, err := dist.CheckWithCtx(context.Background(), iso, nil, v, dist.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestShardedDisconnectedAcrossShardBoundary(t *testing.T) {
 	v := lcp.OddNScheme().Verifier()
 	want := core.Check(in, p, v)
 	for _, shards := range []int{2, 3, 5} {
-		got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards})
+		got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -126,7 +127,7 @@ func TestShardedRecoversVerifierPanic(t *testing.T) {
 		}
 		return true
 	}}
-	if _, err := dist.CheckWith(in, core.Proof{}, v, dist.Options{Shards: 3}); err == nil {
+	if _, err := dist.CheckWithCtx(context.Background(), in, core.Proof{}, v, dist.Options{Shards: 3}); err == nil {
 		t.Error("want panic surfaced as error")
 	}
 }
@@ -151,7 +152,7 @@ func TestShardedNetworkReuse(t *testing.T) {
 		if i%2 == 1 {
 			proof = core.FlipBit(p, int64(i))
 		}
-		got, err := nw.Check(proof, v)
+		got, err := nw.CheckCtx(context.Background(), proof, v)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -178,8 +179,8 @@ func TestShardedInvalidPartitionerRejected(t *testing.T) {
 		"negative":     {Shards: 3, Partitioner: badPartitioner{assign: []int{0, -1, 2, 0, 1, 2}}},
 		"nil":          {Shards: 3, Partitioner: badPartitioner{}},
 	} {
-		if _, err := dist.CheckWith(in, core.Proof{}, v, bad); err == nil {
-			t.Errorf("%s: CheckWith accepted an invalid assignment", name)
+		if _, err := dist.CheckWithCtx(context.Background(), in, core.Proof{}, v, bad); err == nil {
+			t.Errorf("%s: CheckWithCtx accepted an invalid assignment", name)
 		}
 		if _, err := dist.NewNetwork(in, bad); err == nil {
 			t.Errorf("%s: NewNetwork accepted an invalid assignment", name)
@@ -200,7 +201,7 @@ func TestShardedArbitraryAssignment(t *testing.T) {
 	for i := range roundRobin {
 		roundRobin[i] = i % 3
 	}
-	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: roundRobin}})
+	got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: roundRobin}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestShardedEmptyShardAllowed(t *testing.T) {
 	want := core.Check(in, p, v)
 	// Shard 1 of 3 owns nothing.
 	lopsided := []int{0, 0, 2, 2, 0, 2}
-	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: lopsided}})
+	got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: 3, Partitioner: badPartitioner{assign: lopsided}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestShardedPartitionersAcrossTopologies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{4, in.G.N()} {
-				got, err := dist.CheckWith(in, p, v, dist.Options{Shards: shards, Partitioner: pt})
+				got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: shards, Partitioner: pt})
 				if err != nil {
 					t.Fatalf("%s/%s shards=%d: %v", name, pname, shards, err)
 				}
@@ -268,7 +269,7 @@ func TestShardedRadiusZero(t *testing.T) {
 		return s.Len() > 0 && s.Bit(0)
 	}}
 	want := core.Check(in, p, v)
-	got, err := dist.CheckWith(in, p, v, dist.Options{Shards: 3})
+	got, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func TestCheckTransportPropagatesVerifierPanic(t *testing.T) {
 		F: func(w *core.View) bool { panic(fmt.Sprintf("bomb at %d", w.Center)) },
 	}
 	for _, shards := range []int{1, 3, in.G.N()} {
-		if _, err := dist.CheckWith(in, p, bomb, dist.Options{Shards: shards}); err == nil {
+		if _, err := dist.CheckWithCtx(context.Background(), in, p, bomb, dist.Options{Shards: shards}); err == nil {
 			t.Fatalf("shards=%d: panicking verifier produced no error", shards)
 		}
 	}

@@ -54,52 +54,15 @@ func (e *Engine) CheckBatchCtx(ctx context.Context, proofs []core.Proof, v core.
 	if k == 0 {
 		return []*core.Result{}, nil
 	}
-	tl := obs.TimelineFrom(ctx)
-	radius := v.Radius()
-	balls := e.ballsFor(radius, tl)
-	pc := e.columnsFor(proofs)
-	defer e.releaseColumns(pc)
 	nodes := e.in.G.Nodes()
-	// One node-major cell per (node, column); each cell is written by
-	// exactly one range worker (the one owning the node), so the slice
-	// needs no synchronization.
+	// One node-major cell per (node, column); each node's cells are
+	// written by exactly one range worker (the one owning the node), so
+	// the slice needs no synchronization.
 	outs := make([]bool, len(nodes)*k)
-	stop := tl.Start("engine.verify")
-	done := ctx.Done()
-	forEachRange(len(nodes), e.opt.workers(), func(lo, hi int) {
-		// reps holds, per node, one column index per distinct ball
-		// restriction seen so far — the columns actually verified.
-		reps := make([]int32, 0, 16)
-		var w core.View
-		for i := lo; i < hi; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			base := i * k
-			pos, dist := balls.row(i)
-			// Column 0 is always verified, so the ball is filled once
-			// per node; each verified column only swaps the proof, and
-			// an induced graph a verifier built carries across columns.
-			w.SetBall(e.in, nodes[i], radius, pos, dist, nil)
-			reps = reps[:0]
-		columns:
-			for j := 0; j < k; j++ {
-				for _, r := range reps {
-					if sameOnBall(pc, pos, j, int(r)) {
-						outs[base+j] = outs[base+int(r)]
-						continue columns
-					}
-				}
-				reps = append(reps, int32(j))
-				w.SetProof(pc.Column(j))
-				outs[base+j] = v.Verify(&w)
-			}
-		}
-	})
-	stop()
-	if err := ctx.Err(); err != nil {
+	if err := e.walk(ctx, proofs, v, func(i int, verdicts []bool) bool {
+		copy(outs[i*k:], verdicts)
+		return true
+	}); err != nil {
 		return nil, err
 	}
 	results := make([]*core.Result, k)
@@ -111,6 +74,67 @@ func (e *Engine) CheckBatchCtx(ctx context.Context, proofs []core.Proof, v core.
 		results[j] = &core.Result{Outputs: m}
 	}
 	return results, nil
+}
+
+// walk is the engine's only verification walk. It loads the proofs
+// into a pooled column table and shards the nodes over the worker
+// pool in contiguous ranges; each range worker visits its nodes once,
+// fills one reused View from the node's slab row, and evaluates every
+// column against it, copying a verdict between columns whose ball
+// restrictions agree instead of re-running the verifier. visit
+// receives node index i's verdicts, one per column, in a slice the
+// worker reuses for its next node; it returns false to stop that
+// worker. Workers stop at the next node boundary once the context is
+// done, and walk then returns ctx.Err(). A verifier panic is re-raised
+// on walk's goroutine once every worker has stopped. A context-carried
+// obs.Timeline receives the "engine.views" and "engine.verify" stages.
+func (e *Engine) walk(ctx context.Context, proofs []core.Proof, v core.Verifier, visit func(i int, verdicts []bool) bool) error {
+	k := len(proofs)
+	tl := obs.TimelineFrom(ctx)
+	radius := v.Radius()
+	balls := e.ballsFor(radius, tl)
+	pc := e.columnsFor(proofs)
+	defer e.releaseColumns(pc)
+	nodes := e.in.G.Nodes()
+	stop := tl.Start("engine.verify")
+	done := ctx.Done()
+	forEachRange(len(nodes), e.opt.workers(), func(lo, hi int) {
+		// reps holds, per node, one column index per distinct ball
+		// restriction seen so far — the columns actually verified.
+		reps := make([]int32, 0, 16)
+		verdicts := make([]bool, k)
+		var w core.View
+		for i := lo; i < hi; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			pos, dist := balls.row(i)
+			// Column 0 is always verified, so the ball is filled once
+			// per node; each verified column only swaps the proof, and
+			// an induced graph a verifier built carries across columns.
+			w.SetBall(e.in, nodes[i], radius, pos, dist, nil)
+			reps = reps[:0]
+		columns:
+			for j := 0; j < k; j++ {
+				for _, r := range reps {
+					if sameOnBall(pc, pos, j, int(r)) {
+						verdicts[j] = verdicts[r]
+						continue columns
+					}
+				}
+				reps = append(reps, int32(j))
+				w.SetProof(pc.Column(j))
+				verdicts[j] = v.Verify(&w)
+			}
+			if !visit(i, verdicts) {
+				return
+			}
+		}
+	})
+	stop()
+	return ctx.Err()
 }
 
 // CheckBatchColumnsCtx is CheckBatchCtx under its older name, kept for

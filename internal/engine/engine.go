@@ -48,11 +48,11 @@ type Engine struct {
 	mu    sync.Mutex
 	balls map[int]*ballIndex // radius -> every node's ball, aligned with in.G.Nodes()
 
-	// columns recycles the node-major proof tables of the column walk
-	// and the stream: one table per in-flight check, loaded in O(nk)
-	// from the map-backed proofs and then shared read-only by every
-	// node's view. Pooling them keeps the per-check allocation at one
-	// Load instead of one table.
+	// columns recycles the node-major proof tables of the column walk:
+	// one table per in-flight check, loaded in O(nk) from the
+	// map-backed proofs and then shared read-only by every node's view.
+	// Pooling them keeps the per-check allocation at one Load instead of
+	// one table.
 	columns sync.Pool // *core.ProofColumns aligned with in.G
 }
 
@@ -171,47 +171,32 @@ func (e *Engine) ballsFor(radius int, tl *obs.Timeline) *ballIndex {
 }
 
 // CheckStream verifies the proof and streams each node's verdict as it
-// is decided. The channel closes when every node has reported or the
-// context is cancelled — cancel on the first rejected Verdict to stop
-// paying for the rest of the graph. Verdict order is whatever the
-// worker pool produces; the Node field identifies the decider.
+// is decided: it runs the column walk over a one-column table, sending
+// each node's verdict on the channel as its range worker decides it.
+// The channel closes when every node has reported or the context is
+// cancelled — cancel on the first rejected Verdict to stop paying for
+// the rest of the graph. Verdict order is whatever the worker pool
+// produces; the Node field identifies the decider. A context-carried
+// obs.Timeline receives the "engine.views" and "engine.verify" stages.
 //
-// Unlike CheckProofCtx, stream workers cannot re-raise a verifier
-// panic on the consumer's goroutine; an untrusted verifier should be
-// wrapped in its own recover before streaming (internal/serve does
-// this).
+// Unlike CheckProofCtx, a stream cannot re-raise a verifier panic on
+// the consumer's goroutine; an untrusted verifier should be wrapped in
+// its own recover before streaming (internal/serve does this).
 func (e *Engine) CheckStream(ctx context.Context, p core.Proof, v core.Verifier) <-chan Verdict {
 	out := make(chan Verdict)
+	nodes := e.in.G.Nodes()
 	go func() {
 		defer close(out)
-		radius := v.Radius()
-		balls := e.ballsFor(radius, obs.TimelineFrom(ctx))
-		nodes := e.in.G.Nodes()
-		pc := e.columnsFor([]core.Proof{p})
-		defer e.releaseColumns(pc)
-		col := pc.Column(0)
-		var wg sync.WaitGroup
-		for _, r := range partition.SplitRanges(len(nodes), e.opt.workers()) {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				var w core.View
-				for i := lo; i < hi; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					pos, dist := balls.row(i)
-					w.SetBall(e.in, nodes[i], radius, pos, dist, col)
-					verdict := Verdict{Node: nodes[i], Accept: v.Verify(&w)}
-					select {
-					case out <- verdict:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}(r[0], r[1])
-		}
-		wg.Wait()
+		// A cancelled walk only ends the stream early: the consumer owns
+		// ctx and sees its error there.
+		_ = e.walk(ctx, []core.Proof{p}, v, func(i int, verdicts []bool) bool {
+			select {
+			case out <- Verdict{Node: nodes[i], Accept: verdicts[0]}:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
 	}()
 	return out
 }

@@ -1,6 +1,7 @@
 package lowerbound
 
 import (
+	"context"
 	"testing"
 
 	"lcp/internal/core"
@@ -263,7 +264,7 @@ func TestGluedInstanceFoolsDistributedRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dist.Check(glued, gluedProof, target.Scheme.Verifier())
+	res, err := dist.CheckWithCtx(context.Background(), glued, gluedProof, target.Scheme.Verifier(), dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

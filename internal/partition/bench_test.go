@@ -9,7 +9,7 @@ package partition_test
 //     with the resulting cross-shard edge count attached as the
 //     "cut-edges" metric — the number BENCH_partition.json tracks;
 //   - rounds: the steady-state cost of a full sharded verification run
-//     under that assignment (dist.CheckWith, 8 shards), where every cut
+//     under that assignment (dist.CheckWithCtx, 8 shards), where every cut
 //     edge is two ports paying channel traffic each round.
 //
 // Assignment cost is paid once per wiring and amortized by the engine
@@ -18,6 +18,7 @@ package partition_test
 // any long-lived instance.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -65,7 +66,7 @@ func BenchmarkPartitioners(b *testing.B) {
 				b.ReportAllocs()
 				opt := dist.Options{Sharded: true, Shards: benchShards, Partitioner: pt}
 				for i := 0; i < b.N; i++ {
-					if _, err := dist.CheckWith(in, p, v, opt); err != nil {
+					if _, err := dist.CheckWithCtx(context.Background(), in, p, v, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -33,7 +33,7 @@ func clampShards(n, shards int) int {
 // SplitRanges partitions n items into at most parts contiguous [lo, hi)
 // ranges of near-equal size; nil when parts <= 0 or n == 0. It is the
 // shared range splitter behind Contiguous and every worker pool that
-// shards a node slice (internal/engine's forEachRange and CheckStream).
+// shards a node slice (internal/engine's forEachRange).
 func SplitRanges(n, parts int) [][2]int {
 	parts = clampShards(n, parts)
 	if parts <= 0 || n == 0 {

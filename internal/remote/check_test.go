@@ -251,8 +251,9 @@ func TestCoordinatorRejectsBadVerdictBitmap(t *testing.T) {
 		"padding-bits": {0xff, 0xff},
 	} {
 		addr := fakeWorker(t, bitmap)
-		ctx := context.Background()
-		coord, err := remote.DialCoordinator(ctx, "bad-bitmap-"+name, []string{addr}, remote.Options{CheckTimeout: 10 * time.Second})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		coord, err := remote.DialCoordinator(ctx, "bad-bitmap-"+name, []string{addr}, remote.Options{})
 		if err != nil {
 			t.Fatalf("%s: dial: %v", name, err)
 		}

@@ -16,39 +16,12 @@ import (
 	"lcp/internal/transport"
 )
 
-// Coordinator option defaults.
-const (
-	// DefaultDialTimeout bounds dialing one worker's control connection.
-	DefaultDialTimeout = 5 * time.Second
-	// DefaultCheckTimeout bounds one whole control-plane round trip
-	// (register or check) with one worker.
-	DefaultCheckTimeout = 60 * time.Second
-)
-
-// Options tune the coordinator's timeouts and partitioning. The zero
-// value selects sensible defaults.
+// Options tune the coordinator's partitioning. The zero value cuts
+// the instance with partition.Contiguous.
 type Options struct {
-	// DialTimeout bounds dialing and handshaking one control
-	// connection (default DefaultDialTimeout).
-	DialTimeout time.Duration
-	// CheckTimeout bounds one register or check round trip per worker
-	// (default DefaultCheckTimeout). A dead worker surfaces as an error
-	// within it.
-	CheckTimeout time.Duration
-	// RoundTimeout bounds each flood round's network wait on the
-	// workers (default transport.DefaultRoundTimeout).
-	RoundTimeout time.Duration
 	// Partitioner assigns nodes to workers (default
 	// partition.Contiguous).
 	Partitioner partition.Partitioner
-}
-
-// orDefault is d, or def when d is not positive.
-func orDefault(d, def time.Duration) time.Duration {
-	if d <= 0 {
-		return def
-	}
-	return d
 }
 
 // Coordinator drives one instance's checks across a fleet of workers:
@@ -92,7 +65,6 @@ func DialCoordinator(ctx context.Context, instance string, addrs []string, opts 
 		return nil, fmt.Errorf("remote: no worker addresses")
 	}
 	c := &Coordinator{instance: instance, addrs: addrs, opts: opts}
-	dialTimeout := orDefault(opts.DialTimeout, DefaultDialTimeout)
 	for _, addr := range addrs {
 		d := net.Dialer{Timeout: dialTimeout}
 		conn, err := d.DialContext(ctx, "tcp", addr)
@@ -145,17 +117,16 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 			owned[i], recs = plans[i].Owned, plans[i].Records()
 		}
 		regs[i] = &Request{
-			Op:             OpRegister,
-			Seq:            c.seq,
-			Instance:       c.instance,
-			Scheme:         schemeName,
-			Records:        transport.AppendRecords(nil, recs),
-			Directed:       in.G.Directed(),
-			Global:         in.Global,
-			Assign:         recordAssign(recs, plans[0].Assign),
-			Me:             i,
-			Workers:        c.addrs,
-			RoundTimeoutMS: c.opts.RoundTimeout.Milliseconds(), // the worker defaults a non-positive one
+			Op:       OpRegister,
+			Seq:      c.seq,
+			Instance: c.instance,
+			Scheme:   schemeName,
+			Records:  transport.AppendRecords(nil, recs),
+			Directed: in.G.Directed(),
+			Global:   in.Global,
+			Assign:   recordAssign(recs, plans[0].Assign),
+			Me:       i,
+			Workers:  c.addrs,
 		}
 	}
 	if err := c.fanOut(ctx, regs, nil, nil); err != nil {
@@ -191,8 +162,8 @@ func recordAssign(recs []transport.Record, assign map[int]int) map[int]int {
 // result indistinguishable from core.Check on the full instance. The
 // returned stats sum the fleet's data-plane traffic for this check. A
 // worker failure — network, process death, shard error — or a
-// cancelled context surfaces as an error within the configured
-// timeouts and closes the coordinator, which drops the registration on
+// cancelled context surfaces as an error within the fixed failure
+// bounds (or the context's deadline, if sooner) and closes the coordinator, which drops the registration on
 // every worker.
 func (c *Coordinator) Check(ctx context.Context, p core.Proof) (*core.Result, transport.Stats, error) {
 	c.mu.Lock()
@@ -250,8 +221,8 @@ func (c *Coordinator) fail(err error) error {
 }
 
 // fanOut sends one request per worker concurrently and collects the
-// responses. The first failure wins; every round trip is bounded by the
-// check timeout and the context. onResp, when non-nil, consumes each
+// responses. The first failure wins; every round trip is bounded by
+// roundTripTimeout and the context. onResp, when non-nil, consumes each
 // successful response; stats, when non-nil, accumulates response stats.
 func (c *Coordinator) fanOut(ctx context.Context, reqs []*Request, stats *transport.Stats, onResp func(int, *Response) error) error {
 	var (
@@ -305,10 +276,10 @@ func (c *Coordinator) fanOut(ctx context.Context, reqs []*Request, stats *transp
 
 // roundTrip sends one request on a control connection and reads its
 // response. The protocol never pipelines requests, so a response for
-// any other sequence number is a protocol error. Bounded by the check
-// timeout; a cancelled context yanks the connection deadline to now.
+// any other sequence number is a protocol error. Bounded by
+// roundTripTimeout; a done context yanks the connection deadline to now.
 func (c *Coordinator) roundTrip(ctx context.Context, cc *controlConn, req *Request) (*Response, error) {
-	deadline := time.Now().Add(orDefault(c.opts.CheckTimeout, DefaultCheckTimeout))
+	deadline := time.Now().Add(roundTripTimeout)
 	stop := context.AfterFunc(ctx, func() {
 		_ = cc.conn.SetDeadline(time.Now()) // best effort: the point is to interrupt blocked I/O
 	})

@@ -38,8 +38,9 @@ func (inputScheme) Verifier() core.Verifier {
 func (inputScheme) Prove(*core.Instance) (core.Proof, error) { return core.Proof{}, nil }
 
 // inputCases are 8-cycles carrying one input each, among them inputs
-// a text document cannot hold: an edge label other than the solution
-// mark, node labels with '#' or whitespace.
+// a text document cannot hold (an edge label other than the solution
+// mark, node labels with '#' or whitespace) and directed cycles whose
+// only input sits on an arc from a larger id to a smaller one.
 func inputCases() map[string]*core.Instance {
 	cycle := func() *core.Instance { return core.NewInstance(graph.Cycle(8)) }
 	edgeLabel := cycle()
@@ -54,13 +55,20 @@ func inputCases() map[string]*core.Instance {
 	}
 	directed := core.NewInstance(b.Graph()).SetNodeLabel(3, "a b").MarkEdge(6, 7)
 	directed.Weights = map[graph.Edge]int64{{U: 1, V: 2}: -3}
+	// The only input sits on arc 8→1, from the larger id to the smaller:
+	// it is keyed normalized, {1, 8}, which is not an arc.
+	reversedMark := core.NewInstance(b.Graph()).MarkEdge(8, 1)
+	reversedWeight := core.NewInstance(b.Graph())
+	reversedWeight.Weights = map[graph.Edge]int64{graph.NormEdge(8, 1): 5}
 	return map[string]*core.Instance{
-		"edge-label":  edgeLabel,
-		"label-hash":  cycle().SetNodeLabel(3, "#"),
-		"label-space": cycle().SetNodeLabel(3, "a b"),
-		"weight":      weight,
-		"global":      global,
-		"directed":    directed,
+		"edge-label":          edgeLabel,
+		"label-hash":          cycle().SetNodeLabel(3, "#"),
+		"label-space":         cycle().SetNodeLabel(3, "a b"),
+		"weight":              weight,
+		"global":              global,
+		"directed":            directed,
+		"reversed-arc-mark":   reversedMark,
+		"reversed-arc-weight": reversedWeight,
 	}
 }
 
@@ -77,7 +85,7 @@ func TestCoordinatorKeepsEveryInput(t *testing.T) {
 			if want.Accepted() {
 				t.Fatal("no node sees the input")
 			}
-			got, err := dist.CheckWith(in, core.Proof{}, v, dist.Options{Shards: 2})
+			got, err := dist.CheckWithCtx(ctx, in, core.Proof{}, v, dist.Options{Shards: 2})
 			if err != nil {
 				t.Fatalf("dist: %v", err)
 			}

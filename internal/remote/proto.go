@@ -33,13 +33,16 @@
 //	  merge; every node decided exactly once
 //
 // Failure is bounded everywhere, and any failure ends the
-// registration: every request, handshake, and flood round runs under a
-// deadline, and a worker error, an I/O error, or a cancelled or timed
-// out context makes the coordinator close its control connections. A
-// worker drops an instance — its shard and its mesh — the moment the
-// control connection that registered it closes, and a check in flight
-// on it stops within one round deadline. Recovery is a new coordinator
-// and a new registration.
+// registration: every dial, handshake, request, and flood round runs
+// under a fixed bound (5 s to dial a worker, 60 s per control round
+// trip, transport.DefaultRoundTimeout per flood round), and a worker
+// error, an I/O error, or a cancelled or timed out context makes the
+// coordinator close its control connections. The bounds are not
+// options: a caller that wants a tighter one passes a context
+// deadline. A worker drops an instance — its shard and its mesh — the
+// moment the control connection that registered it closes, and a check
+// in flight on it stops within one round bound. Recovery is a new
+// coordinator and a new registration.
 package remote
 
 import (
@@ -61,7 +64,7 @@ const (
 	OpRegister = "register"
 	// OpConnect builds a registered shard's data mesh: the worker dials
 	// every peer shard below its own and waits until every peer
-	// connection is present, bounded by the round timeout.
+	// connection is present, bounded by the worker's round bound.
 	OpConnect = "connect"
 	// OpCheck runs one proof over a registered instance shard.
 	OpCheck = "check"
@@ -97,8 +100,6 @@ type Request struct {
 	// Workers lists every worker's data address, indexed by shard
 	// (register).
 	Workers []string `json:"workers,omitempty"`
-	// RoundTimeoutMS bounds each flood round's network wait (register).
-	RoundTimeoutMS int64 `json:"round_timeout_ms,omitempty"`
 
 	// Proofs carries the proof bits of this worker's owned nodes,
 	// packed in the registered record order (check; see appendProofs).

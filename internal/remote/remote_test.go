@@ -239,7 +239,8 @@ func pathInstance(n int) *core.Instance {
 // many-thousand-round check is mid-flood: the coordinator must return a
 // transport error well within its timeouts (no hang), and the
 // surviving workers must serve a fresh session afterwards — a failed
-// check's poison dies with the registration it ends.
+// check's poison dies with the registration it ends. The check runs
+// under a 30 s deadline, tighter than the fixed round-trip bound.
 func TestWorkerDeathMidRound(t *testing.T) {
 	schemes := map[string]core.Scheme{
 		"test-ping":       pingScheme{r: 200000},
@@ -248,8 +249,7 @@ func TestWorkerDeathMidRound(t *testing.T) {
 	addrs, workers := startFleet(t, 3, schemes)
 	in := pathInstance(30)
 	ctx := context.Background()
-	opts := remote.Options{RoundTimeout: 2 * time.Second, CheckTimeout: 30 * time.Second}
-	coord, err := remote.DialCoordinator(ctx, "death-mid-round", addrs, opts)
+	coord, err := remote.DialCoordinator(ctx, "death-mid-round", addrs, remote.Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -260,7 +260,9 @@ func TestWorkerDeathMidRound(t *testing.T) {
 	errc := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, _, err := coord.Check(ctx, core.Proof{})
+		cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
+		_, _, err := coord.Check(cctx, core.Proof{})
 		errc <- err
 	}()
 	// 200k rounds of loopback ping-pong take far longer than this, so
@@ -300,8 +302,8 @@ func TestWorkerDeathMidRound(t *testing.T) {
 }
 
 // TestWorkerDeathMidHandshake points the coordinator at a listener that
-// accepts and then goes silent: registration must fail within the
-// configured timeout, not hang on the half-open control plane.
+// accepts and then goes silent: registration under a 2 s deadline must
+// fail within it, not hang on the half-open control plane.
 func TestWorkerDeathMidHandshake(t *testing.T) {
 	schemes := lcp.BuiltinSchemes()
 	addrs, _ := startFleet(t, 1, schemes)
@@ -319,9 +321,9 @@ func TestWorkerDeathMidHandshake(t *testing.T) {
 			defer conn.Close() // hold it open and silent until the test ends
 		}
 	}()
-	ctx := context.Background()
-	opts := remote.Options{DialTimeout: 2 * time.Second, CheckTimeout: 2 * time.Second}
-	coord, err := remote.DialCoordinator(ctx, "death-mid-handshake", append(addrs, stall.Addr().String()), opts)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	coord, err := remote.DialCoordinator(ctx, "death-mid-handshake", append(addrs, stall.Addr().String()), remote.Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err) // dial+hello succeed; the stall is in the reply
 	}
@@ -334,7 +336,7 @@ func TestWorkerDeathMidHandshake(t *testing.T) {
 		t.Fatal("register through a stalled worker succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("register took %v, want bounded by the 2s check timeout", elapsed)
+		t.Fatalf("register took %v, want bounded by the 2s deadline", elapsed)
 	}
 }
 
@@ -362,7 +364,7 @@ func TestCheckCancellation(t *testing.T) {
 	schemes := map[string]core.Scheme{"test-ping": pingScheme{r: 200000}}
 	addrs, _ := startFleet(t, 2, schemes)
 	ctx := context.Background()
-	coord, err := remote.DialCoordinator(ctx, "cancel-mid-flood", addrs, remote.Options{CheckTimeout: 60 * time.Second})
+	coord, err := remote.DialCoordinator(ctx, "cancel-mid-flood", addrs, remote.Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

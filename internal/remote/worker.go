@@ -16,7 +16,22 @@ import (
 	"lcp/internal/transport"
 )
 
+// The fixed failure bounds of the control and data planes. They are
+// engineering constants, not parameters of verification: a check is
+// priced in rounds and messages, and a bound only turns a dead or
+// stalled peer into an error. A caller that wants a tighter bound on
+// its own requests passes a context deadline, which every round trip
+// honours.
 const (
+	// dialTimeout bounds dialing and handshaking one worker's control
+	// connection.
+	dialTimeout = 5 * time.Second
+	// roundTripTimeout bounds one control-plane round trip (register,
+	// connect or check) with one worker.
+	roundTripTimeout = 60 * time.Second
+	// roundTimeout bounds each flood round's network wait on a worker,
+	// and building a registration's data mesh.
+	roundTimeout = transport.DefaultRoundTimeout
 	// helloTimeout bounds the handshake frame on every accepted
 	// connection: a dialer that never says hello cannot park a socket
 	// forever.
@@ -61,7 +76,6 @@ type workerInstance struct {
 	scheme  core.Scheme
 	me      int
 	workers []string
-	timeout time.Duration
 
 	mu      sync.Mutex
 	mesh    map[int]net.Conn // by peer shard; complete, and no longer written, once ready is closed
@@ -373,7 +387,6 @@ func (w *Worker) register(req *Request, prev *workerInstance) (*workerInstance, 
 			return nil, fmt.Errorf("remote: assignment names shard %d but only %d workers", p, len(req.Workers))
 		}
 	}
-	timeout := orDefault(time.Duration(req.RoundTimeoutMS)*time.Millisecond, transport.DefaultRoundTimeout)
 	inst := &workerInstance{
 		name:    req.Instance,
 		seq:     req.Seq,
@@ -382,7 +395,6 @@ func (w *Worker) register(req *Request, prev *workerInstance) (*workerInstance, 
 		scheme:  scheme,
 		me:      req.Me,
 		workers: req.Workers,
-		timeout: timeout,
 		mesh:    make(map[int]net.Conn, len(shard.Peers())),
 		ready:   make(chan struct{}),
 	}
@@ -404,7 +416,7 @@ func (w *Worker) register(req *Request, prev *workerInstance) (*workerInstance, 
 
 // connect builds the instance's mesh: it dials every lower peer shard
 // with the registration's Hello, then waits until every higher peer's
-// dial has been accepted, bounded by the round timeout. Coordinators
+// dial has been accepted, bounded by roundTimeout. Coordinators
 // send OpConnect only after every worker acknowledged OpRegister, so
 // every dial finds its instance registered.
 func (w *Worker) connect(ctx context.Context, inst *workerInstance) error {
@@ -414,7 +426,7 @@ func (w *Worker) connect(ctx context.Context, inst *workerInstance) error {
 		}
 		conn, err := transport.DialData(ctx, inst.workers[p], transport.Hello{
 			Instance: inst.name, Seq: inst.seq, Src: inst.me,
-		}, inst.timeout)
+		}, roundTimeout)
 		if err != nil {
 			return fmt.Errorf("remote: shard %d -> %d: %w", inst.me, p, err)
 		}
@@ -426,13 +438,13 @@ func (w *Worker) connect(ctx context.Context, inst *workerInstance) error {
 			return err
 		}
 	}
-	timer := time.NewTimer(inst.timeout)
+	timer := time.NewTimer(roundTimeout)
 	defer timer.Stop()
 	select {
 	case <-inst.ready:
 		return nil
 	case <-timer.C:
-		return fmt.Errorf("remote: shard %d: peer data connections still missing after %v", inst.me, inst.timeout)
+		return fmt.Errorf("remote: shard %d: peer data connections still missing after %v", inst.me, roundTimeout)
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -451,7 +463,7 @@ func (inst *workerInstance) check(ctx context.Context, req *Request) ([]byte, tr
 	if err := decodeProofs(req.Proofs, inst.shard.Owned(), inst.proof); err != nil {
 		return nil, transport.Stats{}, err
 	}
-	tr := transport.NewTCP(inst.me, req.Seq, inst.mesh, inst.timeout)
+	tr := transport.NewTCP(inst.me, req.Seq, inst.mesh, roundTimeout)
 	verdicts, err := inst.shard.Run(ctx, tr, inst.proof, inst.scheme.Verifier())
 	stats := tr.Stats()
 	if err != nil {

@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -46,7 +47,7 @@ func runSchemeCase(t *testing.T, c schemeCase) {
 			}
 		}
 		// Distributed run agrees.
-		dres, err := dist.Check(in, p, v)
+		dres, err := dist.CheckWithCtx(context.Background(), in, p, v, dist.Options{})
 		if err != nil {
 			t.Fatalf("%s yes[%d]: dist: %v", c.name, i, err)
 		}
@@ -165,7 +166,7 @@ func TestSchemesSequentialEqualsDistributedOnVerdicts(t *testing.T) {
 	} {
 		in := core.NewInstance(g)
 		seq := core.Check(in, core.Proof{}, v)
-		dst, err := dist.Check(in, core.Proof{}, v)
+		dst, err := dist.CheckWithCtx(context.Background(), in, core.Proof{}, v, dist.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,7 +59,7 @@ func TestQuickTreeSchemesOnRandomConnected(t *testing.T) {
 		if err != nil || !res.Accepted() {
 			return false
 		}
-		dres, derr := dist.Check(in, p, scheme.Verifier())
+		dres, derr := dist.CheckWithCtx(context.Background(), in, p, scheme.Verifier(), dist.Options{})
 		return derr == nil && reflect.DeepEqual(res.Outputs, dres.Outputs)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {

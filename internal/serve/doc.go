@@ -28,7 +28,10 @@
 // document's "scheme" directive and the proof to its "proof" lines.
 // Setting "backend": "dist" routes a check through the message-passing
 // runtime, and "dist-tcp" through the worker fleet named by
-// -worker-addrs. The proofs of a "dist" batch run
+// -worker-addrs. One path builds every backend's checker and caches it
+// on the instance entry, per backend, scheme and partitioner; a
+// "dist-tcp" request to a server without a fleet fails that checker's
+// validation with a 400. The proofs of a "dist" batch run
 // concurrently — each draws its own wirings from the instance's
 // reusable dist networks — so one /check/batch request saturates the
 // machine instead of flooding one proof at a time; docs/ARCHITECTURE.md

@@ -89,25 +89,30 @@ type instanceEntry struct {
 	Doc    *textio.Document
 	Engine *engine.Engine
 	elem   *list.Element // LRU position; nil for inline one-shot entries
-	// dist holds the entry's dist and dist-tcp checkers, keyed by
-	// backend, scheme and partitioner and guarded by the server mutex.
-	// Each one wires its shards (dist) or dials the worker fleet and
-	// registers the instance (dist-tcp) on first use — the expensive
-	// part of the message-passing paths — so repeated requests reuse
-	// the wiring like the engine path reuses cached views. Evicting or
-	// deleting the entry closes them, which tells a fleet to forget the
-	// instance.
-	dist map[string]lcp.Checker
+	// checkers holds the entry's façade checkers, one per backend,
+	// scheme and partitioner, guarded by the server mutex. An engine
+	// checker is a shim over Engine; a dist checker wires its shards and
+	// a dist-tcp checker dials the worker fleet and registers the
+	// instance on first use — the expensive part of the message-passing
+	// paths — so repeated requests reuse the wiring like the engine
+	// path reuses cached views. Evicting or deleting the entry closes
+	// them, which tells a fleet to forget the instance.
+	checkers map[string]lcp.Checker
 }
 
-// closeDist closes the entry's dist and dist-tcp checkers (dropped
-// wirings; fleet deregistration + control connections). Caller holds
-// the server mutex or owns the entry exclusively.
-func (entry *instanceEntry) closeDist() {
-	for _, chk := range entry.dist {
+// closeCheckers closes the entry's checkers (dropped wirings; fleet
+// deregistration + control connections). It takes the map under the
+// server mutex, so a request still resolving a checker on the entry
+// never reads it mid-close, and closes them outside it: closing a
+// dist-tcp checker waits for its in-flight check to drain.
+func (s *Server) closeCheckers(entry *instanceEntry) {
+	s.mu.Lock()
+	checkers := entry.checkers
+	entry.checkers = nil
+	s.mu.Unlock()
+	for _, chk := range checkers {
 		lcp.CloseChecker(chk)
 	}
-	entry.dist = nil
 }
 
 // latencyBoundsMS are the fixed per-endpoint histogram bucket upper
@@ -601,67 +606,46 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 			return cfg, err
 		}
 	}
-	if cfg.ResolvedBackend() == config.BackendDistTCP && len(cfg.WorkerAddrs) == 0 {
-		return cfg, fmt.Errorf("backend %q needs a worker fleet, and this server was started without one: run lcpworker processes and restart lcpserve with -worker-addrs host:port,...",
-			config.BackendDistTCP)
-	}
 	return cfg, nil
 }
 
-// checkerFor builds the façade checker executing one request: the
-// resolved config's backend over the entry's instance. The engine
-// backend is a cheap per-request shim over the entry's cached engine
-// (so every request amortizes the same views); the message-passing
-// backends come from distCheckerFor, cached per entry. Every
-// in-process verifier is wrapped in the fail-closed safeVerifier.
+// checkerFor returns the entry's façade checker for the resolved
+// config and the scheme, building it on first use. One key — backend,
+// scheme, partitioner — caches every backend's checker, so an engine
+// request reuses the entry's cached views, a dist request its wired
+// shards, and a dist-tcp request its fleet registration. The verifier
+// is the fail-closed safeVerifier; the scheme still travels by name,
+// because dist-tcp workers resolve it in their own registries (and
+// their shard runner converts verifier panics to errors). NewChecker
+// validates the config, so a dist-tcp request to a server started
+// without a fleet fails here, naming the fix.
 func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
-	switch cfg.ResolvedBackend() {
-	case config.BackendDist, config.BackendDistTCP:
-		return s.distCheckerFor(entry, cfg, scheme)
-	}
-	opts := []lcp.CheckerOption{
-		lcp.WithBackend(string(cfg.ResolvedBackend())),
-		lcp.WithVerifier(safeVerifier{scheme.Verifier()}),
-	}
-	if cfg.ResolvedBackend() == config.BackendEngine {
-		opts = append(opts, lcp.WithEngine(entry.Engine))
-	}
-	return lcp.NewChecker(entry.Doc.Instance, opts...)
-}
-
-// distCheckerFor returns the entry's dist or dist-tcp checker for the
-// request's scheme and partitioner, building it on first use. A dist
-// checker wires the instance's shards at its first check; a dist-tcp
-// checker registers the instance on the worker fleet. Either way a
-// cached checker amortizes that cost across requests, and eviction
-// closes it (deregistering fleet-side). The dist-tcp verifier is not
-// wrapped in safeVerifier — it runs in the worker process, whose shard
-// runner already converts verifier panics to errors.
-func (s *Server) distCheckerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
 	backend := cfg.ResolvedBackend()
 	key := string(backend) + "\x00" + scheme.Name() + "\x00" + cfg.PartitionerName()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if chk, ok := entry.dist[key]; ok {
+	if chk, ok := entry.checkers[key]; ok {
 		return chk, nil
 	}
 	opts := []lcp.CheckerOption{
 		lcp.WithBackend(string(backend)),
+		lcp.WithScheme(scheme),
+		lcp.WithVerifier(safeVerifier{scheme.Verifier()}),
 		lcp.WithPartitioner(cfg.Partitioner),
+		lcp.WithShards(cfg.Shards),
+		lcp.WithWorkerAddrs(cfg.WorkerAddrs...),
 	}
-	if backend == config.BackendDistTCP {
-		opts = append(opts, lcp.WithScheme(scheme), lcp.WithWorkerAddrs(cfg.WorkerAddrs...))
-	} else {
-		opts = append(opts, lcp.WithVerifier(safeVerifier{scheme.Verifier()}), lcp.WithShards(cfg.Shards))
+	if backend == config.BackendEngine {
+		opts = append(opts, lcp.WithEngine(entry.Engine))
 	}
 	chk, err := lcp.NewChecker(entry.Doc.Instance, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if entry.dist == nil {
-		entry.dist = make(map[string]lcp.Checker)
+	if entry.checkers == nil {
+		entry.checkers = make(map[string]lcp.Checker)
 	}
-	entry.dist[key] = chk
+	entry.checkers[key] = chk
 	return chk, nil
 }
 
@@ -714,7 +698,7 @@ func (s *Server) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 	// fleet off the request path: an in-flight remote check holds its
 	// coordinator's lock, so closing waits for it to drain.
 	for _, old := range evictedEntries {
-		go old.closeDist()
+		go s.closeCheckers(old)
 	}
 	writeJSON(w, http.StatusCreated, s.info(entry))
 }
@@ -766,7 +750,7 @@ func (s *Server) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 	// dist-tcp checkers hold fleet registrations, so those are closed
 	// explicitly — off the response path, since close waits for any
 	// in-flight remote check to drain.
-	go entry.closeDist()
+	go s.closeCheckers(entry)
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
@@ -815,7 +799,7 @@ type checkCall struct {
 // body, reject the fields the endpoint would ignore, resolve the
 // instance and scheme, resolve the request's configuration, and build
 // its checker. On failure it writes the error response and returns
-// nil; otherwise the caller must call done when the request ends.
+// nil; otherwise the caller must call s.done(c) when the request ends.
 func (s *Server) prepareCheck(w http.ResponseWriter, r *http.Request, endpoint string) *checkCall {
 	c := &checkCall{}
 	if !decodeJSON(w, r, &c.req) || !rejectFields(w, &c.req, endpoint) {
@@ -850,9 +834,9 @@ func (s *Server) prepareCheck(w http.ResponseWriter, r *http.Request, endpoint s
 // done releases an inline one-shot entry's checkers: nothing caches
 // the entry, so a dist-tcp checker must leave the fleet when the
 // request ends (a dist checker just drops its wirings).
-func (c *checkCall) done() {
+func (s *Server) done(c *checkCall) {
 	if c.entry.elem == nil {
-		c.entry.closeDist()
+		s.closeCheckers(c.entry)
 	}
 }
 
@@ -861,7 +845,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	defer c.done()
+	defer s.done(c)
 	in := c.entry.Doc.Instance
 	p, err := requestProof(in, c.entry.Doc, &c.req)
 	if err != nil {
@@ -895,7 +879,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	defer c.done()
+	defer s.done(c)
 	if len(c.req.Proofs) == 0 {
 		writeError(w, http.StatusBadRequest, "batch request needs a \"proofs\" array")
 		return
@@ -963,7 +947,7 @@ func (s *Server) handleCheckStream(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		return
 	}
-	defer c.done()
+	defer s.done(c)
 	in := c.entry.Doc.Instance
 	p, err := requestProof(in, c.entry.Doc, &c.req)
 	if err != nil {

@@ -5,10 +5,13 @@ package serve_test
 // partitioner override of the distributed path.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"lcp"
 	"lcp/internal/config"
@@ -286,5 +289,78 @@ func TestServeDistWiresOnce(t *testing.T) {
 	}
 	if got := dist.Metrics().Wirings - before; got != 1 {
 		t.Fatalf("two dist requests wired %v shard sets, want 1", got)
+	}
+}
+
+// TestServeEngineCheckerCached: concurrent engine-backend /check
+// requests on one registered instance, with the backend named or
+// defaulted, build one cached checker, and deleting the instance drops
+// it.
+func TestServeEngineCheckerCached(t *testing.T) {
+	srv := serve.New(lcp.BuiltinSchemes(), config.Config{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	in := lcp.NewInstance(lcp.Cycle(15))
+	scheme := lcp.OddNScheme()
+	p, err := scheme.Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := registerInstance(t, ts, docText(t, in, "odd-n", nil))
+	cached, ok := srv.CachedCheckers(id)
+	if !ok {
+		t.Fatalf("instance %s not in the store", id)
+	}
+	if n := cached(); n != 0 {
+		t.Fatalf("fresh instance caches %d checkers, want 0", n)
+	}
+	const requests = 8
+	var wg sync.WaitGroup
+	for i := range requests {
+		req := map[string]any{"instance": id, "proof": proofWire(p)}
+		if i%2 == 0 {
+			req["backend"] = "engine"
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/check", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d", i, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := cached(); n != 1 {
+		t.Fatalf("%d engine requests cached %d checkers, want 1", requests, n)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/instances/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close()
+	if del.StatusCode != http.StatusOK {
+		t.Fatalf("delete: status %d", del.StatusCode)
+	}
+	// Deletion closes the checkers off the response path.
+	for deadline := time.Now().Add(10 * time.Second); cached() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("deleted instance still caches %d checkers", cached())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
