@@ -35,4 +35,15 @@
 // ball are collected as records arrive (see node.learn) and the ball
 // graph is frozen through graph.FromParts, so the per-node
 // induced-subgraph rebuild is amortized into the flooding rounds.
+//
+// A wired shard's checks go cold, then warm. The configuration — graph,
+// labels, weights — is fixed for a shard's life; only the proof changes
+// between checks. So a shard's second check at a radius freezes every
+// automaton's assembled view, and from the third on a check floods
+// bare records (id and proof) for the same r rounds, writes each
+// arriving proof string into the frozen view, and decides on it: a warm
+// check moves and writes proof bits only. A record the automaton's
+// warmth cannot take fails the run. The one-shot paths (CheckWithCtx,
+// Collect, RunShard) run a shard once, so they never freeze and never
+// retain a ball.
 package dist

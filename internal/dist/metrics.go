@@ -17,7 +17,7 @@ var (
 	distRuns        = obs.Default().Counter("lcp_dist_runs_total", "Completed distributed verification runs.")
 	distRunsAborted = obs.Default().Counter("lcp_dist_runs_aborted_total", "Distributed runs aborted by context cancellation.")
 	distRounds      = obs.Default().Counter("lcp_dist_rounds_total", "Communication rounds executed by completed runs.")
-	distWirings     = obs.Default().Counter("lcp_dist_wirings_total", "Shard sets wired by dist networks: one per network, plus one per concurrent check that found every wiring busy.")
+	distWirings     = obs.Default().Counter("lcp_dist_wirings_total", "Shard sets wired by dist networks: one per network, plus one per concurrent check that found every wiring busy; a failed check's wiring is dropped, not pooled, so a later check may wire a fresh one.")
 	distCrossShard  = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard crosses a cut edge through the shard transport, same-shard is a direct merge between automata of one shard. With one shard per node every link is cross-shard.", obs.Label{Name: "link", Value: "cross-shard"})
 	distSameShard   = obs.Default().Counter("lcp_dist_deliveries_total", "Message deliveries by completed runs, split by link kind: cross-shard crosses a cut edge through the shard transport, same-shard is a direct merge between automata of one shard. With one shard per node every link is cross-shard.", obs.Label{Name: "link", Value: "same-shard"})
 )

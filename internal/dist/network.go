@@ -167,7 +167,11 @@ func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) 
 		return nil, err
 	}
 	res, err := w.run(ctx, nw.in.G.N(), p, v)
-	nw.put(w)
+	if err == nil {
+		// A failed run is dropped, not pooled: a cancellation can
+		// leave its shards disagreeing on warmth.
+		nw.put(w)
+	}
 	return res, err
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -19,6 +20,13 @@ import (
 // it knows is transport.Records, the wire format's unit, so handing a
 // batch to a Transport needs no conversion or copy; records are
 // immutable once built, so forwarding shares them freely across links.
+//
+// An automaton is cold or warm. Cold, it floods full records and
+// assembles its view from them (learn, assemble). Once its shard has
+// frozen (see Shard.Run), it keeps that view — the graph, labels and
+// distances of a ball that no later check can change — and is warm: a
+// check floods bare records (id and proof) and writes each first
+// arrival's proof into the frozen view's table (mergeBare).
 
 // initialRecord builds node v's round-0 knowledge from the instance,
 // except for the proof string, which changes between checks of a wired
@@ -67,6 +75,11 @@ type learned struct {
 	dist int
 }
 
+// errWarmth marks a run that failed on a record its automaton's warmth
+// cannot take: the shards of the check disagree on warmth, or a peer
+// sent what no frozen ball holds. The shard thaws (see Shard.Run).
+var errWarmth = errors.New("warmth mismatch")
+
 // smallBall is the ball size up to which membership is a linear scan
 // of node.ball; larger balls get a hash index. Radius-1 balls of
 // bounded-degree graphs never need one, so their automata allocate no
@@ -96,6 +109,52 @@ type node struct {
 	// message buffers are reused instead of reallocated (safe because a
 	// round's batches are fully merged before its Barrier returns).
 	cur, next transport.Batch
+	// frozen is the automaton's ball once its shard has frozen, nil
+	// while it is cold. Non-nil means warm: merges take bare records
+	// only.
+	frozen *frozenBall
+}
+
+// frozenBall is an automaton's ball kept across checks: the view its
+// freezing check assembled, whose ball-sized proof table a warm check
+// rewrites in place as the members' bare records arrive.
+type frozenBall struct {
+	view *core.View
+	ids  []int // members ascending; a member's rank is its position
+	// rank maps id -> rank once the ball has outgrown smallBall; nil
+	// below that, where a scan of ids finds the rank.
+	rank map[int]int32
+	self int32   // the automaton's own rank
+	dist []int32 // each member's distance, by rank
+	bits []bitstr.String
+	has  []bool
+	// seen is the epoch of the warm check that last wrote each member,
+	// so a check dedups arrivals without clearing anything; got counts
+	// the members the current check has written.
+	seen []uint32
+	got  int
+}
+
+// rankOf returns the rank of member id and whether id is a member.
+func (fb *frozenBall) rankOf(id int) (int32, bool) {
+	if fb.rank != nil {
+		j, ok := fb.rank[id]
+		return j, ok
+	}
+	for j, m := range fb.ids {
+		if m == id {
+			return int32(j), true
+		}
+	}
+	return 0, false
+}
+
+// write stores the proof entry a bare record carries for the member of
+// rank j, stamped with the current check's epoch.
+func (fb *frozenBall) write(j int32, rec *transport.Record, epoch uint32) {
+	fb.bits[j], fb.has[j] = rec.Proof, rec.HasProof
+	fb.seen[j] = epoch
+	fb.got++
 }
 
 // seed resets the automaton for a fresh check with the given proof: the
@@ -111,6 +170,19 @@ func (nd *node) seed(p core.Proof) {
 		nd.index[nd.id] = 0
 	}
 	nd.indEdges = nd.indEdges[:0]
+	nd.cur = append(nd.cur[:0], rec)
+	nd.next = nd.next[:0]
+}
+
+// seedWarm starts a warm check of the frozen automaton: its own bare
+// record, carrying its proof string, is written into its ball and is
+// the first round's batch.
+func (nd *node) seedWarm(p core.Proof, epoch uint32) {
+	rec := transport.Record{ID: nd.id, Bare: true}
+	rec.Proof, rec.HasProof = p[nd.id]
+	fb := nd.frozen
+	fb.got = 0
+	fb.write(fb.self, &rec, epoch)
 	nd.cur = append(nd.cur[:0], rec)
 	nd.next = nd.next[:0]
 }
@@ -131,13 +203,51 @@ func (nd *node) knows(id int) bool {
 
 // merge folds one received batch into the automaton: first arrivals are
 // learned, duplicates (the same record racing in over several links)
-// are dropped.
-func (nd *node) merge(b transport.Batch, round int) {
-	for _, rec := range b {
+// are dropped. A warm automaton merges through mergeBare. A bare record
+// reaching a cold automaton means the shards disagree on warmth, and
+// fails the check.
+func (nd *node) merge(b transport.Batch, round int, epoch uint32) error {
+	if fb := nd.frozen; fb != nil {
+		return nd.mergeBare(fb, b, round, epoch)
+	}
+	for i := range b {
+		rec := &b[i]
+		if rec.Bare {
+			return fmt.Errorf("dist: node %d: bare record of node %d reached a cold automaton: %w", nd.id, rec.ID, errWarmth)
+		}
 		if !nd.knows(rec.ID) {
-			nd.learn(rec, round)
+			nd.learn(*rec, round)
 		}
 	}
+	return nil
+}
+
+// mergeBare folds one batch into a warm automaton: a member's first
+// arrival writes its proof string at its rank and joins the next
+// outgoing batch; duplicates are dropped. The ball is fixed, so every
+// first arrival is a member arriving in the round of its frozen
+// distance. Anything else — a full record, a node outside the ball, a
+// member early or late — fails the check instead of changing a view.
+func (nd *node) mergeBare(fb *frozenBall, b transport.Batch, round int, epoch uint32) error {
+	for i := range b {
+		rec := &b[i]
+		if !rec.Bare {
+			return fmt.Errorf("dist: node %d: full record of node %d reached a warm automaton: %w", nd.id, rec.ID, errWarmth)
+		}
+		j, ok := fb.rankOf(rec.ID)
+		if !ok {
+			return fmt.Errorf("dist: node %d: record of node %d, outside its frozen ball: %w", nd.id, rec.ID, errWarmth)
+		}
+		if fb.seen[j] == epoch {
+			continue
+		}
+		if int(fb.dist[j]) != round {
+			return fmt.Errorf("dist: node %d: record of node %d arrived in round %d, at frozen distance %d: %w", nd.id, rec.ID, round, fb.dist[j], errWarmth)
+		}
+		fb.write(j, rec, epoch)
+		nd.next = append(nd.next, *rec)
+	}
+	return nil
 }
 
 // learn records a first arrival: the record joins the ball and the next
@@ -170,11 +280,12 @@ func (nd *node) learn(rec transport.Record, round int) {
 // graph.FromParts from the sorted id list plus the incrementally
 // collected induced edges, with the labels and weights the records
 // carry — and the view over it with core.BallView, the distances and
-// proof strings aligned with the ball's sorted members. Beyond the
-// records, it uses only what every node knows a priori: the graph kind
-// and the global input. scratch is the caller's reusable edge buffer:
-// FromParts sorts it in place and keeps none of it.
-func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, scratch *[]graph.Edge) *core.View {
+// proof strings aligned with the ball's sorted members; it returns the
+// view with those tables, which freeze keeps. Beyond the records, it
+// uses only what every node knows a priori: the graph kind and the
+// global input. scratch is the caller's reusable edge buffer: FromParts
+// sorts it in place and keeps none of it.
+func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, scratch *[]graph.Edge) (w *core.View, dist []int32, bits []bitstr.String, has []bool) {
 	ids := make([]int, len(nd.ball))
 	for i := range nd.ball {
 		ids[i] = nd.ball[i].rec.ID
@@ -188,9 +299,9 @@ func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, scratc
 	*scratch = edges
 
 	ball := core.Instance{G: graph.FromParts(kind, ids, edges), Global: global}
-	dist := make([]int32, len(ids))
-	bits := make([]bitstr.String, len(ids))
-	has := make([]bool, len(ids))
+	dist = make([]int32, len(ids))
+	bits = make([]bitstr.String, len(ids))
+	has = make([]bool, len(ids))
 	for i := range nd.ball {
 		rec := &nd.ball[i].rec
 		j := ball.G.Index(rec.ID)
@@ -220,16 +331,46 @@ func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, scratc
 			ball.Weights[key] = er.Weight
 		}
 	}
-	return core.BallView(ball, nd.id, radius, dist, bits, has)
+	return core.BallView(ball, nd.id, radius, dist, bits, has), dist, bits, has
 }
 
-// decide assembles one node's view and runs the verifier, converting a
-// verifier panic into an error instead of killing the process.
-func decide(nd *node, kind graph.Kind, global core.Global, radius int, v core.Verifier, scratch *[]graph.Edge) (ok bool, err error) {
+// freeze keeps the view a cold check assembled, with its tables, as the
+// automaton's frozen ball. The large-ball index becomes the ball's rank
+// index, and the flooded records and induced edges are released with
+// their buffers: a warm automaton needs none of them.
+func (nd *node) freeze(w *core.View, dist []int32, bits []bitstr.String, has []bool) {
+	fb := &frozenBall{view: w, ids: w.Nodes(), rank: nd.index, dist: dist, bits: bits, has: has, seen: make([]uint32, len(dist))}
+	for j, id := range fb.ids {
+		if fb.rank != nil {
+			fb.rank[id] = int32(j)
+		}
+		if id == nd.id {
+			fb.self = int32(j)
+		}
+	}
+	nd.index, nd.ball, nd.indEdges = nil, nil, nil
+	nd.frozen = fb
+}
+
+// decide runs the verifier on one node's view, converting a verifier
+// panic into an error instead of killing the process. A warm automaton
+// decides on its frozen view, once its flood has written every member;
+// a cold one assembles its view, and keeps it when freeze is set.
+func decide(nd *node, kind graph.Kind, global core.Global, radius int, v core.Verifier, freeze bool, scratch *[]graph.Edge) (ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dist: verifier panicked at node %d: %v", nd.id, r)
 		}
 	}()
-	return v.Verify(nd.assemble(kind, global, radius, scratch)), nil
+	if fb := nd.frozen; fb != nil {
+		if fb.got != len(fb.ids) {
+			return false, fmt.Errorf("dist: node %d: warm flood reached %d of its %d ball members: %w", nd.id, fb.got, len(fb.ids), errWarmth)
+		}
+		return v.Verify(fb.view), nil
+	}
+	w, dist, bits, has := nd.assemble(kind, global, radius, scratch)
+	if freeze {
+		nd.freeze(w, dist, bits, has)
+	}
+	return v.Verify(w), nil
 }

@@ -27,6 +27,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -69,9 +70,26 @@ type remoteLink struct {
 // long-lived shard (a worker's registered instance, a Network's
 // wiring) stops paying for wiring and map growth on every check.
 //
+// A shard is cold, then warm. Its first check at a radius floods full
+// records and assembles every view from them; its second consecutive
+// check at that radius does the same and freezes: every automaton keeps
+// its view. From then on checks at that radius are warm: they flood
+// bare records (id and proof) for the same rounds and write each proof
+// into the frozen views, so a check moves and writes only proof
+// strings. A check at another radius thaws the shard and runs cold. A
+// one-shot shard (CheckWithCtx, Collect, RunShard) runs once and never
+// freezes.
+//
 // A Shard is not safe for concurrent runs; callers serialize them. It
 // keeps the previous check's flooded knowledge until the next check
-// rewinds it.
+// rewinds it. Every shard of a check must be equally warm, which holds
+// while they run the same checks and none fails alone. A failed warm
+// run keeps the shard warm; any other failed run thaws it, back to a
+// fresh shard. Shards that end up disagreeing fail a run on the records
+// they exchange (a bare record reaching a cold automaton, a full one a
+// warm automaton) and thaw; they never decide on the wrong records.
+// Network drops a wiring whose run failed, and a dist-tcp worker drops
+// the registration, so neither ever runs a group that could disagree.
 type Shard struct {
 	kind    graph.Kind  // beyond the records, all a node knows up front:
 	global  core.Global // the graph kind and the global input
@@ -82,6 +100,15 @@ type Shard struct {
 	remotes []remoteLink // grouped by sender, so a node's batch to one peer stages back to back
 	peers   []int        // shards sharing a cut edge with this one, ascending
 	links   int          // directed same-shard merge links
+
+	// Warmth: ran reports that the shard has run at radius, so the next
+	// cold run there freezes; warm, that every automaton holds a frozen
+	// ball for radius. epoch numbers the warm runs, stamping their
+	// arrivals.
+	radius int
+	ran    bool
+	warm   bool
+	epoch  uint32
 }
 
 // Records returns the round-0 records of the plan's owned nodes, in
@@ -216,9 +243,11 @@ func (s *Shard) Peers() []int { return s.peers }
 
 // Run floods the shard's automata over the transport for the verifier's
 // radius and decides every owned node. The verdicts align with Owned; a
-// transport failure, context cancellation, or verifier panic surfaces
-// as an error (the first one wins) with no partial verdicts. A failed
-// run leaves the shard reusable: the next run reseeds every automaton.
+// transport failure, context cancellation, verifier panic, or a record
+// the shard's warmth does not expect surfaces as an error (the first one
+// wins) with no partial verdicts. A failed run leaves the shard reusable:
+// the next run reseeds every automaton (Shard says how it stays warm or
+// thaws).
 //
 // The caller owns the transport: Run never closes it, so stats survive
 // the run. The transport must speak for the shard's index.
@@ -234,7 +263,27 @@ type phaseTimes struct {
 
 // run is Run, additionally timing the seed and flood phases into tm
 // when it is non-nil.
-func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v core.Verifier, tm *phaseTimes) ([]bool, error) {
+func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v core.Verifier, tm *phaseTimes) (verdicts []bool, err error) {
+	radius := v.Radius()
+	warm := s.warm && s.radius == radius
+	freeze := !warm && s.ran && s.radius == radius
+	if !warm && s.warm {
+		s.thaw() // another radius: its balls are not these
+	}
+	defer func() {
+		switch {
+		case err == nil:
+			s.radius, s.ran, s.warm = radius, true, warm || freeze
+		case warm && !errors.Is(err, errWarmth):
+			// A cancelled, cut or panicking warm run leaves the
+			// frozen balls as they were: the next warm run rewrites
+			// every proof entry, and peers that finished this run
+			// are warm too.
+		default:
+			s.thaw()
+			s.ran = false
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -245,14 +294,22 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 	if tm != nil {
 		t0 = time.Now()
 	}
-	for i := range s.nodes {
-		s.nodes[i].seed(p)
+	if warm {
+		if s.epoch++; s.epoch == 0 {
+			s.epoch = 1 // a fresh ball's stamps are 0
+		}
+		for i := range s.nodes {
+			s.nodes[i].seedWarm(p, s.epoch)
+		}
+	} else {
+		for i := range s.nodes {
+			s.nodes[i].seed(p)
+		}
 	}
 	if tm != nil {
 		t1 := time.Now()
 		tm.seed, t0 = t1.Sub(t0), t1
 	}
-	radius := v.Radius()
 	for r := 1; r <= radius; r++ {
 		// A cancelled context stops the shard at the next round even
 		// when no gate would notice (a single-shard group never waits).
@@ -278,7 +335,9 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 		for i := range s.nodes {
 			nd := &s.nodes[i]
 			for _, nb := range nd.local {
-				nb.merge(nd.cur, r)
+				if err := nb.merge(nd.cur, r, s.epoch); err != nil {
+					return nil, err
+				}
 			}
 		}
 		for _, d := range dels {
@@ -286,7 +345,9 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 			if nd == nil {
 				return nil, fmt.Errorf("dist: shard %d: delivery for node %d, which it does not own", s.me, d.Dst)
 			}
-			nd.merge(d.Recs, r)
+			if err := nd.merge(d.Recs, r, s.epoch); err != nil {
+				return nil, err
+			}
 		}
 		// Phase 4: swap, then close the round — after Barrier, every
 		// shard has merged round r and buffer reuse is licensed.
@@ -301,16 +362,24 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 	if tm != nil {
 		tm.flood = time.Since(t0)
 	}
-	verdicts := make([]bool, len(s.nodes))
+	verdicts = make([]bool, len(s.nodes))
 	var scratch []graph.Edge
 	for i := range s.nodes {
-		ok, err := decide(&s.nodes[i], s.kind, s.global, radius, v, &scratch)
+		ok, err := decide(&s.nodes[i], s.kind, s.global, radius, v, freeze, &scratch)
 		if err != nil {
 			return nil, err
 		}
 		verdicts[i] = ok
 	}
 	return verdicts, nil
+}
+
+// thaw drops every automaton's frozen ball: the shard is cold again.
+func (s *Shard) thaw() {
+	for i := range s.nodes {
+		s.nodes[i].frozen = nil
+	}
+	s.warm = false
 }
 
 // RunShard is the one-shot form of a shard: NewShard for the

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"lcp"
+	"lcp/internal/bitstr"
 	"lcp/internal/core"
 	"lcp/internal/dist"
 	"lcp/internal/graph"
@@ -181,8 +182,8 @@ func (c cancelAt) Exchange(ctx context.Context, round int) ([]transport.Delivery
 // runShards runs one check over shards wired once, each check over a
 // fresh in-process group — the way a worker keeps its shard across
 // checks but opens a fresh data plane for each. wrap, when non-nil,
-// wraps shard 0's transport.
-func runShards(ctx context.Context, shards []*dist.Shard, p core.Proof, v core.Verifier, wrap func(transport.Transport) transport.Transport) (map[int]bool, error) {
+// wraps each shard's transport.
+func runShards(ctx context.Context, shards []*dist.Shard, p core.Proof, v core.Verifier, wrap func(int, transport.Transport) transport.Transport) (map[int]bool, error) {
 	trs := transport.NewInProcGroup(len(shards))
 	outs := make([][]bool, len(shards))
 	errs := make([]error, len(shards))
@@ -193,8 +194,8 @@ func runShards(ctx context.Context, shards []*dist.Shard, p core.Proof, v core.V
 			defer wg.Done()
 			defer func() { _ = trs[s].Close() }()
 			var tr transport.Transport = trs[s]
-			if s == 0 && wrap != nil {
-				tr = wrap(tr)
+			if wrap != nil {
+				tr = wrap(s, tr)
 			}
 			outs[s], errs[s] = sh.Run(ctx, tr, p, v)
 		}()
@@ -214,8 +215,12 @@ func runShards(ctx context.Context, shards []*dist.Shard, p core.Proof, v core.V
 
 // TestShardReuseMatchesCore: on every catalog instance, shards wired
 // once by NewShard serve alternating honest, tampered and truncated
-// proofs with core.Check's verdicts every time, and a run aborted
-// mid-flood leaves them reusable — the next run reseeds every
+// proofs with core.Check's verdicts every time — cold, freezing, and
+// warm, where a check writes each proof into the frozen views: proofs
+// whose strings change length, and whose entries come and go (an
+// explicit ε is not a missing entry). A verifier of another radius
+// thaws the shards, and switching back freezes them again. A run
+// aborted mid-flood leaves them reusable — the next run reseeds every
 // automaton.
 func TestShardReuseMatchesCore(t *testing.T) {
 	const n, shardCount = 12, 3
@@ -244,7 +249,7 @@ func TestShardReuseMatchesCore(t *testing.T) {
 			}
 		}
 		ctx := context.Background()
-		check := func(label string, p core.Proof) {
+		check := func(label string, p core.Proof, v core.Verifier) {
 			t.Helper()
 			got, err := runShards(ctx, shards, p, v, nil)
 			if err != nil {
@@ -259,21 +264,50 @@ func TestShardReuseMatchesCore(t *testing.T) {
 			}
 		}
 		tampered, truncated := core.FlipBit(honest, 0), honest.Truncated(1)
-		for i, p := range []core.Proof{honest, tampered, truncated, honest, truncated, tampered} {
-			check(fmt.Sprintf("check-%d", i), p)
+		// One node's entry, edited: a bit longer, a bit shorter (ε
+		// when it had one bit), explicitly ε, and missing.
+		mid := in.G.Nodes()[in.G.N()/2]
+		edit := func(f func(p core.Proof)) core.Proof {
+			p := honest.Clone()
+			f(p)
+			return p
+		}
+		longer := edit(func(p core.Proof) { p[mid] = p[mid].Concat(bitstr.FromBools(true)) })
+		shorter := edit(func(p core.Proof) { p[mid] = p[mid].Truncate(max(p[mid].Len()-1, 0)) })
+		empty := edit(func(p core.Proof) { p[mid] = bitstr.Empty })
+		removed := edit(func(p core.Proof) { delete(p, mid) })
+		sequence := []core.Proof{honest, tampered, truncated, honest, truncated, tampered,
+			longer, honest, shorter, removed, honest, empty, removed, longer, tampered}
+		for i, p := range sequence {
+			check(fmt.Sprintf("check-%d", i), p, v)
+		}
+		// Another radius runs cold (and freezes for itself), then the
+		// scheme's radius does the same again. The wider verifier
+		// decides as the scheme's, on the view restricted to its radius.
+		wider := core.VerifierFunc{R: v.Radius() + 1, F: func(w *core.View) bool {
+			return v.Verify(w.Restrict(v.Radius(), w.BallProof()))
+		}}
+		for i, p := range sequence[:4] {
+			check(fmt.Sprintf("wider-%d", i), p, wider)
+		}
+		for i, p := range sequence[:4] {
+			check(fmt.Sprintf("back-%d", i), p, v)
 		}
 		if v.Radius() < 1 {
 			continue
 		}
 		cctx, cancel := context.WithCancel(ctx)
-		_, err = runShards(cctx, shards, tampered, v, func(tr transport.Transport) transport.Transport {
+		_, err = runShards(cctx, shards, tampered, v, func(s int, tr transport.Transport) transport.Transport {
+			if s != 0 {
+				return tr
+			}
 			return cancelAt{Transport: tr, round: v.Radius(), cancel: cancel}
 		})
 		cancel()
 		if err == nil {
 			t.Fatalf("%s: run cancelled in its last round succeeded", exp.ID)
 		}
-		check("honest-after-abort", honest)
+		check("honest-after-abort", honest, v)
 	}
 	if rejecting == 0 {
 		t.Fatal("no check rejected anywhere: the proof sequence cannot tell a stale shard from a reseeded one")

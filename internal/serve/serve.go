@@ -98,17 +98,24 @@ type instanceEntry struct {
 	// path reuses cached views. Evicting or deleting the entry closes
 	// them, which tells a fleet to forget the instance.
 	checkers map[string]lcp.Checker
+	// dropped marks an entry the store no longer holds — deleted,
+	// evicted, or an inline one-shot entry — guarded by the server
+	// mutex. Nothing caches a checker on a dropped entry, and a request
+	// that resolved the entry closes its checker when it ends (see
+	// done).
+	dropped bool
 }
 
-// closeCheckers closes the entry's checkers (dropped wirings; fleet
-// deregistration + control connections). It takes the map under the
-// server mutex, so a request still resolving a checker on the entry
-// never reads it mid-close, and closes them outside it: closing a
-// dist-tcp checker waits for its in-flight check to drain.
+// closeCheckers drops the entry and closes its checkers (dropped
+// wirings; fleet deregistration + control connections). It takes the
+// map under the server mutex, so a request still resolving a checker
+// on the entry either finds it there before the close or caches
+// nothing, and closes them outside it: closing a dist-tcp checker
+// waits for its in-flight check to drain.
 func (s *Server) closeCheckers(entry *instanceEntry) {
 	s.mu.Lock()
 	checkers := entry.checkers
-	entry.checkers = nil
+	entry.checkers, entry.dropped = nil, true
 	s.mu.Unlock()
 	for _, chk := range checkers {
 		lcp.CloseChecker(chk)
@@ -562,7 +569,7 @@ func (s *Server) resolve(req *checkRequest) (*instanceEntry, core.Scheme, error)
 		if err != nil {
 			return nil, nil, fmt.Errorf("parse document: %v", err)
 		}
-		entry = &instanceEntry{Doc: doc, Engine: engine.New(doc.Instance, s.base.EngineOptions())}
+		entry = &instanceEntry{Doc: doc, Engine: engine.New(doc.Instance, s.base.EngineOptions()), dropped: true}
 	default:
 		return nil, nil, fmt.Errorf("missing instance id or inline document")
 	}
@@ -618,7 +625,8 @@ func (s *Server) requestConfig(req *checkRequest) (config.Config, error) {
 // because dist-tcp workers resolve it in their own registries (and
 // their shard runner converts verifier panics to errors). NewChecker
 // validates the config, so a dist-tcp request to a server started
-// without a fleet fails here, naming the fix.
+// without a fleet fails here, naming the fix. A dropped entry caches
+// nothing: the checker is the request's own, and done closes it.
 func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core.Scheme) (lcp.Checker, error) {
 	backend := cfg.ResolvedBackend()
 	key := string(backend) + "\x00" + scheme.Name() + "\x00" + cfg.PartitionerName()
@@ -639,8 +647,8 @@ func (s *Server) checkerFor(entry *instanceEntry, cfg config.Config, scheme core
 		opts = append(opts, lcp.WithEngine(entry.Engine))
 	}
 	chk, err := lcp.NewChecker(entry.Doc.Instance, opts...)
-	if err != nil {
-		return nil, err
+	if err != nil || entry.dropped {
+		return chk, err
 	}
 	if entry.checkers == nil {
 		entry.checkers = make(map[string]lcp.Checker)
@@ -831,12 +839,19 @@ func (s *Server) prepareCheck(w http.ResponseWriter, r *http.Request, endpoint s
 	return c
 }
 
-// done releases an inline one-shot entry's checkers: nothing caches
-// the entry, so a dist-tcp checker must leave the fleet when the
-// request ends (a dist checker just drops its wirings).
+// done closes the request's checker if its entry is dropped by the
+// time the request ends: an inline document's, or an instance deleted
+// or evicted while the request used it. Nothing caches such a checker
+// any more — or closeCheckers closed it already, and a check since
+// may have dialed the fleet again — so a dist-tcp checker must leave
+// the fleet now (a dist checker just drops its wirings). Closing twice
+// is harmless.
 func (s *Server) done(c *checkCall) {
-	if c.entry.elem == nil {
-		s.closeCheckers(c.entry)
+	s.mu.Lock()
+	dropped := c.entry.dropped
+	s.mu.Unlock()
+	if dropped {
+		lcp.CloseChecker(c.chk)
 	}
 }
 

@@ -13,7 +13,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lcp"
 	"lcp/internal/config"
@@ -179,5 +182,76 @@ func TestServeDistTCPDeleteReleasesFleet(t *testing.T) {
 	decodeBody(t, body2, &out)
 	if !out.Accepted {
 		t.Error("post-delete check: honest proof rejected")
+	}
+}
+
+// liveConns wraps a worker's listener and counts the accepted
+// connections not yet closed.
+type liveConns struct {
+	net.Listener
+	live atomic.Int64
+}
+
+func (l *liveConns) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.live.Add(1)
+	return &countedConn{Conn: c, live: &l.live}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	live *atomic.Int64
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.live.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestServeDroppedEntryClosesItsChecker: a request that resolved an
+// instance before a DELETE dropped it, and builds its dist-tcp checker
+// only afterwards, must not cache the checker on the dropped entry: it
+// closes it when it ends, so the fleet forgets the registration and
+// every connection to the workers closes.
+func TestServeDroppedEntryClosesItsChecker(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var addrs []string
+	var lns []*liveConns
+	for range 2 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &liveConns{Listener: ln}
+		w := remote.NewWorker(l, lcp.BuiltinSchemes())
+		go func() {
+			_ = w.Serve(ctx)
+		}()
+		t.Cleanup(func() { _ = w.Close() })
+		addrs, lns = append(addrs, w.Addr()), append(lns, l)
+	}
+	srv := serve.New(lcp.BuiltinSchemes(), config.Config{WorkerAddrs: addrs})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	in := lcp.NewInstance(lcp.Cycle(11))
+	p, err := lcp.OddNScheme().Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := registerInstance(t, ts, docText(t, in, "odd-n", p))
+	if err := srv.CheckAfterDrop(ctx, id, "dist-tcp"); err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	live := func() int64 { return lns[0].live.Load() + lns[1].live.Load() }
+	for deadline := time.Now().Add(5 * time.Second); live() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker connections still open after the request ended: its checker was not closed", live())
+		}
 	}
 }

@@ -3,8 +3,8 @@ package transport
 // FuzzDecodeData pins the data-frame codec from both ends: arbitrary
 // bytes decode to an error or to deliveries — never a panic — within a
 // linear allocation bound, and deliveries generated from the same bytes
-// (batches shared by several destinations included) survive
-// AppendData → DecodeData per destination.
+// (batches shared by several destinations and bare records included)
+// survive AppendData → DecodeData per destination.
 
 import (
 	"encoding/binary"
@@ -35,6 +35,8 @@ func decodeAllocs(payload []byte) (uint64, error) {
 func FuzzDecodeData(f *testing.F) {
 	f.Add(AppendData(nil, DataHeader{Seq: 3, Round: 5, Src: 2}, sampleDeliveries()))
 	f.Add(AppendData(nil, DataHeader{Seq: 1, Round: 1}, sharedDeliveries()))
+	f.Add(AppendData(nil, DataHeader{Seq: 4, Round: 1, Src: 1}, bareDeliveries()))
+	f.Add([]byte{1, 1, 0, 1, 1, 4, flagBare | flagLabel, 1, 's', 1, 2})
 	f.Add(binary.AppendUvarint([]byte{0, 1, 0}, 1<<25))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,7 +66,8 @@ func FuzzDecodeData(f *testing.F) {
 }
 
 // genDeliveries derives a delivery list from fuzz bytes: a few batches
-// of records exercising every optional field, each staged for a run of
+// of records exercising every optional field, bare records included,
+// each staged for a run of
 // destinations (so runs share one backing batch, as a shard runner
 // stages them), with some batches staged again later.
 func genDeliveries(data []byte) []Delivery {
@@ -81,7 +84,8 @@ func genDeliveries(data []byte) []Delivery {
 		var b Batch
 		for nr := next() % 4; len(b) < nr; {
 			rec := Record{ID: next()<<8 | next()}
-			if f := next(); f&1 != 0 {
+			f := next()
+			if f&1 != 0 {
 				rec.HasProof = true
 				w := next() % 20
 				var bw bitstr.Writer
@@ -92,6 +96,11 @@ func genDeliveries(data []byte) []Delivery {
 			} else if f&2 != 0 {
 				rec.HasLabel = true
 				rec.Label = string(rune('a' + next()%26))
+			}
+			if f&4 != 0 && !rec.HasLabel {
+				rec.Bare = true // id and proof only
+				b = append(b, rec)
+				continue
 			}
 			for ne := next() % 3; len(rec.Edges) < ne; {
 				er := EdgeRec{E: graph.Edge{U: rec.ID, V: next()}}
@@ -124,7 +133,7 @@ func batchesEqual(a, b Batch) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.ID != y.ID || x.HasProof != y.HasProof || !x.Proof.Equal(y.Proof) ||
+		if x.ID != y.ID || x.Bare != y.Bare || x.HasProof != y.HasProof || !x.Proof.Equal(y.Proof) ||
 			x.HasLabel != y.HasLabel || x.Label != y.Label || len(x.Edges) != len(y.Edges) {
 			return false
 		}

@@ -257,8 +257,9 @@ func (t *TCP) Close() error {
 // data connections once per registration (the connect request) instead
 // of once per check, so a data Hello names a registration, not a check.
 // Version 4 registers a worker with its owned nodes' round-0 records
-// (AppendRecords) instead of a textio halo document.
-const ProtoVersion = 4
+// (AppendRecords) instead of a textio halo document. Version 5 adds the
+// bare record (id and proof only), which warm checks flood.
+const ProtoVersion = 5
 
 // Connection roles named in Hello frames.
 const (

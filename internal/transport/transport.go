@@ -33,9 +33,9 @@ import (
 // Record is the unit of knowledge flooded through the network:
 // everything a single node knows at round 0 — its identifier, proof
 // string, input label, and incident edges with their labels and
-// weights. Records are immutable once built and self-contained, so
-// multi-hop forwarding ships them unchanged across any number of shard
-// boundaries.
+// weights — or, bare, just its identifier and proof string. Records
+// are immutable once built and self-contained, so multi-hop forwarding
+// ships them unchanged across any number of shard boundaries.
 type Record struct {
 	// ID is the node the record describes.
 	ID int
@@ -43,6 +43,10 @@ type Record struct {
 	Proof bitstr.String
 	// HasProof distinguishes the empty proof ε from no proof at all.
 	HasProof bool
+	// Bare marks a warm check's record: ID and proof only, no label and
+	// no edges. Once a wired shard has frozen its automata's balls, a
+	// check floods nothing else (see dist.Shard.Run).
+	Bare bool
 	// Label is the node's input label; meaningful iff HasLabel.
 	Label string
 	// HasLabel reports whether the node carries an input label.

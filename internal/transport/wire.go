@@ -17,9 +17,11 @@ package transport
 //	              | uvarint #groups | group...
 //	group        := records | uvarint #dsts | uvarint dst...
 //	records      := uvarint #records | record...
-//	record       := uvarint id | u8 flags(hasProof|hasLabel)
+//	record       := full | bare
+//	full         := uvarint id | u8 flags(hasProof|hasLabel)
 //	              | [bits proof] | [string label]
 //	              | uvarint #edges | edge...
+//	bare         := uvarint id | u8 flags(hasProof|bare) | [bits proof]
 //	edge         := uvarint u | uvarint v | u8 flags(hasLabel|hasWeight)
 //	              | [string label] | [varint weight]
 //	bits         := uvarint bit-length | MSB-first packed bytes
@@ -35,6 +37,14 @@ package transport
 // Records are self-contained (the same property the in-process
 // runtime relies on for multi-hop forwarding), so decoding never
 // needs the instance — only the automata that merge the records do.
+//
+// The flag byte's bits are hasProof (1), hasLabel (2) and bare (4). A
+// full record is a node's round-0 knowledge: what a registration ships
+// and what a shard's first checks flood. A bare record is what a warm
+// check floods once every automaton has frozen its ball: the node's id
+// and proof string, nothing else, so it has no label and not even an
+// edge count. A flag byte with any other bit set, or with bare and
+// hasLabel together, is corrupt.
 
 import (
 	"encoding/binary"
@@ -180,18 +190,33 @@ func DecodeRecords(payload []byte) ([]Record, error) {
 	return recs, nil
 }
 
+// Record flag bits.
+const (
+	flagProof byte = 1 << iota
+	flagLabel
+	flagBare
+)
+
+// appendRecord encodes one record. A bare record encodes its id and
+// proof only: its Label and Edges, which it never carries, are not
+// read.
 func appendRecord(buf []byte, rec Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.ID))
 	var flags byte
 	if rec.HasProof {
-		flags |= 1
+		flags |= flagProof
 	}
-	if rec.HasLabel {
-		flags |= 2
+	if rec.Bare {
+		flags |= flagBare
+	} else if rec.HasLabel {
+		flags |= flagLabel
 	}
 	buf = append(buf, flags)
 	if rec.HasProof {
 		buf = appendBits(buf, rec.Proof)
+	}
+	if rec.Bare {
+		return buf
 	}
 	if rec.HasLabel {
 		buf = appendString(buf, rec.Label)
@@ -394,11 +419,19 @@ func (c *cursor) record() Record {
 	var rec Record
 	rec.ID = c.count("record id")
 	flags := c.byte()
-	if flags&1 != 0 {
+	if flags&^(flagProof|flagLabel|flagBare) != 0 || flags&(flagBare|flagLabel) == flagBare|flagLabel {
+		c.fail("record flags")
+		return rec
+	}
+	if flags&flagProof != 0 {
 		rec.HasProof = true
 		rec.Proof = c.bits()
 	}
-	if flags&2 != 0 {
+	if flags&flagBare != 0 {
+		rec.Bare = true
+		return rec
+	}
+	if flags&flagLabel != 0 {
 		rec.HasLabel = true
 		rec.Label = c.string("node label")
 	}

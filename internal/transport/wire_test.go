@@ -212,3 +212,60 @@ func TestRecordsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// bareDeliveries is a warm check's round of traffic: bare records, with
+// a proof, an explicit ε, and no proof at all.
+func bareDeliveries() []Delivery {
+	warm := Batch{
+		{ID: 4, HasProof: true, Proof: bitstr.Parse("1101"), Bare: true},
+		{ID: 300, HasProof: true, Proof: bitstr.Empty, Bare: true},
+		{ID: 5, Bare: true},
+	}
+	return []Delivery{{Dst: 2, Recs: warm}, {Dst: 3, Recs: warm}, {Dst: 6, Recs: Batch{{ID: 7, HasProof: true, Proof: bitstr.Parse("0"), Bare: true}}}}
+}
+
+// TestBareRecordsRoundTrip: bare records survive the data codec and
+// cost their id, a flag byte and their proof bits: no edge count.
+func TestBareRecordsRoundTrip(t *testing.T) {
+	hdr := DataHeader{Seq: 4, Round: 1, Src: 1}
+	payload := AppendData(nil, hdr, bareDeliveries())
+	gotHdr, got, err := DecodeData(payload)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if gotHdr != hdr || !reflect.DeepEqual(got, bareDeliveries()) {
+		t.Fatalf("round-trip:\n got %+v %+v\nwant %+v %+v", gotHdr, got, hdr, bareDeliveries())
+	}
+	rec := AppendRecords(nil, Batch{{ID: 4, HasProof: true, Proof: bitstr.Parse("1101"), Bare: true}})
+	// count, id, flags, bit length, one packed byte
+	if want := []byte{1, 4, flagProof | flagBare, 4, 0xd0}; !bytes.Equal(rec, want) {
+		t.Fatalf("bare record encodes as % x, want % x", rec, want)
+	}
+}
+
+// TestDecodeRejectsMalformedBareRecords: a bare record has no label and
+// no edge list, and the flag byte has no other bits: a record list whose
+// bare record claims a label, unknown flag bits, or whose bare record is
+// followed by an edge list as a full record's would be, fails to decode.
+func TestDecodeRejectsMalformedBareRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		// count 1 | id 4 | flags bare|label | label "s"
+		{"bare-with-label", []byte{1, 4, flagBare | flagLabel, 1, 's'}},
+		// count 1 | id 4 | flags bare|proof | bits "1" | #edges 1 | edge 4-5 | edge flags 0
+		{"bare-with-edges", []byte{1, 4, flagBare | flagProof, 1, 0x80, 1, 4, 5, 0}},
+		// count 1 | id 4 | flags with an unknown bit | #edges 0
+		{"unknown-flag", []byte{1, 4, 8, 0}},
+	} {
+		if _, err := DecodeRecords(tc.payload); err == nil {
+			t.Fatalf("%s: DecodeRecords accepted % x", tc.name, tc.payload)
+		}
+		// The same record list as a data frame's one group, to node 2.
+		data := append([]byte{1, 1, 0, 1}, tc.payload...)
+		if _, _, err := DecodeData(append(data, 1, 2)); err == nil {
+			t.Fatalf("%s: DecodeData accepted % x", tc.name, data)
+		}
+	}
+}
