@@ -27,9 +27,14 @@ import (
 // does a row query (Neighbors, Degree, InNeighbors) at a boundary node
 // (distance = radius), whose induced row can be shorter than its row in
 // the instance. An inner node's row is the instance's row as is,
-// because every neighbour of an inner node lies in the ball. Because
-// Graph fills a cache on first call, a View is not safe for concurrent
-// use.
+// because every neighbour of an inner node lies in the ball. The same
+// rule covers a ball a message-passing node assembled from what reached
+// it (BallView): its instance holds the edges of the inner members'
+// records, and the edges between two boundary members, with their
+// labels and weights, are added at most once per view, on Graph, a
+// boundary row query, HasEdge between two boundary members, or an
+// EdgeLabel or Weight read there. Because Graph and a boundary query
+// fill a cache on first call, a View is not safe for concurrent use.
 type View struct {
 	Center int
 	Radius int
@@ -46,10 +51,15 @@ type View struct {
 	rank  bool
 
 	induced *graph.Graph // G[v,r], built on first need
+	// more completes src, a BallView's ball instance that lacks the
+	// edges between boundary members, on first need; nil once done, and
+	// for every other view.
+	more func(*Instance)
 }
 
 // inducedBuilds counts induced ball graphs built for views (the lazy
-// path of Graph and of boundary-row queries); tests read it.
+// path of Graph and of boundary queries, and a BallView's completion);
+// tests read it.
 var inducedBuilds atomic.Int64
 
 // reset points the view at a new ball. pos may be nil when the ball is
@@ -60,7 +70,7 @@ func (w *View) reset(src *Instance, center, radius int, pos, dist []int32, proof
 	w.Center, w.Radius, w.Global = center, radius, src.Global
 	w.src, w.dist = src, dist
 	w.proof, w.rank = proof, rank
-	w.induced = nil
+	w.induced, w.more = nil, nil
 	if pos == nil || len(pos) == src.G.N() {
 		// A ball holding every node is the source graph itself.
 		w.pos, w.ids = nil, src.G.Nodes()
@@ -111,9 +121,19 @@ func (w *View) entry(j int) (bitstr.String, bool) {
 }
 
 // inner reports whether the member of rank j is strictly inside the
-// ball, so its instance rows are its view rows.
+// ball, so its instance rows are its view rows. A ball that is its whole
+// source instance has only such rows, unless it still lacks its
+// boundary–boundary edges.
 func (w *View) inner(j int) bool {
-	return w.pos == nil || int(w.dist[j]) < w.Radius
+	return w.pos == nil && w.more == nil || int(w.dist[j]) < w.Radius
+}
+
+// complete adds the boundary–boundary edges a BallView's instance
+// lacks.
+func (w *View) complete() {
+	w.more(w.src)
+	w.more = nil
+	inducedBuilds.Add(1)
 }
 
 // ProofOf returns the proof string of a node in the view (ε if the node
@@ -169,7 +189,7 @@ func (w *View) Label(v int) string {
 // opposite arcs u→v and v→u share one label, and either one present in
 // the ball carries it.
 func (w *View) EdgeLabel(u, v int) string {
-	if w.src.EdgeLabel == nil || !w.linked(u, v) {
+	if w.src.EdgeLabel == nil && w.more == nil || !w.linked(u, v) {
 		return ""
 	}
 	return w.src.EdgeLabel[graph.NormEdge(u, v)]
@@ -183,7 +203,7 @@ func (w *View) EdgeMarked(u, v int) bool { return w.EdgeLabel(u, v) == EdgeInSol
 // keyed normalized: a directed instance's opposite arcs share one
 // weight.
 func (w *View) Weight(u, v int) int64 {
-	if w.src.Weights == nil || !w.linked(u, v) {
+	if w.src.Weights == nil && w.more == nil || !w.linked(u, v) {
 		return 0
 	}
 	return w.src.Weights[graph.NormEdge(u, v)]
@@ -208,8 +228,15 @@ func (w *View) KnowsFully(v int) bool {
 // instance.
 func (w *View) HasEdge(u, v int) bool {
 	j, ok := w.find(u)
-	if !ok || !w.has(v) {
+	if !ok {
 		return false
+	}
+	k, ok := w.find(v)
+	if !ok {
+		return false
+	}
+	if w.more != nil && !w.inner(j) && !w.inner(k) {
+		w.complete()
 	}
 	_, ok = slices.BinarySearch(w.src.G.NeighborsAt(w.posOf(j)), v)
 	return ok
@@ -245,6 +272,9 @@ func (w *View) Degree(v int) int { return len(w.Neighbors(v)) }
 // which never build it for inner nodes.
 func (w *View) Graph() *graph.Graph {
 	if w.pos == nil {
+		if w.more != nil {
+			w.complete()
+		}
 		return w.src.G
 	}
 	if w.induced == nil {
@@ -298,19 +328,27 @@ func BuildView(in *Instance, p Proof, center, radius int) *View {
 }
 
 // BallView returns the radius-r view of center over ball, an instance
-// whose graph is exactly that ball — the shape a message-passing node
+// whose nodes are exactly that ball — the shape a message-passing node
 // reassembles from what reached it. dist holds each member's distance
 // from center, bits each member's proof string and has whether the
 // proof gives it an entry at all, all aligned with ball.G.Nodes(); the
 // view takes ownership of the three slices. The view, its instance and
 // its proof table are one allocation.
-func BallView(ball Instance, center, radius int, dist []int32, bits []bitstr.String, has []bool) *View {
+//
+// The ball's graph may lack the edges between two boundary members (at
+// distance radius), with their labels and weights: then complete, which
+// must be non-nil, adds them to the instance, keeping its nodes. The
+// view calls it at most once, when a verifier first reads such an edge
+// (see View); until then the boundary rows are never read. A nil
+// complete means the ball's graph is already G[v,r].
+func BallView(ball Instance, center, radius int, dist []int32, bits []bitstr.String, has []bool, complete func(*Instance)) *View {
 	o := &struct {
 		w  View
 		in Instance
 		fp FlatProof
 	}{in: ball, fp: FlatProof{g: ball.G, bits: bits, has: has}}
 	o.w.reset(&o.in, center, radius, nil, dist, &o.fp, false)
+	o.w.more = complete
 	return &o.w
 }
 
@@ -320,6 +358,9 @@ func BallView(ball Instance, center, radius int, dist []int32, bits []bitstr.Str
 // verifier with a smaller horizon (§7.3). The proof is NOT inherited:
 // pass the proof the inner verifier should see.
 func (w *View) Restrict(r int, proof Proof) *View {
+	if w.more != nil && r >= w.Radius {
+		w.complete() // the sub-view's boundary is this one's
+	}
 	var pos, dist []int32
 	for j, d := range w.dist {
 		if int(d) <= r {

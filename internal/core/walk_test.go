@@ -3,12 +3,15 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
 	"lcp"
 	"lcp/internal/core"
+	"lcp/internal/dist"
 	"lcp/internal/graph"
+	"lcp/internal/partition"
 )
 
 // powerLawLeader is PowerLaw(n) under leader election with its honest
@@ -88,6 +91,48 @@ func TestFlatViewsBuildNoInducedGraph(t *testing.T) {
 	}
 	if got := core.InducedBuilds() - before; got == 0 || got > int64(in.G.N()) {
 		t.Fatalf("%d induced ball graphs for %d nodes and %d columns, want between 1 and one per node", got, in.G.N(), len(proofs))
+	}
+}
+
+// TestDistViewsBuildNoInducedGraph: the message-passing runtime's views
+// are as lazy as the walks'. Leader election's dist checks — one-shot,
+// and a reused Network's cold, freezing and warm ones — never complete
+// a ball view with its boundary–boundary edges, and a verifier that
+// asks for the graph gets it.
+func TestDistViewsBuildNoInducedGraph(t *testing.T) {
+	in, p, v := powerLawLeader(t, 2048)
+	ctx := context.Background()
+	want := core.Check(in, p, v)
+	opt := dist.Options{Shards: 2, Partitioner: partition.BFSChunks{}}
+	same := func(label string, res *core.Result, err error) {
+		t.Helper()
+		if err != nil || !maps.Equal(res.Outputs, want.Outputs) {
+			t.Fatalf("%s: verdicts differ from core.Check (error %v)", label, err)
+		}
+	}
+	before := core.InducedBuilds()
+	res, err := dist.CheckWithCtx(ctx, in, p, v, opt)
+	same("one-shot", res, err)
+	nw, err := dist.NewNetwork(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	for i := range 4 {
+		res, err := nw.CheckCtx(ctx, p, v)
+		same(fmt.Sprintf("network check %d", i), res, err)
+	}
+	if got := core.InducedBuilds() - before; got != 0 {
+		t.Fatalf("%d ball views completed, want none", got)
+	}
+	graphV := core.VerifierFunc{R: 1, F: func(w *core.View) bool {
+		return w.Graph().Degree(w.Center) == w.Degree(w.Center)
+	}}
+	if res, err := dist.CheckWithCtx(ctx, in, p, graphV, opt); err != nil || !res.Accepted() {
+		t.Fatalf("graph-reading verifier: %v, %v", res, err)
+	}
+	if got := core.InducedBuilds() - before; got == 0 || got > int64(in.G.N()) {
+		t.Fatalf("%d ball views completed for %d nodes, want between 1 and one per node", got, in.G.N())
 	}
 }
 

@@ -9,11 +9,13 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"testing"
 
 	"lcp"
 	"lcp/internal/core"
 	"lcp/internal/dist"
+	"lcp/internal/partition"
 )
 
 func benchCheckWith(b *testing.B, in *core.Instance, opt dist.Options) {
@@ -111,4 +113,37 @@ func BenchmarkNetworkReuse(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkColdCheck is the one-shot dist check on hub balls: a fresh
+// Network and one cold check per op — what CheckWithCtx and a fresh
+// dist checker pay — on PowerLaw(1<<14, 4, 1) under leader election,
+// two shards cut by BFSChunks. Each op's verdicts are compared with
+// core.Check's outside the timed region. BENCH_dist.json tracks it.
+func BenchmarkColdCheck(b *testing.B) {
+	in := lcp.NewInstance(lcp.PowerLaw(1<<14, 4, 1)).SetNodeLabel(1, core.LabelLeader)
+	scheme := lcp.LeaderElectionScheme()
+	proof, err := scheme.Prove(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := scheme.Verifier()
+	want := core.Check(in, proof, v)
+	opt := dist.Options{Shards: 2, Partitioner: partition.BFSChunks{}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw, err := dist.NewNetwork(in, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := nw.CheckCtx(ctx, proof, v)
+		nw.Close()
+		b.StopTimer()
+		if err != nil || !maps.Equal(res.Outputs, want.Outputs) {
+			b.Fatalf("verdicts differ from core.Check (error %v)", err)
+		}
+		b.StartTimer()
+	}
 }

@@ -31,10 +31,12 @@
 // cached-view engine (internal/engine); core.Check stays the sequential
 // reference.
 //
-// Each node assembles its view incrementally: the induced edges of the
-// ball are collected as records arrive (see node.learn) and the ball
-// graph is frozen through graph.FromParts, so the per-node
-// induced-subgraph rebuild is amortized into the flooding rounds.
+// Each node assembles only what its verifier reads, as core's views do:
+// arrivals join the ball without an edge scan (see node.learn), the ball
+// graph holds the edges of the inner members' records (distance < r),
+// and the edges between two boundary members are added only when a
+// verifier first reads one (node.assemble, completeRim). A radius-1
+// ball is a star until then.
 //
 // A wired shard's checks go cold, then warm. The configuration — graph,
 // labels, weights — is fixed for a shard's life; only the proof changes

@@ -27,7 +27,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -83,13 +82,14 @@ type remoteLink struct {
 // A Shard is not safe for concurrent runs; callers serialize them. It
 // keeps the previous check's flooded knowledge until the next check
 // rewinds it. Every shard of a check must be equally warm, which holds
-// while they run the same checks and none fails alone. A failed warm
-// run keeps the shard warm; any other failed run thaws it, back to a
-// fresh shard. Shards that end up disagreeing fail a run on the records
-// they exchange (a bare record reaching a cold automaton, a full one a
-// warm automaton) and thaw; they never decide on the wrong records.
-// Network drops a wiring whose run failed, and a dist-tcp worker drops
-// the registration, so neither ever runs a group that could disagree.
+// while they run the same checks and none fails alone. Every failed run
+// thaws its shard, back to a fresh shard, so shards that ended one run
+// differently (some succeeded, some failed) fail at most one further
+// run on the records they exchange (a bare record reaching a cold
+// automaton, a full one a warm automaton), which thaws them all; they
+// never decide on the wrong records. Network drops a wiring whose run
+// failed, and a dist-tcp worker drops the registration, so neither ever
+// runs a group that could disagree.
 type Shard struct {
 	kind    graph.Kind  // beyond the records, all a node knows up front:
 	global  core.Global // the graph kind and the global input
@@ -109,6 +109,9 @@ type Shard struct {
 	ran    bool
 	warm   bool
 	epoch  uint32
+	// batched reports that every automaton's cur and next have room for
+	// a round's batch (batches): set by the first run of radius > 1.
+	batched bool
 }
 
 // Records returns the round-0 records of the plan's owned nodes, in
@@ -163,16 +166,17 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 		byID:   make(map[int]*node, len(recs)),
 	}
 	// Each automaton's buffers start in slabs sized for a radius-1
-	// check — a ball of degree+1 records, up to degree+1 records per
-	// round's batch, degree induced edges; larger radii grow past them.
+	// check: a ball of degree+1 records (up to smallBall+1; a larger
+	// ball grows past it) and a first-round batch of one record, the
+	// node's own. Later rounds' batches get their slab from the first
+	// run that floods them (batches).
 	edges, balls := 0, 0
 	for i := range recs {
 		d := len(recs[i].Edges)
 		edges, balls = edges+d, balls+min(d+1, smallBall+1)
 	}
-	indSlab := make([]transport.EdgeRec, 0, edges)
 	ballSlab := make([]learned, 0, balls)
-	batches := make([]transport.Record, 0, 2*(edges+len(recs)))
+	own := make([]transport.Record, 0, len(recs))
 	for i := range recs {
 		rec, nd := &recs[i], &s.nodes[i]
 		if s.byID[rec.ID] != nil {
@@ -180,11 +184,8 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 		}
 		s.owned[i], s.byID[rec.ID] = rec.ID, nd
 		nd.id, nd.base = rec.ID, rec
-		deg := len(rec.Edges)
-		nd.indEdges, indSlab = carve(indSlab, deg)
-		nd.ball, ballSlab = carve(ballSlab, min(deg+1, smallBall+1))
-		nd.cur, batches = carve(batches, deg+1)
-		nd.next, batches = carve(batches, deg+1)
+		nd.ball, ballSlab = carve(ballSlab, min(len(rec.Edges)+1, smallBall+1))
+		nd.cur, own = carve(own, 1)
 	}
 	// Wire after every automaton exists: same-shard neighbours get
 	// direct-merge links, cut edges get remote links routed by the
@@ -226,6 +227,27 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 	return s, nil
 }
 
+// batches gives every automaton a cur and a next of degree+1 records
+// each, from one slab, once: a run of radius > 1 forwards up to a
+// node's degree+1 records per round (more in later rounds, which grow
+// past it), where a radius-1 run sends only the node's own record.
+func (s *Shard) batches() {
+	if s.batched {
+		return
+	}
+	size := 0
+	for i := range s.nodes {
+		size += 2 * (len(s.nodes[i].base.Edges) + 1)
+	}
+	slab := make([]transport.Record, 0, size)
+	for i := range s.nodes {
+		nd, deg := &s.nodes[i], len(s.nodes[i].base.Edges)
+		nd.cur, slab = carve(slab, deg+1)
+		nd.next, slab = carve(slab, deg+1)
+	}
+	s.batched = true
+}
+
 // carve cuts an empty piece of capacity n off the end of slab and
 // returns it with the slab grown past it.
 func carve[T any](slab []T, n int) (piece, rest []T) {
@@ -245,9 +267,9 @@ func (s *Shard) Peers() []int { return s.peers }
 // radius and decides every owned node. The verdicts align with Owned; a
 // transport failure, context cancellation, verifier panic, or a record
 // the shard's warmth does not expect surfaces as an error (the first one
-// wins) with no partial verdicts. A failed run leaves the shard reusable:
-// the next run reseeds every automaton (Shard says how it stays warm or
-// thaws).
+// wins) with no partial verdicts; so does a cancellation that lands
+// during the last round. A failed run leaves the shard reusable and
+// cold: the next run reseeds every automaton (see Shard).
 //
 // The caller owns the transport: Run never closes it, so stats survive
 // the run. The transport must speak for the shard's index.
@@ -271,18 +293,16 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 		s.thaw() // another radius: its balls are not these
 	}
 	defer func() {
-		switch {
-		case err == nil:
+		if err == nil {
 			s.radius, s.ran, s.warm = radius, true, warm || freeze
-		case warm && !errors.Is(err, errWarmth):
-			// A cancelled, cut or panicking warm run leaves the
-			// frozen balls as they were: the next warm run rewrites
-			// every proof entry, and peers that finished this run
-			// are warm too.
-		default:
-			s.thaw()
-			s.ran = false
+			return
 		}
+		// Peers may have ended this run otherwise (succeeded, or seen
+		// only the poison of this shard's failure): thawing on every
+		// failure is what brings a group back to agreement after one
+		// further failed run at most.
+		s.thaw()
+		s.ran = false
 	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -293,6 +313,9 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 	var t0 time.Time
 	if tm != nil {
 		t0 = time.Now()
+	}
+	if radius > 1 {
+		s.batches()
 	}
 	if warm {
 		if s.epoch++; s.epoch == 0 {
@@ -335,7 +358,7 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 		for i := range s.nodes {
 			nd := &s.nodes[i]
 			for _, nb := range nd.local {
-				if err := nb.merge(nd.cur, r, s.epoch); err != nil {
+				if err := nb.merge(nd.cur, r, radius, s.epoch); err != nil {
 					return nil, err
 				}
 			}
@@ -345,15 +368,18 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 			if nd == nil {
 				return nil, fmt.Errorf("dist: shard %d: delivery for node %d, which it does not own", s.me, d.Dst)
 			}
-			if err := nd.merge(d.Recs, r, s.epoch); err != nil {
+			if err := nd.merge(d.Recs, r, radius, s.epoch); err != nil {
 				return nil, err
 			}
 		}
 		// Phase 4: swap, then close the round — after Barrier, every
-		// shard has merged round r and buffer reuse is licensed.
-		for i := range s.nodes {
-			nd := &s.nodes[i]
-			nd.cur, nd.next = nd.next, nd.cur
+		// shard has merged round r and buffer reuse is licensed. The
+		// last round learned nothing to send, so its buffers stay put.
+		if r < radius {
+			for i := range s.nodes {
+				nd := &s.nodes[i]
+				nd.cur, nd.next = nd.next, nd.cur
+			}
 		}
 		if err := tr.Barrier(ctx, r); err != nil {
 			return nil, err
@@ -361,6 +387,12 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 	}
 	if tm != nil {
 		tm.flood = time.Since(t0)
+	}
+	// A cancellation that landed during the last round fails every
+	// shard of the check alike, whichever of them the last gate let
+	// through.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	verdicts = make([]bool, len(s.nodes))
 	var scratch []graph.Edge

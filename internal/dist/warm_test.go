@@ -243,3 +243,76 @@ func TestNetworkCancelledOnFrozenWiring(t *testing.T) {
 		nw.Close()
 	}
 }
+
+// dropRound wraps a shard's transport and loses every delivery of one
+// round, so the shard's automata miss members they expect.
+type dropRound struct {
+	transport.Transport
+	round int
+}
+
+func (d dropRound) Exchange(ctx context.Context, round int) ([]transport.Delivery, error) {
+	dels, err := d.Transport.Exchange(ctx, round)
+	if round == d.round {
+		return nil, err
+	}
+	return dels, err
+}
+
+// poisonedBarrier wraps a shard's transport and fails its Barrier of one
+// round with the group's poison once the whole group has passed it: the
+// shard sees a failure that is not its own, where its peers see none.
+type poisonedBarrier struct {
+	transport.Transport
+	round int
+}
+
+func (b poisonedBarrier) Barrier(ctx context.Context, round int) error {
+	if err := b.Transport.Barrier(ctx, round); err != nil || round != b.round {
+		return err
+	}
+	return &transport.Error{Transport: b.Name(), Round: round, Err: transport.ErrClosed}
+}
+
+// TestFailedRunsThawTheirShards: a warm group of three shards on a
+// path, whose ends share no cut edge, ends one run three ways — the
+// middle shard succeeds, one end misses members (a warmth failure), the
+// other end sees only the group's poison. Every failed run thaws its
+// shard, so the group checks correctly again after at most one more
+// failed run.
+func TestFailedRunsThawTheirShards(t *testing.T) {
+	in := lcp.NewInstance(graph.Path(12))
+	v := proofVerifier(1)
+	shards := workerShards(t, in, 3, partition.Contiguous{})
+	run := func(seed int64, wrap func(int, transport.Transport) transport.Transport) error {
+		p := core.RandomProof(in, 3, seed)
+		got, err := runShards(context.Background(), shards, p, v, wrap)
+		if err == nil {
+			resultsEqual(t, fmt.Sprintf("check %d", seed), &core.Result{Outputs: got}, core.Check(in, p, v))
+		}
+		return err
+	}
+	for seed := range int64(3) { // cold, freezing, warm
+		if err := run(seed, nil); err != nil {
+			t.Fatalf("check %d: %v", seed, err)
+		}
+	}
+	err := run(3, func(s int, tr transport.Transport) transport.Transport {
+		switch s {
+		case 0:
+			return dropRound{Transport: tr, round: 1}
+		case 2:
+			return poisonedBarrier{Transport: tr, round: 1}
+		}
+		return tr
+	})
+	if err == nil || !errors.Is(err, transport.ErrClosed) || !strings.Contains(err.Error(), "warm flood reached") {
+		t.Fatalf("uneven run returned %v, want a missed member and the poison", err)
+	}
+	_ = run(4, nil)
+	for seed := int64(5); seed < 10; seed++ {
+		if err := run(seed, nil); err != nil {
+			t.Fatalf("check %d, the second after the uneven run: %v", seed, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"lcp/internal/dist"
 	"lcp/internal/engine"
 	"lcp/internal/graph"
+	"lcp/internal/partition"
 )
 
 // TestViewConstructionsAgree pins that every way of building a view
@@ -159,4 +161,137 @@ func directedInstance() *core.Instance {
 	in.EdgeLabel = map[graph.Edge]string{{U: 5, V: 2}: core.EdgeInSolution, {U: 3, V: 4}: "a", {U: 9, V: 3}: "b"}
 	in.Weights = map[graph.Edge]int64{{U: 12, V: 1}: 7, {U: 6, V: 7}: 2}
 	return in
+}
+
+// TestDistBoundaryQueriesMatchBuildView: a dist ball view is built from
+// its inner members' records and completes its boundary–boundary edges
+// on the first query that needs them. Whichever query that is — a
+// boundary member's rows, HasEdge, EdgeLabel, Weight, Graph, or
+// Restrict to the view's own radius — its answers, and the whole view after it (core.ViewsEqual), are
+// core.BuildView's. It runs on decorated and directed instances, over
+// one Network's cold, freezing and warm checks: the freezing check
+// completes no view, so warm checks complete frozen views from what
+// freezing kept.
+func TestDistBoundaryQueriesMatchBuildView(t *testing.T) {
+	cases := []struct {
+		name string
+		in   *core.Instance
+	}{
+		{"random/decorated", decorated(lcp.NewInstance(lcp.RandomConnected(30, 0.15, 3)), 3)},
+		{"powerlaw/decorated", decorated(lcp.NewInstance(lcp.PowerLaw(60, 3, 2)), 4)},
+		{"directed", directedInstance()},
+		{"rim-labelled", rimLabelled()},
+	}
+	const modes, none = 7, 6 // rows, HasEdge, EdgeLabel, Weight, Graph, Restrict, none
+	for _, tc := range cases {
+		rims := 0 // boundary–boundary edges seen in reference views
+		for r := 1; r <= 3; r++ {
+			nw, err := dist.NewNetwork(tc.in, dist.Options{Shards: 3, Partitioner: partition.BFSChunks{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for check := range 9 {
+				p := withEpsilons(core.RandomProof(tc.in, 3, int64(10*r+check)), tc.in, 4)
+				var mu sync.Mutex
+				var bad []string
+				v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
+					ref := core.BuildView(tc.in, p, w.Center, r)
+					mode := (w.Center + check) % modes
+					if check == 1 {
+						mode = none // the freezing check
+					}
+					msg, n := boundaryDiff(w, ref, mode)
+					mu.Lock()
+					defer mu.Unlock()
+					rims += n
+					if msg != "" {
+						bad = append(bad, fmt.Sprintf("center %d, mode %d: %s", w.Center, mode, msg))
+					}
+					return true
+				}}
+				if _, err := nw.CheckCtx(context.Background(), p, v); err != nil {
+					t.Fatalf("%s r=%d check %d: %v", tc.name, r, check, err)
+				}
+				if len(bad) > 0 {
+					t.Fatalf("%s r=%d check %d: %v", tc.name, r, check, bad)
+				}
+			}
+			nw.Close()
+		}
+		if rims == 0 {
+			t.Fatalf("%s: no ball has an edge between two boundary members", tc.name)
+		}
+	}
+}
+
+// rimLabelled is two triangles joined by an edge, where only the edge
+// of each triangle that faces away from the joint carries a label and a
+// weight: the radius-1 balls of the joint's ends see those inputs only
+// on an edge between two boundary members.
+func rimLabelled() *core.Instance {
+	b := graph.NewBuilder(graph.Undirected)
+	b.AddPath(1, 2, 3, 1).AddEdge(3, 4).AddPath(4, 5, 6, 4)
+	in := core.NewInstance(b.Graph())
+	in.MarkEdge(1, 2)
+	in.MarkEdge(5, 6)
+	in.Weights = map[graph.Edge]int64{{U: 1, V: 2}: 3, {U: 5, V: 6}: 4}
+	return in
+}
+
+// boundaryDiff compares a view with the reference view of its ball
+// through one query mode first (0 rows, 1 HasEdge, 2 EdgeLabel, 3
+// Weight, 4 Graph, 5 Restrict to its own radius), then as a whole; mode
+// 6 reads only members, distances and proofs, which complete nothing. It returns what
+// differs, if anything, and the reference's boundary–boundary edges.
+func boundaryDiff(w, ref *core.View, mode int) (string, int) {
+	nodes, rims := ref.Nodes(), 0
+	for _, u := range nodes {
+		for _, x := range nodes {
+			if !ref.KnowsFully(u) && !ref.KnowsFully(x) && ref.HasEdge(u, x) {
+				rims++
+			}
+		}
+	}
+	if !slices.Equal(w.Nodes(), nodes) {
+		return "members differ", rims
+	}
+	for _, u := range nodes {
+		dw, _ := w.Dist(u)
+		dr, _ := ref.Dist(u)
+		if dw != dr || !w.ProofOf(u).Equal(ref.ProofOf(u)) {
+			return fmt.Sprintf("node %d: distance or proof differs", u), rims
+		}
+	}
+	switch mode {
+	case 0:
+		for _, u := range nodes {
+			if !slices.Equal(w.Neighbors(u), ref.Neighbors(u)) || !slices.Equal(w.InNeighbors(u), ref.InNeighbors(u)) || w.Degree(u) != ref.Degree(u) {
+				return fmt.Sprintf("rows of %d differ", u), rims
+			}
+		}
+	case 1, 2, 3:
+		for _, u := range nodes {
+			for _, x := range nodes {
+				if mode == 1 && w.HasEdge(u, x) != ref.HasEdge(u, x) ||
+					mode == 2 && w.EdgeLabel(u, x) != ref.EdgeLabel(u, x) ||
+					mode == 3 && w.Weight(u, x) != ref.Weight(u, x) {
+					return fmt.Sprintf("mode %d query of (%d, %d) differs", mode, u, x), rims
+				}
+			}
+		}
+	case 4:
+		if !graph.Equal(w.Graph(), ref.Graph()) {
+			return "graphs differ", rims
+		}
+	case 5:
+		if !core.ViewsEqual(w.Restrict(w.Radius, w.BallProof()), ref) {
+			return "restricted view differs", rims
+		}
+	default:
+		return "", rims
+	}
+	if !core.ViewsEqual(w, ref) {
+		return "views differ", rims
+	}
+	return "", rims
 }
