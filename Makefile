@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt build vet lint test test-short race bench bench-smoke bench-diff load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke sweep perfbench-check
+.PHONY: check fmt build vet lint test test-short race bench bench-smoke load-smoke obs-smoke fuzz-smoke scale-smoke transport-smoke perfbench-check
 
 check: fmt build vet lint test perfbench-check fuzz-smoke scale-smoke
 
@@ -57,13 +57,17 @@ bench-smoke:
 
 # load-smoke fires a short burst of real HTTP traffic at an in-process
 # lcpserve (cmd/lcpload with no -url): a few seconds of /check and
-# /check/batch at modest concurrency, one run per backend family. It
-# exists to catch a service stack that no longer survives concurrent
-# load (lcpload exits non-zero on any failed request), not to measure —
-# `lcpload -duration 10s -concurrency 16` against a real daemon does
-# that.
+# /check/batch at modest concurrency, one run per backend and
+# partitioner. It exists to catch a service stack that no longer
+# survives concurrent load, not to measure — `lcpload -duration 10s
+# -concurrency 16` against a real daemon does that. lcpload exits
+# non-zero on any failed request, and also on a /metrics exposition
+# that fails to parse or a counter that moved backwards between its
+# scrapes before and after the window, so each run is the
+# observability check for its configuration too.
 load-smoke:
 	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8
+	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8 -backend dist
 	$(GO) run ./cmd/lcpload -duration 2s -concurrency 4 -nodes 64 -batch 8 -backend dist -partitioner bfs
 
 # fuzz-smoke runs every native fuzz target for a short budget (one
@@ -85,46 +89,36 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCheckFrame -fuzztime=10s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzRegisterShard -fuzztime=10s ./internal/remote/
 
-# scale-smoke runs one n=10^5 sweep cell per backend through cmd/lcpsweep
-# — the full generate -> textio write -> parse -> prove -> check pipeline
-# on a power-law instance — so "the hot paths hold up at scale" is
-# re-proved on every check, not only in the recorded BENCH_sweep.json.
-# Seconds per cell; the full grid (plus the n=10^6 tier) is `make sweep`.
+# scale-smoke runs the benchmark's power-law workload for one second
+# (perfbench/run.sh; see perfbench/main.go): an n=10^5 power-law
+# instance written as textio, parsed, proved and checked on the core,
+# engine and dist backends, each in its own process, plus the serve and
+# fleet phases, so "the hot paths hold up at scale" is re-proved on
+# every check. perfbench exits 1 on any wrong verdict; an operation that
+# errored shows as a non-zero "failed" on its last line of output, and
+# that fails the target too, as does a run that attempted nothing. BENCH_sweep.json keeps the recorded n=10^5-10^6
+# grid as history.
 scale-smoke:
-	$(GO) run ./cmd/lcpsweep -n 100000 -families power-law -backends core,engine,dist
+	@out=$$(bash perfbench/run.sh --workload powerlaw --seed 1 --seconds 1) || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -Eq '^\{"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || \
+		{ echo "scale-smoke: no operations, or some failed" >&2; exit 1; }
 
 # transport-smoke is the multi-process scale-out check: cmd/lcpfleet
-# spawns two real worker subprocesses (its own binary in -as-worker
-# mode), registers every catalog scheme's instance over the dist-tcp
-# control plane, floods the shards over actual TCP sockets, asserts
-# verdict equality with the sequential reference, and SIGTERMs the
-# fleet insisting on clean exits. The built binary is used (not `go
-# run`) because the harness re-executes os.Executable() to spawn its
-# workers.
+# spawns two cmd/lcpworker subprocesses (the binary beside its own, so
+# both are built into bin/), registers every catalog scheme's instance
+# over the dist-tcp control plane, floods the shards over actual TCP
+# sockets, asserts verdict equality with the sequential reference, and
+# SIGTERMs the fleet insisting on clean exits.
 transport-smoke:
 	$(GO) build -o bin/lcpfleet ./cmd/lcpfleet
+	$(GO) build -o bin/lcpworker ./cmd/lcpworker
 	./bin/lcpfleet -workers 2
 
-# sweep reproduces BENCH_sweep.json: the full n=10^5 grid over family x
-# backend x partitioner x shards, plus the n=10^6 tier on the
-# shared-memory backends (the message-passing backends are capped by
-# -max-dist-n). Minutes, not seconds.
-sweep:
-	$(GO) run ./cmd/lcpsweep -n 100000,1000000 -partitioners contiguous,bfs -shards 0,4 -out BENCH_sweep.json
-
-# bench-diff re-runs the benchmarks each BENCH_*.json baseline records
-# and prints fresh/baseline ratios, flagging anything 1.20x over. The
-# ledger comparison every perf-relevant PR owes — measured, not eyeballed.
-bench-diff:
-	$(GO) run ./cmd/lcpsweep -bench-diff
-
-# obs-smoke exercises the observability contract end to end: a short
-# lcpload burst per backend family scrapes /metrics before and after the
-# window and exits non-zero if the Prometheus exposition fails to parse
-# or any counter moves backwards, on top of the package-level tests for
-# trace-ID propagation and exposition well-formedness.
+# obs-smoke runs the package-level tests of the observability
+# contract: trace-ID propagation, request logging and Prometheus
+# exposition well-formedness. The scrape-and-diff of /metrics under
+# load runs in every load-smoke lcpload run.
 obs-smoke:
 	$(GO) test -run 'TestServeTrace|TestServeMetrics|TestServeRequestLogging' ./internal/serve/
 	$(GO) test -run 'TestWriteProm|TestTrace' ./internal/obs/
-	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend dist
-	$(GO) run ./cmd/lcpload -duration 1s -concurrency 4 -nodes 64 -batch 8 -backend dist -partitioner bfs

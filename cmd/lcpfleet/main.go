@@ -1,21 +1,22 @@
 // Command lcpfleet is the multi-process transport smoke test: it
-// spawns a small fleet of worker subprocesses (re-executing its own
-// binary in worker mode), fans catalog checks out to them over the
-// dist-tcp backend, and asserts verdict equality with the sequential
-// reference — then shuts the fleet down with SIGTERM and insists on
-// clean exits.
+// spawns a small fleet of lcpworker subprocesses, fans catalog checks
+// out to them over the dist-tcp backend, and asserts verdict equality
+// with the sequential reference — then shuts the fleet down with
+// SIGTERM and insists on clean exits.
 //
 //	lcpfleet            # spawn 2 workers, run the smoke, exit 0/1
 //	lcpfleet -workers 4
+//
+// The worker binary is the lcpworker that sits beside lcpfleet's own
+// executable, so build both into one directory first (`make
+// transport-smoke` builds them into bin/).
 //
 // It exists for CI (`make transport-smoke`): everything the 3-terminal
 // quickstart in the README does by hand — worker startup, address
 // scraping, coordinator registration, TCP flooding, graceful teardown
 // — exercised as one subprocess tree with a watchdog, so a wedged
 // handshake or a leaked worker fails the build instead of a user's
-// first scale-out attempt. The worker mode (-as-worker) is the same
-// serve loop as cmd/lcpworker; re-execution is what lets a single
-// `go run`-built binary be its own fleet.
+// first scale-out attempt.
 package main
 
 import (
@@ -24,31 +25,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/exec"
-	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"lcp"
 	"lcp/internal/core"
-	"lcp/internal/remote"
 )
 
 const listenPrefix = "lcpworker listening on "
 
 func main() {
-	asWorker := flag.Bool("as-worker", false, "run as a fleet worker (internal: lcpfleet re-executes itself with this flag)")
 	workers := flag.Int("workers", 2, "worker subprocesses to spawn")
 	timeout := flag.Duration("timeout", 60*time.Second, "watchdog for the whole smoke run")
 	flag.Parse()
-
-	if *asWorker {
-		runWorker()
-		return
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -56,27 +49,6 @@ func main() {
 		log.Fatalf("lcpfleet: FAIL: %v", err)
 	}
 	fmt.Println("lcpfleet: PASS")
-}
-
-// runWorker is cmd/lcpworker's serve loop inlined: listen on a free
-// loopback port, print the scrape line, serve until SIGTERM.
-func runWorker() {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatalf("lcpfleet worker: listen: %v", err)
-	}
-	schemes := lcp.BuiltinSchemes()
-	for _, exp := range lcp.Catalog() {
-		schemes[exp.Scheme.Name()] = exp.Scheme
-	}
-	w := remote.NewWorker(ln, schemes)
-	fmt.Printf("%s%s\n", listenPrefix, w.Addr())
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := w.Serve(ctx); err != nil && ctx.Err() == nil {
-		log.Fatalf("lcpfleet worker: %v", err)
-	}
 }
 
 // fleetProc is one spawned worker subprocess and its scraped address.
@@ -90,6 +62,7 @@ func runSmoke(ctx context.Context, n int) error {
 	if err != nil {
 		return fmt.Errorf("locating own binary: %v", err)
 	}
+	worker := filepath.Join(filepath.Dir(exe), "lcpworker")
 
 	procs := make([]*fleetProc, 0, n)
 	defer func() {
@@ -101,7 +74,7 @@ func runSmoke(ctx context.Context, n int) error {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		p, err := spawnWorker(ctx, exe)
+		p, err := spawnWorker(ctx, worker)
 		if err != nil {
 			return fmt.Errorf("spawning worker %d: %v", i, err)
 		}
@@ -135,8 +108,8 @@ func runSmoke(ctx context.Context, n int) error {
 	return nil
 }
 
-func spawnWorker(ctx context.Context, exe string) (*fleetProc, error) {
-	cmd := exec.CommandContext(ctx, exe, "-as-worker")
+func spawnWorker(ctx context.Context, worker string) (*fleetProc, error) {
+	cmd := exec.CommandContext(ctx, worker)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {

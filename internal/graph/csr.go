@@ -75,54 +75,3 @@ func endpointIDs(edges []Edge) []int {
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
-
-// FromCSR assembles a graph over the dense identifiers 1..n directly
-// from its compressed-sparse-row adjacency: targets[offsets[i]:
-// offsets[i+1]] are the neighbour identifiers of node i+1, each row
-// ascending. For undirected kinds every edge must appear in both
-// endpoint rows (so len(targets) is 2m); for directed kinds targets is
-// the out-adjacency and the in-adjacency is derived by a counting
-// transpose. This is the zero-copy trusted constructor: the Graph takes
-// ownership of offsets and targets and performs no validation beyond
-// shape checks.
-func FromCSR(kind Kind, n int, offsets []int32, targets []int) *Graph {
-	if kind != Directed {
-		kind = Undirected
-	}
-	if len(offsets) != n+1 {
-		panic(fmt.Sprintf("graph: FromCSR needs %d offsets, got %d", n+1, len(offsets)))
-	}
-	if n > 0 && int(offsets[n]) != len(targets) {
-		panic(fmt.Sprintf("graph: FromCSR offsets end at %d, targets has %d", offsets[n], len(targets)))
-	}
-	checkCSRBounds(len(targets))
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i + 1
-	}
-	g := &Graph{kind: kind, ids: ids, off: offsets, adj: targets}
-	g.dense = n > 0
-	if kind != Directed {
-		g.m = len(targets) / 2
-		return g
-	}
-	g.m = len(targets)
-	g.inOff = make([]int32, n+1)
-	for _, v := range targets {
-		g.inOff[v]++ // v's index is v-1; count into slot v = (v-1)+1
-	}
-	for i := 0; i < n; i++ {
-		g.inOff[i+1] += g.inOff[i]
-	}
-	g.inAdj = make([]int, len(targets))
-	cur := make([]int32, n)
-	for i := 0; i < n; i++ {
-		u := i + 1
-		for _, v := range g.row(i) {
-			iv := v - 1
-			g.inAdj[g.inOff[iv]+cur[iv]] = u
-			cur[iv]++
-		}
-	}
-	return g
-}

@@ -127,51 +127,6 @@ func TestFromSortedEdgesMatchesBuilder(t *testing.T) {
 	}
 }
 
-// TestFromCSRMatchesBuilder: a raw offsets/targets pair round-trips into
-// the same graph the Builder produces, for both kinds.
-func TestFromCSRMatchesBuilder(t *testing.T) {
-	for _, kind := range []Kind{Undirected, Directed} {
-		b := NewBuilder(kind)
-		rng := rand.New(rand.NewSource(9))
-		n := 30
-		for i := 0; i < 80; i++ {
-			u, v := rng.Intn(n)+1, rng.Intn(n)+1
-			if u != v {
-				b.AddEdge(u, v)
-			}
-		}
-		for i := 1; i <= n; i++ {
-			b.AddNode(i) // dense 1..n, FromCSR's contract
-		}
-		want := b.Graph()
-		offsets := make([]int32, 1, n+1)
-		var targets []int
-		for i := 1; i <= n; i++ {
-			targets = append(targets, want.Neighbors(i)...)
-			offsets = append(offsets, int32(len(targets)))
-		}
-		got := FromCSR(kind, n, offsets, targets)
-		name := "undirected"
-		if kind == Directed {
-			name = "directed"
-		}
-		sameGraphSurface(t, name, got, want)
-	}
-}
-
-func TestFromCSRPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("short offsets", func() { FromCSR(Undirected, 2, []int32{0, 1}, []int{2}) })
-	mustPanic("target mismatch", func() { FromCSR(Undirected, 1, []int32{0, 2}, []int{1}) })
-}
-
 func TestFromEdgesValidates(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {

@@ -53,8 +53,8 @@ const idxMapThreshold = 64
 // node. The zero value is an empty undirected graph.
 //
 // Identifier lookup has three tiers: contiguous identifiers 1..n resolve
-// arithmetically (the dense fast path — every generator and FromCSR graph
-// takes it), small graphs binary-search the sorted identifier list, and
+// arithmetically (the dense fast path — every generator graph takes
+// it), small graphs binary-search the sorted identifier list, and
 // large sparse identifier sets fall back to a hash map.
 type Graph struct {
 	kind  Kind
