@@ -52,8 +52,12 @@ bench:
 # (BenchmarkPartitioners, whose cut-edge metrics feed
 # BENCH_partition.json) — so CI catches benches that no longer compile
 # or fail their own assertions, without paying for a real measurement.
+# It then regenerates Table 1 at two sizes on the sequential and
+# message-passing runtimes; lcpbench exits 1 on any ERR, REJ or DREJ
+# cell.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) run ./cmd/lcpbench -sizes 16,32 -verify-distributed
 
 # load-smoke fires a short burst of real HTTP traffic at an in-process
 # lcpserve (cmd/lcpload with no -url): a few seconds of /check and

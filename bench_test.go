@@ -543,7 +543,7 @@ func BenchmarkAblationConnectivityCompression(b *testing.B) {
 // the benchmark workloads' shapes at a unit-test size: a scrambled
 // 128×128 grid under bipartiteness (tiny balls), a 16384-node
 // power-law graph under leader election (hub balls), and the line graph
-// of a 4096-cycle under the radius-5 line-graph verifier, which asks
+// of a 4096-cycle under the radius-2 line-graph verifier, which asks
 // every view for its induced graph. ns/node and allocs/op are the
 // figures BENCH_engine.json records.
 func BenchmarkViewWalk(b *testing.B) {

@@ -14,7 +14,6 @@ package lcp
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -44,12 +43,12 @@ const (
 	// pool.
 	// This is the default backend.
 	BackendEngine = string(config.BackendEngine)
-	// BackendDistTCP: the multi-process scale-out — the instance is
-	// partitioned across external lcpworker processes (WithWorkerAddrs),
-	// each flooding its shard over TCP, with this process acting as the
-	// fan-out coordinator. Requires WithScheme (the workers resolve the
-	// scheme by name in their own registries; verifier code does not
-	// travel).
+	// BackendDistTCP: the multi-process scale-out — the dist backend's
+	// network with one shard per external lcpworker process
+	// (WithWorkerAddrs), each flooding its shard over TCP; a check's
+	// shard group is one registration of the instance on the fleet.
+	// Requires WithScheme (the workers resolve the scheme by name in
+	// their own registries; verifier code does not travel).
 	BackendDistTCP = string(config.BackendDistTCP)
 )
 
@@ -93,15 +92,17 @@ type Report struct {
 	// Elapsed is the wall-clock time of the check.
 	Elapsed time.Duration
 	// Stages is the per-stage breakdown of Elapsed, in the order the
-	// stages first ran. Which stages appear depends on the backend
-	// ("core.check"; "dist.wire"/"dist.seed"/"dist.flood"/"dist.run";
-	// "engine.views"/"engine.verify"; "remote.register"/"remote.fanout",
-	// the first only on the dist-tcp check that registers the instance
-	// on the fleet). Stages recorded by concurrent workers sum their
+	// stages first ran. Which stages appear depends on the backend:
+	// "core.check"; "dist.wire"/"dist.seed"/"dist.flood"/"dist.run";
+	// "engine.views"/"engine.verify"; and on dist-tcp "dist.wire" (the
+	// partition, planned on the first check), "remote.register" (only on
+	// a check that registers a new group on the fleet: the first, and
+	// the first after a failed one or beyond the pooled groups) and
+	// "remote.fanout". Stages recorded by concurrent workers sum their
 	// wall time, so a stage's Total can exceed Elapsed; Count says how
-	// many observations merged. An engine
-	// CheckBatch runs one walk for all its proofs, so each of its
-	// reports carries the whole batch's Elapsed and Stages.
+	// many observations merged. An engine CheckBatch runs one walk for
+	// all its proofs, so each of its reports carries the whole batch's
+	// Elapsed and Stages.
 	Stages []Stage
 }
 
@@ -257,14 +258,9 @@ type checker struct {
 	schemeName string         // dist-tcp backend: resolved on the workers
 	eng        *engine.Engine // engine backend
 
-	mu    sync.Mutex
-	net   *dist.Network       // dist backend, wired lazily on first check
-	coord *remote.Coordinator // dist-tcp backend, dialed and registered lazily
+	mu  sync.Mutex
+	net *dist.Network // message-passing backends, built on first check
 }
-
-// checkerSeq distinguishes concurrently-registered instances of this
-// process on a shared worker fleet.
-var checkerSeq atomic.Uint64
 
 // NewChecker compiles the options into a Checker for the instance. The
 // verifier is required (WithScheme or WithVerifier); everything else
@@ -311,78 +307,43 @@ func NewChecker(in *Instance, opts ...CheckerOption) (Checker, error) {
 
 func (c *checker) backend() config.Backend { return c.cfg.ResolvedBackend() }
 
-// network wires the dist backend's reusable message-passing network on
-// first use; construction is the expensive part of a run, so it is paid
-// once per checker, not once per proof.
+// network builds the message-passing backends' network on first use:
+// its groups (wirings for dist, fleet registrations for dist-tcp) are
+// the expensive part of a run, paid per concurrent caller, not per
+// proof.
 func (c *checker) network() (*dist.Network, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.net == nil {
-		nw, err := dist.NewNetwork(c.in, c.cfg.DistOptions())
-		if err != nil {
-			return nil, err
-		}
-		c.net = nw
-	}
-	return c.net, nil
-}
-
-// coordinator dials the worker fleet and registers the instance on
-// first use — the expensive part of the dist-tcp path (shipping each
-// worker its nodes' round-0 records, wiring the shards, building the
-// data mesh), paid once per checker, not once per proof. It is also
-// the only recovery path: a failed check drops the coordinator, and
-// the next check dials and registers afresh.
-func (c *checker) coordinator(ctx context.Context) (*remote.Coordinator, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.coord != nil {
-		return c.coord, nil
-	}
-	id := fmt.Sprintf("lcp-%d-%d", os.Getpid(), checkerSeq.Add(1))
-	coord, err := remote.DialCoordinator(ctx, id, c.cfg.WorkerAddrs, remote.Options{Partitioner: c.cfg.Partitioner})
-	if err != nil {
-		return nil, err
-	}
-	if err := coord.Register(ctx, c.in, c.schemeName); err != nil {
-		return nil, err // a failed Register has closed the coordinator
-	}
-	c.coord = coord
-	return coord, nil
-}
-
-// close drops the dist backend's wirings and tells a dist-tcp worker
-// fleet to forget the instance. Used by CloseChecker; long-lived
-// in-process checkers can simply be garbage collected.
-func (c *checker) close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.net != nil {
-		c.net.Close()
-		c.net = nil
+		return c.net, nil
 	}
-	if c.coord != nil {
-		_ = c.coord.Close() // closing the control connections is the deregistration
-		c.coord = nil
+	var err error
+	if c.backend() == config.BackendDistTCP {
+		c.net, err = dist.NewNetworkWith(c.in, c.cfg.DistOptions(), remote.Fleet(c.cfg.WorkerAddrs, c.schemeName))
+	} else {
+		c.net, err = dist.NewNetwork(c.in, c.cfg.DistOptions())
 	}
+	return c.net, err
 }
 
 // CloseChecker releases a checker's amortized state eagerly: the dist
 // backend's node wirings, and — on the dist-tcp backend — the worker
-// fleet's registration and control connections. Safe on every Checker
-// this package constructs and on every backend; a checker that holds no
-// such state is a no-op. The checker must not be used afterwards.
+// fleet's registrations and control connections. It does not wait for
+// a check in flight, whose group closes when that check returns. Safe
+// on every Checker this package constructs and on every backend; a
+// checker that holds no such state is a no-op. The checker must not be
+// used afterwards.
 func CloseChecker(c Checker) {
-	if impl, ok := c.(*checker); ok {
-		impl.close()
+	impl, ok := c.(*checker)
+	if !ok {
+		return
 	}
-}
-
-func (c *checker) report(res *core.Result, start time.Time) *Report {
-	return &Report{
-		Backend: string(c.backend()),
-		Outputs: res.Outputs,
-		Elapsed: time.Since(start),
+	impl.mu.Lock()
+	nw := impl.net
+	impl.net = nil
+	impl.mu.Unlock()
+	if nw != nil {
+		nw.Close()
 	}
 }
 
@@ -399,7 +360,7 @@ func (c *checker) Check(ctx context.Context, p Proof) (*Report, error) {
 		stop := tl.Start("core.check")
 		res, err = core.CheckCtx(ctx, c.in, p, c.v)
 		stop()
-	case config.BackendDist:
+	case config.BackendDist, config.BackendDistTCP:
 		var nw *dist.Network
 		stop := tl.Start("dist.wire")
 		nw, err = c.network()
@@ -409,40 +370,20 @@ func (c *checker) Check(ctx context.Context, p Proof) (*Report, error) {
 		}
 	case config.BackendEngine:
 		res, err = c.eng.CheckProofCtx(ctx, p, c.v)
-	case config.BackendDistTCP:
-		var coord *remote.Coordinator
-		coord, err = c.coordinator(ctx)
-		if err == nil {
-			if res, _, err = coord.Check(ctx, p); err != nil {
-				// The failure closed the coordinator; forget it, unless a
-				// concurrent check already replaced it.
-				c.mu.Lock()
-				if c.coord == coord {
-					c.coord = nil
-				}
-				c.mu.Unlock()
-			}
-		}
 	default:
 		err = fmt.Errorf("lcp: unknown backend %q", c.backend())
 	}
-	c.record(tl, res, err)
+	// The process metrics aggregate what Report.Stages breaks down.
+	c.recordOutcome(res, err)
+	c.recordStages(tl)
 	if err != nil {
 		return nil, err
 	}
-	rep := c.report(res, start)
+	rep := &Report{Backend: string(c.backend()), Outputs: res.Outputs, Elapsed: time.Since(start)}
 	for _, st := range tl.Snapshot() {
 		rep.Stages = append(rep.Stages, Stage{Name: st.Name, Total: st.Total, Count: st.Count})
 	}
 	return rep, nil
-}
-
-// record publishes one check's outcome and stage times to the process
-// metrics, labelled by backend — the scrapeable aggregate of what the
-// per-check Report.Stages break down individually.
-func (c *checker) record(tl *obs.Timeline, res *core.Result, err error) {
-	c.recordOutcome(res, err)
-	c.recordStages(tl)
 }
 
 // recordOutcome publishes one check's (or one batch column's) verdict

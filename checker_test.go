@@ -512,34 +512,50 @@ func TestCheckerReportStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStages := map[string][]string{
-		lcp.BackendCore:   {"core.check"},
-		lcp.BackendDist:   {"dist.wire", "dist.seed", "dist.flood", "dist.run"},
-		lcp.BackendEngine: {"engine.views", "engine.verify"},
+	// The stages each of a fresh checker's first checks must report, and
+	// on dist-tcp the one the second must not: its pooled registration
+	// is reused.
+	type stages struct{ want, not []string }
+	wantStages := map[string][]stages{
+		lcp.BackendCore:   {{want: []string{"core.check"}}},
+		lcp.BackendDist:   {{want: []string{"dist.wire", "dist.seed", "dist.flood", "dist.run"}}},
+		lcp.BackendEngine: {{want: []string{"engine.views", "engine.verify"}}},
+		lcp.BackendDistTCP: {
+			{want: []string{"remote.register", "remote.fanout"}},
+			{want: []string{"remote.fanout"}, not: []string{"remote.register"}},
+		},
 	}
-	for backend, want := range wantStages {
-		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(backend))
+	for backend, checks := range wantStages {
+		chk, err := lcp.NewChecker(in, lcp.WithScheme(scheme), lcp.WithBackend(backend), lcp.WithWorkerAddrs(tcpFleetAddrs()...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := chk.Check(context.Background(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Stages) == 0 {
-			t.Fatalf("%s: Report.Stages empty", backend)
-		}
-		seen := make(map[string]lcp.Stage, len(rep.Stages))
-		for _, st := range rep.Stages {
-			if st.Total < 0 || st.Count < 1 {
-				t.Fatalf("%s: malformed stage %+v", backend, st)
+		for i, check := range checks {
+			rep, err := chk.Check(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[st.Name] = st
-		}
-		for _, name := range want {
-			if _, ok := seen[name]; !ok {
-				t.Errorf("%s: stage %q missing from %v", backend, name, rep.Stages)
+			if len(rep.Stages) == 0 {
+				t.Fatalf("%s: Report.Stages empty", backend)
+			}
+			seen := make(map[string]lcp.Stage, len(rep.Stages))
+			for _, st := range rep.Stages {
+				if st.Total < 0 || st.Count < 1 {
+					t.Fatalf("%s: malformed stage %+v", backend, st)
+				}
+				seen[st.Name] = st
+			}
+			for _, name := range check.want {
+				if _, ok := seen[name]; !ok {
+					t.Errorf("%s check %d: stage %q missing from %v", backend, i+1, name, rep.Stages)
+				}
+			}
+			for _, name := range check.not {
+				if _, ok := seen[name]; ok {
+					t.Errorf("%s check %d: unexpected stage %q in %v", backend, i+1, name, rep.Stages)
+				}
 			}
 		}
+		lcp.CloseChecker(chk)
 	}
 }

@@ -2,7 +2,9 @@
 // for every catalogued row it generates yes-instances across a range of
 // sizes, runs the prover and the local verifier, measures the proof size
 // in bits per node, and fits the observed growth against the paper's
-// bound (0, Θ(1), Θ(log n), Θ(n), Θ(n²)).
+// bound (0, Θ(1), Θ(log n), Θ(n), Θ(n²)). It exits 1 when any cell
+// reads ERR (the prover failed), REJ (the verifier rejected an honest
+// proof) or DREJ (the message-passing runtime did).
 //
 // Usage:
 //
@@ -44,7 +46,7 @@ func main() {
 	fmt.Println(header)
 	fmt.Println(strings.Repeat("-", len(header)+4))
 
-	section := ""
+	section, failed := "", false
 	for _, exp := range lcp.Catalog() {
 		if sec := exp.ID[:3]; sec != section {
 			section = sec
@@ -101,17 +103,24 @@ func main() {
 			fit = classifyGrowth(ns, bits)
 		}
 		fmt.Printf("%s  %s\n", row, fit)
+		failed = failed || !ok
 	}
 	fmt.Println()
-	sweepParameterRows(*seed)
+	failed = !sweepParameterRows() || failed
 	fmt.Println()
 	fmt.Println("T1a-19 (connected graph, general family: no proof size suffices) is")
 	fmt.Println("demonstrated by `lcpglue -experiment union`.")
+	if failed {
+		fmt.Fprintln(os.Stderr, "lcpbench: some cells read ERR, REJ or DREJ")
+		os.Exit(1)
+	}
 }
 
 // sweepParameterRows measures the O(log k) and O(log W) rows in their own
-// parameter, which the main table (a sweep over n) cannot show.
-func sweepParameterRows(seed int64) {
+// parameter, which the main table (a sweep over n) cannot show. It
+// reports whether every prover succeeded.
+func sweepParameterRows() bool {
+	ok := true
 	fmt.Println("Parameter sweeps (bounds in k and W rather than n):")
 	fmt.Println()
 	fmt.Println("T1a-09  s-t connectivity = k on K_{k,k} (general family, O(log k)):")
@@ -123,6 +132,7 @@ func sweepParameterRows(seed int64) {
 		proof, err := lcp.STConnectivityScheme().Prove(in)
 		if err != nil {
 			fmt.Printf("  %8d %12s (%v)\n", k, "ERR", err)
+			ok = false
 			continue
 		}
 		fmt.Printf("  %8d %12d\n", k, proof.Size())
@@ -144,11 +154,12 @@ func sweepParameterRows(seed int64) {
 		proof, err := lcp.MaxWeightMatchingScheme().Prove(in)
 		if err != nil {
 			fmt.Printf("  %8d %12s (%v)\n", w, "ERR", err)
+			ok = false
 			continue
 		}
 		fmt.Printf("  %8d %12d\n", w, proof.Size())
 	}
-	_ = seed
+	return ok
 }
 
 func parseSizes(s string) ([]int, error) {

@@ -116,8 +116,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// DistOptions derives the message-passing runtime options.
+// DistOptions derives the message-passing runtime options: the dist
+// backend's shards, or one shard per worker on dist-tcp.
 func (c Config) DistOptions() dist.Options {
+	if c.ResolvedBackend() == BackendDistTCP {
+		return dist.Options{Shards: len(c.WorkerAddrs), Partitioner: c.Partitioner}
+	}
 	return dist.Options{Shards: c.Shards, Partitioner: c.Partitioner}
 }
 

@@ -32,20 +32,24 @@ func runAborts(t *testing.T, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := nw.acquire()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w, err := nw.acquire(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := w.run(ctx, in.G.N(), core.Proof{}, v); !errors.Is(err, context.Canceled) {
+	if _, err := w.Run(ctx, core.Proof{}, v); !errors.Is(err, context.Canceled) {
 		t.Fatalf("aborted run error = %v, want context.Canceled", err)
 	}
 	// The wiring must be clean after the abort: every automaton
 	// reseedable. A full re-run must match core.Check.
-	res, err := w.run(context.Background(), in.G.N(), core.Proof{}, v)
+	verdicts, err := w.Run(context.Background(), core.Proof{}, v)
 	if err != nil {
 		t.Fatalf("re-run after abort: %v", err)
+	}
+	res, err := MergeVerdicts(nw.plans, verdicts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := core.Check(in, core.Proof{}, v)
 	if !reflect.DeepEqual(res.Outputs, want.Outputs) {

@@ -50,9 +50,6 @@ func (o Options) shardCount(n int) int {
 // the one check; callers verifying many proofs should keep a Network
 // instead.
 func CheckWithCtx(ctx context.Context, in *core.Instance, p core.Proof, v core.Verifier, opt Options) (*core.Result, error) {
-	if v == nil {
-		return nil, fmt.Errorf("dist: nil verifier")
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

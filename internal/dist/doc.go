@@ -18,14 +18,17 @@
 // lockstep. Every distributed path is this runner:
 //
 //   - Network (and CheckWithCtx, Collect on top of it) partitions
-//     the instance once into Options.Shards groups (GOMAXPROCS by
-//     default, cut by Options.Partitioner), keeps prewired shard sets,
-//     and runs each check as one goroutine per shard over a fresh
-//     transport.InProc group. Shards: n is the goroutine-per-node
-//     layout — the faithful reading of "a network of independent
-//     processors" — and needs no code of its own;
-//   - the dist-tcp workers of internal/remote run one Shard each over
-//     transport.TCP.
+//     the instance once into Options.Shards plans (GOMAXPROCS by
+//     default, cut by Options.Partitioner) and runs each check on a
+//     pooled Group, merging its verdicts with MergeVerdicts. In
+//     process (NewNetwork) a group is a prewired shard set run as one
+//     goroutine per shard over a fresh transport.InProc group. Shards:
+//     n is the goroutine-per-node layout — the faithful reading of "a
+//     network of independent processors" — and needs no code of its
+//     own;
+//   - across processes (NewNetworkWith and internal/remote's Fleet) a
+//     group is a registration on a worker fleet, whose dist-tcp
+//     workers run one Shard each over transport.TCP.
 //
 // The in-process parallel check that sidesteps message passing is the
 // cached-view engine (internal/engine); core.Check stays the sequential

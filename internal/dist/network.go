@@ -14,38 +14,42 @@ import (
 )
 
 // Network is a long-lived instance of the message-passing runtime: the
-// instance is partitioned once, each shard's automata are wired once
-// (NewShard), and every check runs one goroutine per shard through
-// Shard.Run over a fresh transport.InProc group. Construction is the
-// expensive part of a run; a check only swaps the proof bits into the
-// round-0 records and floods, so repeated verification of the same
-// graph amortizes the wiring — the façade's dist backend and
-// cmd/lcpserve both sit on top of this type.
+// instance is partitioned once, and each check runs on a Group built
+// for that partition — an in-process wiring (NewNetwork) or a
+// registration on a worker fleet (NewNetworkWith and remote.Fleet).
+// Building a group is the expensive part of a run, so groups are
+// pooled; the façade's message-passing backends and cmd/lcpserve sit
+// on this type.
 //
-// A wiring (one set of shards) is single-occupancy, but CheckCtx never
-// serializes callers on it: when the idle wirings run out, an extra one
-// is built from the same partition, and up to maxIdleWirings are kept
-// for reuse afterwards. Concurrent checks of the same instance
-// therefore scale to the caller's concurrency instead of queueing on a
-// mutex.
+// Concurrent checks never queue on a group: each takes an idle one or
+// builds another, under two bounds. One rule covers every group: it is
+// pooled after a successful run, and closed after a failed one, when
+// the pool already holds maxIdleWirings, or when the network is closed.
 type Network struct {
-	in    *core.Instance
-	plans []ShardPlan // one per shard, fixed by the partition at NewNetwork
-
-	// sem bounds in-flight runs — and with them the wirings built:
-	// beyond a small multiple of GOMAXPROCS extra wirings cannot make
-	// progress, they only multiply the O(n+m) automaton footprint per
-	// concurrent caller. Callers over the bound wait for a wiring to
-	// come back instead of building another.
-	sem chan struct{}
+	plans []ShardPlan // one per shard, fixed at construction
+	build GroupBuilder
+	sem   chan struct{} // bounds in-flight runs, and so the groups built, to maxLiveWirings
 
 	mu     sync.Mutex
 	closed bool
-	idle   []*wiring // wirings ready for the next run
+	idle   []Group
 }
 
-// wiring is one complete set of shards for the instance, plus the
-// per-round delivery counts it implies.
+// Group is one set of shards that runs a Network's checks together,
+// one check at a time.
+type Group interface {
+	// Run checks the proof on every shard of the partition and returns
+	// each shard's verdicts in its plan's Owned order.
+	Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bool, error)
+	// Close releases the group.
+	Close() error
+}
+
+// GroupBuilder builds one group, one shard per plan.
+type GroupBuilder func(ctx context.Context, plans []ShardPlan) (Group, error)
+
+// wiring is the in-process group: one set of shards, run one goroutine
+// per shard over a fresh transport.InProc group.
 type wiring struct {
 	shards []*Shard
 	// cross and local fix the per-round delivery counts: every cut-edge
@@ -55,40 +59,21 @@ type wiring struct {
 	cross, local int
 }
 
-// maxIdleWirings bounds how many idle wirings a Network retains between
-// checks: GOMAXPROCS, because that is the useful concurrency of CPU-
-// bound runs — callers beyond it gain nothing from extra wirings, while
-// anything below it would make steady-state concurrent checks rebuild
-// wirings every wave on exactly the path the pool amortizes.
-func maxIdleWirings() int {
-	return runtime.GOMAXPROCS(0)
-}
+// maxIdleWirings and maxLiveWirings bound a Network's idle and in-flight
+// groups: GOMAXPROCS is the useful concurrency of CPU-bound runs, and
+// twice that leaves headroom for runs finishing while new ones start.
+func maxIdleWirings() int { return runtime.GOMAXPROCS(0) }
+func maxLiveWirings() int { return 2 * runtime.GOMAXPROCS(0) }
 
-// maxLiveWirings bounds the in-flight runs of one Network (each run
-// owns one wiring): twice the useful concurrency leaves headroom for
-// runs finishing while new ones start, without letting a request burst
-// inflate memory by a wiring per caller.
-func maxLiveWirings() int {
-	return 2 * runtime.GOMAXPROCS(0)
-}
-
-// NewNetwork partitions the instance and wires a reusable network for
-// it. The options fix the layout for every subsequent run.
+// NewNetwork partitions the instance and wires a reusable in-process
+// network for it, with its first wiring built up front. The options fix
+// the layout for every subsequent run.
 func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
-	if in == nil || in.G == nil {
-		return nil, fmt.Errorf("dist: nil instance")
+	nw, err := NewNetworkWith(in, opt, func(_ context.Context, plans []ShardPlan) (Group, error) { return wire(plans) })
+	if err != nil || len(nw.plans) == 0 {
+		return nw, err
 	}
-	nw := &Network{in: in, sem: make(chan struct{}, maxLiveWirings())}
-	ids := in.G.Nodes()
-	if len(ids) == 0 {
-		return nw, nil
-	}
-	plans, err := PlanShards(in, opt.shardCount(len(ids)), opt.Partitioner)
-	if err != nil {
-		return nil, err
-	}
-	nw.plans = plans
-	w, err := nw.wire()
+	w, err := wire(nw.plans)
 	if err != nil {
 		return nil, err
 	}
@@ -96,12 +81,28 @@ func NewNetwork(in *core.Instance, opt Options) (*Network, error) {
 	return nw, nil
 }
 
+// NewNetworkWith partitions the instance into the options' shards and
+// runs its checks on groups from build, built on demand.
+func NewNetworkWith(in *core.Instance, opt Options, build GroupBuilder) (*Network, error) {
+	if in == nil || in.G == nil {
+		return nil, fmt.Errorf("dist: nil instance")
+	}
+	nw := &Network{build: build, sem: make(chan struct{}, maxLiveWirings())}
+	if n := in.G.N(); n > 0 {
+		plans, err := PlanShards(in, opt.shardCount(n), opt.Partitioner)
+		if err != nil {
+			return nil, err
+		}
+		nw.plans = plans
+	}
+	return nw, nil
+}
+
 // PlanShards partitions the instance into shards ≥ 1 shard plans with
 // the partitioner (nil means partition.Contiguous{}). Every plan reads
 // the full instance and shares the full node→shard assignment; plan i
 // owns the nodes assigned to shard i, in ascending g.Nodes() order, and
-// may own none. NewNetwork wires the plans in process; the dist-tcp
-// coordinator registers each plan's Records with the worker running it.
+// may own none.
 func PlanShards(in *core.Instance, shards int, pt partition.Partitioner) ([]ShardPlan, error) {
 	if pt == nil {
 		pt = partition.Contiguous{}
@@ -123,10 +124,10 @@ func PlanShards(in *core.Instance, shards int, pt partition.Partitioner) ([]Shar
 	return plans, nil
 }
 
-// wire builds one wiring from the network's partition.
-func (nw *Network) wire() (*wiring, error) {
-	w := &wiring{shards: make([]*Shard, len(nw.plans))}
-	for i, plan := range nw.plans {
+// wire builds one in-process wiring of the plans.
+func wire(plans []ShardPlan) (Group, error) {
+	w := &wiring{shards: make([]*Shard, len(plans))}
+	for i, plan := range plans {
 		s, err := NewShard(plan, i)
 		if err != nil {
 			return nil, err
@@ -139,13 +140,9 @@ func (nw *Network) wire() (*wiring, error) {
 	return w, nil
 }
 
-// CheckCtx runs the verifier against the proof on a prewired network.
-// Verdicts are identical to a fresh dist.CheckWithCtx under the same
-// options (and hence to core.Check). Concurrent calls do not serialize:
-// each run gets its own wiring, built on demand when the idle ones are
-// taken. The run aborts between communication rounds once the context
-// is done (every shard stops, the wiring stays reusable) and returns
-// ctx.Err().
+// CheckCtx runs the verifier against the proof on a group of its own.
+// Verdicts are identical to core.Check. The run aborts between
+// communication rounds once the context is done and returns ctx.Err().
 func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) (*core.Result, error) {
 	if v == nil {
 		return nil, fmt.Errorf("dist: nil verifier")
@@ -157,70 +154,108 @@ func (nw *Network) CheckCtx(ctx context.Context, p core.Proof, v core.Verifier) 
 		return &core.Result{Outputs: map[int]bool{}}, nil
 	}
 	select {
-	case nw.sem <- struct{}{}: // bound live wirings; waits out a burst
+	case nw.sem <- struct{}{}: // bound live groups; waits out a burst
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	defer func() { <-nw.sem }()
-	w, err := nw.acquire()
+	g, err := nw.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.run(ctx, nw.in.G.N(), p, v)
+	verdicts, err := g.Run(ctx, p, v)
+	var res *core.Result
 	if err == nil {
-		// A failed run is dropped, not pooled: a cancellation can
-		// leave its shards disagreeing on warmth.
-		nw.put(w)
+		res, err = MergeVerdicts(nw.plans, verdicts)
 	}
-	return res, err
+	if err != nil {
+		// A failed group is closed, not pooled: a cancellation can leave
+		// a wiring's shards disagreeing on warmth, and a fleet's failure
+		// has ended its registration.
+		_ = g.Close() // the run's error is the one worth reporting
+		return nil, err
+	}
+	nw.put(g)
+	return res, nil
 }
 
-func (nw *Network) acquire() (*wiring, error) {
+// MergeVerdicts merges one check's per-shard verdicts, verdicts[i] in
+// plans[i].Owned order, into a result keyed by node id. It fails when a
+// shard answered for a different number of nodes than it owns.
+func MergeVerdicts(plans []ShardPlan, verdicts [][]bool) (*core.Result, error) {
+	if len(verdicts) != len(plans) {
+		return nil, fmt.Errorf("dist: %d shards answered, want %d", len(verdicts), len(plans))
+	}
+	n := 0
+	for _, plan := range plans {
+		n += len(plan.Owned)
+	}
+	res := &core.Result{Outputs: make(map[int]bool, n)}
+	for i, plan := range plans {
+		if len(verdicts[i]) != len(plan.Owned) {
+			return nil, fmt.Errorf("dist: shard %d answered %d verdicts for %d nodes", i, len(verdicts[i]), len(plan.Owned))
+		}
+		for j, id := range plan.Owned {
+			res.Outputs[id] = verdicts[i][j]
+		}
+	}
+	return res, nil
+}
+
+func (nw *Network) acquire(ctx context.Context) (Group, error) {
 	nw.mu.Lock()
 	if nw.closed {
 		nw.mu.Unlock()
 		return nil, fmt.Errorf("dist: network is closed")
 	}
 	if n := len(nw.idle); n > 0 {
-		w := nw.idle[n-1]
+		g := nw.idle[n-1]
 		nw.idle = nw.idle[:n-1]
 		nw.mu.Unlock()
-		return w, nil
+		return g, nil
 	}
 	nw.mu.Unlock()
-	// Build outside the lock: wiring is the expensive part, and cold
-	// concurrent checks must not serialize on it. A Close racing the
-	// build is harmless — put() drops the wiring instead of pooling it.
-	return nw.wire()
+	// Build outside the lock, so cold concurrent checks do not serialize;
+	// a Close racing the build is harmless: put closes the group.
+	return nw.build(ctx, nw.plans)
 }
 
-func (nw *Network) put(w *wiring) {
+func (nw *Network) put(g Group) {
 	nw.mu.Lock()
-	defer nw.mu.Unlock()
 	if !nw.closed && len(nw.idle) < maxIdleWirings() {
-		nw.idle = append(nw.idle, w)
+		nw.idle = append(nw.idle, g)
+		nw.mu.Unlock()
+		return
 	}
+	nw.mu.Unlock()
+	_ = g.Close() // a surplus group's close has no one to report to
 }
 
-// Close drops the idle wirings; wirings of in-flight checks follow as
-// those checks return. The network must not be checked again
+// Close closes the idle groups; the groups of in-flight checks are
+// closed as those checks return. The network must not be checked again
 // afterwards.
 func (nw *Network) Close() {
 	nw.mu.Lock()
-	nw.idle = nil
-	nw.closed = true
+	idle := nw.idle
+	nw.idle, nw.closed = nil, true
 	nw.mu.Unlock()
+	for _, g := range idle {
+		_ = g.Close() // closing is best effort: nothing is left to report to
+	}
 }
 
-// run executes one check on the wiring: one goroutine per shard runs
-// Shard.Run over its member of a fresh in-process transport group, and
-// the verdicts merge into one result. Every shard goroutine is joined
-// before run returns, so the wiring is reusable immediately afterwards.
+// Close implements Group: a wiring holds no resources beyond memory.
+func (w *wiring) Close() error { return nil }
+
+// Run executes one check on the wiring: one goroutine per shard runs
+// Shard.Run over its member of a fresh in-process transport group.
+// Every shard goroutine is joined before Run returns, so the wiring is
+// reusable immediately afterwards.
 //
 // Each member closes its transport on exit: after a completed run that
 // is past the final barrier (harmless to peers); after an early error
 // it poisons the group, so no shard waits for one that quit.
-func (w *wiring) run(ctx context.Context, n int, p core.Proof, v core.Verifier) (*core.Result, error) {
+func (w *wiring) Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bool, error) {
 	tl := obs.TimelineFrom(ctx)
 	trs := transport.NewInProcGroup(len(w.shards))
 	verdicts := make([][]bool, len(w.shards))
@@ -280,11 +315,5 @@ func (w *wiring) run(ctx context.Context, n int, p core.Proof, v core.Verifier) 
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res := &core.Result{Outputs: make(map[int]bool, n)}
-	for i, s := range w.shards {
-		for j, id := range s.owned {
-			res.Outputs[id] = verdicts[i][j]
-		}
-	}
-	return res, nil
+	return verdicts, nil
 }

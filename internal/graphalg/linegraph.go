@@ -11,8 +11,7 @@ import (
 // line graph iff G contains none of nine forbidden induced subgraphs,
 // each connected with at most 6 vertices. Equivalently: every connected
 // induced subgraph of G on ≤ 6 vertices is itself a line graph. That
-// reformulation is what a radius-5 verifier checks (a connected 6-vertex
-// subgraph containing v lies within distance 5 of v), and it lets us
+// reformulation is what the local verifier checks, and it lets us
 // avoid hard-coding the nine graphs: a small graph H is a line graph iff
 // some root graph R with |E(R)| = |V(H)| satisfies L(R) ≅ H, which we
 // decide by exhaustive root search with memoisation. A test reproduces
@@ -21,6 +20,12 @@ import (
 // BeinekeBound is the number of vertices below which the forbidden
 // subgraphs live: every minimal non-line-graph has at most 6 vertices.
 const BeinekeBound = 6
+
+// LineGraphRadius is the radius of the line-graph verifier: each of
+// Beineke's nine forbidden graphs has radius at most 2, so a copy of one
+// in G lies inside G[c,2] for one of its centres c, and
+// LineGraphLocalCheck at c finds it (TestBeinekeNine checks the radii).
+const LineGraphRadius = 2
 
 // smallLineGraphCache memoises IsSmallLineGraph by canonical key.
 var smallLineGraphCache sync.Map // string -> bool
@@ -136,11 +141,10 @@ func IsLineGraph(g *graph.Graph) bool {
 }
 
 // LineGraphLocalCheck performs the per-node check of the LCP(0) verifier:
-// every connected induced subgraph with at most 6 vertices containing v is
-// a line graph. All such subgraphs live inside the radius-5 ball of v, so
-// g may be the whole graph or any induced subgraph holding that ball —
-// the verifier passes its view's ball, IsLineGraph the whole graph — and
-// the enumeration walks g as it is.
+// every connected induced subgraph of g with at most 6 vertices
+// containing v is a line graph. The enumeration walks g as it is: the
+// verifier passes its view's radius-LineGraphRadius ball, which holds
+// every forbidden graph centred at v, and IsLineGraph the whole graph.
 func LineGraphLocalCheck(g *graph.Graph, v int) bool {
 	ok := true
 	connectedSubsetsThrough(g, v, BeinekeBound, func(subset []int) bool {

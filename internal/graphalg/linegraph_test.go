@@ -64,7 +64,8 @@ func TestIsLineGraphGlobal(t *testing.T) {
 
 func TestLineGraphLocalCheckFindsOnlyLocalViolation(t *testing.T) {
 	// Path with a claw at node 6: nodes near the claw must fail the local
-	// check; distant nodes must pass (radius-5 locality).
+	// check; distant nodes must pass (a connected subgraph on ≤ 6 nodes
+	// stays within distance 5 of each of its nodes).
 	g := graph.Path(20).WithEdges([]graph.Edge{{U: 6, V: 21}, {U: 6, V: 22}}, nil)
 	if LineGraphLocalCheck(g, 6) {
 		t.Error("claw center passed")
@@ -88,6 +89,13 @@ func TestBeinekeNine(t *testing.T) {
 		}
 		t.Fatalf("found %d minimal forbidden subgraphs, want 9 (Beineke)", len(forb))
 	}
+	// Each lies in the radius-LineGraphRadius ball of one of its centres,
+	// which is all the line-graph verifier needs to see.
+	for _, g := range forb {
+		if r := graphRadius(g); r > LineGraphRadius {
+			t.Errorf("forbidden graph %v has radius %d, above LineGraphRadius = %d", g.Edges(), r, LineGraphRadius)
+		}
+	}
 	// The claw must be among them, as the unique 4-vertex one.
 	clawCount := 0
 	for _, g := range forb {
@@ -101,4 +109,18 @@ func TestBeinekeNine(t *testing.T) {
 	if clawCount != 1 {
 		t.Errorf("%d forbidden graphs on 4 vertices, want exactly 1 (claw)", clawCount)
 	}
+}
+
+// graphRadius is the least eccentricity over the nodes of a connected
+// graph.
+func graphRadius(g *graph.Graph) int {
+	r := g.N()
+	for _, v := range g.Nodes() {
+		ecc := 0
+		for _, d := range BFS(g, v) {
+			ecc = max(ecc, d)
+		}
+		r = min(r, ecc)
+	}
+	return r
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lcp/internal/core"
@@ -26,12 +28,11 @@ type Options struct {
 
 // Coordinator drives one instance's checks across a fleet of workers:
 // Register ships each worker its nodes' round-0 records and builds the
-// shard-pair data mesh, Check fans a proof out and merges the per-shard
-// verdicts. It holds one persistent control connection per worker, and
-// the workers hold the registration exactly as long as those
-// connections live. Any failure closes the coordinator; recovery is a
-// new DialCoordinator and Register. Methods serialize — a coordinator
-// is one checking session, not a pool.
+// shard-pair data mesh, Check fans a proof out and merges the verdicts
+// with dist.MergeVerdicts. The workers hold the registration exactly as
+// long as its control connections, one per worker, live; any failure
+// closes the coordinator. Methods serialize: a registered coordinator is
+// one dist.Group, which a dist.Network pools and replaces (Fleet).
 type Coordinator struct {
 	instance string
 	addrs    []string
@@ -40,9 +41,30 @@ type Coordinator struct {
 	mu     sync.Mutex
 	conns  []*controlConn
 	seq    uint64
-	n      int     // nodes in the registered instance
-	owned  [][]int // node ids per worker, from Register's partition; nil before Register
+	plans  []dist.ShardPlan // one per worker, from the registration; nil before it
 	closed bool
+}
+
+// fleetSeq distinguishes the registrations Fleet makes from this
+// process on a shared worker fleet.
+var fleetSeq atomic.Uint64
+
+// Fleet is the dist.GroupBuilder of a worker fleet: each group is a
+// Coordinator dialed to the first len(plans) addresses, one shard per
+// worker, and registered with the plans and the scheme the workers
+// resolve by name, under a process-unique instance name.
+func Fleet(addrs []string, schemeName string) dist.GroupBuilder {
+	return func(ctx context.Context, plans []dist.ShardPlan) (dist.Group, error) {
+		id := fmt.Sprintf("lcp-%d-%d", os.Getpid(), fleetSeq.Add(1))
+		c, err := DialCoordinator(ctx, id, addrs[:min(len(plans), len(addrs))], Options{})
+		if err != nil {
+			return nil, err
+		}
+		if err := c.register(ctx, plans, schemeName); err != nil {
+			return nil, err // a failed registration has closed the coordinator
+		}
+		return c, nil
+	}
 }
 
 // controlConn is one worker's persistent control connection with its
@@ -55,8 +77,8 @@ type controlConn struct {
 
 // DialCoordinator connects to every worker's control plane. The
 // instance name must be unique among concurrently-registered instances
-// across the fleet — the façade derives it from a process-unique
-// counter. At least one worker address is required.
+// across the fleet — Fleet derives it from a process-unique counter. At
+// least one worker address is required.
 func DialCoordinator(ctx context.Context, instance string, addrs []string, opts Options) (*Coordinator, error) {
 	if instance == "" {
 		return nil, fmt.Errorf("remote: empty instance name")
@@ -83,7 +105,8 @@ func DialCoordinator(ctx context.Context, instance string, addrs []string, opts 
 	return c, nil
 }
 
-// Register partitions the instance across the workers and installs each
+// Register partitions the instance across the workers, one shard per
+// worker (a worker beyond the node count owns none), and installs each
 // worker's shard — the round-0 records of the nodes it decides, the
 // assignment that routes its cut edges, and the full fleet's addresses
 // — then has the workers connect the shard-pair
@@ -93,6 +116,16 @@ func DialCoordinator(ctx context.Context, instance string, addrs []string, opts 
 // replaces the registration fleet-wide. A failed Register closes the
 // coordinator.
 func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeName string) error {
+	plans, err := dist.PlanShards(in, len(c.conns), c.opts.Partitioner)
+	if err != nil {
+		_ = c.Close() // the partition error is the one worth reporting
+		return fmt.Errorf("remote: %w", err)
+	}
+	return c.register(ctx, plans, schemeName)
+}
+
+// register installs plan i on worker i, as Register does.
+func (c *Coordinator) register(ctx context.Context, plans []dist.ShardPlan, schemeName string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -101,21 +134,15 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 	if schemeName == "" {
 		return c.fail(fmt.Errorf("remote: empty scheme name"))
 	}
-	tl := obs.TimelineFrom(ctx)
-	defer tl.Start("remote.register")()
-	n := in.G.N()
-	plans, err := dist.PlanShards(in, max(1, min(len(c.conns), n)), c.opts.Partitioner)
-	if err != nil {
-		return c.fail(fmt.Errorf("remote: %w", err))
+	if len(plans) != len(c.conns) {
+		return c.fail(fmt.Errorf("remote: %d shards for %d workers", len(plans), len(c.conns)))
 	}
-	owned := make([][]int, len(c.conns))
+	defer obs.TimelineFrom(ctx).Start("remote.register")()
+	in := plans[0].In
 	c.seq++
 	regs := make([]*Request, len(c.conns))
-	for i := range c.conns {
-		var recs []transport.Record
-		if i < len(plans) {
-			owned[i], recs = plans[i].Owned, plans[i].Records()
-		}
+	for i, plan := range plans {
+		recs := plan.Records()
 		regs[i] = &Request{
 			Op:       OpRegister,
 			Seq:      c.seq,
@@ -124,12 +151,12 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 			Records:  transport.AppendRecords(nil, recs),
 			Directed: in.G.Directed(),
 			Global:   in.Global,
-			Assign:   recordAssign(recs, plans[0].Assign),
+			Assign:   recordAssign(recs, plan.Assign),
 			Me:       i,
 			Workers:  c.addrs,
 		}
 	}
-	if err := c.fanOut(ctx, regs, nil, nil); err != nil {
+	if _, err := c.fanOut(ctx, regs); err != nil {
 		return c.fail(err)
 	}
 	c.seq++
@@ -137,11 +164,10 @@ func (c *Coordinator) Register(ctx context.Context, in *core.Instance, schemeNam
 	for i := range connects {
 		connects[i] = &Request{Op: OpConnect, Seq: c.seq, Instance: c.instance}
 	}
-	if err := c.fanOut(ctx, connects, nil, nil); err != nil {
+	if _, err := c.fanOut(ctx, connects); err != nil {
 		return c.fail(err)
 	}
-	c.n = n
-	c.owned = owned
+	c.plans = plans
 	return nil
 }
 
@@ -163,20 +189,39 @@ func recordAssign(recs []transport.Record, assign map[int]int) map[int]int {
 // returned stats sum the fleet's data-plane traffic for this check. A
 // worker failure — network, process death, shard error — or a
 // cancelled context surfaces as an error within the fixed failure
-// bounds (or the context's deadline, if sooner) and closes the coordinator, which drops the registration on
-// every worker.
+// bounds (or the context's deadline, if sooner) and closes the
+// coordinator, which drops the registration on every worker.
 func (c *Coordinator) Check(ctx context.Context, p core.Proof) (*core.Result, transport.Stats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	verdicts, stats, err := c.run(ctx, p)
+	if err != nil {
+		return nil, stats, err
+	}
+	res, err := dist.MergeVerdicts(c.plans, verdicts)
+	return res, stats, err
+}
+
+// Run is Check without the merge, for dist.Group. The workers run the
+// scheme they were registered with, so v is not used.
+func (c *Coordinator) Run(ctx context.Context, p core.Proof, _ core.Verifier) ([][]bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	verdicts, _, err := c.run(ctx, p)
+	return verdicts, err
+}
+
+// run fans one proof out to the fleet and decodes each worker's
+// verdicts. Caller holds c.mu.
+func (c *Coordinator) run(ctx context.Context, p core.Proof) ([][]bool, transport.Stats, error) {
 	var stats transport.Stats
 	if c.closed {
 		return nil, stats, errClosed
 	}
-	if c.owned == nil {
+	if c.plans == nil {
 		return nil, stats, fmt.Errorf("remote: no instance registered")
 	}
-	tl := obs.TimelineFrom(ctx)
-	defer tl.Start("remote.fanout")()
+	defer obs.TimelineFrom(ctx).Start("remote.fanout")()
 	c.seq++
 	reqs := make([]*Request, len(c.conns))
 	for i := range c.conns {
@@ -184,28 +229,20 @@ func (c *Coordinator) Check(ctx context.Context, p core.Proof) (*core.Result, tr
 		// registered order with entry presence exact (an explicit ε
 		// entry stays an entry). Remote nodes' proofs reach the worker
 		// over the data plane, inside flooded records.
-		reqs[i] = &Request{Op: OpCheck, Instance: c.instance, Seq: c.seq, Proofs: appendProofs(nil, c.owned[i], p)}
+		reqs[i] = &Request{Op: OpCheck, Instance: c.instance, Seq: c.seq, Proofs: appendProofs(nil, c.plans[i].Owned, p)}
 	}
-	res := &core.Result{Outputs: make(map[int]bool, c.n)}
-	var mergeMu sync.Mutex
-	if err := c.fanOut(ctx, reqs, &stats, func(i int, resp *Response) error {
-		verdicts, err := decodeVerdicts(resp.Verdicts, len(c.owned[i]))
-		if err != nil {
-			return err
-		}
-		mergeMu.Lock()
-		defer mergeMu.Unlock()
-		for j, ok := range verdicts {
-			res.Outputs[c.owned[i][j]] = ok
-		}
-		return nil
-	}); err != nil {
+	resps, err := c.fanOut(ctx, reqs)
+	if err != nil {
 		return nil, stats, c.fail(err)
 	}
-	if len(res.Outputs) != c.n {
-		return nil, stats, c.fail(fmt.Errorf("remote: merged %d verdicts, want %d", len(res.Outputs), c.n))
+	verdicts := make([][]bool, len(resps))
+	for i, resp := range resps {
+		stats.Add(resp.Stats)
+		if verdicts[i], err = decodeVerdicts(resp.Verdicts, len(c.plans[i].Owned)); err != nil {
+			return nil, stats, c.fail(fmt.Errorf("remote: worker %s: %w", c.addrs[i], err))
+		}
 	}
-	return res, stats, nil
+	return verdicts, stats, nil
 }
 
 // errClosed is the error of every request on a closed coordinator.
@@ -220,58 +257,44 @@ func (c *Coordinator) fail(err error) error {
 	return err
 }
 
-// fanOut sends one request per worker concurrently and collects the
-// responses. The first failure wins; every round trip is bounded by
-// roundTripTimeout and the context. onResp, when non-nil, consumes each
-// successful response; stats, when non-nil, accumulates response stats.
-func (c *Coordinator) fanOut(ctx context.Context, reqs []*Request, stats *transport.Stats, onResp func(int, *Response) error) error {
+// fanOut sends one request per worker concurrently and returns the
+// responses in worker order. The first failure wins; every round trip
+// is bounded by roundTripTimeout and the context.
+func (c *Coordinator) fanOut(ctx context.Context, reqs []*Request) ([]*Response, error) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	report := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil && err != nil {
-			firstErr = fmt.Errorf("worker %s: %w", c.addrs[i], err)
-		}
-		mu.Unlock()
-	}
+	resps := make([]*Response, len(c.conns))
 	for i, cc := range c.conns {
 		wg.Add(1)
-		go func(i int, cc *controlConn) {
+		go func() {
 			defer wg.Done()
 			resp, err := c.roundTrip(ctx, cc, reqs[i])
+			if err == nil && !resp.OK {
+				err = errors.New(resp.Error)
+			}
 			if err != nil {
-				report(i, err)
-				return
-			}
-			if !resp.OK {
-				report(i, errors.New(resp.Error))
-				return
-			}
-			mu.Lock()
-			if stats != nil {
-				stats.Add(resp.Stats)
-			}
-			mu.Unlock()
-			if onResp != nil {
-				if err := onResp(i, resp); err != nil {
-					report(i, err)
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("worker %s: %w", c.addrs[i], err)
 				}
+				mu.Unlock()
 			}
-		}(i, cc)
+			resps[i] = resp
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
 		if err := ctx.Err(); err != nil {
 			// The deadline yank manufactured the I/O errors; report the
 			// cause.
-			return err
+			return nil, err
 		}
-		return fmt.Errorf("remote: %w", firstErr)
+		return nil, fmt.Errorf("remote: %w", firstErr)
 	}
-	return nil
+	return resps, nil
 }
 
 // roundTrip sends one request on a control connection and reads its

@@ -68,10 +68,31 @@ func (l *connLog) sever(role string) int {
 	return n
 }
 
-// loggedConn records the role named by the Hello frame read through it.
+// open is the number of accepted connections whose Hello named role
+// and that the worker has not closed.
+func (l *connLog) open(role string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, c := range l.conns {
+		if r, _ := c.role.Load().(string); r == role && !c.closed.Load() {
+			n++
+		}
+	}
+	return n
+}
+
+// loggedConn records the role named by the Hello frame read through it,
+// and whether it was closed.
 type loggedConn struct {
 	net.Conn
-	role atomic.Value // string, once the Hello payload has been read
+	role   atomic.Value // string, once the Hello payload has been read
+	closed atomic.Bool
+}
+
+func (c *loggedConn) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
 }
 
 func (c *loggedConn) Read(p []byte) (int, error) {
@@ -369,4 +390,60 @@ func TestFailedRegisterClosesCoordinator(t *testing.T) {
 		t.Fatalf("register after a failed register = %v, want a closed coordinator", err)
 	}
 	waitNoInstances(t, goodWorkers, transport.DefaultRoundTimeout)
+}
+
+// TestConcurrentFacadeChecks: eight goroutines check honest and tampered
+// proofs through one dist-tcp façade checker. Each check takes its own
+// registration from the checker's network instead of queueing on one;
+// every verdict is core.Check's, and after CloseChecker every worker
+// control connection closes.
+func TestConcurrentFacadeChecks(t *testing.T) {
+	radius := new(atomic.Int64)
+	radius.Store(2)
+	scheme := tunableScheme{radius: radius}
+	addrs, _, logs := startLoggedFleet(t, 3, map[string]core.Scheme{scheme.Name(): scheme})
+	in := pathInstance(16)
+	honest, tampered := pathColoring(16)
+	v := scheme.Verifier()
+	want := []*core.Result{core.Check(in, honest, v), core.Check(in, tampered, v)}
+	chk, err := lcp.NewChecker(in, lcp.WithBackend(lcp.BackendDistTCP),
+		lcp.WithScheme(scheme), lcp.WithWorkerAddrs(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 6 {
+				k := (g + i) % 2
+				rep, err := chk.Check(context.Background(), []core.Proof{honest, tampered}[k])
+				if err != nil {
+					t.Errorf("goroutine %d check %d: %v", g, i, err)
+					return
+				}
+				if !reflect.DeepEqual(rep.Outputs, want[k].Outputs) {
+					t.Errorf("goroutine %d check %d: outputs differ:\n got %v\nwant %v", g, i, rep.Outputs, want[k].Outputs)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	open := func() int {
+		n := 0
+		for _, l := range logs {
+			n += l.open(transport.RoleControl)
+		}
+		return n
+	}
+	if open() == 0 {
+		t.Fatal("no control connection open after the checks")
+	}
+	lcp.CloseChecker(chk)
+	for deadline := time.Now().Add(5 * time.Second); open() > 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker control connections still open 5s after CloseChecker", open())
+		}
+	}
 }

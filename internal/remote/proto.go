@@ -1,7 +1,9 @@
 // Package remote implements the multi-process scale-out of the
 // verification stack: worker processes each owning one shard of a
 // partitioned instance, and a coordinator that registers instances on
-// every worker, fans each check out, and merges the per-shard verdicts.
+// every worker and fans each check out: a dist.Group, one shard per
+// worker, which a dist.Network pools like its in-process wirings
+// (Fleet).
 //
 // The control plane is JSON request/response frames over one TCP
 // connection per coordinator/worker pair (length-prefixed framing from
@@ -30,7 +32,7 @@
 //	  |                          | seed, flood, decide   | (same)
 //	  |<-- bitmap_i, stats ------|                       |
 //	  |<-- bitmap_j, stats ------------------------------|
-//	  merge; every node decided exactly once
+//	  dist.MergeVerdicts; every node decided exactly once
 //
 // Failure is bounded everywhere, and any failure ends the
 // registration: every dial, handshake, request, and flood round runs

@@ -156,7 +156,7 @@ func pathEdges(ids ...int) []graph.Edge {
 
 func TestSchemesSequentialEqualsDistributedOnVerdicts(t *testing.T) {
 	// One paranoid cross-check on a scheme with a bigger radius: line
-	// graph (radius 5) on mid-sized graphs, including rejected runs.
+	// graph (radius 2) on mid-sized graphs, including rejected runs.
 	lg := LineGraph{}
 	v := lg.Verifier()
 	for _, g := range []*graph.Graph{

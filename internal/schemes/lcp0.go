@@ -42,18 +42,18 @@ func (Eulerian) Prove(in *core.Instance) (core.Proof, error) {
 var _ core.Scheme = Eulerian{}
 
 // LineGraph is the LCP(0) scheme for "G is a line graph" (§1.1): by
-// Beineke's characterisation, G is a line graph iff it has no forbidden
-// induced subgraph on ≤ 6 vertices; every such subgraph containing v lies
-// within distance 5 of v, so a radius-5 verifier checks all connected
-// ≤6-vertex induced subgraphs through itself.
+// Beineke's characterisation, G is a line graph iff it has none of nine
+// forbidden induced subgraphs, each on ≤ 6 vertices and of radius ≤ 2.
+// So a radius-2 verifier that checks every connected ≤6-vertex induced
+// subgraph of its ball through itself finds each copy at its centre.
 type LineGraph struct{}
 
 // Name implements core.Scheme.
 func (LineGraph) Name() string { return "line-graph" }
 
-// Verifier implements core.Scheme; radius 5 = BeinekeBound − 1.
+// Verifier implements core.Scheme, at radius graphalg.LineGraphRadius.
 func (LineGraph) Verifier() core.Verifier {
-	return core.VerifierFunc{R: graphalg.BeinekeBound - 1, F: func(w *core.View) bool {
+	return core.VerifierFunc{R: graphalg.LineGraphRadius, F: func(w *core.View) bool {
 		return graphalg.LineGraphLocalCheck(w.Graph(), w.Center)
 	}}
 }

@@ -7,7 +7,7 @@ import (
 	"lcp/internal/graph"
 )
 
-// BenchmarkLineGraphVerify times the line-graph verifier (radius 5) on
+// BenchmarkLineGraphVerify times the line-graph verifier (radius 2) on
 // prebuilt views of a yes-instance, one op per node, and reports
 // allocs/node. Each pass verifies fresh views, so the induced ball a
 // view builds for the verifier counts toward Verify, as it does in a

@@ -110,8 +110,9 @@ type instanceEntry struct {
 // wirings; fleet deregistration + control connections). It takes the
 // map under the server mutex, so a request still resolving a checker
 // on the entry either finds it there before the close or caches
-// nothing, and closes them outside it: closing a dist-tcp checker
-// waits for its in-flight check to drain.
+// nothing, and closes them outside it. Closing does not wait for a
+// check in flight: its wiring or registration closes when the check
+// returns.
 func (s *Server) closeCheckers(entry *instanceEntry) {
 	s.mu.Lock()
 	checkers := entry.checkers
@@ -703,10 +704,10 @@ func (s *Server) handleCreateInstance(w http.ResponseWriter, r *http.Request) {
 	s.instances[entry.ID] = entry
 	s.mu.Unlock()
 	// Deregister evicted entries' dist-tcp instances from the worker
-	// fleet off the request path: an in-flight remote check holds its
-	// coordinator's lock, so closing waits for it to drain.
+	// fleet. Closing waits for no check: one in flight closes its
+	// registration when it returns.
 	for _, old := range evictedEntries {
-		go s.closeCheckers(old)
+		s.closeCheckers(old)
 	}
 	writeJSON(w, http.StatusCreated, s.info(entry))
 }
@@ -756,9 +757,8 @@ func (s *Server) handleDeleteInstance(w http.ResponseWriter, r *http.Request) {
 	// Checks already in flight finish on the engine they resolved; the
 	// engine and its caches are garbage collected once they drain. The
 	// dist-tcp checkers hold fleet registrations, so those are closed
-	// explicitly — off the response path, since close waits for any
-	// in-flight remote check to drain.
-	go s.closeCheckers(entry)
+	// explicitly.
+	s.closeCheckers(entry)
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
@@ -842,10 +842,10 @@ func (s *Server) prepareCheck(w http.ResponseWriter, r *http.Request, endpoint s
 // done closes the request's checker if its entry is dropped by the
 // time the request ends: an inline document's, or an instance deleted
 // or evicted while the request used it. Nothing caches such a checker
-// any more — or closeCheckers closed it already, and a check since
-// may have dialed the fleet again — so a dist-tcp checker must leave
-// the fleet now (a dist checker just drops its wirings). Closing twice
-// is harmless.
+// any more — or closeCheckers closed it already, while this request's
+// check was in flight or before a check since registered afresh — so a
+// dist-tcp checker must leave the fleet now (a dist checker just drops
+// its wirings). Closing twice is harmless.
 func (s *Server) done(c *checkCall) {
 	s.mu.Lock()
 	dropped := c.entry.dropped

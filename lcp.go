@@ -170,7 +170,7 @@ func NewEngine(in *Instance) *Engine { return engine.New(in, engine.Options{}) }
 // EulerianScheme: LCP(0), "G is Eulerian" on connected graphs.
 func EulerianScheme() Scheme { return schemes.Eulerian{} }
 
-// LineGraphScheme: LCP(0), "G is a line graph" (Beineke, radius 5).
+// LineGraphScheme: LCP(0), "G is a line graph" (Beineke, radius 2).
 func LineGraphScheme() Scheme { return schemes.LineGraph{} }
 
 // BipartiteScheme: LCP(1), 2-colouring certificate.
