@@ -232,11 +232,14 @@ func (p Proof) Truncated(bits int) Proof {
 // The *View is valid only for the duration of the Verify call: every
 // walk (core.CheckCtx, the engine, the façade's stream) refills one
 // View per worker from the next node's ball and reuses it, and the
-// proof table behind it goes back to a pool when the check ends. A
-// verifier must not keep the pointer, or anything read through it
-// (Nodes, Neighbors, Graph), after Verify returns. Views returned by
-// BuildView and dist.Collect are the exception: they own their state
-// and stay valid for as long as the caller holds them.
+// proof table behind it goes back to a pool when the check ends; a
+// cold dist shard likewise reassembles every node's ball, graph
+// included, in one arena and re-points one View (BallView). A verifier
+// must not keep the pointer, or anything read through it (Nodes,
+// Neighbors, Graph), after Verify returns; one that needs the view
+// later keeps View.Clone. Views returned by BuildView and dist.Collect
+// are the exception: they own their state and stay valid for as long
+// as the caller holds them.
 type Verifier interface {
 	Radius() int
 	Verify(*View) bool

@@ -327,13 +327,28 @@ func BuildView(in *Instance, p Proof, center, radius int) *View {
 	return newView(in, p, center, radius, pos, dist)
 }
 
-// BallView returns the radius-r view of center over ball, an instance
-// whose nodes are exactly that ball — the shape a message-passing node
-// reassembles from what reached it. dist holds each member's distance
-// from center, bits each member's proof string and has whether the
-// proof gives it an entry at all, all aligned with ball.G.Nodes(); the
-// view takes ownership of the three slices. The view, its instance and
-// its proof table are one allocation.
+// BallView holds one view over a ball instance, the shape a
+// message-passing node reassembles from what reached it, together with
+// the instance and proof table the view reads: one value, so a BallView
+// that is re-pointed ball after ball (the dist runtime's per-shard
+// assembly arena) builds its views without allocating. The zero value
+// is ready. Each View call re-points the one view, so the view an
+// earlier call returned now shows the new ball: like every view handed
+// to a verifier, it is valid only until its Verify returns, and one
+// that must outlive that is kept as a Clone. A BallView that is pointed
+// at a ball once (a frozen dist view) keeps that view for its lifetime.
+type BallView struct {
+	w  View
+	in Instance
+	fp FlatProof
+}
+
+// View points b at the radius-r view of center over ball, an instance
+// whose nodes are exactly that ball, and returns b's view. dist holds
+// each member's distance from center, bits each member's proof string
+// and has whether the proof gives it an entry at all, all aligned with
+// ball.G.Nodes(); the view reads the three slices, and ball's graph and
+// maps, in place until b is re-pointed.
 //
 // The ball's graph may lack the edges between two boundary members (at
 // distance radius), with their labels and weights: then complete, which
@@ -341,15 +356,52 @@ func BuildView(in *Instance, p Proof, center, radius int) *View {
 // view calls it at most once, when a verifier first reads such an edge
 // (see View); until then the boundary rows are never read. A nil
 // complete means the ball's graph is already G[v,r].
-func BallView(ball Instance, center, radius int, dist []int32, bits []bitstr.String, has []bool, complete func(*Instance)) *View {
-	o := &struct {
-		w  View
-		in Instance
-		fp FlatProof
-	}{in: ball, fp: FlatProof{g: ball.G, bits: bits, has: has}}
-	o.w.reset(&o.in, center, radius, nil, dist, &o.fp, false)
-	o.w.more = complete
-	return &o.w
+func (b *BallView) View(ball Instance, center, radius int, dist []int32, bits []bitstr.String, has []bool, complete func(*Instance)) *View {
+	b.in = ball
+	b.fp = FlatProof{g: ball.G, bits: bits, has: has}
+	b.w.reset(&b.in, center, radius, nil, dist, &b.fp, false)
+	b.w.more = complete
+	return &b.w
+}
+
+// Clone returns an owned copy of the view: the same center, radius,
+// members with their distances, node labels, edges with their labels
+// and weights, and proof entries, over tables of its own, so it stays
+// valid for as long as the caller holds it, whatever becomes of w or of
+// the storage behind w. A verifier that keeps a view past Verify
+// (dist.CollectWith keeps its center's) keeps a Clone. The copy reads
+// w's whole graph, so a ball view's boundary edges are completed first.
+func (w *View) Clone() *View {
+	g := w.Graph()
+	ball := Instance{G: graph.FromParts(g.Kind(), slices.Clone(w.ids), g.Edges()), Global: w.Global}
+	for _, id := range w.ids {
+		if l, ok := w.src.NodeLabel[id]; ok {
+			if ball.NodeLabel == nil {
+				ball.NodeLabel = make(map[int]string)
+			}
+			ball.NodeLabel[id] = l
+		}
+	}
+	for _, e := range ball.G.Edges() {
+		k := graph.NormEdge(e.U, e.V)
+		if l, ok := w.src.EdgeLabel[k]; ok {
+			if ball.EdgeLabel == nil {
+				ball.EdgeLabel = make(map[graph.Edge]string)
+			}
+			ball.EdgeLabel[k] = l
+		}
+		if x, ok := w.src.Weights[k]; ok {
+			if ball.Weights == nil {
+				ball.Weights = make(map[graph.Edge]int64)
+			}
+			ball.Weights[k] = x
+		}
+	}
+	bits, has := make([]bitstr.String, len(w.dist)), make([]bool, len(w.dist))
+	for j := range w.dist {
+		bits[j], has[j] = w.entry(j)
+	}
+	return new(BallView).View(ball, w.Center, w.Radius, slices.Clone(w.dist), bits, has, nil)
 }
 
 // Restrict returns the sub-view of radius r ≤ w.Radius around the same

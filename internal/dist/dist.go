@@ -66,13 +66,15 @@ func CheckWithCtx(ctx context.Context, in *core.Instance, p core.Proof, v core.V
 // which center reconstructs (G[v,r], P[v,r], v) from what reached it. The
 // result is identical to core.BuildView(in, p, center, radius) — the
 // property test in the package asserts this — but is produced without
-// any shared-memory traversal of the graph.
+// any shared-memory traversal of the graph. The center's view is
+// assembled in its shard's arena, valid only during Verify, so Collect
+// returns a copy of it (core.View.Clone), which the caller owns.
 func Collect(in *core.Instance, p core.Proof, center, radius int) *core.View {
 	return CollectWith(in, p, center, radius, Options{})
 }
 
 // CollectWith is Collect with an explicit layout: a CheckWithCtx whose
-// verifier keeps the center's view. Like Collect it panics on
+// verifier keeps a copy of the center's view. Like Collect it panics on
 // impossible inputs — an unknown center, or a custom Partitioner
 // returning an invalid assignment.
 func CollectWith(in *core.Instance, p core.Proof, center, radius int, opt Options) *core.View {
@@ -82,7 +84,7 @@ func CollectWith(in *core.Instance, p core.Proof, center, radius int, opt Option
 	var view *core.View
 	keep := core.VerifierFunc{R: radius, F: func(w *core.View) bool {
 		if w.Center == center {
-			view = w
+			view = w.Clone()
 		}
 		return true
 	}}

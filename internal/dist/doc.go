@@ -39,7 +39,10 @@
 // graph holds the edges of the inner members' records (distance < r),
 // and the edges between two boundary members are added only when a
 // verifier first reads one (node.assemble, completeRim). A radius-1
-// ball is a star until then.
+// ball is a star until then. A shard assembles all its cold views in
+// one arena, reused node after node and check after check, so a view
+// is valid only during its Verify; Collect returns a copy of its
+// center's.
 //
 // A wired shard's checks go cold, then warm. The configuration — graph,
 // labels, weights — is fixed for a shard's life; only the proof changes

@@ -2,8 +2,8 @@ package dist_test
 
 // The Network's one failure rule, held against a fake group builder so
 // that no socket or shard is involved: a group is pooled after a
-// successful run and closed — exactly once — after a failed one, past
-// the idle bound, and when the network is closed.
+// successful run, however many checks were in flight, and closed —
+// exactly once — after a failed one and when the network is closed.
 
 import (
 	"context"
@@ -134,32 +134,36 @@ func TestNetworkGroupFailureRule(t *testing.T) {
 		}
 	})
 
-	t.Run("groups past the idle bound are closed, Close closes the idle ones", func(t *testing.T) {
-		k := runtime.GOMAXPROCS(0) + 1 // one past the idle bound, within the live bound
+	t.Run("a full burst pools every group", func(t *testing.T) {
+		bound := 2 * runtime.GOMAXPROCS(0) // the checks in flight, and so the groups
 		f := &fakeFleet{gate: make(chan struct{})}
-		f.entered.Add(k)
+		f.entered.Add(bound)
 		nw := fakeNetwork(t, f)
 		var wg sync.WaitGroup
-		for range k {
+		for range bound + 1 { // one past the bound waits, then reuses a group
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				accepts(t, nw)
 			}()
 		}
-		f.entered.Wait() // k runs in flight: k groups built
+		f.entered.Wait() // bound runs in flight: bound groups built
+		f.entered.Add(1) // the waiting check enters a reused group
 		close(f.gate)
 		wg.Wait()
 		gs := f.groups()
-		if len(gs) != k {
-			t.Fatalf("built %d groups for %d concurrent checks", len(gs), k)
+		if len(gs) != bound {
+			t.Fatalf("built %d groups for %d concurrent checks, want %d", len(gs), bound+1, bound)
 		}
-		closed := 0
-		for _, c := range closesOf(gs) {
-			closed += int(c)
+		for i, c := range closesOf(gs) {
+			if c != 0 {
+				t.Fatalf("group %d closed %d times after a burst, want pooled", i, c)
+			}
 		}
-		if closed != 1 {
-			t.Fatalf("%d closes after %d concurrent checks, want 1 (the group past the idle bound)", closed, k)
+		f.entered.Add(1)
+		accepts(t, nw) // a pooled group serves the next check
+		if n := len(f.groups()); n != bound {
+			t.Fatalf("built %d groups after the burst, want %d", n, bound)
 		}
 		nw.Close()
 		for i, c := range closesOf(gs) {

@@ -22,13 +22,15 @@ import (
 // on this type.
 //
 // Concurrent checks never queue on a group: each takes an idle one or
-// builds another, under two bounds. One rule covers every group: it is
-// pooled after a successful run, and closed after a failed one, when
-// the pool already holds maxIdleWirings, or when the network is closed.
+// builds another, under one bound, maxWirings, on the checks in flight.
+// A group is built only when none is idle, so the groups in flight and
+// idle never outnumber it, and every group a check finishes with can be
+// pooled. One rule covers every group: it is pooled after a successful
+// run, and closed after a failed one or when the network is closed.
 type Network struct {
 	plans []ShardPlan // one per shard, fixed at construction
 	build GroupBuilder
-	sem   chan struct{} // bounds in-flight runs, and so the groups built, to maxLiveWirings
+	sem   chan struct{} // bounds in-flight runs, and so the groups built, to maxWirings
 
 	mu     sync.Mutex
 	closed bool
@@ -57,13 +59,16 @@ type wiring struct {
 	// once per round. countRun multiplies them by the round count, so
 	// the round loop never touches a counter.
 	cross, local int
+	// sends and recvs are each shard's cut links out and in: the
+	// batches it stages and the deliveries it receives every round,
+	// which size a run's transport buffers.
+	sends, recvs []int
 }
 
-// maxIdleWirings and maxLiveWirings bound a Network's idle and in-flight
-// groups: GOMAXPROCS is the useful concurrency of CPU-bound runs, and
-// twice that leaves headroom for runs finishing while new ones start.
-func maxIdleWirings() int { return runtime.GOMAXPROCS(0) }
-func maxLiveWirings() int { return 2 * runtime.GOMAXPROCS(0) }
+// maxWirings bounds a Network's checks in flight, and so its groups:
+// GOMAXPROCS is the useful concurrency of CPU-bound runs, and twice that
+// leaves headroom for runs finishing while new ones start.
+func maxWirings() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // NewNetwork partitions the instance and wires a reusable in-process
 // network for it, with its first wiring built up front. The options fix
@@ -87,7 +92,7 @@ func NewNetworkWith(in *core.Instance, opt Options, build GroupBuilder) (*Networ
 	if in == nil || in.G == nil {
 		return nil, fmt.Errorf("dist: nil instance")
 	}
-	nw := &Network{build: build, sem: make(chan struct{}, maxLiveWirings())}
+	nw := &Network{build: build, sem: make(chan struct{}, maxWirings())}
 	if n := in.G.N(); n > 0 {
 		plans, err := PlanShards(in, opt.shardCount(n), opt.Partitioner)
 		if err != nil {
@@ -124,15 +129,35 @@ func PlanShards(in *core.Instance, shards int, pt partition.Partitioner) ([]Shar
 	return plans, nil
 }
 
-// wire builds one in-process wiring of the plans.
+// wire builds one in-process wiring of the plans, wiring up to
+// GOMAXPROCS shards at a time. It fails with the error of the first
+// plan, in plan order, that could not be wired.
 func wire(plans []ShardPlan) (Group, error) {
-	w := &wiring{shards: make([]*Shard, len(plans))}
+	n := len(plans)
+	w := &wiring{shards: make([]*Shard, n), sends: make([]int, n), recvs: make([]int, n)}
+	errs := make([]error, n)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for i, plan := range plans {
-		s, err := NewShard(plan, i)
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.shards[i], errs[i] = NewShard(plan, i)
+			<-slots
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		w.shards[i] = s
+	}
+	for i, s := range w.shards {
+		w.sends[i] = len(s.remotes)
+		for _, rl := range s.remotes {
+			w.recvs[rl.peer]++
+		}
 		w.cross += len(s.remotes)
 		w.local += s.links
 	}
@@ -222,13 +247,13 @@ func (nw *Network) acquire(ctx context.Context) (Group, error) {
 
 func (nw *Network) put(g Group) {
 	nw.mu.Lock()
-	if !nw.closed && len(nw.idle) < maxIdleWirings() {
+	if !nw.closed {
 		nw.idle = append(nw.idle, g)
 		nw.mu.Unlock()
 		return
 	}
 	nw.mu.Unlock()
-	_ = g.Close() // a surplus group's close has no one to report to
+	_ = g.Close() // a closed network's group has no one to report to
 }
 
 // Close closes the idle groups; the groups of in-flight checks are
@@ -257,7 +282,7 @@ func (w *wiring) Close() error { return nil }
 // it poisons the group, so no shard waits for one that quit.
 func (w *wiring) Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bool, error) {
 	tl := obs.TimelineFrom(ctx)
-	trs := transport.NewInProcGroup(len(w.shards))
+	trs := transport.NewInProcGroupSized(w.sends, w.recvs)
 	verdicts := make([][]bool, len(w.shards))
 	errs := make([]error, len(w.shards))
 	// times, when a timeline is watching, collects each shard's seed

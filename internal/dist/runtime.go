@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"lcp/internal/bitstr"
 	"lcp/internal/core"
@@ -28,12 +27,17 @@ import (
 // ball instance holds the inner members' edges (every neighbour of a
 // node at distance < r is in the ball), and the edges between two
 // boundary members are added only when a verifier asks for one
-// (completeRim). Once its shard has frozen (see Shard.Run), it keeps
-// that view — the graph, labels and distances of a ball that no later
-// check can change — and is warm: a check floods bare records (id and
-// proof) and writes each first arrival's proof into the frozen view's
-// table (mergeBare). Neither kind forwards what arrives in the last
-// round: no round sends it.
+// (completeRim). It assembles in its shard's arena, which every cold
+// view of the shard reuses, one node after another: tables, graph,
+// maps and the view itself, so a cold check allocates per shard, not
+// per node, and a view lives only until its Verify returns. Once its
+// shard has frozen (see Shard.Run), an automaton keeps the view its
+// freezing check assembled in an arena of its own — the graph, labels
+// and distances of a ball that no later check can change — and is
+// warm: a check floods bare records (id and proof) and writes each
+// first arrival's proof into the frozen view's table (mergeBare).
+// Neither kind forwards what arrives in the last round: no round sends
+// it.
 
 // initialRecord builds node v's round-0 knowledge from the instance,
 // except for the proof string, which changes between checks of a wired
@@ -123,23 +127,25 @@ type node struct {
 }
 
 // frozenBall is an automaton's ball kept across checks: the view its
-// freezing check assembled, whose ball-sized proof table a warm check
-// rewrites in place as the members' bare records arrive.
+// freezing check assembled in the ball's own arena, whose ball-sized
+// proof table a warm check rewrites in place as the members' bare
+// records arrive.
 type frozenBall struct {
-	view *core.View
-	ids  []int // members ascending; a member's rank is its position
+	// The fields a warm check reads for every arrival come first, next
+	// to the arena's tables, so that they share the struct's first
+	// cache lines.
+	//
 	// rank maps id -> rank once the ball has outgrown smallBall; nil
 	// below that, where a scan of ids finds the rank.
 	rank map[int]int32
-	self int32   // the automaton's own rank
-	dist []int32 // each member's distance, by rank
-	bits []bitstr.String
-	has  []bool
+	self int32 // the automaton's own rank
 	// seen is the epoch of the warm check that last wrote each member,
 	// so a check dedups arrivals without clearing anything; got counts
 	// the members the current check has written.
-	seen []uint32
-	got  int
+	seen  []uint32
+	got   int
+	view  *core.View
+	arena // ids, dist, bits and has by rank, and the view over them
 }
 
 // rankOf returns the rank of member id and whether id is a member.
@@ -275,54 +281,150 @@ func (nd *node) learn(rec transport.Record, round, radius int) {
 	}
 }
 
-// assemble reconstructs the radius-r view from flooded knowledge: the
-// ball instance over the sorted member ids, with the node labels the
-// records carry, and the view over it with core.BallView, the
-// distances and proof strings aligned with the sorted members. Its
+// arena is the storage a cold automaton's view is assembled in: the
+// sorted member ids with their distances and proof entries, the ball's
+// edge list and its two graphs (each rebuilt in place, sharing one fill
+// scratch), the label and edge-input maps, the boundary members the
+// view's completion reads, and the view itself, with its completion
+// hook bound once. A Shard assembles every cold view of every check in
+// its one arena, one node after another, so a cold check allocates per
+// shard, not per node: each assembly re-points the one view, which is
+// valid only during its Verify (core.Verifier). A view that freeze
+// keeps is assembled in an arena of its own (frozenBall), which keeps
+// it.
+type arena struct {
+	kind   graph.Kind
+	radius int
+	ids    []int // members ascending; a member's rank is its position
+	dist   []int32
+	bits   []bitstr.String
+	has    []bool
+	edges  []graph.Edge
+	// g is the ball's graph as assemble builds it; rg, made on first
+	// need, is the completed one. Completion builds rg, never g, whose
+	// rows the verifier that asked for it may still hold; rg was last
+	// read by an earlier view, whose Verify has returned.
+	g       graph.Graph
+	rg      *graph.Graph
+	gs      graph.CSRScratch
+	labels  map[int]string
+	elabels map[graph.Edge]string
+	weights map[graph.Edge]int64
+	// rim is the boundary members' ids and edge lists, for completeRim:
+	// a copy, so that a frozen view keeps none of the flooded records.
+	rim      []keptMember
+	bv       core.BallView
+	complete func(*core.Instance) // completeRim, bound on first need
+	// kept marks a frozen ball's arena, which assembles once: its
+	// completion releases g and the assembly scratch.
+	kept bool
+}
+
+// keptMember is what an arena keeps of a boundary member's record for
+// its view's completion: the id and the edge list.
+type keptMember struct {
+	id    int
+	edges []transport.EdgeRec
+}
+
+// reset sizes the arena's tables for a ball of n members, with no proof
+// entries, labels, edge inputs or boundary members yet.
+func (a *arena) reset(kind graph.Kind, radius, n int) {
+	a.kind, a.radius = kind, radius
+	a.ids = slices.Grow(a.ids[:0], n)[:n]
+	a.dist = slices.Grow(a.dist[:0], n)[:n]
+	a.bits = slices.Grow(a.bits[:0], n)[:n]
+	a.has = slices.Grow(a.has[:0], n)[:n]
+	clear(a.bits)
+	clear(a.has)
+	if len(a.labels) > 0 {
+		clear(a.labels)
+	}
+	if len(a.elabels) > 0 {
+		clear(a.elabels)
+	}
+	if len(a.weights) > 0 {
+		clear(a.weights)
+	}
+	a.rim = a.rim[:0]
+}
+
+// addNodeLabel records a member's label in the ball instance, in the
+// arena's label map.
+func (a *arena) addNodeLabel(in *core.Instance, id int, label string) {
+	if in.NodeLabel == nil {
+		if a.labels == nil {
+			a.labels = make(map[int]string)
+		}
+		in.NodeLabel = a.labels
+	}
+	in.NodeLabel[id] = label
+}
+
+// addEdgeInput records an edge record's label and weight in the ball
+// instance, keyed normalized as the instance keys them, in the arena's
+// maps.
+func (a *arena) addEdgeInput(in *core.Instance, er transport.EdgeRec) {
+	key := graph.NormEdge(er.E.U, er.E.V)
+	if er.HasLabel {
+		if in.EdgeLabel == nil {
+			if a.elabels == nil {
+				a.elabels = make(map[graph.Edge]string)
+			}
+			in.EdgeLabel = a.elabels
+		}
+		in.EdgeLabel[key] = er.Label
+	}
+	if er.HasWeight {
+		if in.Weights == nil {
+			if a.weights == nil {
+				a.weights = make(map[graph.Edge]int64)
+			}
+			in.Weights = a.weights
+		}
+		in.Weights[key] = er.Weight
+	}
+}
+
+// assemble reconstructs the radius-r view from flooded knowledge, in
+// the arena: the ball instance over the sorted member ids, with the
+// node labels the records carry, and the view over it (core.BallView),
+// the distances and proof strings aligned with the sorted members. Its
 // graph holds the edges of the inner members' records (distance < r),
 // with their labels and weights: every neighbour of an inner member is
 // in the ball, so no membership test is needed, and an edge between two
 // inner members is taken from its lower endpoint's record only. The
 // edges between two boundary members are left to the view's completion
-// hook (completeRim), which reads the boundary members' records in
-// place at the tail of the ball: they stay unchanged until the next
-// check reseeds it. A view that freeze will keep (keep set) outlives
-// that, so its hook reads copies of their ids and edge lists instead.
-// Beyond the records, assemble uses only what every node knows a
-// priori: the graph kind and the global input. scratch is the caller's
-// reusable edge buffer: FromParts sorts it in place and keeps none of
-// it. The view returns with its tables, which freeze keeps.
-func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, keep bool, scratch *[]graph.Edge) (*core.View, []int32, []bitstr.String, []bool) {
-	ids := make([]int, len(nd.ball))
+// hook (completeRim), which reads the arena's copy of the boundary
+// members' ids and edge lists. Beyond the records, assemble uses only
+// what every node knows a priori: the graph kind and the global input.
+// The view is valid until the arena's next assembly.
+func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius int) *core.View {
+	a.reset(kind, radius, len(nd.ball))
+	ids := a.ids
 	for i := range nd.ball {
 		ids[i] = nd.ball[i].rec.ID
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 
 	ball := core.Instance{Global: global}
-	dist := make([]int32, len(ids))
-	bits := make([]bitstr.String, len(ids))
-	has := make([]bool, len(ids))
 	inner := len(nd.ball) // the ball is in arrival order: the boundary is its tail
 	for i := range nd.ball {
 		l := &nd.ball[i]
 		j, _ := slices.BinarySearch(ids, l.rec.ID)
-		dist[j] = int32(l.dist)
+		a.dist[j] = int32(l.dist)
 		if l.dist >= radius && inner == len(nd.ball) {
 			inner = i
 		}
 		if l.rec.HasProof {
-			bits[j], has[j] = l.rec.Proof, true
+			a.bits[j], a.has[j] = l.rec.Proof, true
 		}
 		if l.rec.HasLabel {
-			if ball.NodeLabel == nil {
-				ball.NodeLabel = make(map[int]string)
-			}
-			ball.NodeLabel[l.rec.ID] = l.rec.Label
+			a.addNodeLabel(&ball, l.rec.ID, l.rec.Label)
 		}
 	}
 
-	edges := (*scratch)[:0]
+	edges := a.edges[:0]
 	for i := range inner {
 		l := &nd.ball[i]
 		for _, er := range l.rec.Edges {
@@ -334,100 +436,75 @@ func (nd *node) assemble(kind graph.Kind, global core.Global, radius int, keep b
 				if l.dist < radius-1 {
 					continue
 				}
-				if k, _ := slices.BinarySearch(ids, o); int(dist[k]) < radius {
+				if k, _ := slices.BinarySearch(ids, o); int(a.dist[k]) < radius {
 					continue
 				}
 			}
 			edges = append(edges, er.E)
-			addEdgeInput(&ball, er)
+			a.addEdgeInput(&ball, er)
 		}
 	}
-	*scratch = edges
-	ball.G = graph.FromParts(kind, ids, edges)
+	a.edges = edges
+	a.g.ResetParts(kind, ids, edges, &a.gs)
+	ball.G = &a.g
 
 	var complete func(*core.Instance) // none for a boundary of fewer than two members
-	switch rim := nd.ball[inner:len(nd.ball):len(nd.ball)]; {
-	case len(rim) < 2:
-	case keep:
-		kept := make([]keptMember, len(rim))
+	if rim := nd.ball[inner:]; len(rim) >= 2 {
+		a.rim = slices.Grow(a.rim, len(rim))
 		for i := range rim {
-			kept[i] = keptMember{rim[i].rec.ID, rim[i].rec.Edges}
+			a.rim = append(a.rim, keptMember{rim[i].rec.ID, rim[i].rec.Edges})
 		}
-		complete = func(in *core.Instance) { completeRim(in, kind, radius, dist, kept) }
-	default:
-		complete = func(in *core.Instance) { completeRim(in, kind, radius, dist, rim) }
-	}
-	return core.BallView(ball, nd.id, radius, dist, bits, has, complete), dist, bits, has
-}
-
-// addEdgeInput records an edge record's label and weight in the ball
-// instance, keyed normalized as the instance keys them.
-func addEdgeInput(in *core.Instance, er transport.EdgeRec) {
-	key := graph.NormEdge(er.E.U, er.E.V)
-	if er.HasLabel {
-		if in.EdgeLabel == nil {
-			in.EdgeLabel = make(map[graph.Edge]string)
+		if a.complete == nil {
+			a.complete = a.completeRim
 		}
-		in.EdgeLabel[key] = er.Label
+		complete = a.complete
 	}
-	if er.HasWeight {
-		if in.Weights == nil {
-			in.Weights = make(map[graph.Edge]int64)
-		}
-		in.Weights[key] = er.Weight
-	}
+	return a.bv.View(ball, nd.id, radius, a.dist, a.bits, a.has, complete)
 }
 
-// keptMember is what a frozen view keeps of a boundary member's record
-// for its completion: the id and the edge list.
-type keptMember struct {
-	id    int
-	edges []transport.EdgeRec
-}
-
-// rimMember is a boundary member as completeRim reads it: its record in
-// place (learned), or what a frozen view keeps of it (keptMember).
-type rimMember interface {
-	member() (id int, edges []transport.EdgeRec)
-}
-
-func (k keptMember) member() (int, []transport.EdgeRec) { return k.id, k.edges }
-
-func (l learned) member() (int, []transport.EdgeRec) { return l.rec.ID, l.rec.Edges }
-
-// completeRim adds to a ball instance built from its inner members'
-// records the edges between two members of its boundary rim (those at
-// distance radius; dist is by rank), each taken from its lower
-// endpoint's record, with their labels and weights: a ball view's
-// completion hook (core.BallView).
-func completeRim[M rimMember](in *core.Instance, kind graph.Kind, radius int, dist []int32, rim []M) {
-	g := in.G
-	edges := g.Edges()
-	for _, m := range rim {
-		id, ers := m.member()
-		for _, er := range ers {
-			o := er.E.U + er.E.V - id
-			if o < id {
+// completeRim adds to the ball instance the arena assembled from its
+// inner members' records the edges between two members of its boundary
+// rim (those at distance radius), each taken from its lower endpoint's
+// record, with their labels and weights, building the completed graph
+// in rg: the view's completion hook (core.BallView).
+func (a *arena) completeRim(in *core.Instance) {
+	g := &a.g
+	edges := g.AppendEdges(a.edges[:0])
+	for _, m := range a.rim {
+		for _, er := range m.edges {
+			o := er.E.U + er.E.V - m.id
+			if o < m.id {
 				continue
 			}
-			if j, ok := g.Lookup(o); !ok || int(dist[j]) != radius {
+			if j, ok := g.Lookup(o); !ok || int(a.dist[j]) != a.radius {
 				continue
 			}
 			edges = append(edges, er.E)
-			addEdgeInput(in, er)
+			a.addEdgeInput(in, er)
 		}
 	}
-	in.G = graph.FromParts(kind, g.Nodes(), edges)
+	a.edges = edges
+	if a.rg == nil {
+		a.rg = new(graph.Graph)
+	}
+	a.rg.ResetParts(a.kind, a.ids, edges, &a.gs)
+	in.G = a.rg
+	if a.kept {
+		a.g, a.edges, a.gs = graph.Graph{}, nil, graph.CSRScratch{}
+	}
 }
 
-// freeze keeps the view a cold check assembled, with its tables, as the
-// automaton's frozen ball. A ball past smallBall members gets a rank
-// index (the search index, if the check built one, rewritten), and the
-// flooded records are released with their buffers: a warm automaton
-// needs none of them, and the view's completion keeps only its boundary
-// members' ids and edge lists (assemble).
-func (nd *node) freeze(w *core.View, dist []int32, bits []bitstr.String, has []bool) {
-	fb := &frozenBall{view: w, ids: w.Nodes(), dist: dist, bits: bits, has: has, seen: make([]uint32, len(dist))}
+// freeze makes the view a cold check assembled in fb's own arena the
+// automaton's frozen ball. The ball keeps its tables, not its assembly
+// scratch, and a completion later keeps only the completed graph. A
+// ball past smallBall members gets a rank index (the search index, if
+// the check built one, rewritten), and the flooded records are released
+// with their buffers: a warm automaton needs none of them, and the
+// view's completion reads only the arena's copy of its boundary
+// members' ids and edge lists.
+func (nd *node) freeze(fb *frozenBall, w *core.View) {
+	fb.view, fb.seen = w, make([]uint32, len(fb.ids))
+	fb.edges, fb.gs, fb.kept = nil, graph.CSRScratch{}, true
 	if len(fb.ids) > smallBall {
 		fb.rank = nd.index
 		if fb.rank == nil {
@@ -449,8 +526,9 @@ func (nd *node) freeze(w *core.View, dist []int32, bits []bitstr.String, has []b
 // decide runs the verifier on one node's view, converting a verifier
 // panic into an error instead of killing the process. A warm automaton
 // decides on its frozen view, once its flood has written every member;
-// a cold one assembles its view, and keeps it when freeze is set.
-func decide(nd *node, kind graph.Kind, global core.Global, radius int, v core.Verifier, freeze bool, scratch *[]graph.Edge) (ok bool, err error) {
+// a cold one assembles its view in the shard's arena a, or, when
+// freeze is set, in a frozen ball's own arena, which it keeps.
+func decide(nd *node, a *arena, kind graph.Kind, global core.Global, radius int, v core.Verifier, freeze bool) (ok bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dist: verifier panicked at node %d: %v", nd.id, r)
@@ -462,9 +540,11 @@ func decide(nd *node, kind graph.Kind, global core.Global, radius int, v core.Ve
 		}
 		return v.Verify(fb.view), nil
 	}
-	w, dist, bits, has := nd.assemble(kind, global, radius, freeze, scratch)
-	if freeze {
-		nd.freeze(w, dist, bits, has)
+	if !freeze {
+		return v.Verify(nd.assemble(a, kind, global, radius)), nil
 	}
+	fb := &frozenBall{}
+	w := nd.assemble(&fb.arena, kind, global, radius)
+	nd.freeze(fb, w)
 	return v.Verify(w), nil
 }

@@ -112,6 +112,10 @@ type Shard struct {
 	// batched reports that every automaton's cur and next have room for
 	// a round's batch (batches): set by the first run of radius > 1.
 	batched bool
+	// arena is where every cold view is assembled, one node after
+	// another: its buffers grow to the shard's largest ball and are kept
+	// across checks.
+	arena arena
 }
 
 // Records returns the round-0 records of the plan's owned nodes, in
@@ -154,8 +158,11 @@ func NewShard(plan ShardPlan, me int) (*Shard, error) {
 // Wiring fails, before any check, on a duplicate record, an edge that
 // is not its node's (or a loop, or an unnormalized undirected edge), a
 // neighbour with no assignment, or one assigned to me but not owned.
-// The automata and buffers come from a few slabs: a constant number of
-// allocations per shard, not per node.
+// The automata, their first buffers and their links come from a few
+// slabs, each made once at its final size (the links are routed and
+// counted in a first pass before they are cut), and the peers are
+// deduplicated as they are found: a constant number of allocations per
+// shard, not per node or per link.
 func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.Record, assign map[int]int) (*Shard, error) {
 	s := &Shard{
 		kind:   kind,
@@ -189,9 +196,14 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 	}
 	// Wire after every automaton exists: same-shard neighbours get
 	// direct-merge links, cut edges get remote links routed by the
-	// assignment.
-	locals := make([]*node, 0, edges)
+	// assignment. The first pass routes every node's neighbours into
+	// one slab, counting the links, so that the second makes each link
+	// slab at its final size.
+	type route struct{ peer, dst int }
+	routes := make([]route, 0, edges)
+	ends := make([]int, len(s.nodes)) // node i's routes end at routes[ends[i]]
 	var nbs []int
+	nlocal := 0
 	for i := range s.nodes {
 		nd := &s.nodes[i]
 		nbs = nbs[:0]
@@ -202,28 +214,43 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 			nbs = append(nbs, er.E.U+er.E.V-nd.id)
 		}
 		slices.Sort(nbs)
-		start := len(locals)
 		for _, w := range slices.Compact(nbs) {
 			owner, ok := assign[w]
 			if !ok {
 				return nil, fmt.Errorf("dist: shard %d: neighbor %d of node %d has no shard assignment", me, w, nd.id)
 			}
 			if owner == me {
-				nb := s.byID[w]
+				nlocal++
+			}
+			routes = append(routes, route{owner, w})
+		}
+		ends[i] = len(routes)
+	}
+	locals := make([]*node, 0, nlocal)
+	s.remotes = make([]remoteLink, 0, len(routes)-nlocal)
+	start := 0
+	for i := range s.nodes {
+		nd := &s.nodes[i]
+		first := len(locals)
+		for _, r := range routes[start:ends[i]] {
+			if r.peer == me {
+				nb := s.byID[r.dst]
 				if nb == nil {
-					return nil, fmt.Errorf("dist: shard %d: node %d assigned here but not owned", me, w)
+					return nil, fmt.Errorf("dist: shard %d: node %d assigned here but not owned", me, r.dst)
 				}
 				locals = append(locals, nb)
-			} else {
-				s.remotes = append(s.remotes, remoteLink{from: nd, peer: owner, dst: w})
-				s.peers = append(s.peers, owner)
+				continue
+			}
+			s.remotes = append(s.remotes, remoteLink{from: nd, peer: r.peer, dst: r.dst})
+			if !slices.Contains(s.peers, r.peer) {
+				s.peers = append(s.peers, r.peer)
 			}
 		}
-		nd.local = locals[start:len(locals):len(locals)]
+		nd.local = locals[first:len(locals):len(locals)]
+		start = ends[i]
 	}
 	s.links = len(locals)
 	slices.Sort(s.peers)
-	s.peers = slices.Compact(s.peers)
 	return s, nil
 }
 
@@ -394,10 +421,12 @@ func (s *Shard) run(ctx context.Context, tr transport.Transport, p core.Proof, v
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if freeze {
+		s.arena = arena{} // until a thaw, every view is a frozen ball's
+	}
 	verdicts = make([]bool, len(s.nodes))
-	var scratch []graph.Edge
 	for i := range s.nodes {
-		ok, err := decide(&s.nodes[i], s.kind, s.global, radius, v, freeze, &scratch)
+		ok, err := decide(&s.nodes[i], &s.arena, s.kind, s.global, radius, v, freeze)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -124,6 +125,39 @@ func TestFromSortedEdgesMatchesBuilder(t *testing.T) {
 		want := rebuildWithBuilder(g)
 		got := FromSortedEdges(g.Kind(), append([]int(nil), g.Nodes()...), append([]Edge(nil), g.Edges()...))
 		sameGraphSurface(t, name, got, want)
+	}
+}
+
+// TestResetPartsMatchesBuilder: one graph rebuilt in place with one
+// scratch, through graphs of every kind, size and lookup tier (dense,
+// binary search, id map) in turn and back again, each time reproduces
+// exactly what the Builder produces, with nothing left over from the
+// graph before.
+func TestResetPartsMatchesBuilder(t *testing.T) {
+	graphs := testGraphs(t)
+	graphs["scrambled"] = RandomPermutationIDs(Grid(10, 12), 3) // past idxMapThreshold, not dense
+	names := slices.Sorted(maps.Keys(graphs))
+	var g Graph
+	var s CSRScratch
+	for pass := range 2 {
+		for _, name := range names {
+			if pass == 1 {
+				name = names[len(names)-1-slices.Index(names, name)]
+			}
+			want := rebuildWithBuilder(graphs[name])
+			g.ResetParts(want.Kind(), slices.Clone(want.Nodes()), want.Edges(), &s)
+			if !Equal(&g, want) || !slices.Equal(g.Nodes(), want.Nodes()) || !slices.Equal(g.Edges(), want.Edges()) {
+				t.Fatalf("pass %d, %s: rebuilt graph differs", pass, name)
+			}
+			for i, v := range want.Nodes() {
+				if j, ok := g.Lookup(v); !ok || j != i || !slices.Equal(g.Neighbors(v), want.Neighbors(v)) || !slices.Equal(g.InNeighbors(v), want.InNeighbors(v)) {
+					t.Fatalf("pass %d, %s: node %d differs", pass, name, v)
+				}
+			}
+			if g.Has(want.MaxID() + 1) {
+				t.Fatalf("pass %d, %s: rebuilt graph has node %d", pass, name, want.MaxID()+1)
+			}
+		}
 	}
 }
 

@@ -94,43 +94,68 @@ func (g *Graph) lookup(id int) (int, bool) {
 	return 0, false
 }
 
-// initLookup decides the lookup tier for a frozen identifier list.
-func (g *Graph) initLookup() {
+// initLookup decides the lookup tier for a frozen identifier list. A
+// graph that needs an id map takes s's map, cleared, when s is non-nil,
+// and a fresh one otherwise.
+func (g *Graph) initLookup(s *CSRScratch) {
 	n := len(g.ids)
 	g.dense = n > 0 && g.ids[0] == 1 && g.ids[n-1] == n
 	if g.dense || n < idxMapThreshold {
 		return
 	}
-	g.idx = make(map[int]int, n)
+	if s == nil {
+		g.idx = make(map[int]int, n)
+	} else {
+		if s.idx == nil {
+			s.idx = make(map[int]int, n)
+		}
+		clear(s.idx)
+		g.idx = s.idx
+	}
 	for i, id := range g.ids {
 		g.idx[id] = i
 	}
 }
 
-// assemble freezes validated parts into a CSR graph. ids must be strictly
-// ascending and cover every edge endpoint; edges must be sorted by (U, V),
-// deduplicated, and normalized (U < V) for undirected kinds. Sorted edge
-// input is what keeps every adjacency row ascending without a per-row
-// sort: row v first receives the partners u < v (edges (u, v) arrive in
-// ascending u) and then the partners w > v (edges (v, w) arrive in
-// ascending w).
+// CSRScratch is the working storage ResetParts reuses from one rebuild
+// to the next: the fill cursors, and the id map of the last graph that
+// needed one. The zero value is ready. A graph rebuilt with a scratch
+// shares its id map, so a scratch serves one graph at a time.
+type CSRScratch struct {
+	cur []int32
+	idx map[int]int
+}
+
+// assemble freezes validated parts into a new CSR graph (see fill).
 func assemble(kind Kind, ids []int, edges []Edge) *Graph {
+	g := &Graph{}
+	g.fill(kind, ids, edges, nil)
+	return g
+}
+
+// fill rebuilds g from validated parts, reusing its CSR arrays where
+// they are large enough (none, for a new graph), and s's cursors and id
+// map when s is non-nil. ids must be strictly ascending and cover every
+// edge endpoint; edges must be sorted by (U, V), deduplicated, and
+// normalized (U < V) for undirected kinds. Sorted edge input is what
+// keeps every adjacency row ascending without a per-row sort: row v
+// first receives the partners u < v (edges (u, v) arrive in ascending
+// u) and then the partners w > v (edges (v, w) arrive in ascending w).
+func (g *Graph) fill(kind Kind, ids []int, edges []Edge, s *CSRScratch) {
 	if kind != Directed {
 		kind = Undirected
 	}
-	g := &Graph{kind: kind, ids: ids, m: len(edges)}
-	g.initLookup()
 	n := len(ids)
 	slots := len(edges)
 	if kind != Directed {
 		slots *= 2
 	}
 	checkCSRBounds(slots)
-	g.off = make([]int32, n+1)
-	g.adj = make([]int, slots)
+	*g = Graph{kind: kind, ids: ids, m: len(edges), off: zeroed(g.off, n+1), adj: resized(g.adj, slots), inOff: g.inOff[:0], inAdj: g.inAdj[:0]}
+	g.initLookup(s)
 	if kind == Directed {
-		g.inOff = make([]int32, n+1)
-		g.inAdj = make([]int, len(edges))
+		g.inOff = zeroed(g.inOff, n+1)
+		g.inAdj = resized(g.inAdj, len(edges))
 	}
 	for _, e := range edges {
 		g.off[g.mustIndex(e.U)+1]++
@@ -143,12 +168,22 @@ func assemble(kind Kind, ids []int, edges []Edge) *Graph {
 	for i := 0; i < n; i++ {
 		g.off[i+1] += g.off[i]
 	}
-	cur := make([]int32, n)
+	k := n // the fill cursors: one per row, and one per in-row
+	if kind == Directed {
+		k *= 2
+	}
+	var cur []int32
+	if s != nil {
+		s.cur = zeroed(s.cur, k)
+		cur = s.cur
+	} else {
+		cur = make([]int32, k)
+	}
 	if kind == Directed {
 		for i := 0; i < n; i++ {
 			g.inOff[i+1] += g.inOff[i]
 		}
-		inCur := make([]int32, n)
+		inCur := cur[n:]
 		for _, e := range edges {
 			iu, iv := g.mustIndex(e.U), g.mustIndex(e.V)
 			g.adj[g.off[iu]+cur[iu]] = e.V
@@ -156,7 +191,7 @@ func assemble(kind Kind, ids []int, edges []Edge) *Graph {
 			g.inAdj[g.inOff[iv]+inCur[iv]] = e.U
 			inCur[iv]++
 		}
-		return g
+		return
 	}
 	for _, e := range edges {
 		iu, iv := g.mustIndex(e.U), g.mustIndex(e.V)
@@ -165,7 +200,25 @@ func assemble(kind Kind, ids []int, edges []Edge) *Graph {
 		g.adj[g.off[iv]+cur[iv]] = e.U
 		cur[iv]++
 	}
-	return g
+}
+
+// resized returns buf at length n, reallocated only when it is too
+// small; its contents are unspecified.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is resized, with every element zero.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func (g *Graph) mustIndex(id int) int {
@@ -260,6 +313,19 @@ func (b *Builder) Graph() *Graph {
 func FromParts(kind Kind, ids []int, edges []Edge) *Graph {
 	sortEdges(edges)
 	return assemble(kind, ids, edges)
+}
+
+// ResetParts rebuilds g in place from parts, as FromParts builds a new
+// graph from them: g reuses its CSR arrays, and s its fill cursors and
+// id map, wherever they are large enough, so a caller that rebuilds one
+// graph per ball (the dist runtime's assembly arena) stops allocating
+// once its buffers have grown to the largest ball. g takes ownership of
+// ids and sorts edges in place; the same invariants hold. Every earlier
+// reader of g sees the rebuilt graph: rebuild only a graph no one else
+// still reads.
+func (g *Graph) ResetParts(kind Kind, ids []int, edges []Edge, s *CSRScratch) {
+	sortEdges(edges)
+	g.fill(kind, ids, edges, s)
 }
 
 // Kind returns whether the graph is directed or undirected.
@@ -379,16 +445,19 @@ func (g *Graph) HasEdge(u, v int) bool {
 // normalized; for directed graphs each arc appears once. The result is
 // sorted: the CSR rows are ascending and scanned in ascending node order,
 // so the edges fall out sorted without a final sort pass.
-func (g *Graph) Edges() []Edge {
-	edges := make([]Edge, 0, g.m)
+func (g *Graph) Edges() []Edge { return g.AppendEdges(make([]Edge, 0, g.m)) }
+
+// AppendEdges appends the edges, in Edges' order, to dst and returns
+// the extended slice.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	for i, u := range g.ids {
 		for _, v := range g.row(i) {
 			if g.kind == Directed || u < v {
-				edges = append(edges, Edge{U: u, V: v})
+				dst = append(dst, Edge{U: u, V: v})
 			}
 		}
 	}
-	return edges
+	return dst
 }
 
 // MaxID returns the largest node identifier, or 0 for the empty graph.
@@ -439,7 +508,7 @@ func (g *Graph) Induced(keep []int) *Graph {
 func (g *Graph) inducedFromStamped(ids []int, idxs []int32, s *scratch) *Graph {
 	n := len(ids)
 	sub := &Graph{kind: g.Kind(), ids: ids}
-	sub.initLookup()
+	sub.initLookup(nil)
 	sub.off = make([]int32, n+1)
 	directed := g.kind == Directed
 	if directed {

@@ -20,7 +20,11 @@ package transport
 // O(group size). The inbox is double-buffered by round parity and the
 // staging slice is rewound after every publish, so steady-state rounds
 // allocate nothing; the Barrier argument above is what licenses the
-// reuse (see Exchange).
+// reuse (see Exchange). A group built by NewInProcGroupSized knows each
+// member's sends and deliveries per round (a dist wiring counts its cut
+// links once): its staging slices start at that size, and each inbox
+// parity is made at its size on the round that first fills it, so no
+// round grows a buffer by append.
 //
 // The gates cannot use sync.Cond — a cancelled context must be able to
 // interrupt the wait — so they are one-shot channels closed by the
@@ -52,16 +56,32 @@ type outgoing struct {
 
 // NewInProcGroup builds a group of n in-process transports sharing one
 // hub, one per shard. Closing any member unblocks every other.
-func NewInProcGroup(n int) []*InProc {
+func NewInProcGroup(n int) []*InProc { return newInProcGroup(n, nil, nil) }
+
+// NewInProcGroupSized is NewInProcGroup for a group whose traffic per
+// round is known: member i sends sends[i] batches and receives recvs[i]
+// deliveries a round (len(sends) = len(recvs) = the group size). The
+// counts size the buffers only; a member may send or receive more.
+func NewInProcGroupSized(sends, recvs []int) []*InProc {
+	return newInProcGroup(len(sends), sends, recvs)
+}
+
+func newInProcGroup(n int, sends, recvs []int) []*InProc {
 	hub := &inprocHub{
 		n:       n,
 		inbox:   make([][2][]Delivery, n),
+		recvs:   recvs,
 		gates:   make(map[int64]*gate),
 		aborted: make(chan struct{}),
 	}
 	group := make([]*InProc, n)
+	members := make([]InProc, n)
 	for i := range group {
-		group[i] = &InProc{hub: hub, me: i}
+		members[i] = InProc{hub: hub, me: i}
+		if sends != nil && sends[i] > 0 {
+			members[i].staged = make([]outgoing, 0, sends[i])
+		}
+		group[i] = &members[i]
 	}
 	return group
 }
@@ -107,6 +127,9 @@ func (t *InProc) Exchange(ctx context.Context, round int) ([]Delivery, error) {
 		h.mu.Lock()
 		for _, o := range t.staged {
 			box := &h.inbox[o.peer][parity]
+			if *box == nil && h.recvs != nil {
+				*box = make([]Delivery, 0, h.recvs[o.peer])
+			}
 			*box = append(*box, o.del)
 		}
 		h.mu.Unlock()
@@ -155,6 +178,7 @@ type inprocHub struct {
 	n       int
 	mu      sync.Mutex
 	inbox   [][2][]Delivery // [dst][round parity] published deliveries
+	recvs   []int           // deliveries per round by member, when known: each inbox parity's size
 	gates   map[int64]*gate
 	aborted chan struct{}
 	abort1  sync.Once

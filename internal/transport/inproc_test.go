@@ -15,10 +15,21 @@ import (
 
 // TestInProcExchangeDelivers floods one record ring-wise across three
 // shards for two rounds and checks every delivery lands at the right
-// destination in the right round.
+// destination in the right round, on a group built unsized, sized to
+// its traffic, and sized below it.
 func TestInProcExchangeDelivers(t *testing.T) {
 	const n = 3
-	group := NewInProcGroup(n)
+	for name, build := range map[string]func() []*InProc{
+		"unsized": func() []*InProc { return NewInProcGroup(n) },
+		"sized":   func() []*InProc { return NewInProcGroupSized([]int{1, 1, 1}, []int{1, 1, 1}) },
+		"short":   func() []*InProc { return NewInProcGroupSized(make([]int, n), make([]int, n)) },
+	} {
+		t.Run(name, func(t *testing.T) { exchangeDelivers(t, build()) })
+	}
+}
+
+func exchangeDelivers(t *testing.T, group []*InProc) {
+	n := len(group)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
