@@ -7,6 +7,7 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -50,6 +51,46 @@ func TestColdCheckAllocs(t *testing.T) {
 	t.Logf("%.0f allocs/op, %.2f allocs/node", allocs, perNode)
 	if perNode > 1 {
 		t.Fatalf("cold dist check on PowerLaw(%d): %.2f allocs/node, want at most 1", in.G.N(), perNode)
+	}
+}
+
+// TestColdCheckBytes pins the cold dist check's bytes: a fresh Network
+// and one check on PowerLaw(4096) under leader election, as in
+// TestColdCheckAllocs. A record is seeded once per node and every ball
+// and batch holds pointers to it, 16 bytes a ball entry and 8 a batch
+// slot, so the check allocates about 1,600 bytes per node; when every
+// ball entry and batch slot held a copy of a 96-byte record it was
+// about 2,750.
+func TestColdCheckBytes(t *testing.T) {
+	const budget = 1800 // bytes per node
+	in := lcp.NewInstance(lcp.PowerLaw(4096, 4, 1)).SetNodeLabel(1, core.LabelLeader)
+	s := lcp.LeaderElectionScheme()
+	p, err := s.Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := s.Verifier()
+	ctx := context.Background()
+	opt := dist.Options{Shards: 2, Partitioner: partition.BFSChunks{}}
+	const runs = 5
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		nw, err := dist.NewNetwork(in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := nw.CheckCtx(ctx, p, v)
+		nw.Close()
+		if err != nil || !res.Accepted() {
+			t.Fatalf("honest proof: %v, %v", res, err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perNode := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / float64(in.G.N())
+	t.Logf("%.0f bytes/node", perNode)
+	if perNode > budget {
+		t.Fatalf("cold dist check on PowerLaw(%d): %.0f bytes/node, want at most %d", in.G.N(), perNode, budget)
 	}
 }
 

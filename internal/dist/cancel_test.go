@@ -7,12 +7,14 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"lcp/internal/core"
 	"lcp/internal/graph"
+	"lcp/internal/transport"
 )
 
 // slowVerifier gives the flood a few rounds to abort in.
@@ -108,5 +110,56 @@ func TestNetworkCheckCtx(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Outputs, want.Outputs) {
 		t.Fatalf("network unusable after cancelled run")
+	}
+}
+
+// TestWiringKeepsTransportGroup: a wiring's runs share one in-process
+// transport group while they succeed, so a warm check builds no
+// transport buffers; a cancelled run closes the group, which never runs
+// again, and the next run builds a fresh one.
+func TestWiringKeepsTransportGroup(t *testing.T) {
+	in := core.NewInstance(graph.Cycle(24))
+	v := slowVerifier(3)
+	want := core.Check(in, core.Proof{}, v)
+	nw, err := NewNetwork(in, Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	w := nw.idle[0].(*wiring)
+	check := func(label string) {
+		t.Helper()
+		verdicts, err := w.Run(context.Background(), core.Proof{}, v)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		res, err := MergeVerdicts(nw.plans, verdicts)
+		if err != nil || !reflect.DeepEqual(res.Outputs, want.Outputs) {
+			t.Fatalf("%s: verdicts differ from core.Check (%v)", label, err)
+		}
+	}
+	check("first run")
+	first := w.trs
+	for i := range 3 {
+		check(fmt.Sprintf("run %d", i+2))
+		if &w.trs[0] != &first[0] {
+			t.Fatalf("run %d rebuilt the transport group of a successful run", i+2)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := w.Run(ctx, core.Proof{}, v); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
+	}
+	if w.trs != nil {
+		t.Fatal("the wiring kept the group of a cancelled run")
+	}
+	// One member's exchange waits for all three at a live group's gate.
+	if _, err := first[0].Exchange(context.Background(), 1); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("the cancelled run's group exchanged again: %v", err)
+	}
+	check("run after the cancelled one")
+	if w.trs == nil || &w.trs[0] == &first[0] {
+		t.Fatal("the run after a cancelled one did not build a fresh group")
 	}
 }

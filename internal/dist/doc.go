@@ -22,10 +22,10 @@
 //     default, cut by Options.Partitioner) and runs each check on a
 //     pooled Group, merging its verdicts with MergeVerdicts. In
 //     process (NewNetwork) a group is a prewired shard set run as one
-//     goroutine per shard over a fresh transport.InProc group. Shards:
-//     n is the goroutine-per-node layout — the faithful reading of "a
-//     network of independent processors" — and needs no code of its
-//     own;
+//     goroutine per shard over a transport.InProc group, which it keeps
+//     while its runs succeed. Shards: n is the goroutine-per-node
+//     layout — the faithful reading of "a network of independent
+//     processors" — and needs no code of its own;
 //   - across processes (NewNetworkWith and internal/remote's Fleet) a
 //     group is a registration on a worker fleet, whose dist-tcp
 //     workers run one Shard each over transport.TCP.

@@ -25,10 +25,12 @@ type fakeGroup struct {
 	fail    bool
 	entered *sync.WaitGroup
 	gate    chan struct{}
+	runs    atomic.Int32
 	closes  atomic.Int32
 }
 
 func (g *fakeGroup) Run(ctx context.Context, _ core.Proof, _ core.Verifier) ([][]bool, error) {
+	g.runs.Add(1)
 	if g.gate != nil {
 		g.entered.Done()
 		select {
@@ -132,6 +134,39 @@ func TestNetworkGroupFailureRule(t *testing.T) {
 		if got := closesOf(gs); got[0] != 1 || got[1] != 1 {
 			t.Fatalf("closes after Close = %v, want [1 1]", got)
 		}
+	})
+
+	t.Run("a cancelled run's group never runs again", func(t *testing.T) {
+		f := &fakeFleet{gate: make(chan struct{})}
+		f.entered.Add(1)
+		nw := fakeNetwork(t, f)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error)
+		go func() {
+			_, err := nw.CheckCtx(ctx, core.Proof{}, v)
+			done <- err
+		}()
+		f.entered.Wait()
+		f.mu.Lock()
+		f.gate = nil // later groups run at once
+		f.mu.Unlock()
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled check error = %v, want context.Canceled", err)
+		}
+		accepts(t, nw)
+		accepts(t, nw)
+		gs := f.groups()
+		if len(gs) != 2 {
+			t.Fatalf("built %d groups, want 2: the cancelled one replaced, the next pooled", len(gs))
+		}
+		if runs, closes := gs[0].runs.Load(), gs[0].closes.Load(); runs != 1 || closes != 1 {
+			t.Fatalf("cancelled group ran %d times and closed %d, want once each", runs, closes)
+		}
+		if runs := gs[1].runs.Load(); runs != 2 {
+			t.Fatalf("replacement group ran %d times, want 2", runs)
+		}
+		nw.Close()
 	})
 
 	t.Run("a full burst pools every group", func(t *testing.T) {

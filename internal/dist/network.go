@@ -51,9 +51,14 @@ type Group interface {
 type GroupBuilder func(ctx context.Context, plans []ShardPlan) (Group, error)
 
 // wiring is the in-process group: one set of shards, run one goroutine
-// per shard over a fresh transport.InProc group.
+// per shard over a transport.InProc group.
 type wiring struct {
 	shards []*Shard
+	// trs is the transport group the wiring's runs share: built by the
+	// first run, kept after every run that succeeds (its buffers are
+	// sized, its gates all open), and closed and dropped by a run that
+	// fails, so a failed run's poisoned group never runs again.
+	trs []*transport.InProc
 	// cross and local fix the per-round delivery counts: every cut-edge
 	// link carries one batch per round, every same-shard link merges
 	// once per round. countRun multiplies them by the round count, so
@@ -269,20 +274,31 @@ func (nw *Network) Close() {
 	}
 }
 
-// Close implements Group: a wiring holds no resources beyond memory.
-func (w *wiring) Close() error { return nil }
+// Close implements Group: it closes the wiring's transport group, the
+// only resource it holds beyond memory.
+func (w *wiring) Close() error {
+	for _, tr := range w.trs {
+		_ = tr.Close() // InProc.Close cannot fail
+	}
+	w.trs = nil
+	return nil
+}
 
 // Run executes one check on the wiring: one goroutine per shard runs
-// Shard.Run over its member of a fresh in-process transport group.
-// Every shard goroutine is joined before Run returns, so the wiring is
+// Shard.Run over its member of the wiring's in-process transport group,
+// built by the first run and kept by every run that succeeds. Every
+// shard goroutine is joined before Run returns, so the wiring is
 // reusable immediately afterwards.
 //
-// Each member closes its transport on exit: after a completed run that
-// is past the final barrier (harmless to peers); after an early error
-// it poisons the group, so no shard waits for one that quit.
+// A member whose shard fails closes its transport, which poisons the
+// group, so no shard waits for one that quit; the run then drops the
+// group, and the next run builds a fresh one.
 func (w *wiring) Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bool, error) {
 	tl := obs.TimelineFrom(ctx)
-	trs := transport.NewInProcGroupSized(w.sends, w.recvs)
+	if w.trs == nil {
+		w.trs = transport.NewInProcGroupSized(w.sends, w.recvs)
+	}
+	trs := w.trs
 	verdicts := make([][]bool, len(w.shards))
 	errs := make([]error, len(w.shards))
 	// times, when a timeline is watching, collects each shard's seed
@@ -298,12 +314,14 @@ func (w *wiring) Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bo
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { _ = trs[i].Close() }()
 			var tm *phaseTimes
 			if times != nil {
 				tm = &times[i]
 			}
 			verdicts[i], errs[i] = s.run(ctx, trs[i], p, v, tm)
+			if errs[i] != nil {
+				_ = trs[i].Close()
+			}
 		}()
 	}
 	wg.Wait()
@@ -326,6 +344,7 @@ func (w *wiring) Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bo
 		}
 	}
 	if firstErr != nil {
+		w.trs = nil // poisoned by the failed shard's Close
 		// A poisoned group reports ErrClosed on every shard but the one
 		// that failed first; surface the cancellation cause if that is
 		// what started it.

@@ -17,9 +17,14 @@ import (
 // over the links (plus the globally known input, which the model hands
 // to every node up front). Shard.Run steps a shard's automata through
 // the rounds; this file holds what one automaton knows and does. What
-// it knows is transport.Records, the wire format's unit, so handing a
-// batch to a Transport needs no conversion or copy; records are
-// immutable once built, so forwarding shares them freely across links.
+// it knows is transport.Records, the wire format's unit, held by
+// pointer: records are immutable once built, so a ball, a batch and a
+// forward all share one record and never copy it. Each check seeds one
+// record per node, its node's self, and in process every ball that
+// learns the node, on any shard, points at that self; over TCP a ball
+// points into the slab its frame was decoded into. A check's pointers
+// stay valid until the next check's seed, which starts only after
+// every shard of the check has decided (see node.self).
 //
 // An automaton is cold or warm. Cold, it floods full records and
 // assembles its view from them (learn, assemble), building only what a
@@ -79,11 +84,12 @@ func initialRecord(in *core.Instance, v int, buf []transport.EdgeRec) (transport
 	return rec, buf
 }
 
-// learned is one entry of an automaton's knowledge: a flooded record
-// and the round it first arrived in (= its BFS distance).
+// learned is one entry of an automaton's knowledge: a flooded record,
+// shared with every other ball and batch that holds it, and the round
+// it first arrived in (= its BFS distance). It is 16 bytes.
 type learned struct {
-	rec  transport.Record
-	dist int
+	rec  *transport.Record
+	dist int32
 }
 
 // errWarmth marks a run that failed on a record its automaton's warmth
@@ -102,6 +108,15 @@ type node struct {
 	id    int
 	base  *transport.Record // round-0 knowledge; its proof is ignored (each check seeds its own)
 	local []*node           // same-shard neighbours, merged into directly
+	// self is the node's record for the current check: base with the
+	// check's proof string (seed), or, warm, the bare id and proof
+	// (seedWarm). It is the one copy of the record in process: the
+	// node's own ball and first batch, and every ball and batch on any
+	// shard that learns the node, hold a pointer to it. Only the next
+	// check's seed rewrites it, and that starts after every shard of
+	// this check has returned: a group runs one check at a time, waits
+	// for all of its shards, and is closed after a failed one.
+	self transport.Record
 	// ball is everything learned so far, in arrival order: the node's
 	// own record, then each round's first arrivals.
 	ball []learned
@@ -117,7 +132,7 @@ type node struct {
 	// reallocated (safe because a round's batches are fully merged
 	// before its Barrier returns). A radius-1 check sends only the
 	// node's own record and forwards nothing, so until a check of a
-	// larger radius needs next (Shard.batches), cur holds one record
+	// larger radius needs next (Shard.batches), cur holds one pointer
 	// and next none.
 	cur, next transport.Batch
 	// frozen is the automaton's ball once its shard has frozen, nil
@@ -171,28 +186,29 @@ func (fb *frozenBall) write(j int32, rec *transport.Record, epoch uint32) {
 }
 
 // seed resets the automaton for a fresh check with the given proof: the
-// ball shrinks back to the node's own record (now carrying its proof
-// string) and the message buffers rewind without reallocating.
+// node's self becomes its round-0 record carrying the proof string, the
+// ball shrinks back to it, and the message buffers rewind without
+// reallocating.
 func (nd *node) seed(p core.Proof) {
-	rec := *nd.base
-	rec.Proof, rec.HasProof = p[nd.id]
+	nd.self = *nd.base
+	nd.self.Proof, nd.self.HasProof = p[nd.id]
 	clear(nd.ball) // drop the last check's records for the GC
-	nd.ball = append(nd.ball[:0], learned{rec: rec})
+	nd.ball = append(nd.ball[:0], learned{rec: &nd.self})
 	clear(nd.index)
-	nd.cur = append(nd.cur[:0], rec)
+	nd.cur = append(nd.cur[:0], &nd.self)
 	nd.next = nd.next[:0]
 }
 
-// seedWarm starts a warm check of the frozen automaton: its own bare
-// record, carrying its proof string, is written into its ball and is
-// the first round's batch.
+// seedWarm starts a warm check of the frozen automaton: its self
+// becomes its bare record, carrying its proof string, which is written
+// into its ball and is the first round's batch.
 func (nd *node) seedWarm(p core.Proof, epoch uint32) {
-	rec := transport.Record{ID: nd.id, Bare: true}
-	rec.Proof, rec.HasProof = p[nd.id]
+	nd.self = transport.Record{ID: nd.id, Bare: true}
+	nd.self.Proof, nd.self.HasProof = p[nd.id]
 	fb := nd.frozen
 	fb.got = 0
-	fb.write(fb.self, &rec, epoch)
-	nd.cur = append(nd.cur[:0], rec)
+	fb.write(fb.self, &nd.self, epoch)
+	nd.cur = append(nd.cur[:0], &nd.self)
 	nd.next = nd.next[:0]
 }
 
@@ -227,13 +243,12 @@ func (nd *node) merge(b transport.Batch, round, radius int, epoch uint32) error 
 	if fb := nd.frozen; fb != nil {
 		return nd.mergeBare(fb, b, round, radius, epoch)
 	}
-	for i := range b {
-		rec := &b[i]
+	for _, rec := range b {
 		if rec.Bare {
 			return fmt.Errorf("dist: node %d: bare record of node %d reached a cold automaton: %w", nd.id, rec.ID, errWarmth)
 		}
 		if round == 1 || !nd.knows(rec.ID) {
-			nd.learn(*rec, round, radius)
+			nd.learn(rec, round, radius)
 		}
 	}
 	return nil
@@ -247,8 +262,7 @@ func (nd *node) merge(b transport.Batch, round, radius int, epoch uint32) error 
 // outside the ball, a member early or late — fails the check instead of
 // changing a view.
 func (nd *node) mergeBare(fb *frozenBall, b transport.Batch, round, radius int, epoch uint32) error {
-	for i := range b {
-		rec := &b[i]
+	for _, rec := range b {
 		if !rec.Bare {
 			return fmt.Errorf("dist: node %d: full record of node %d reached a warm automaton: %w", nd.id, rec.ID, errWarmth)
 		}
@@ -264,18 +278,18 @@ func (nd *node) mergeBare(fb *frozenBall, b transport.Batch, round, radius int, 
 		}
 		fb.write(j, rec, epoch)
 		if round < radius {
-			nd.next = append(nd.next, *rec)
+			nd.next = append(nd.next, rec)
 		}
 	}
 	return nil
 }
 
-// learn records a first arrival: the record joins the ball and, before
-// the last round, the next outgoing batch. It scans none of the
-// record's edges: assemble reads the edges it needs once, at decide
-// time.
-func (nd *node) learn(rec transport.Record, round, radius int) {
-	nd.ball = append(nd.ball, learned{rec: rec, dist: round})
+// learn records a first arrival: a pointer to the record joins the
+// ball and, before the last round, the next outgoing batch. It scans
+// none of the record's edges: assemble reads the edges it needs once,
+// at decide time.
+func (nd *node) learn(rec *transport.Record, round, radius int) {
+	nd.ball = append(nd.ball, learned{rec: rec, dist: int32(round)})
 	if round < radius {
 		nd.next = append(nd.next, rec)
 	}
@@ -412,8 +426,8 @@ func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius i
 	for i := range nd.ball {
 		l := &nd.ball[i]
 		j, _ := slices.BinarySearch(ids, l.rec.ID)
-		a.dist[j] = int32(l.dist)
-		if l.dist >= radius && inner == len(nd.ball) {
+		a.dist[j] = l.dist
+		if int(l.dist) >= radius && inner == len(nd.ball) {
 			inner = i
 		}
 		if l.rec.HasProof {
@@ -433,7 +447,7 @@ func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius i
 			// can have a boundary neighbour, and with one inner member
 			// there is no other to report it.
 			if o := er.E.U + er.E.V - l.rec.ID; o < l.rec.ID && inner > 1 {
-				if l.dist < radius-1 {
+				if int(l.dist) < radius-1 {
 					continue
 				}
 				if k, _ := slices.BinarySearch(ids, o); int(a.dist[k]) < radius {

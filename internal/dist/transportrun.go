@@ -173,17 +173,17 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 		byID:   make(map[int]*node, len(recs)),
 	}
 	// Each automaton's buffers start in slabs sized for a radius-1
-	// check: a ball of degree+1 records (up to smallBall+1; a larger
-	// ball grows past it) and a first-round batch of one record, the
-	// node's own. Later rounds' batches get their slab from the first
-	// run that floods them (batches).
+	// check: a ball of degree+1 entries (up to smallBall+1; a larger
+	// ball grows past it) and a first-round batch of one pointer, to
+	// the node's own record. Later rounds' batches get their slab from
+	// the first run that floods them (batches).
 	edges, balls := 0, 0
 	for i := range recs {
 		d := len(recs[i].Edges)
 		edges, balls = edges+d, balls+min(d+1, smallBall+1)
 	}
 	ballSlab := make([]learned, 0, balls)
-	own := make([]transport.Record, 0, len(recs))
+	own := make(transport.Batch, 0, len(recs))
 	for i := range recs {
 		rec, nd := &recs[i], &s.nodes[i]
 		if s.byID[rec.ID] != nil {
@@ -254,10 +254,10 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 	return s, nil
 }
 
-// batches gives every automaton a cur and a next of degree+1 records
-// each, from one slab, once: a run of radius > 1 forwards up to a
-// node's degree+1 records per round (more in later rounds, which grow
-// past it), where a radius-1 run sends only the node's own record.
+// batches gives every automaton a cur and a next of degree+1 record
+// pointers each, from one slab, once: a run of radius > 1 forwards up
+// to a node's degree+1 records per round (more in later rounds, which
+// grow past it), where a radius-1 run sends only the node's own record.
 func (s *Shard) batches() {
 	if s.batched {
 		return
@@ -266,7 +266,7 @@ func (s *Shard) batches() {
 	for i := range s.nodes {
 		size += 2 * (len(s.nodes[i].base.Edges) + 1)
 	}
-	slab := make([]transport.Record, 0, size)
+	slab := make(transport.Batch, 0, size)
 	for i := range s.nodes {
 		nd, deg := &s.nodes[i], len(s.nodes[i].base.Edges)
 		nd.cur, slab = carve(slab, deg+1)

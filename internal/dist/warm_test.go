@@ -29,29 +29,15 @@ type recording struct {
 }
 
 func (r *recording) Send(peer, dst int, recs transport.Batch) {
-	r.sent = append(r.sent, recs...)
+	for _, rec := range recs {
+		r.sent = append(r.sent, *rec)
+	}
 	r.Transport.Send(peer, dst, recs)
 }
 
 func (r *recording) Exchange(ctx context.Context, round int) ([]transport.Delivery, error) {
 	r.rounds = append(r.rounds, round)
 	return r.Transport.Exchange(ctx, round)
-}
-
-// labelledGrid is a Grid(4,5) carrying every kind of input — node
-// labels, edge labels, weights, a global — so a record that still
-// carried its node's knowledge would show it.
-func labelledGrid() *core.Instance {
-	g := lcp.Grid(4, 5)
-	in := core.NewInstance(g).SetNodeLabel(1, core.LabelS).SetNodeLabel(20, core.LabelT)
-	in.MarkEdge(1, 2)
-	in.MarkEdge(6, 7)
-	in.Weights = map[graph.Edge]int64{}
-	for i, e := range g.Edges() {
-		in.Weights[e] = int64(2*i + 1)
-	}
-	in.Global = core.Global{"k": 3}
-	return in
 }
 
 // proofVerifier accepts when the view's proof bits, labels, weights and
@@ -79,7 +65,7 @@ func proofVerifier(r int) core.Verifier {
 // and every record it sends is bare — no label, no edge — while the
 // verdicts stay core.Check's. The first two checks flood full records.
 func TestWarmChecksFloodBareRecords(t *testing.T) {
-	in := labelledGrid()
+	in := dist.LabelledGrid()
 	for _, r := range []int{1, 2, 3} {
 		v := proofVerifier(r)
 		shards := workerShards(t, in, 3, partition.BFSChunks{})
@@ -129,7 +115,8 @@ func (w rewrite) Exchange(ctx context.Context, round int) ([]transport.Delivery,
 	for i, d := range dels {
 		recs := make(transport.Batch, len(d.Recs))
 		for j, rec := range d.Recs {
-			recs[j] = w.f(rec)
+			x := w.f(*rec)
+			recs[j] = &x
 		}
 		out[i] = transport.Delivery{Dst: d.Dst, Recs: recs}
 	}
@@ -142,7 +129,7 @@ func (w rewrite) Exchange(ctx context.Context, round int) ([]transport.Delivery,
 // verdict; the shards that meet such a record thaw, so the group checks
 // correctly again soon after.
 func TestShardRejectsRecordsItsWarmthCannotTake(t *testing.T) {
-	in := labelledGrid()
+	in := dist.LabelledGrid()
 	v := proofVerifier(2)
 	p := core.RandomProof(in, 3, 1)
 	want := core.Check(in, p, v)

@@ -99,7 +99,7 @@ func genDeliveries(data []byte) []Delivery {
 			}
 			if f&4 != 0 && !rec.HasLabel {
 				rec.Bare = true // id and proof only
-				b = append(b, rec)
+				b = append(b, &rec)
 				continue
 			}
 			for ne := next() % 3; len(rec.Edges) < ne; {
@@ -111,7 +111,7 @@ func genDeliveries(data []byte) []Delivery {
 				}
 				rec.Edges = append(rec.Edges, er)
 			}
-			b = append(b, rec)
+			b = append(b, &rec)
 		}
 		batches = append(batches, b)
 	}

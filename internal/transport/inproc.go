@@ -6,9 +6,12 @@ package transport
 // contract.
 //
 // Zero-copy is the point and the hazard: Send stages the caller's
-// batch slice by reference, and the receiving shard's merge reads it
-// in place. Two gates per round make that safe, mirroring the phase
-// argument of dist's Shard.Run:
+// batch slice by reference, the receiving shard's merge reads it in
+// place, and what the receiver keeps are the record pointers the
+// batch holds, never a copy of a record. The records outlive the round
+// (see Batch); the batch slice does not, because its sender rewinds
+// and refills it. Two gates per round make that safe, mirroring the
+// phase argument of dist's Shard.Run:
 //
 //   - the Exchange gate (all shards have published round r's traffic)
 //     orders every publish before any read;
@@ -31,8 +34,10 @@ package transport
 // last arriver, with an aborted channel racing them. A close or cancel
 // poisons the whole group: every waiter (current and future) returns
 // ErrClosed or the context error instead of deadlocking on a peer that
-// quit. The poison dies with the group — a fresh check builds a fresh
-// group — so one aborted check can never wedge the next.
+// quit. The poison dies with the group: a group may run check after
+// check while every one completes (a dist wiring keeps its group), but
+// a check that fails drops it and the next check builds a fresh one,
+// so one aborted check can never wedge the next.
 
 import (
 	"context"
@@ -165,7 +170,7 @@ func (t *InProc) Stats() Stats { return t.stats }
 
 // Close poisons the group, unblocking every member still waiting at a
 // gate. Closing after a completed run is a no-op for the peers — they
-// are all past their last gate.
+// are all past their last gate — but the group runs no further round.
 func (t *InProc) Close() error {
 	t.hub.abort()
 	return nil

@@ -7,7 +7,12 @@
 // same loop: InProc (shared-memory inboxes and gates, the
 // zero-serialization in-process default) and TCP (length-prefixed
 // binary frames between worker processes, one connection per shard
-// pair, per-round batch coalescing). The paper's message complexity —
+// pair, per-round batch coalescing). A batch is a list of record
+// pointers, so a record is shared, never copied, by every batch and
+// ball that holds it: in process a forwarded record costs a pointer,
+// and over TCP each frame's records are decoded once, into one slab
+// that every batch of the frame points into. The paper's message
+// complexity —
 // every cut edge carries one batch per round — becomes measured bytes
 // on the wire without the round semantics changing, which is what
 // keeps verdicts identical to core.Check.
@@ -35,24 +40,26 @@ import (
 // string, input label, and incident edges with their labels and
 // weights — or, bare, just its identifier and proof string. Records
 // are immutable once built and self-contained, so multi-hop forwarding
-// ships them unchanged across any number of shard boundaries.
+// shares them unchanged, by pointer (Batch), across any number of
+// shard boundaries. The flags sit together at the end, so a Record is
+// 88 bytes and an EdgeRec 48 on a 64-bit host.
 type Record struct {
 	// ID is the node the record describes.
 	ID int
 	// Proof is the node's proof string; meaningful iff HasProof.
 	Proof bitstr.String
+	// Label is the node's input label; meaningful iff HasLabel.
+	Label string
+	// Edges lists every edge incident to ID, as ID sees them.
+	Edges []EdgeRec
 	// HasProof distinguishes the empty proof ε from no proof at all.
 	HasProof bool
 	// Bare marks a warm check's record: ID and proof only, no label and
 	// no edges. Once a wired shard has frozen its automata's balls, a
 	// check floods nothing else (see dist.Shard.Run).
 	Bare bool
-	// Label is the node's input label; meaningful iff HasLabel.
-	Label string
 	// HasLabel reports whether the node carries an input label.
 	HasLabel bool
-	// Edges lists every edge incident to ID, as ID sees them.
-	Edges []EdgeRec
 }
 
 // EdgeRec is one incident edge as the owning node sees it: the edge key
@@ -63,10 +70,10 @@ type EdgeRec struct {
 	E graph.Edge
 	// Label is the edge's input label; meaningful iff HasLabel.
 	Label string
-	// HasLabel reports whether the edge carries an input label.
-	HasLabel bool
 	// Weight is the edge's weight; meaningful iff HasWeight.
 	Weight int64
+	// HasLabel reports whether the edge carries an input label.
+	HasLabel bool
 	// HasWeight reports whether the edge carries a weight.
 	HasWeight bool
 }
@@ -74,7 +81,17 @@ type EdgeRec struct {
 // Batch is the per-round payload for one destination node: the records
 // the sender learned in the previous round. An empty batch is still
 // delivered — message counting is what keeps the rounds synchronized.
-type Batch []Record
+//
+// A batch holds pointers to records that neither side may change
+// while anyone holds them. The records a check floods live until that
+// check's last reader is done: in process, a dist automaton's record
+// is its node's seeded record, which only the next check's seed
+// rewrites, and the next check starts after every shard of this one
+// has returned (a group runs one check at a time, and a failed group
+// is closed); over TCP, DecodeData decodes each frame into a fresh
+// slab that nothing rewrites. A receiver may keep the pointers for as
+// long as it keeps the check's knowledge.
+type Batch []*Record
 
 // Delivery is one destination node's share of a round's incoming
 // traffic, already demultiplexed from the per-peer frames.
@@ -126,8 +143,10 @@ func (s *Stats) Add(other Stats) {
 //     traffic.
 //  3. Barrier closes the round. In-process it is the reuse barrier —
 //     no shard starts round r+1 before every shard has merged round r,
-//     which is what licenses the zero-copy handover of cur buffers.
-//     Over TCP it is a no-op: frames are copied at staging time.
+//     which is what licenses the zero-copy handover of cur buffers
+//     (the batch slices themselves; the records they point at outlive
+//     the round, see Batch). Over TCP it is a no-op: frames are
+//     serialized at Exchange time.
 type Transport interface {
 	// Name identifies the implementation ("inproc", "tcp") for
 	// metrics and error messages.

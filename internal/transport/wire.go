@@ -32,7 +32,9 @@ package transport
 // sends the same batch over each of them, and the frame carries it
 // once. Decoding hands every destination of a group the same Batch —
 // records are immutable, exactly as the in-process transport shares
-// them. A group always names at least one destination.
+// them — and decodes every record of the frame into one slab, which
+// the frame's batches point into. A group always names at least one
+// destination.
 //
 // Records are self-contained (the same property the in-process
 // runtime relies on for multi-hop forwarding), so decoding never
@@ -151,7 +153,10 @@ func AppendData(buf []byte, hdr DataHeader, dels []Delivery) []byte {
 		for j < len(dels) && sameBatch(dels[i].Recs, dels[j].Recs) {
 			j++
 		}
-		buf = AppendRecords(buf, dels[i].Recs)
+		buf = binary.AppendUvarint(buf, uint64(len(dels[i].Recs)))
+		for _, rec := range dels[i].Recs {
+			buf = appendRecord(buf, rec)
+		}
 		buf = binary.AppendUvarint(buf, uint64(j-i))
 		for _, d := range dels[i:j] {
 			buf = binary.AppendUvarint(buf, uint64(d.Dst))
@@ -168,13 +173,13 @@ func sameBatch(a, b Batch) bool {
 }
 
 // AppendRecords encodes a counted record list (the records production
-// above) onto buf. Every group of a data frame opens with one, and a
-// dist-tcp registration ships a worker its owned nodes' round-0 records
-// as one.
+// above) onto buf: what every group of a data frame opens with, and
+// how a dist-tcp registration ships a worker its owned nodes' round-0
+// records.
 func AppendRecords(buf []byte, recs []Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for _, rec := range recs {
-		buf = appendRecord(buf, rec)
+	for i := range recs {
+		buf = appendRecord(buf, &recs[i])
 	}
 	return buf
 }
@@ -183,7 +188,14 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 // DecodeData, every presize is capped by the payload bytes left.
 func DecodeRecords(payload []byte) ([]Record, error) {
 	c := &cursor{buf: payload}
-	recs := c.records()
+	nr := c.count("record count")
+	var recs []Record
+	if n := c.capped(nr); n > 0 {
+		recs = make([]Record, 0, n)
+	}
+	for j := 0; j < nr && c.err == nil; j++ {
+		recs = append(recs, c.record())
+	}
 	if err := c.end(); err != nil {
 		return nil, err
 	}
@@ -200,7 +212,7 @@ const (
 // appendRecord encodes one record. A bare record encodes its id and
 // proof only: its Label and Edges, which it never carries, are not
 // read.
-func appendRecord(buf []byte, rec Record) []byte {
+func appendRecord(buf []byte, rec *Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.ID))
 	var flags byte
 	if rec.HasProof {
@@ -257,43 +269,93 @@ func appendBits(buf []byte, s bitstr.String) []byte {
 
 // DecodeData decodes a data payload produced by AppendData: one
 // Delivery per destination, every destination of a group sharing the
-// group's Batch. Every presize is capped by the payload bytes left, so
-// a corrupt count costs an error, not an allocation it announces.
+// group's Batch. It reads the payload twice: the first pass validates
+// it and counts its records and deliveries, building nothing, so a
+// corrupt frame costs an error, not an allocation it announces; the
+// second decodes every record of the frame into one slab, every
+// batch's pointers into another, and the deliveries into a third, each
+// made once at its final size. The slabs are the frame's own: nothing
+// rewrites them, so a receiver may keep the batches (see Batch).
 func DecodeData(payload []byte) (DataHeader, []Delivery, error) {
+	dry := &cursor{buf: payload, dry: true}
+	dry.data(nil, nil)
+	if err := dry.end(); err != nil {
+		return DataHeader{}, nil, err
+	}
+	var recs Batch
+	if dry.nrecs > 0 {
+		slab := make([]Record, dry.nrecs)
+		recs = make(Batch, dry.nrecs)
+		for i := range slab {
+			recs[i] = &slab[i]
+		}
+	}
+	var dels []Delivery
+	if dry.ndels > 0 {
+		dels = make([]Delivery, 0, dry.ndels)
+	}
 	c := &cursor{buf: payload}
+	hdr, dels := c.data(recs, dels)
+	if err := c.end(); err != nil { // the first pass read the same bytes without error
+		return DataHeader{}, nil, err
+	}
+	return hdr, dels, nil
+}
+
+// data reads a data payload, decoding its records in order into the
+// records recs points at, its batches as pieces of recs and its
+// deliveries onto dels. A dry cursor builds nothing: it counts the
+// records and deliveries into nrecs and ndels.
+func (c *cursor) data(recs Batch, dels []Delivery) (DataHeader, []Delivery) {
 	var hdr DataHeader
 	hdr.Seq = c.uvarint()
 	hdr.Round = c.count("round")
 	hdr.Src = c.count("src")
 	ng := c.count("group count")
-	var dels []Delivery
-	if n := c.capped(ng); n > 0 {
-		dels = make([]Delivery, 0, n)
-	}
 	for i := 0; i < ng && c.err == nil; i++ {
-		recs := c.records()
+		nr := c.count("record count")
+		start := c.nrecs
+		for j := 0; j < nr && c.err == nil; j++ {
+			rec := c.record()
+			if !c.dry {
+				*recs[c.nrecs] = rec
+			}
+			c.nrecs++
+		}
+		var batch Batch
+		if !c.dry && nr > 0 {
+			batch = recs[start:c.nrecs:c.nrecs]
+		}
 		nd := c.count("destination count")
 		if nd == 0 {
 			c.fail("destination count")
 		}
 		for j := 0; j < nd && c.err == nil; j++ {
-			dels = append(dels, Delivery{Dst: c.count("dst"), Recs: recs})
+			dst := c.count("dst")
+			if !c.dry {
+				dels = append(dels, Delivery{Dst: dst, Recs: batch})
+			}
+			c.ndels++
 		}
 	}
-	if err := c.end(); err != nil {
-		return DataHeader{}, nil, err
-	}
-	return hdr, dels, nil
+	return hdr, dels
 }
 
 // cursor is a fail-sticky decoder over one payload: the first error
 // latches and every later read returns zero values, so decode paths
 // check c.err once at the end instead of threading errors through
 // every field.
+//
+// A dry cursor reads and validates the same bytes without building
+// anything: strings, proof strings and edge lists decode empty, and
+// data only counts. nrecs and ndels count what data has read.
 type cursor struct {
 	buf []byte
 	off int
 	err error
+	dry bool
+
+	nrecs, ndels int
 }
 
 func (c *cursor) fail(what string) {
@@ -380,9 +442,11 @@ func (c *cursor) string(what string) string {
 		c.fail(what)
 		return ""
 	}
-	s := string(c.buf[c.off : c.off+n])
 	c.off += n
-	return s
+	if c.dry {
+		return ""
+	}
+	return string(c.buf[c.off-n : c.off])
 }
 
 func (c *cursor) bits() bitstr.String {
@@ -397,22 +461,11 @@ func (c *cursor) bits() bitstr.String {
 		c.fail("proof bits")
 		return bitstr.Empty
 	}
-	s := bitstr.FromPacked(c.buf[c.off:c.off+nbytes], n)
 	c.off += nbytes
-	return s
-}
-
-// records reads a counted record list.
-func (c *cursor) records() Batch {
-	var recs Batch
-	nr := c.count("record count")
-	if n := c.capped(nr); n > 0 {
-		recs = make(Batch, 0, n)
+	if c.dry {
+		return bitstr.Empty
 	}
-	for j := 0; j < nr && c.err == nil; j++ {
-		recs = append(recs, c.record())
-	}
-	return recs
+	return bitstr.FromPacked(c.buf[c.off-nbytes:c.off], n)
 }
 
 func (c *cursor) record() Record {
@@ -436,7 +489,7 @@ func (c *cursor) record() Record {
 		rec.Label = c.string("node label")
 	}
 	ne := c.count("edge count")
-	if n := c.capped(ne); n > 0 && c.err == nil {
+	if n := c.capped(ne); n > 0 && c.err == nil && !c.dry {
 		rec.Edges = make([]EdgeRec, 0, n)
 	}
 	for i := 0; i < ne && c.err == nil; i++ {
@@ -451,7 +504,9 @@ func (c *cursor) record() Record {
 			er.HasWeight = true
 			er.Weight = c.varint()
 		}
-		rec.Edges = append(rec.Edges, er)
+		if !c.dry {
+			rec.Edges = append(rec.Edges, er)
+		}
 	}
 	return rec
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lcp/internal/bitstr"
 	"lcp/internal/graph"
@@ -64,7 +65,7 @@ func TestDataRoundTripEmpty(t *testing.T) {
 func TestProofBitsRoundTrip(t *testing.T) {
 	for _, bits := range []string{"", "1", "0", "10110101", "101101011", "1111111100000000101"} {
 		rec := Record{ID: 1, HasProof: true, Proof: bitstr.Parse(bits)}
-		payload := AppendData(nil, DataHeader{}, []Delivery{{Dst: 1, Recs: Batch{rec}}})
+		payload := AppendData(nil, DataHeader{}, []Delivery{{Dst: 1, Recs: Batch{&rec}}})
 		_, dels, err := DecodeData(payload)
 		if err != nil {
 			t.Fatalf("%q: decode: %v", bits, err)
@@ -158,6 +159,30 @@ func TestDataSharedBatchEncodedOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeDataAllocs: DecodeData decodes a frame's records into one
+// slab, its batches' pointers into another and its deliveries into a
+// third, so a frame of bare records (whose ε proofs decode to no
+// buffer) costs those three allocations whether it carries one group
+// or a thousand, not one batch per group.
+func TestDecodeDataAllocs(t *testing.T) {
+	for _, groups := range []int{1, 16, 1024} {
+		dels := make([]Delivery, 0, 2*groups)
+		for g := range groups {
+			b := Batch{{ID: 2 * g, HasProof: true, Bare: true}, {ID: 2*g + 1, Bare: true}}
+			dels = append(dels, Delivery{Dst: g, Recs: b}, Delivery{Dst: groups + g, Recs: b})
+		}
+		payload := AppendData(nil, DataHeader{Seq: 1, Round: 1}, dels)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, got, err := DecodeData(payload); err != nil || len(got) != len(dels) {
+				t.Fatalf("%d groups: decoded %d deliveries of %d: %v", groups, len(got), len(dels), err)
+			}
+		})
+		if allocs != 3 {
+			t.Fatalf("a frame of %d groups of bare records decoded in %.0f allocations, want 3", groups, allocs)
+		}
+	}
+}
+
 // TestDecodeDataCapsPresize: counts are bounded by MaxFrame, not by
 // the bytes that follow them, so a decoder that presizes from a count
 // alone allocates whatever a corrupt frame announces. The 7-byte
@@ -195,7 +220,11 @@ func TestDecodeDataRejectsEmptyGroup(t *testing.T) {
 // DecodeRecords with every field, an empty list included, and trailing
 // or missing bytes are an error.
 func TestRecordsRoundTrip(t *testing.T) {
-	for _, recs := range [][]Record{sampleDeliveries()[0].Recs, nil} {
+	var sample []Record
+	for _, rec := range sampleDeliveries()[0].Recs {
+		sample = append(sample, *rec)
+	}
+	for _, recs := range [][]Record{sample, nil} {
 		payload := AppendRecords(nil, recs)
 		got, err := DecodeRecords(payload)
 		if err != nil {
@@ -236,7 +265,7 @@ func TestBareRecordsRoundTrip(t *testing.T) {
 	if gotHdr != hdr || !reflect.DeepEqual(got, bareDeliveries()) {
 		t.Fatalf("round-trip:\n got %+v %+v\nwant %+v %+v", gotHdr, got, hdr, bareDeliveries())
 	}
-	rec := AppendRecords(nil, Batch{{ID: 4, HasProof: true, Proof: bitstr.Parse("1101"), Bare: true}})
+	rec := AppendRecords(nil, []Record{{ID: 4, HasProof: true, Proof: bitstr.Parse("1101"), Bare: true}})
 	// count, id, flags, bit length, one packed byte
 	if want := []byte{1, 4, flagProof | flagBare, 4, 0xd0}; !bytes.Equal(rec, want) {
 		t.Fatalf("bare record encodes as % x, want % x", rec, want)
@@ -267,5 +296,20 @@ func TestDecodeRejectsMalformedBareRecords(t *testing.T) {
 		if _, _, err := DecodeData(append(data, 1, 2)); err == nil {
 			t.Fatalf("%s: DecodeData accepted % x", tc.name, data)
 		}
+	}
+}
+
+// TestRecordSizes pins the record layout on a 64-bit host: the flags
+// sit together after the word-sized fields, so that a Record is 88
+// bytes and an EdgeRec 48, not 96 and 56.
+func TestRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the sizes are a 64-bit host's")
+	}
+	if got := unsafe.Sizeof(Record{}); got != 88 {
+		t.Errorf("Record is %d bytes, want 88", got)
+	}
+	if got := unsafe.Sizeof(EdgeRec{}); got != 48 {
+		t.Errorf("EdgeRec is %d bytes, want 48", got)
 	}
 }
