@@ -45,6 +45,7 @@ bench:
 	$(GO) test -run=NONE -bench='BenchmarkAblationViewConstruction|BenchmarkDistributedRuntime|BenchmarkEngineAmortized|BenchmarkEngineBatchColumns|BenchmarkViewWalk' -benchmem .
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/dist/
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/partition/
+	$(GO) test -run=NONE -bench=. -benchmem ./internal/serve/
 
 # bench-smoke runs every benchmark exactly once — including the shard
 # layout benches (BenchmarkSchedulerSharded, the message-passing-
@@ -82,7 +83,9 @@ load-smoke:
 # The transport and remote targets fuzz what parses bytes from other
 # processes: the frame and hello readers every accepted connection runs
 # first, data frames, packed check frames, and the records a worker is
-# registered with, through to a wired shard.
+# registered with, through to a wired shard. The serve target fuzzes
+# the request bodies of /check and /check/batch against the decoder the
+# one-pass proof scan replaced.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTextioRoundTrip -fuzztime=10s ./internal/textio/
 	$(GO) test -run=NONE -fuzz=FuzzReaderMatchesBitwise -fuzztime=10s ./internal/bitstr/
@@ -92,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeData -fuzztime=10s ./internal/transport/
 	$(GO) test -run=NONE -fuzz=FuzzCheckFrame -fuzztime=10s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzRegisterShard -fuzztime=10s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzCheckRequest -fuzztime=10s ./internal/serve/
 
 # scale-smoke runs the benchmark's power-law workload for one second
 # (perfbench/run.sh; see perfbench/main.go): an n=10^5 power-law

@@ -54,6 +54,35 @@ func FromUint(v uint64, width int) String {
 // in the last byte are ignored, and data is copied, never retained. It
 // panics if data holds fewer than ⌈n/8⌉ bytes.
 func FromPacked(data []byte, n int) String {
+	var none Slab // no room: the String gets a buffer of its own
+	return none.FromPacked(data, n)
+}
+
+// Slab packs many Strings into one caller-owned buffer, so decoding a
+// whole proof costs one allocation instead of one per node. NewSlab
+// makes the buffer; every String built from the slab takes a fresh
+// chunk of it, and a chunk once handed out is never written again, so
+// the Strings stay immutable for as long as anyone holds them. The
+// Strings keep the whole buffer alive: a slab belongs to one decode
+// whose Strings live and die together. A slab that runs out of room
+// allocates the overflowing String on its own, as FromPacked does.
+type Slab struct{ free []byte }
+
+// NewSlab returns a slab with room for nbytes packed bytes.
+func NewSlab(nbytes int) Slab { return Slab{free: make([]byte, nbytes)} }
+
+// chunk carves the next nbytes zeroed bytes off the slab.
+func (s *Slab) chunk(nbytes int) []byte {
+	if nbytes > len(s.free) {
+		return make([]byte, nbytes)
+	}
+	out := s.free[:nbytes:nbytes]
+	s.free = s.free[nbytes:]
+	return out
+}
+
+// FromPacked is FromPacked with the bits copied into the slab.
+func (s *Slab) FromPacked(data []byte, n int) String {
 	if n <= 0 {
 		return Empty
 	}
@@ -61,12 +90,30 @@ func FromPacked(data []byte, n int) String {
 	if len(data) < nbytes {
 		panic(fmt.Sprintf("bitstr.FromPacked: %d bytes for %d bits", len(data), n))
 	}
-	out := make([]byte, nbytes)
+	out := s.chunk(nbytes)
 	copy(out, data[:nbytes])
 	if r := n & 7; r != 0 {
 		out[nbytes-1] &= 0xff << (8 - uint(r))
 	}
 	return String{data: out, n: n}
+}
+
+// ParseBits builds a String from text made of the bytes '0' and '1',
+// one bit each, packed into the slab. On any other byte it returns
+// Empty and that byte's index; otherwise the index is -1.
+func (s *Slab) ParseBits(text []byte) (String, int) {
+	if len(text) == 0 {
+		return Empty, -1
+	}
+	out := s.chunk((len(text) + 7) / 8)
+	for i, c := range text {
+		b := c - '0'
+		if b > 1 {
+			return Empty, i
+		}
+		out[i>>3] |= b << (7 - uint(i&7))
+	}
+	return String{data: out, n: len(text)}, -1
 }
 
 // Parse builds a String from a textual description such as "0110". Spaces

@@ -310,3 +310,47 @@ func TestFromPackedMasksPadding(t *testing.T) {
 		t.Fatalf("FromPacked(0xff, 3) = %q (key %s), want 111", got.String(), got.Key())
 	}
 }
+
+// TestSlab: Strings built in one slab equal those built on their own,
+// later Strings never disturb earlier ones, a slab that runs out of
+// room still builds correct Strings, and filling a slab that is large
+// enough makes no allocation beyond the slab's own.
+func TestSlab(t *testing.T) {
+	texts := []string{"", "0", "1", "0110", "11111111", "101010101", "0000000000000001"}
+	for _, room := range []int{64, 3, 0} {
+		slab := NewSlab(room)
+		var got []String
+		for _, text := range texts {
+			s, bad := slab.ParseBits([]byte(text))
+			if bad != -1 {
+				t.Fatalf("room %d: ParseBits(%q) reports a bad byte at %d", room, text, bad)
+			}
+			got = append(got, s)
+			want := Parse(text)
+			packed := slab.FromPacked(append(want.AppendPacked(nil), 0xff), want.Len())
+			if !packed.Equal(want) || packed.Key() != want.Key() {
+				t.Fatalf("room %d: FromPacked of %q = %q", room, text, packed.String())
+			}
+		}
+		for i, s := range got {
+			if s.String() != texts[i] || !s.Equal(Parse(texts[i])) {
+				t.Fatalf("room %d: string %d reads %q after the slab filled, want %q", room, i, s.String(), texts[i])
+			}
+		}
+	}
+	for _, text := range []string{"2", "01x1", "0 1", "1é"} {
+		slab := NewSlab(8)
+		if s, bad := slab.ParseBits([]byte(text)); bad == -1 || text[bad] == '0' || text[bad] == '1' || !s.IsEmpty() {
+			t.Fatalf("ParseBits(%q) = %q, bad byte %d", text, s.String(), bad)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		slab := NewSlab(1 << 10)
+		for i := 0; i < 100; i++ {
+			slab.ParseBits([]byte("0110101"))
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("a slab of 100 Strings made %v allocations, want 1", allocs)
+	}
+}

@@ -185,9 +185,13 @@ func appendProofs(buf []byte, owned []int, p core.Proof) []byte {
 
 // decodeProofs unpacks a check's proofs for the owned nodes into p,
 // which it clears first. A bit length is checked against the bytes
-// left before anything is allocated for it.
+// left before anything is allocated for it. The bits of every entry
+// share one fresh slab, no larger than buf: a check's proofs are never
+// decoded into a slab an earlier check used, because a warm shard's
+// frozen views keep the strings they were built from.
 func decodeProofs(buf []byte, owned []int, p core.Proof) error {
 	clear(p)
+	slab := bitstr.NewSlab(len(buf))
 	off := 0
 	for i, id := range owned {
 		v, n := binary.Uvarint(buf[off:])
@@ -203,7 +207,7 @@ func decodeProofs(buf []byte, owned []int, p core.Proof) error {
 			return fmt.Errorf("remote: proof of node %d announces %d bits, %d bytes left", id, bits, len(buf)-off)
 		}
 		nbytes := int(bits+7) / 8
-		p[id] = bitstr.FromPacked(buf[off:off+nbytes], int(bits))
+		p[id] = slab.FromPacked(buf[off:off+nbytes], int(bits))
 		off += nbytes
 	}
 	if off != len(buf) {

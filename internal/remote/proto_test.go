@@ -41,6 +41,31 @@ func TestDecodeProofsRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodeProofsAllocs: a check's proofs decode into one slab, so
+// decoding makes the same few allocations for 16 owned nodes as for
+// 1024, not one per proof string.
+func TestDecodeProofsAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		owned := make([]int, n)
+		p := make(core.Proof, n)
+		for i := range owned {
+			owned[i] = i + 1
+			p[i+1] = bitstr.FromUint(uint64(i), 13)
+		}
+		buf := appendProofs(nil, owned, p)
+		got := make(core.Proof, n)
+		return testing.AllocsPerRun(20, func() {
+			if err := decodeProofs(buf, owned, got); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(16), allocs(1024)
+	if small != large || large > 1 {
+		t.Fatalf("decodeProofs: %v allocations for 16 owned nodes, %v for 1024; want one, whatever the count", small, large)
+	}
+}
+
 func FuzzCheckFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendProofs(nil, []int{1, 2, 3}, core.Proof{1: bitstr.Parse("10"), 3: bitstr.Empty}))

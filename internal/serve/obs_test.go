@@ -426,3 +426,44 @@ func findLine(text, substr string) string {
 	}
 	return ""
 }
+
+// TestServeMetricsHTTPStages: the body-decode and response-encode time
+// of requests accumulates in lcp_serve_stage_seconds_total, one series
+// per stage, and every check adds to both.
+func TestServeMetricsHTTPStages(t *testing.T) {
+	ts := newTestServer(t)
+	in := lcp.NewInstance(lcp.Cycle(8))
+	p, err := lcp.BipartiteScheme().Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := registerInstance(t, ts, docText(t, in, "bipartite", nil))
+	check := func() {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/check", map[string]any{"instance": id, "proof": proofWire(p)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("check: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	series := []string{
+		`lcp_serve_stage_seconds_total{stage="http.decode"}`,
+		`lcp_serve_stage_seconds_total{stage="http.encode"}`,
+	}
+	check()
+	first := scrapeMetrics(t, ts)
+	check()
+	second := scrapeMetrics(t, ts)
+	for _, s := range series {
+		v1, ok := first.samples[s]
+		if !ok {
+			t.Errorf("series %q missing from /metrics", s)
+			continue
+		}
+		if first.types["lcp_serve_stage_seconds_total"] != "counter" {
+			t.Errorf("lcp_serve_stage_seconds_total is not a counter")
+		}
+		if v2 := second.samples[s]; v1 <= 0 || v2 <= v1 {
+			t.Errorf("%s: %v after one check, %v after two; want it to grow with each", s, v1, v2)
+		}
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lcp"
-	"lcp/internal/bitstr"
 	"lcp/internal/config"
 	"lcp/internal/core"
 	"lcp/internal/engine"
@@ -67,6 +66,11 @@ type Server struct {
 	routes map[string]*obs.Histogram // request pattern -> latency histogram
 	start  time.Time
 	logger *log.Logger // nil unless Config.LogRequests
+	// decodeSecs and encodeSecs accumulate the request-body decode and
+	// response-encode wall time of every request
+	// (lcp_serve_stage_seconds_total, stages "http.decode" and
+	// "http.encode").
+	decodeSecs, encodeSecs *obs.Counter
 
 	mu           sync.Mutex
 	instances    map[string]*instanceEntry
@@ -207,6 +211,12 @@ func (s *Server) registerServerMetrics() {
 			defer s.mu.Unlock()
 			return float64(len(s.instances))
 		})
+	stage := func(name string) *obs.Counter {
+		return s.reg.Counter("lcp_serve_stage_seconds_total",
+			"Accumulated wall time of the HTTP stages of requests: decoding the body, encoding the response.",
+			obs.Label{Name: "stage", Value: name})
+	}
+	s.decodeSecs, s.encodeSecs = stage("http.decode"), stage("http.encode")
 	s.reg.Gauge("lcp_instances_max",
 		"Configured instance-store bound (-max-instances); 0 means unbounded.").Set(float64(s.cfg.MaxInstances))
 	s.reg.CounterFunc("lcp_instances_evicted_total",
@@ -223,13 +233,17 @@ func (s *Server) registerServerMetrics() {
 // captures the status code for metrics and logging, and lets handlers
 // annotate the resolved backend and verdict for the request log line.
 // Flush passes through so the streaming endpoint keeps working.
+// decoded and encoding are the clock when the body was decoded and
+// when the JSON response began, zero if the request had none.
 type traceWriter struct {
 	http.ResponseWriter
-	trace   string
-	status  int
-	backend string
-	verdict string
-	errMsg  string
+	trace    string
+	status   int
+	backend  string
+	verdict  string
+	errMsg   string
+	decoded  time.Time
+	encoding time.Time
 }
 
 func (tw *traceWriter) WriteHeader(code int) {
@@ -272,7 +286,9 @@ func note(w http.ResponseWriter, backend, verdict string) {
 // carry it), and threaded through the request context; the request is
 // then timed into the route's latency histogram and counted by status
 // code, and — when request logging is on — reported as one structured
-// line.
+// line. The body decode counts from the handler's start to the decoded
+// request, the response encode from its start to the handler's end, so
+// each request reads the clock twice more than its latency needs.
 func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 	hist := s.reg.Histogram("lcp_http_request_seconds",
 		"HTTP request latency by route.",
@@ -291,8 +307,15 @@ func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 			// The handler never wrote: net/http will send an implicit 200.
 			tw.status = http.StatusOK
 		}
-		elapsed := time.Since(start)
+		end := time.Now()
+		elapsed := end.Sub(start)
 		hist.Observe(elapsed.Seconds())
+		if !tw.decoded.IsZero() {
+			s.decodeSecs.Add(tw.decoded.Sub(start).Seconds())
+		}
+		if !tw.encoding.IsZero() {
+			s.encodeSecs.Add(end.Sub(tw.encoding).Seconds())
+		}
 		s.reg.Counter("lcp_http_requests_total",
 			"HTTP requests by route and status code.",
 			obs.Label{Name: "route", Value: pattern},
@@ -338,11 +361,13 @@ type checkRequest struct {
 	Document string `json:"document,omitempty"`
 	// Scheme overrides the document's scheme directive.
 	Scheme string `json:"scheme,omitempty"`
-	// Proof maps node id to a bit string ("0110"); empty means the
-	// document's proof lines.
-	Proof map[string]string `json:"proof,omitempty"`
-	// Proofs is the batch variant (POST /check/batch only).
-	Proofs []map[string]string `json:"proofs,omitempty"`
+	// Proof maps node id to a bit string ("0110"); absent or null means
+	// the document's proof lines. It decodes in one scan, straight to
+	// packed bits (see wireProof).
+	Proof *wireProof `json:"proof,omitempty"`
+	// Proofs is the batch variant (POST /check/batch only); a null
+	// element is the empty proof.
+	Proofs []*wireProof `json:"proofs,omitempty"`
 	// Backend overrides the execution path for this request: "core",
 	// "dist", "engine", or "dist-tcp". It resolves through the same
 	// config.Set resolver as the lcpserve flags, so the names (and the
@@ -398,12 +423,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Error bodies pick up the request's trace ID on the way out, and
 	// the message is remembered for the request log line — the handler
 	// just writes the error; the middleware owns the correlation.
-	if er, ok := v.(errorResponse); ok {
-		if tw, ok := w.(*traceWriter); ok {
+	if tw, ok := w.(*traceWriter); ok {
+		if er, ok := v.(errorResponse); ok {
 			er.TraceID = tw.trace
 			tw.errMsg = er.Error
 			v = er
 		}
+		tw.encoding = time.Now()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -414,12 +440,21 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// decodeJSON decodes the request body: one JSON object, which only
+// whitespace may follow.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
+		return false
+	}
+	if tw, ok := w.(*traceWriter); ok {
+		tw.decoded = time.Now()
 	}
 	return true
 }
@@ -462,34 +497,6 @@ func rejectFields(w http.ResponseWriter, req *checkRequest, endpoint string) boo
 	// *resolved* backend (the server default counts, not just the
 	// request fields), so that guard lives in requestConfig.
 	return true
-}
-
-// parseProof decodes the JSON proof map into a core.Proof against the
-// instance's node set.
-func parseProof(in *core.Instance, m map[string]string) (core.Proof, error) {
-	p := make(core.Proof, len(m))
-	for key, bits := range m {
-		id, err := strconv.Atoi(key)
-		if err != nil {
-			return nil, fmt.Errorf("bad proof node id %q", key)
-		}
-		if !in.G.Has(id) {
-			return nil, fmt.Errorf("proof references unknown node %d", id)
-		}
-		var w bitstr.Writer
-		for _, r := range bits {
-			switch r {
-			case '0':
-				w.WriteBit(false)
-			case '1':
-				w.WriteBit(true)
-			default:
-				return nil, fmt.Errorf("node %d: bad proof bit %q", id, r)
-			}
-		}
-		p[id] = w.String()
-	}
-	return p, nil
 }
 
 // formatProof renders a proof as the JSON wire map.
@@ -784,12 +791,15 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// toResponse renders a report for a proof. One walk of the outputs
+// finds the rejectors; the proof is accepted when there are none.
 func toResponse(nodes int, p core.Proof, rep *lcp.Report) checkResponse {
+	rejectors := rep.Rejectors()
 	return checkResponse{
-		Accepted:  rep.Accepted(),
+		Accepted:  len(rejectors) == 0,
 		Nodes:     nodes,
 		ProofBits: p.Size(),
-		Rejectors: rep.Rejectors(),
+		Rejectors: rejectors,
 		Backend:   rep.Backend,
 	}
 }
@@ -877,8 +887,9 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "check: %v", err)
 		return
 	}
-	note(w, rep.Backend, verdictWord(rep.Accepted()))
-	writeJSON(w, http.StatusOK, toResponse(in.G.N(), p, rep))
+	resp := toResponse(in.G.N(), p, rep)
+	note(w, rep.Backend, verdictWord(resp.Accepted))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // verdictWord renders a check's outcome for log lines.
@@ -901,8 +912,8 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	in := c.entry.Doc.Instance
 	proofs := make([]core.Proof, len(c.req.Proofs))
-	for i, m := range c.req.Proofs {
-		p, err := parseProof(in, m)
+	for i, wp := range c.req.Proofs {
+		p, err := parseProof(in, wp)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "proofs[%d]: %v", i, err)
 			return
@@ -930,7 +941,7 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	accepted := 0
 	for i, rep := range reports {
 		out[i] = toResponse(in.G.N(), proofs[i], rep)
-		if rep.Accepted() {
+		if out[i].Accepted {
 			accepted++
 		}
 	}

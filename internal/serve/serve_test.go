@@ -30,7 +30,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func docText(t *testing.T, in *core.Instance, schemeName string, p core.Proof) string {
+func docText(t testing.TB, in *core.Instance, schemeName string, p core.Proof) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := textio.Write(&buf, &textio.Document{Instance: in, Proof: p, SchemeName: schemeName}); err != nil {
@@ -542,5 +542,45 @@ func TestServeInstanceLifecycleAndErrors(t *testing.T) {
 	noDoc := docText(t, lcp.NewInstance(lcp.Cycle(7)), "bipartite", nil) // odd cycle: not bipartite
 	if resp, body := postJSON(t, ts.URL+"/prove", map[string]any{"document": noDoc}); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("prove no-instance: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServeRejectsTrailingData: a request body is one JSON object, and
+// only whitespace may follow it. Anything else after the object is a
+// 400, not a check of the first object with the rest ignored.
+func TestServeRejectsTrailingData(t *testing.T) {
+	ts := newTestServer(t)
+	in := lcp.NewInstance(lcp.Cycle(6))
+	p, err := lcp.BipartiteScheme().Prove(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := registerInstance(t, ts, docText(t, in, "bipartite", p))
+	obj := fmt.Sprintf(`{"instance":%q}`, id)
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/check", obj, http.StatusOK},
+		{"/check", obj + " \n\t\r\n", http.StatusOK},
+		{"/check", obj + ` {"instance":"i2"}`, http.StatusBadRequest},
+		{"/check", obj + obj, http.StatusBadRequest},
+		{"/check", obj + " null", http.StatusBadRequest},
+		{"/check", obj + "x", http.StatusBadRequest},
+		{"/check", obj + "]", http.StatusBadRequest},
+		{"/check", obj + `"`, http.StatusBadRequest},
+		{"/check/batch", fmt.Sprintf(`{"instance":%q,"proofs":[{}]} {}`, id), http.StatusBadRequest},
+		{"/prove", obj + " 1", http.StatusBadRequest},
+		{"/prove", obj + "\n", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %q: status %d, want %d: %s", tc.path, tc.body, resp.StatusCode, tc.want, body)
+		}
 	}
 }

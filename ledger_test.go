@@ -17,7 +17,7 @@ import (
 // command that measured them.
 var ledgerFiles = []string{
 	"BENCH_dist.json", "BENCH_engine.json", "BENCH_graph.json",
-	"BENCH_partition.json", "BENCH_transport.json",
+	"BENCH_partition.json", "BENCH_serve.json", "BENCH_transport.json",
 }
 
 var benchIdent = regexp.MustCompile(`Benchmark[A-Za-z0-9_]*`)
