@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"lcp/internal/bitstr"
 )
@@ -40,7 +41,7 @@ func FlipBit(p Proof, seed int64) Proof {
 		return p.Clone()
 	}
 	// Deterministic order for reproducibility.
-	sortInts(nodes)
+	slices.Sort(nodes)
 	v := nodes[rng.Intn(len(nodes))]
 	s := p[v]
 	pos := rng.Intn(s.Len())
@@ -55,14 +56,6 @@ func FlipBit(p Proof, seed int64) Proof {
 	out := p.Clone()
 	out[v] = w.String()
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // enumerateProofs iterates over all proofs that assign each node of nodes

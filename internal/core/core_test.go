@@ -198,3 +198,41 @@ func TestProveAndCheckFlagsCompletenessViolation(t *testing.T) {
 		t.Error("broken scheme passed ProveAndCheck")
 	}
 }
+
+// TestFlipBitChoicePinned pins the (node, bit) FlipBit picks on three
+// seeded proofs over scrambled identifiers, some nodes holding ε, so
+// that the order FlipBit sorts its candidates in, and hence every
+// seeded tampering in the repository, stays put.
+func TestFlipBitChoicePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed      int64
+		node, bit int
+	}{
+		{1, 447, 3},
+		{2, 1107, 1},
+		{3, 62, 9},
+	} {
+		in := NewInstance(graph.RandomPermutationIDs(graph.Cycle(300), tc.seed))
+		p := RandomProof(in, 1+int(tc.seed)*5, tc.seed)
+		for i, v := range in.G.Nodes() {
+			if i%3 == 0 {
+				p[v] = bitstr.Empty
+			}
+		}
+		q := FlipBit(p, tc.seed)
+		node, bit := -1, -1
+		for v := range p {
+			if p[v].Equal(q[v]) {
+				continue
+			}
+			for i := 0; i < p[v].Len(); i++ {
+				if p[v].Bit(i) != q[v].Bit(i) {
+					node, bit = v, i
+				}
+			}
+		}
+		if node != tc.node || bit != tc.bit {
+			t.Errorf("seed %d: FlipBit flipped bit %d of node %d, want bit %d of node %d", tc.seed, bit, node, tc.bit, tc.node)
+		}
+	}
+}

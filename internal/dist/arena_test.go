@@ -6,6 +6,7 @@ package dist_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -18,6 +19,7 @@ import (
 	"lcp/internal/dist"
 	"lcp/internal/graph"
 	"lcp/internal/partition"
+	"lcp/internal/transport"
 )
 
 // TestColdCheckAllocs pins the cold dist check's allocation budget: a
@@ -58,11 +60,13 @@ func TestColdCheckAllocs(t *testing.T) {
 // and one check on PowerLaw(4096) under leader election, as in
 // TestColdCheckAllocs. A record is seeded once per node and every ball
 // and batch holds pointers to it, 16 bytes a ball entry and 8 a batch
-// slot, so the check allocates about 1,600 bytes per node; when every
-// ball entry and batch slot held a copy of a 96-byte record it was
-// about 2,750.
+// slot, and a record's edges are its node's CSR row, shared, so the
+// check allocates about 1,260 bytes per node. When every record copied
+// its edges into 48-byte edge records it was about 1,600; when every
+// ball entry and batch slot held a copy of a 96-byte record, about
+// 2,750.
 func TestColdCheckBytes(t *testing.T) {
-	const budget = 1800 // bytes per node
+	const budget = 1400 // bytes per node
 	in := lcp.NewInstance(lcp.PowerLaw(4096, 4, 1)).SetNodeLabel(1, core.LabelLeader)
 	s := lcp.LeaderElectionScheme()
 	p, err := s.Prove(in)
@@ -99,7 +103,10 @@ func TestColdCheckBytes(t *testing.T) {
 // equals core.BuildView's, on a directed instance and on one with node
 // labels, edge labels, weights and partial proofs, at radii 1 to 3; so
 // does every frozen view, in the check that freezes it (in an arena of
-// its own) and in a warm check after that.
+// its own) and in a warm check after that. Each case runs on an
+// in-process network and on shards wired, as a dist-tcp worker wires
+// them, from records that crossed the wire codec (decodedGroup), where
+// a directed record's arcs come back with their direction.
 // A third of the nodes first complete their view (Graph, and EdgeLabel
 // between two boundary members), a third first read only what completes
 // nothing, and a third hold every inner member's row across the
@@ -119,53 +126,108 @@ func TestArenaViewsMatchBuildView(t *testing.T) {
 		{"directed", arenaDecorated(core.NewInstance(arenaDirected(36, 7)))},
 	}
 	opt := dist.Options{Shards: 2, Partitioner: partition.BFSChunks{}}
+	networks := map[string]func(*core.Instance) (*dist.Network, error){
+		"inproc":  func(in *core.Instance) (*dist.Network, error) { return dist.NewNetwork(in, opt) },
+		"decoded": func(in *core.Instance) (*dist.Network, error) { return dist.NewNetworkWith(in, opt, buildDecoded) },
+	}
 	for _, tc := range cases {
-		rims := 0 // nodes whose two probed boundary members share an edge
-		for r := 1; r <= 3; r++ {
-			p := core.RandomProof(tc.in, 4, int64(r))
-			for i, id := range tc.in.G.Nodes() {
-				switch i % 5 {
-				case 0:
-					delete(p, id)
-				case 1:
-					p[id] = bitstr.String{}
-				}
-			}
-			var mu sync.Mutex
-			var bad []string
-			v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
-				ref := core.BuildView(tc.in, p, w.Center, r)
-				msg, rim := arenaDiff(w, ref, w.Center%3)
-				mu.Lock()
-				defer mu.Unlock()
-				if rim {
-					rims++
-				}
-				if msg != "" {
-					bad = append(bad, fmt.Sprintf("center %d: %s", w.Center, msg))
-				}
-				return true
-			}}
-			nw, err := dist.NewNetwork(tc.in, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, check := range []string{"cold", "freezing", "warm"} {
-				res, err := nw.CheckCtx(context.Background(), p, v)
-				if err != nil || len(res.Outputs) != tc.in.G.N() {
-					t.Fatalf("%s r=%d, %s check: %v, %v", tc.name, r, check, err, res)
-				}
-				if len(bad) > 0 {
-					t.Fatalf("%s r=%d, %s check: %v", tc.name, r, check, bad)
-				}
-			}
-			nw.Close()
-		}
-		if rims == 0 {
-			t.Fatalf("%s: no probed pair of boundary members shares an edge", tc.name)
+		for wiring, newNetwork := range networks {
+			arenaViewsMatch(t, tc.name+"/"+wiring, tc.in, newNetwork)
 		}
 	}
 }
+
+// arenaViewsMatch is TestArenaViewsMatchBuildView on one instance and
+// one kind of network.
+func arenaViewsMatch(t *testing.T, name string, in *core.Instance, newNetwork func(*core.Instance) (*dist.Network, error)) {
+	rims := 0 // nodes whose two probed boundary members share an edge
+	for r := 1; r <= 3; r++ {
+		p := core.RandomProof(in, 4, int64(r))
+		for i, id := range in.G.Nodes() {
+			switch i % 5 {
+			case 0:
+				delete(p, id)
+			case 1:
+				p[id] = bitstr.String{}
+			}
+		}
+		var mu sync.Mutex
+		var bad []string
+		v := core.VerifierFunc{R: r, F: func(w *core.View) bool {
+			ref := core.BuildView(in, p, w.Center, r)
+			msg, rim := arenaDiff(w, ref, w.Center%3)
+			mu.Lock()
+			defer mu.Unlock()
+			if rim {
+				rims++
+			}
+			if msg != "" {
+				bad = append(bad, fmt.Sprintf("center %d: %s", w.Center, msg))
+			}
+			return true
+		}}
+		nw, err := newNetwork(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, check := range []string{"cold", "freezing", "warm"} {
+			res, err := nw.CheckCtx(context.Background(), p, v)
+			if err != nil || len(res.Outputs) != in.G.N() {
+				t.Fatalf("%s r=%d, %s check: %v, %v", name, r, check, err, res)
+			}
+			if len(bad) > 0 {
+				t.Fatalf("%s r=%d, %s check: %v", name, r, check, bad)
+			}
+		}
+		nw.Close()
+	}
+	if rims == 0 {
+		t.Fatalf("%s: no probed pair of boundary members shares an edge", name)
+	}
+}
+
+// decodedGroup is a dist.Group of shards wired as a dist-tcp worker
+// wires its shard: from the plan's records after a trip through the
+// wire codec, knowing only the graph kind and Global besides. Its runs
+// go over an in-process transport group.
+type decodedGroup struct{ shards []*dist.Shard }
+
+func buildDecoded(_ context.Context, plans []dist.ShardPlan) (dist.Group, error) {
+	g := &decodedGroup{shards: make([]*dist.Shard, len(plans))}
+	for i, plan := range plans {
+		recs, err := transport.DecodeRecords(transport.AppendRecords(nil, plan.Records()))
+		if err != nil {
+			return nil, err
+		}
+		if g.shards[i], err = dist.WireRecords(i, plan.In.G.Kind(), plan.In.Global, recs, plan.Assign); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+func (g *decodedGroup) Run(ctx context.Context, p core.Proof, v core.Verifier) ([][]bool, error) {
+	trs := transport.NewInProcGroup(len(g.shards))
+	out, errs := make([][]bool, len(g.shards)), make([]error, len(g.shards))
+	var wg sync.WaitGroup
+	for i, s := range g.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = s.Run(ctx, trs[i], p, v)
+			if errs[i] != nil {
+				_ = trs[i].Close() // unblock the others
+			}
+		}()
+	}
+	wg.Wait()
+	for _, tr := range trs {
+		_ = tr.Close()
+	}
+	return out, errors.Join(errs...)
+}
+
+func (g *decodedGroup) Close() error { return nil }
 
 // arenaDiff compares an arena view with the reference view of its ball,
 // first in one of three ways by mode: 0, through what completes nothing

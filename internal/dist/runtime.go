@@ -46,42 +46,44 @@ import (
 
 // initialRecord builds node v's round-0 knowledge from the instance,
 // except for the proof string, which changes between checks of a wired
-// shard and is injected by node.seed. The edge records are appended
-// onto buf, and the record's Edges is the appended tail capped at its
-// length, so Records builds every owned node's edges into one slab.
-func initialRecord(in *core.Instance, v int, buf []transport.EdgeRec) (transport.Record, []transport.EdgeRec) {
-	start := len(buf)
+// shard and is injected by node.seed. An undirected record's neighbours
+// are v's CSR row itself, split where it passes v, with nothing copied;
+// a directed record's are v's in-row then its out-row, appended onto
+// nbrs. The record's edge inputs are appended onto inputs unless it is
+// nil, as Records passes it for an instance without any. Each record
+// takes the appended tail capped at its length, so Records builds
+// every owned node's into one slab each.
+func initialRecord(in *core.Instance, v int, nbrs []int, inputs []transport.EdgeInput) (transport.Record, []int, []transport.EdgeInput) {
 	rec := transport.Record{ID: v}
 	if l, ok := in.NodeLabel[v]; ok {
 		rec.Label, rec.HasLabel = l, true
 	}
-	addEdge := func(e graph.Edge) {
-		er := transport.EdgeRec{E: e}
+	if in.G.Directed() {
+		start := len(nbrs)
+		nbrs = append(nbrs, in.G.InNeighbors(v)...)
+		rec.Lo = int32(len(nbrs) - start)
+		nbrs = append(nbrs, in.G.Neighbors(v)...)
+		rec.Nbrs = nbrs[start:len(nbrs):len(nbrs)]
+	} else {
+		row := in.G.Neighbors(v)
+		lo, _ := slices.BinarySearch(row, v)
+		rec.Nbrs, rec.Lo = row[:len(row):len(row)], int32(lo)
+	}
+	if inputs == nil {
+		return rec, nbrs, inputs
+	}
+	start := len(inputs)
+	for i := range rec.Nbrs {
 		// Edge inputs are keyed normalized (core.Instance): an arc
 		// carries its reverse's label and weight.
-		key := graph.NormEdge(e.U, e.V)
-		if l, ok := in.EdgeLabel[key]; ok {
-			er.Label, er.HasLabel = l, true
-		}
-		if w, ok := in.Weights[key]; ok {
-			er.Weight, er.HasWeight = w, true
-		}
-		buf = append(buf, er)
+		var x transport.EdgeInput
+		key := graph.NormEdge(v, rec.Nbrs[i])
+		x.Label, x.HasLabel = in.EdgeLabel[key]
+		x.Weight, x.HasWeight = in.Weights[key]
+		inputs = append(inputs, x)
 	}
-	if in.G.Directed() {
-		for _, w := range in.G.Neighbors(v) {
-			addEdge(graph.Edge{U: v, V: w})
-		}
-		for _, w := range in.G.InNeighbors(v) {
-			addEdge(graph.Edge{U: w, V: v})
-		}
-	} else {
-		for _, w := range in.G.Neighbors(v) {
-			addEdge(graph.NormEdge(v, w))
-		}
-	}
-	rec.Edges = buf[start:len(buf):len(buf)]
-	return rec, buf
+	rec.Inputs = inputs[start:len(inputs):len(inputs)]
+	return rec, nbrs, inputs
 }
 
 // learned is one entry of an automaton's knowledge: a flooded record,
@@ -324,21 +326,17 @@ type arena struct {
 	labels  map[int]string
 	elabels map[graph.Edge]string
 	weights map[graph.Edge]int64
-	// rim is the boundary members' ids and edge lists, for completeRim:
-	// a copy, so that a frozen view keeps none of the flooded records.
-	rim      []keptMember
+	// rim is the boundary members' records, for completeRim. A cold
+	// view's entries point at the flooded records, which outlive its
+	// Verify; a frozen view's point into kept, the copies freeze makes
+	// so that the view keeps none of the flooded records.
+	rim      []*transport.Record
+	kept     []transport.Record
 	bv       core.BallView
 	complete func(*core.Instance) // completeRim, bound on first need
-	// kept marks a frozen ball's arena, which assembles once: its
+	// frozen marks a frozen ball's arena, which assembles once: its
 	// completion releases g and the assembly scratch.
-	kept bool
-}
-
-// keptMember is what an arena keeps of a boundary member's record for
-// its view's completion: the id and the edge list.
-type keptMember struct {
-	id    int
-	edges []transport.EdgeRec
+	frozen bool
 }
 
 // reset sizes the arena's tables for a ball of n members, with no proof
@@ -375,28 +373,27 @@ func (a *arena) addNodeLabel(in *core.Instance, id int, label string) {
 	in.NodeLabel[id] = label
 }
 
-// addEdgeInput records an edge record's label and weight in the ball
-// instance, keyed normalized as the instance keys them, in the arena's
-// maps.
-func (a *arena) addEdgeInput(in *core.Instance, er transport.EdgeRec) {
-	key := graph.NormEdge(er.E.U, er.E.V)
-	if er.HasLabel {
+// addEdgeInput records edge e's label and weight in the ball instance,
+// keyed normalized as the instance keys them, in the arena's maps.
+func (a *arena) addEdgeInput(in *core.Instance, e graph.Edge, x transport.EdgeInput) {
+	key := graph.NormEdge(e.U, e.V)
+	if x.HasLabel {
 		if in.EdgeLabel == nil {
 			if a.elabels == nil {
 				a.elabels = make(map[graph.Edge]string)
 			}
 			in.EdgeLabel = a.elabels
 		}
-		in.EdgeLabel[key] = er.Label
+		in.EdgeLabel[key] = x.Label
 	}
-	if er.HasWeight {
+	if x.HasWeight {
 		if in.Weights == nil {
 			if a.weights == nil {
 				a.weights = make(map[graph.Edge]int64)
 			}
 			in.Weights = a.weights
 		}
-		in.Weights[key] = er.Weight
+		in.Weights[key] = x.Weight
 	}
 }
 
@@ -409,8 +406,8 @@ func (a *arena) addEdgeInput(in *core.Instance, er transport.EdgeRec) {
 // in the ball, so no membership test is needed, and an edge between two
 // inner members is taken from its lower endpoint's record only. The
 // edges between two boundary members are left to the view's completion
-// hook (completeRim), which reads the arena's copy of the boundary
-// members' ids and edge lists. Beyond the records, assemble uses only
+// hook (completeRim), which reads the boundary members' records through
+// the arena's rim. Beyond the records, assemble uses only
 // what every node knows a priori: the graph kind and the global input.
 // The view is valid until the arena's next assembly.
 func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius int) *core.View {
@@ -441,12 +438,13 @@ func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius i
 	edges := a.edges[:0]
 	for i := range inner {
 		l := &nd.ball[i]
-		for _, er := range l.rec.Edges {
+		rec := l.rec
+		for j, o := range rec.Nbrs {
 			// A lower endpoint that is also inner reports this edge
 			// itself. Only a member one round short of the boundary
 			// can have a boundary neighbour, and with one inner member
 			// there is no other to report it.
-			if o := er.E.U + er.E.V - l.rec.ID; o < l.rec.ID && inner > 1 {
+			if o < rec.ID && inner > 1 {
 				if int(l.dist) < radius-1 {
 					continue
 				}
@@ -454,8 +452,11 @@ func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius i
 					continue
 				}
 			}
-			edges = append(edges, er.E)
-			a.addEdgeInput(&ball, er)
+			e := rec.Edge(j)
+			edges = append(edges, e)
+			if rec.Inputs != nil {
+				a.addEdgeInput(&ball, e, rec.Inputs[j])
+			}
 		}
 	}
 	a.edges = edges
@@ -466,7 +467,7 @@ func (nd *node) assemble(a *arena, kind graph.Kind, global core.Global, radius i
 	if rim := nd.ball[inner:]; len(rim) >= 2 {
 		a.rim = slices.Grow(a.rim, len(rim))
 		for i := range rim {
-			a.rim = append(a.rim, keptMember{rim[i].rec.ID, rim[i].rec.Edges})
+			a.rim = append(a.rim, rim[i].rec)
 		}
 		if a.complete == nil {
 			a.complete = a.completeRim
@@ -485,16 +486,18 @@ func (a *arena) completeRim(in *core.Instance) {
 	g := &a.g
 	edges := g.AppendEdges(a.edges[:0])
 	for _, m := range a.rim {
-		for _, er := range m.edges {
-			o := er.E.U + er.E.V - m.id
-			if o < m.id {
+		for j, o := range m.Nbrs {
+			if o < m.ID {
 				continue
 			}
-			if j, ok := g.Lookup(o); !ok || int(a.dist[j]) != a.radius {
+			if k, ok := g.Lookup(o); !ok || int(a.dist[k]) != a.radius {
 				continue
 			}
-			edges = append(edges, er.E)
-			a.addEdgeInput(in, er)
+			e := m.Edge(j)
+			edges = append(edges, e)
+			if m.Inputs != nil {
+				a.addEdgeInput(in, e, m.Inputs[j])
+			}
 		}
 	}
 	a.edges = edges
@@ -503,7 +506,7 @@ func (a *arena) completeRim(in *core.Instance) {
 	}
 	a.rg.ResetParts(a.kind, a.ids, edges, &a.gs)
 	in.G = a.rg
-	if a.kept {
+	if a.frozen {
 		a.g, a.edges, a.gs = graph.Graph{}, nil, graph.CSRScratch{}
 	}
 }
@@ -514,11 +517,20 @@ func (a *arena) completeRim(in *core.Instance) {
 // ball past smallBall members gets a rank index (the search index, if
 // the check built one, rewritten), and the flooded records are released
 // with their buffers: a warm automaton needs none of them, and the
-// view's completion reads only the arena's copy of its boundary
-// members' ids and edge lists.
+// view's completion reads only the arena's copies of its boundary
+// members' records: their ids and edges, not their proofs or labels.
+// A copy shares its record's neighbours and edge inputs, as every
+// holder of a record does: in process, the instance's CSR rows.
 func (nd *node) freeze(fb *frozenBall, w *core.View) {
 	fb.view, fb.seen = w, make([]uint32, len(fb.ids))
-	fb.edges, fb.gs, fb.kept = nil, graph.CSRScratch{}, true
+	fb.edges, fb.gs, fb.frozen = nil, graph.CSRScratch{}, true
+	if len(fb.rim) > 0 {
+		fb.kept = make([]transport.Record, len(fb.rim))
+		for i, r := range fb.rim {
+			fb.kept[i] = transport.Record{ID: r.ID, Nbrs: r.Nbrs, Inputs: r.Inputs, Lo: r.Lo}
+			fb.rim[i] = &fb.kept[i]
+		}
+	}
 	if len(fb.ids) > smallBall {
 		fb.rank = nd.index
 		if fb.rank == nil {

@@ -121,19 +121,32 @@ type Shard struct {
 // Records returns the round-0 records of the plan's owned nodes, in
 // Owned order and without proofs: what NewShard wires in process, and
 // what the dist-tcp coordinator registers a worker with. Every owned
-// node must be a node of In, as in every plan PlanShards makes.
+// node must be a node of In, as in every plan PlanShards makes. An
+// undirected record's neighbours alias the instance's CSR row; the
+// directed records' neighbours, and the edge inputs of an instance
+// that has any, are built into one slab each.
 func (plan ShardPlan) Records() []transport.Record {
-	g, edges := plan.In.G, 0
-	for _, id := range plan.Owned {
-		edges += len(g.Neighbors(id))
-		if g.Directed() {
-			edges += len(g.InNeighbors(id))
+	in, edges := plan.In, 0
+	directed, inputs := in.G.Directed(), len(in.EdgeLabel) > 0 || len(in.Weights) > 0
+	if directed || inputs {
+		for _, id := range plan.Owned {
+			edges += len(in.G.Neighbors(id))
+			if directed {
+				edges += len(in.G.InNeighbors(id))
+			}
 		}
 	}
-	slab := make([]transport.EdgeRec, 0, edges)
+	var nbrs []int
+	if directed {
+		nbrs = make([]int, 0, edges)
+	}
+	var xs []transport.EdgeInput
+	if inputs {
+		xs = make([]transport.EdgeInput, 0, edges)
+	}
 	recs := make([]transport.Record, len(plan.Owned))
 	for i, id := range plan.Owned {
-		recs[i], slab = initialRecord(plan.In, id, slab)
+		recs[i], nbrs, xs = initialRecord(in, id, nbrs, xs)
 	}
 	return recs
 }
@@ -152,11 +165,12 @@ func NewShard(plan ShardPlan, me int) (*Shard, error) {
 
 // WireRecords wires shard me from the round-0 records of the nodes it
 // owns, in the order Run reports their verdicts; it keeps the records
-// and ignores their proofs. A node's neighbours are the other endpoints
-// of its record's edges, ascending, each routed by assign: a
-// direct-merge link when assigned to me, a cut-edge link otherwise.
-// Wiring fails, before any check, on a duplicate record, an edge that
-// is not its node's (or a loop, or an unnormalized undirected edge), a
+// and ignores their proofs. A node's neighbours are its record's Nbrs,
+// ascending and each once, each routed by assign: a direct-merge link
+// when assigned to me, a cut-edge link otherwise. Wiring fails, before
+// any check, on a duplicate record, an edge that is not its node's (a
+// split outside the neighbour list, a loop, or an unnormalized
+// undirected edge), edge inputs not aligned with the neighbours, a
 // neighbour with no assignment, or one assigned to me but not owned.
 // The automata, their first buffers and their links come from a few
 // slabs, each made once at its final size (the links are routed and
@@ -179,7 +193,7 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 	// the first run that floods them (batches).
 	edges, balls := 0, 0
 	for i := range recs {
-		d := len(recs[i].Edges)
+		d := len(recs[i].Nbrs)
 		edges, balls = edges+d, balls+min(d+1, smallBall+1)
 	}
 	ballSlab := make([]learned, 0, balls)
@@ -191,7 +205,7 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 		}
 		s.owned[i], s.byID[rec.ID] = rec.ID, nd
 		nd.id, nd.base = rec.ID, rec
-		nd.ball, ballSlab = carve(ballSlab, min(len(rec.Edges)+1, smallBall+1))
+		nd.ball, ballSlab = carve(ballSlab, min(len(rec.Nbrs)+1, smallBall+1))
 		nd.cur, own = carve(own, 1)
 	}
 	// Wire after every automaton exists: same-shard neighbours get
@@ -206,12 +220,19 @@ func WireRecords(me int, kind graph.Kind, global core.Global, recs []transport.R
 	nlocal := 0
 	for i := range s.nodes {
 		nd := &s.nodes[i]
+		rec := nd.base
+		if rec.Lo < 0 || int(rec.Lo) > len(rec.Nbrs) {
+			return nil, fmt.Errorf("dist: shard %d: split %d outside %d neighbours: not an edge of node %d", me, rec.Lo, len(rec.Nbrs), nd.id)
+		}
+		if rec.Inputs != nil && len(rec.Inputs) != len(rec.Nbrs) {
+			return nil, fmt.Errorf("dist: shard %d: node %d has %d edge inputs for %d edges", me, nd.id, len(rec.Inputs), len(rec.Nbrs))
+		}
 		nbs = nbs[:0]
-		for _, er := range nd.base.Edges {
-			if e := er.E; e.U == e.V || e.U != nd.id && e.V != nd.id || kind != graph.Directed && e.U > e.V {
+		for j, w := range rec.Nbrs {
+			if e := rec.Edge(j); e.U == e.V || kind != graph.Directed && e.U > e.V {
 				return nil, fmt.Errorf("dist: shard %d: edge %v is not an edge of node %d", me, e, nd.id)
 			}
-			nbs = append(nbs, er.E.U+er.E.V-nd.id)
+			nbs = append(nbs, w)
 		}
 		slices.Sort(nbs)
 		for _, w := range slices.Compact(nbs) {
@@ -264,11 +285,11 @@ func (s *Shard) batches() {
 	}
 	size := 0
 	for i := range s.nodes {
-		size += 2 * (len(s.nodes[i].base.Edges) + 1)
+		size += 2 * (len(s.nodes[i].base.Nbrs) + 1)
 	}
 	slab := make(transport.Batch, 0, size)
 	for i := range s.nodes {
-		nd, deg := &s.nodes[i], len(s.nodes[i].base.Edges)
+		nd, deg := &s.nodes[i], len(s.nodes[i].base.Nbrs)
 		nd.cur, slab = carve(slab, deg+1)
 		nd.next, slab = carve(slab, deg+1)
 	}

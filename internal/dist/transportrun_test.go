@@ -42,8 +42,8 @@ func workerShards(t *testing.T, in *core.Instance, shards int, pt partition.Part
 	for s, plan := range plans {
 		recs, assign := plan.Records(), map[int]int{}
 		for _, rec := range recs {
-			for _, er := range rec.Edges {
-				assign[er.E.U], assign[er.E.V] = plan.Assign[er.E.U], plan.Assign[er.E.V]
+			for _, w := range rec.Nbrs {
+				assign[w] = plan.Assign[w]
 			}
 			assign[rec.ID] = plan.Assign[rec.ID]
 		}
@@ -334,12 +334,27 @@ func TestNewShardRejectsMalformedPlan(t *testing.T) {
 
 // TestWireRecordsRejectsMalformedRecords: records a worker cannot wire
 // — they repeat a node, or name an edge that is not the node's own —
-// fail at wiring, before any check; the well-formed list wires.
+// fail at wiring, before any check; the well-formed list wires. A
+// record names its edges by neighbour and split (transport.Record), so
+// an edge of another node is a split outside the neighbour list.
 func TestWireRecordsRejectsMalformedRecords(t *testing.T) {
-	edge := func(u, v int) transport.EdgeRec { return transport.EdgeRec{E: graph.Edge{U: u, V: v}} }
-	rec := func(id int, edges ...transport.EdgeRec) transport.Record {
-		return transport.Record{ID: id, Edges: edges}
+	// rec builds node id's record from its edge keys, each (w, id) or
+	// (id, w).
+	rec := func(id int, edges ...graph.Edge) transport.Record {
+		var lo, hi []int
+		for _, e := range edges {
+			if e.V == id {
+				lo = append(lo, e.U)
+			} else {
+				hi = append(hi, e.V)
+			}
+		}
+		return transport.Record{ID: id, Nbrs: append(lo, hi...), Lo: int32(len(lo))}
 	}
+	edge := func(u, v int) graph.Edge { return graph.Edge{U: u, V: v} }
+	split := func(r transport.Record, lo int32) transport.Record { r.Lo = lo; return r }
+	misaligned := rec(1, edge(1, 2))
+	misaligned.Inputs = make([]transport.EdgeInput, 2)
 	assign := map[int]int{1: 0, 2: 0, 3: 1}
 	for _, tc := range []struct {
 		name string
@@ -350,7 +365,9 @@ func TestWireRecordsRejectsMalformedRecords(t *testing.T) {
 		{"well-formed", graph.Undirected, []transport.Record{rec(1, edge(1, 2)), rec(2, edge(1, 2), edge(2, 3))}, ""},
 		{"well-formed-directed", graph.Directed, []transport.Record{rec(1, edge(2, 1)), rec(2, edge(2, 1), edge(3, 2))}, ""},
 		{"duplicate-record", graph.Undirected, []transport.Record{rec(1, edge(1, 2)), rec(2, edge(1, 2)), rec(1)}, "duplicate"},
-		{"edge-not-incident", graph.Undirected, []transport.Record{rec(1, edge(2, 3))}, "not an edge of node 1"},
+		{"edge-not-incident", graph.Undirected, []transport.Record{split(rec(1, edge(1, 2)), 2)}, "not an edge of node 1"},
+		{"split-negative", graph.Undirected, []transport.Record{split(rec(1, edge(1, 2)), -1)}, "not an edge of node 1"},
+		{"inputs-misaligned", graph.Undirected, []transport.Record{misaligned}, "2 edge inputs for 1 edges"},
 		{"loop", graph.Directed, []transport.Record{rec(1, edge(1, 1))}, "not an edge of node 1"},
 		{"undirected-edge-not-normalized", graph.Undirected, []transport.Record{rec(2, edge(2, 1))}, "not an edge of node 2"},
 		{"neighbor-unassigned", graph.Undirected, []transport.Record{rec(3, edge(3, 4))}, "no shard assignment"},

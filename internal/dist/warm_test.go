@@ -93,7 +93,7 @@ func TestWarmChecksFloodBareRecords(t *testing.T) {
 					if x.Bare != warm {
 						t.Fatalf("%s: shard %d sent a record with Bare=%v", label, s, x.Bare)
 					}
-					if warm && (x.HasLabel || x.Label != "" || len(x.Edges) > 0) {
+					if warm && (x.HasLabel || x.Label != "" || len(x.Nbrs) > 0 || x.Inputs != nil) {
 						t.Fatalf("%s: shard %d sent a warm record carrying knowledge: %+v", label, s, x)
 					}
 				}

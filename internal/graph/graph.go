@@ -394,7 +394,7 @@ func (g *Graph) Degree(id int) int { return len(g.Neighbors(id)) }
 // adjacency of the LOCAL model's communication graph (§2.1: views and
 // message passing follow undirected reachability even on directed
 // instances): BallAround follows it, and so do the dist runtime's
-// links, which join the endpoints of each node's round-0 edge records.
+// links, which join each node to the neighbours its round-0 record lists.
 func (g *Graph) UndirectedNeighbors(id int) []int {
 	if g.kind != Directed {
 		return g.Neighbors(id)

@@ -20,7 +20,6 @@ import (
 
 	"lcp/internal/core"
 	"lcp/internal/dist"
-	"lcp/internal/graph"
 	"lcp/internal/remote"
 	"lcp/internal/transport"
 )
@@ -165,7 +164,10 @@ func TestRegisterRejectsMalformedShard(t *testing.T) {
 	records := func(owned ...int) []byte {
 		return transport.AppendRecords(nil, dist.ShardPlan{In: pathInstance(3), Owned: owned}.Records())
 	}
-	stray := transport.AppendRecords(nil, []transport.Record{{ID: 1, Edges: []transport.EdgeRec{{E: graph.Edge{U: 2, V: 3}}}}})
+	// One record, of node 1 with the one edge 2-3: count | id | flags |
+	// #edges | edge | edge flags. transport.Record cannot hold it, so the
+	// bytes are written by hand; the decoder rejects the edge.
+	stray := []byte{1, 1, 0, 1, 2, 3, 0}
 	cases := []struct {
 		name    string
 		records []byte

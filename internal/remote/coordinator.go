@@ -177,8 +177,8 @@ func recordAssign(recs []transport.Record, assign map[int]int) map[int]int {
 	out := make(map[int]int, len(recs))
 	for _, rec := range recs {
 		out[rec.ID] = assign[rec.ID]
-		for _, er := range rec.Edges {
-			out[er.E.U], out[er.E.V] = assign[er.E.U], assign[er.E.V]
+		for _, w := range rec.Nbrs {
+			out[w] = assign[w]
 		}
 	}
 	return out

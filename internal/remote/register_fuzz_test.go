@@ -44,8 +44,8 @@ func fuzzAssign(data []byte) map[int]int {
 	}
 	assign := map[int]int{}
 	for _, rec := range recs {
-		for _, er := range rec.Edges {
-			assign[er.E.U], assign[er.E.V] = 1, 1
+		for _, w := range rec.Nbrs {
+			assign[w] = 1
 		}
 	}
 	for _, rec := range recs {
@@ -54,12 +54,33 @@ func fuzzAssign(data []byte) map[int]int {
 	return assign
 }
 
+// directedRecords encodes the records of nodes 2 and 3 of a directed
+// instance: node 3 has the in-arcs 2→3 and 4→3 and the out-arc 3→2,
+// reciprocal to 2→3, which carries an edge label and a weight. A
+// registration is directed when its record bytes are odd in number
+// (FuzzRegisterShard), so the node label's length is picked to make
+// them so.
+func directedRecords() []byte {
+	g := graph.NewBuilder(graph.Directed).AddEdge(2, 3).AddEdge(3, 2).AddEdge(4, 3).Graph()
+	for _, label := range []string{"s", "ss"} {
+		in := core.NewInstance(g).SetNodeLabel(3, label)
+		in.EdgeLabel = map[graph.Edge]string{{U: 2, V: 3}: "M"}
+		in.Weights = map[graph.Edge]int64{{U: 2, V: 3}: -7}
+		b := transport.AppendRecords(nil, dist.ShardPlan{In: in, Owned: []int{2, 3}}.Records())
+		if len(b)%2 == 1 {
+			return b
+		}
+	}
+	panic("unreachable: the two labels differ in length by one")
+}
+
 func FuzzRegisterShard(f *testing.F) {
 	recs := dist.ShardPlan{In: core.NewInstance(graph.Path(5)), Owned: []int{2, 3}}.Records()
 	f.Add(transport.AppendRecords(nil, recs))
 	f.Add(transport.AppendRecords(nil, append(recs, recs[0])))
 	f.Add(binary.AppendUvarint(nil, 1<<25))
 	f.Add([]byte{})
+	f.Add(directedRecords())
 	w := NewWorker(nil, map[string]core.Scheme{"nop": nopScheme{}})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req := &Request{

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"lcp/internal/bitstr"
-	"lcp/internal/graph"
 )
 
 // decodeAllocBound is the most DecodeData may allocate for a payload of
@@ -33,6 +32,8 @@ func decodeAllocs(payload []byte) (uint64, error) {
 }
 
 func FuzzDecodeData(f *testing.F) {
+	// The sample holds a directed record with in- and out-arcs, an edge
+	// label and a weight.
 	f.Add(AppendData(nil, DataHeader{Seq: 3, Round: 5, Src: 2}, sampleDeliveries()))
 	f.Add(AppendData(nil, DataHeader{Seq: 1, Round: 1}, sharedDeliveries()))
 	f.Add(AppendData(nil, DataHeader{Seq: 4, Round: 1, Src: 1}, bareDeliveries()))
@@ -102,14 +103,24 @@ func genDeliveries(data []byte) []Delivery {
 				b = append(b, &rec)
 				continue
 			}
-			for ne := next() % 3; len(rec.Edges) < ne; {
-				er := EdgeRec{E: graph.Edge{U: rec.ID, V: next()}}
+			// Edges keyed (w, ID), then (ID, w), reciprocal pairs and
+			// loops included, some with inputs.
+			ne := next() % 4
+			rec.Lo = int32(next() % (ne + 1))
+			for len(rec.Nbrs) < ne {
+				rec.Nbrs = append(rec.Nbrs, next())
+				var x EdgeInput
 				if f := next(); f&1 != 0 {
-					er.HasLabel, er.Label = true, "M"
+					x.HasLabel, x.Label = true, "M"
 				} else if f&2 != 0 {
-					er.HasWeight, er.Weight = true, int64(next())-128
+					x.HasWeight, x.Weight = true, int64(next())-128
 				}
-				rec.Edges = append(rec.Edges, er)
+				if x != (EdgeInput{}) && rec.Inputs == nil {
+					rec.Inputs = make([]EdgeInput, ne)
+				}
+				if rec.Inputs != nil {
+					rec.Inputs[len(rec.Nbrs)-1] = x
+				}
 			}
 			b = append(b, &rec)
 		}
@@ -125,8 +136,9 @@ func genDeliveries(data []byte) []Delivery {
 	return dels
 }
 
-// batchesEqual compares two batches by content, with ε and empty
-// collections equal however they are represented.
+// batchesEqual compares two batches by content, edge by edge key and
+// input, with ε and empty collections equal however they are
+// represented. A loop may come back on either side of the split.
 func batchesEqual(a, b Batch) bool {
 	if len(a) != len(b) {
 		return false
@@ -134,11 +146,11 @@ func batchesEqual(a, b Batch) bool {
 	for i := range a {
 		x, y := a[i], b[i]
 		if x.ID != y.ID || x.Bare != y.Bare || x.HasProof != y.HasProof || !x.Proof.Equal(y.Proof) ||
-			x.HasLabel != y.HasLabel || x.Label != y.Label || len(x.Edges) != len(y.Edges) {
+			x.HasLabel != y.HasLabel || x.Label != y.Label || len(x.Nbrs) != len(y.Nbrs) {
 			return false
 		}
-		for j := range x.Edges {
-			if x.Edges[j] != y.Edges[j] {
+		for j := range x.Nbrs {
+			if x.Edge(j) != y.Edge(j) || x.Input(j) != y.Input(j) {
 				return false
 			}
 		}

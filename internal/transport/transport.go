@@ -41,8 +41,17 @@ import (
 // weights — or, bare, just its identifier and proof string. Records
 // are immutable once built and self-contained, so multi-hop forwarding
 // shares them unchanged, by pointer (Batch), across any number of
-// shard boundaries. The flags sit together at the end, so a Record is
-// 88 bytes and an EdgeRec 48 on a 64-bit host.
+// shard boundaries.
+//
+// A node's incident edges are its neighbours' ids (Nbrs) split in two
+// at Lo: the edges keyed (w, ID) come first, those keyed (ID, w) after
+// (Edge). That is the paper's round-0 knowledge, and for an undirected
+// graph it is exactly the node's ascending CSR row, split where the
+// neighbours pass ID, so an in-process record aliases the instance's
+// row and copies nothing per edge (see dist.ShardPlan.Records). A
+// directed record lists its in-neighbours, then its out-neighbours.
+// The flags sit together at the end, so a Record is 112 bytes on a
+// 64-bit host.
 type Record struct {
 	// ID is the node the record describes.
 	ID int
@@ -50,8 +59,15 @@ type Record struct {
 	Proof bitstr.String
 	// Label is the node's input label; meaningful iff HasLabel.
 	Label string
-	// Edges lists every edge incident to ID, as ID sees them.
-	Edges []EdgeRec
+	// Nbrs lists the other endpoint of every edge incident to ID, one
+	// entry per edge: Nbrs[:Lo] for the edges keyed (w, ID), Nbrs[Lo:]
+	// for those keyed (ID, w). Records share it: nobody writes it.
+	Nbrs []int
+	// Inputs is each edge's input labelling, aligned with Nbrs; nil
+	// when none of the record's edges carries one.
+	Inputs []EdgeInput
+	// Lo splits Nbrs (see Nbrs).
+	Lo int32
 	// HasProof distinguishes the empty proof ε from no proof at all.
 	HasProof bool
 	// Bare marks a warm check's record: ID and proof only, no label and
@@ -62,12 +78,29 @@ type Record struct {
 	HasLabel bool
 }
 
-// EdgeRec is one incident edge as the owning node sees it: the edge key
-// exactly as the frozen graph stores it (normalized for undirected
-// graphs, the ordered arc for directed ones) plus its input labelling.
-type EdgeRec struct {
-	// E is the edge key.
-	E graph.Edge
+// Edge returns the key of the record's i-th edge exactly as the frozen
+// graph stores it (normalized for undirected graphs, the ordered arc
+// for directed ones): (Nbrs[i], ID) below Lo, (ID, Nbrs[i]) from Lo on.
+func (r *Record) Edge(i int) graph.Edge {
+	if i < int(r.Lo) {
+		return graph.Edge{U: r.Nbrs[i], V: r.ID}
+	}
+	return graph.Edge{U: r.ID, V: r.Nbrs[i]}
+}
+
+// Input returns the input labelling of the record's i-th edge: the
+// zero EdgeInput when the edge carries none.
+func (r *Record) Input(i int) EdgeInput {
+	if r.Inputs == nil {
+		return EdgeInput{}
+	}
+	return r.Inputs[i]
+}
+
+// EdgeInput is one incident edge's input labelling, as the instance
+// keys it (normalized, so an arc carries its reverse's label and
+// weight).
+type EdgeInput struct {
 	// Label is the edge's input label; meaningful iff HasLabel.
 	Label string
 	// Weight is the edge's weight; meaningful iff HasWeight.

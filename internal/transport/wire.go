@@ -40,6 +40,14 @@ package transport
 // runtime relies on for multi-hop forwarding), so decoding never
 // needs the instance — only the automata that merge the records do.
 //
+// A full record's edges are its edge keys, in Record order: first the
+// edges keyed (w, id), then those keyed (id, w). The decoder recovers
+// the record's neighbour list and its split (Record.Lo) from which
+// endpoint is the record's node, so every edge must be incident to
+// it, and no edge keyed (w, id) may follow one keyed (id, w): a record
+// that breaks either rule is corrupt. An edge's flag byte is hasLabel
+// (1) and hasWeight (2).
+//
 // The flag byte's bits are hasProof (1), hasLabel (2) and bare (4). A
 // full record is a node's round-0 knowledge: what a registration ships
 // and what a shard's first checks flood. A bare record is what a warm
@@ -184,19 +192,29 @@ func AppendRecords(buf []byte, recs []Record) []byte {
 	return buf
 }
 
-// DecodeRecords decodes a payload produced by AppendRecords. As in
-// DecodeData, every presize is capped by the payload bytes left.
+// DecodeRecords decodes a payload produced by AppendRecords. As
+// DecodeData does, it validates the payload in a first pass that
+// builds nothing, then decodes the records into one slab, their
+// neighbour ids, edge inputs and proof strings into one each.
 func DecodeRecords(payload []byte) ([]Record, error) {
-	c := &cursor{buf: payload}
-	nr := c.count("record count")
+	dry := &cursor{buf: payload, dry: true}
+	nr := dry.count("record count")
+	for j := 0; j < nr && dry.err == nil; j++ {
+		dry.record()
+	}
+	if err := dry.end(); err != nil {
+		return nil, err
+	}
+	c := dry.decoder()
+	c.count("record count")
 	var recs []Record
-	if n := c.capped(nr); n > 0 {
-		recs = make([]Record, 0, n)
+	if nr > 0 {
+		recs = make([]Record, nr)
 	}
-	for j := 0; j < nr && c.err == nil; j++ {
-		recs = append(recs, c.record())
+	for j := range recs {
+		recs[j] = c.record()
 	}
-	if err := c.end(); err != nil {
+	if err := c.end(); err != nil { // the first pass read the same bytes without error
 		return nil, err
 	}
 	return recs, nil
@@ -210,8 +228,8 @@ const (
 )
 
 // appendRecord encodes one record. A bare record encodes its id and
-// proof only: its Label and Edges, which it never carries, are not
-// read.
+// proof only: its Label, Nbrs and Inputs, which it never carries, are
+// not read.
 func appendRecord(buf []byte, rec *Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(rec.ID))
 	var flags byte
@@ -233,23 +251,24 @@ func appendRecord(buf []byte, rec *Record) []byte {
 	if rec.HasLabel {
 		buf = appendString(buf, rec.Label)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Edges)))
-	for _, er := range rec.Edges {
-		buf = binary.AppendUvarint(buf, uint64(er.E.U))
-		buf = binary.AppendUvarint(buf, uint64(er.E.V))
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Nbrs)))
+	for i := range rec.Nbrs {
+		e, x := rec.Edge(i), rec.Input(i)
+		buf = binary.AppendUvarint(buf, uint64(e.U))
+		buf = binary.AppendUvarint(buf, uint64(e.V))
 		var ef byte
-		if er.HasLabel {
+		if x.HasLabel {
 			ef |= 1
 		}
-		if er.HasWeight {
+		if x.HasWeight {
 			ef |= 2
 		}
 		buf = append(buf, ef)
-		if er.HasLabel {
-			buf = appendString(buf, er.Label)
+		if x.HasLabel {
+			buf = appendString(buf, x.Label)
 		}
-		if er.HasWeight {
-			buf = binary.AppendVarint(buf, er.Weight)
+		if x.HasWeight {
+			buf = binary.AppendVarint(buf, x.Weight)
 		}
 	}
 	return buf
@@ -274,8 +293,10 @@ func appendBits(buf []byte, s bitstr.String) []byte {
 // corrupt frame costs an error, not an allocation it announces; the
 // second decodes every record of the frame into one slab, every
 // batch's pointers into another, and the deliveries into a third, each
-// made once at its final size. The slabs are the frame's own: nothing
-// rewrites them, so a receiver may keep the batches (see Batch).
+// made once at its final size, and the records' neighbour ids, edge
+// inputs and proof strings into one slab each, made only when the
+// frame carries any. The slabs are the frame's own: nothing rewrites
+// them, so a receiver may keep the batches (see Batch).
 func DecodeData(payload []byte) (DataHeader, []Delivery, error) {
 	dry := &cursor{buf: payload, dry: true}
 	dry.data(nil, nil)
@@ -294,7 +315,7 @@ func DecodeData(payload []byte) (DataHeader, []Delivery, error) {
 	if dry.ndels > 0 {
 		dels = make([]Delivery, 0, dry.ndels)
 	}
-	c := &cursor{buf: payload}
+	c := dry.decoder()
 	hdr, dels := c.data(recs, dels)
 	if err := c.end(); err != nil { // the first pass read the same bytes without error
 		return DataHeader{}, nil, err
@@ -348,14 +369,40 @@ func (c *cursor) data(recs Batch, dels []Delivery) (DataHeader, []Delivery) {
 //
 // A dry cursor reads and validates the same bytes without building
 // anything: strings, proof strings and edge lists decode empty, and
-// data only counts. nrecs and ndels count what data has read.
+// data only counts. nrecs and ndels count what data has read; nnbrs,
+// ninputs and nbits count the slab room the records need (decoder).
 type cursor struct {
 	buf []byte
 	off int
 	err error
 	dry bool
 
-	nrecs, ndels int
+	nrecs, ndels          int
+	nnbrs, ninputs, nbits int
+
+	// The slabs a decoding cursor carves records' fields from: nbrs
+	// grows by append within its capacity, inputs is filled nin entries
+	// in, and slab holds the proof strings.
+	nbrs   []int
+	inputs []EdgeInput
+	nin    int
+	slab   bitstr.Slab
+}
+
+// decoder returns a cursor that decodes the payload c, a dry cursor,
+// has read without error, with slabs sized by what c counted.
+func (c *cursor) decoder() *cursor {
+	d := &cursor{buf: c.buf}
+	if c.nnbrs > 0 {
+		d.nbrs = make([]int, 0, c.nnbrs)
+	}
+	if c.ninputs > 0 {
+		d.inputs = make([]EdgeInput, c.ninputs)
+	}
+	if c.nbits > 0 {
+		d.slab = bitstr.NewSlab(c.nbits)
+	}
+	return d
 }
 
 func (c *cursor) fail(what string) {
@@ -395,16 +442,6 @@ func (c *cursor) count(what string) int {
 		return 0
 	}
 	return int(v)
-}
-
-// capped bounds a presize by the payload bytes left: every element of
-// every collection costs at least one byte, so a count beyond that is
-// corrupt and must not be allocated for before the decode fails.
-func (c *cursor) capped(n int) int {
-	if rem := len(c.buf) - c.off; n > rem {
-		return rem
-	}
-	return n
 }
 
 func (c *cursor) varint() int64 {
@@ -463,9 +500,10 @@ func (c *cursor) bits() bitstr.String {
 	}
 	c.off += nbytes
 	if c.dry {
+		c.nbits += nbytes
 		return bitstr.Empty
 	}
-	return bitstr.FromPacked(c.buf[c.off-nbytes:c.off], n)
+	return c.slab.FromPacked(c.buf[c.off-nbytes:c.off], n)
 }
 
 func (c *cursor) record() Record {
@@ -489,24 +527,55 @@ func (c *cursor) record() Record {
 		rec.Label = c.string("node label")
 	}
 	ne := c.count("edge count")
-	if n := c.capped(ne); n > 0 && c.err == nil && !c.dry {
-		rec.Edges = make([]EdgeRec, 0, n)
-	}
+	start, hi, inputs := len(c.nbrs), false, false
 	for i := 0; i < ne && c.err == nil; i++ {
-		var er EdgeRec
-		er.E = graph.Edge{U: c.count("edge u"), V: c.count("edge v")}
+		u, v := c.count("edge u"), c.count("edge v")
+		w := u
+		switch {
+		case v == rec.ID && !hi:
+			rec.Lo++
+		case u == rec.ID:
+			w, hi = v, true
+		case v == rec.ID:
+			c.fail("edge order")
+		default:
+			if c.err == nil {
+				c.err = fmt.Errorf("transport: corrupt record at offset %d: edge %v is not an edge of node %d", c.off, graph.Edge{U: u, V: v}, rec.ID)
+			}
+		}
+		var x EdgeInput
 		ef := c.byte()
 		if ef&1 != 0 {
-			er.HasLabel = true
-			er.Label = c.string("edge label")
+			x.HasLabel = true
+			x.Label = c.string("edge label")
 		}
 		if ef&2 != 0 {
-			er.HasWeight = true
-			er.Weight = c.varint()
+			x.HasWeight = true
+			x.Weight = c.varint()
+		}
+		if x.HasLabel || x.HasWeight {
+			inputs = true
+			if !c.dry {
+				c.inputs[c.nin+i] = x
+			}
 		}
 		if !c.dry {
-			rec.Edges = append(rec.Edges, er)
+			c.nbrs = append(c.nbrs, w)
 		}
+	}
+	if c.dry {
+		c.nnbrs += ne
+		if inputs {
+			c.ninputs += ne
+		}
+		return rec
+	}
+	if ne > 0 {
+		rec.Nbrs = c.nbrs[start:len(c.nbrs):len(c.nbrs)]
+	}
+	if inputs {
+		rec.Inputs = c.inputs[c.nin : c.nin+ne : c.nin+ne]
+		c.nin += ne
 	}
 	return rec
 }

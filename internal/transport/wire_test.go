@@ -15,20 +15,22 @@ import (
 	"unsafe"
 
 	"lcp/internal/bitstr"
-	"lcp/internal/graph"
 )
 
 func sampleDeliveries() []Delivery {
 	return []Delivery{
 		{Dst: 7, Recs: Batch{
-			{ID: 1, HasProof: true, Proof: bitstr.Parse("10110"), Edges: []EdgeRec{
-				{E: graph.Edge{U: 1, V: 2}},
-				{E: graph.Edge{U: 1, V: 9}, HasLabel: true, Label: "M", HasWeight: true, Weight: -42},
-			}},
+			{ID: 1, HasProof: true, Proof: bitstr.Parse("10110"), Nbrs: []int{2, 9},
+				Inputs: []EdgeInput{{}, {HasLabel: true, Label: "M", HasWeight: true, Weight: -42}}},
 			{ID: 2, HasProof: true, Proof: bitstr.Empty, HasLabel: true, Label: "s"},
 		}},
 		{Dst: 9, Recs: Batch{
-			{ID: 3, Edges: []EdgeRec{{E: graph.Edge{U: 3, V: 4}, HasWeight: true, Weight: 1 << 40}}},
+			{ID: 3, Nbrs: []int{4}, Inputs: []EdgeInput{{HasWeight: true, Weight: 1 << 40}}},
+			// Directed: arcs 2→5 and 7→5 in, 5→2 out (2 is reciprocal),
+			// the reciprocal pair labelled and weighted alike.
+			{ID: 5, HasProof: true, Proof: bitstr.Parse("1"), Nbrs: []int{2, 7, 2}, Lo: 2, Inputs: []EdgeInput{
+				{HasLabel: true, Label: "M", HasWeight: true, Weight: 3}, {}, {HasLabel: true, Label: "M", HasWeight: true, Weight: 3},
+			}},
 		}},
 		{Dst: 11}, // empty batch still travels: it carries the round sync
 	}
@@ -122,9 +124,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 // into the same peer.
 func sharedDeliveries() []Delivery {
 	hub := Batch{
-		{ID: 1, HasProof: true, Proof: bitstr.Parse("101"), Edges: []EdgeRec{
-			{E: graph.Edge{U: 1, V: 2}}, {E: graph.Edge{U: 1, V: 3}}, {E: graph.Edge{U: 1, V: 4}},
-		}},
+		{ID: 1, HasProof: true, Proof: bitstr.Parse("101"), Nbrs: []int{2, 3, 4}},
 	}
 	leaf := Batch{{ID: 5, HasProof: true, Proof: bitstr.Parse("0")}}
 	return []Delivery{{Dst: 2, Recs: hub}, {Dst: 3, Recs: hub}, {Dst: 4, Recs: hub}, {Dst: 6, Recs: leaf}}
@@ -179,6 +179,54 @@ func TestDecodeDataAllocs(t *testing.T) {
 		})
 		if allocs != 3 {
 			t.Fatalf("a frame of %d groups of bare records decoded in %.0f allocations, want 3", groups, allocs)
+		}
+	}
+}
+
+// TestDecodeDataProofSlab: DecodeData decodes every proof string of a
+// frame into one slab, so a frame of 64 records with proofs costs as
+// many allocations as a frame of one: the proof strings do not allocate
+// one buffer each.
+func TestDecodeDataProofSlab(t *testing.T) {
+	allocs := func(nrecs int) float64 {
+		b := make(Batch, nrecs)
+		for i := range b {
+			b[i] = &Record{ID: i, HasProof: true, Proof: bitstr.FromUint(uint64(i), 12), Bare: true}
+		}
+		payload := AppendData(nil, DataHeader{Seq: 1, Round: 1}, []Delivery{{Dst: 1, Recs: b}})
+		return testing.AllocsPerRun(20, func() {
+			_, dels, err := DecodeData(payload)
+			if err != nil || len(dels[0].Recs) != nrecs || !dels[0].Recs[nrecs-1].Proof.Equal(b[nrecs-1].Proof) {
+				t.Fatalf("%d records: decoded %v, %v", nrecs, dels, err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(64); one != many {
+		t.Fatalf("a frame of 1 proof record decoded in %.0f allocations, of 64 in %.0f", one, many)
+	}
+}
+
+// TestDecodeRejectsEdgesNotIncident: a full record's edges are its
+// node's, its edges keyed (w, id) before those keyed (id, w), because
+// that is how the decoder recovers each edge's direction: an edge of
+// another node, or an in-edge after an out-edge, fails to decode.
+func TestDecodeRejectsEdgesNotIncident(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		// count 1 | id 1 | flags 0 | #edges 1 | edge 2-3 | edge flags 0
+		{"not-incident", []byte{1, 1, 0, 1, 2, 3, 0}, "not an edge of node 1"},
+		// count 1 | id 4 | flags 0 | #edges 2 | edge 4-5 | 0 | edge 3-4 | 0
+		{"in-after-out", []byte{1, 4, 0, 2, 4, 5, 0, 3, 4, 0}, "edge order"},
+	} {
+		if _, err := DecodeRecords(tc.payload); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: DecodeRecords error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		data := append([]byte{1, 1, 0, 1}, tc.payload...)
+		if _, _, err := DecodeData(append(data, 1, 2)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: DecodeData error %v, want one mentioning %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -299,17 +347,17 @@ func TestDecodeRejectsMalformedBareRecords(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the record layout on a 64-bit host: the flags
-// sit together after the word-sized fields, so that a Record is 88
-// bytes and an EdgeRec 48, not 96 and 56.
+// TestRecordSizes pins the record layout on a 64-bit host: the split
+// and the flags sit together after the word-sized fields, so that a
+// Record is 112 bytes, not 120, and an EdgeInput 32.
 func TestRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the sizes are a 64-bit host's")
 	}
-	if got := unsafe.Sizeof(Record{}); got != 88 {
-		t.Errorf("Record is %d bytes, want 88", got)
+	if got := unsafe.Sizeof(Record{}); got != 112 {
+		t.Errorf("Record is %d bytes, want 112", got)
 	}
-	if got := unsafe.Sizeof(EdgeRec{}); got != 48 {
-		t.Errorf("EdgeRec is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(EdgeInput{}); got != 32 {
+		t.Errorf("EdgeInput is %d bytes, want 32", got)
 	}
 }
